@@ -836,10 +836,6 @@ class LaplaceStageHandle(RayHandle):
             out[j] = self.eval_ray(float(xs[j]))
         return out
 
-    def value_at(self, w: SectorPoint) -> complex:
-        """Evaluate L_lam(prev) at an arbitrary sector point (off-ray allowed)."""
-        return laplace_along_ray(self.prev, self.lam, self.direction, w)
-
     def growth(self, k: float) -> tuple[float, float]:
         self.ensure(max(self._x_hi, min(12.0 * self._x0, 0.9 * self._x_dom)))
         return _fit_growth(self.eval_ray, self._x0, self._x_hi, k)
@@ -949,10 +945,13 @@ def _build_sections(
     rec = _section_master(op)
     sections = []
     for l in range(beta):
-        if rec.span == 1:
-            sec_rec = section_recurrence(rec, beta, l)
-        else:
-            sec_rec = _fit_section_recurrence(op, rec, beta, l)
+        if rec.span != 1:
+            raise UnsupportedError(
+                "multisummation currently derives section operators only for "
+                "operators whose coefficient recurrence has span 1 "
+                "(polynomial coefficients of z-degree <= 1)"
+            )
+        sec_rec = section_recurrence(rec, beta, l)
         # chain of stage recurrences: stage j annihilates
         # g_j = B_{lam_j} ... B_{lam_s} (section); build from the top down,
         # then restore the inhomogeneous rows each stage's solution satisfies
@@ -974,17 +973,6 @@ def _build_sections(
             SectionPipeline(l, beta, orders_w, recs, ops_chain, g1, all_seeds)
         )
     return sections
-
-
-def _fit_section_recurrence(op, rec, beta, l) -> Recurrence:
-    """Fallback for master recurrences of span >= 2: fit the section
-    recurrence from fully-Borel-transformed data (tame magnitudes), then
-    undo the weights exactly."""
-    raise UnsupportedError(
-        "multisummation currently derives section operators only for "
-        "operators whose coefficient recurrence has span 1 "
-        "(polynomial coefficients of z-degree <= 1)"
-    )
 
 
 def _solve_stage1(stage1_rec, seeds: np.ndarray, order: int) -> PowerSeries:

@@ -16,7 +16,6 @@ from typing import Literal, Optional, Sequence
 
 import numpy as np
 
-from ._kernels import windowed_walk
 from .errors import (
     ArgumentError,
     ParseError,
@@ -632,10 +631,6 @@ class Recurrence:
             logmags[n] = m_star + math.log(abs(val))
         return phases, logmags
 
-    def grid_walk(self, coeff_matrix: np.ndarray, rhs: np.ndarray, seed: np.ndarray):
-        """Thin wrapper over the compiled walk kernel for long grids."""
-        return windowed_walk(coeff_matrix, rhs, seed)
-
 
 def solve_series(
     op: LinearOperator,
@@ -817,10 +812,8 @@ def rz_borel_operator(op: LinearOperator) -> LinearOperator:
 
 def section_recurrence(rec: Recurrence, beta: int, l: int) -> Recurrence:
     """Recurrence satisfied by s_n = a_{l + n*beta} for a first-order master
-    recurrence (span 1); valid above the inhomogeneous window.
-
-    Spans >= 2 go through :func:`fit_recurrence` on explicitly computed
-    section data instead.
+    recurrence (span 1); valid above the inhomogeneous window.  Spans >= 2
+    raise UnsupportedError.
     """
     if rec.span != 1:
         raise UnsupportedError(

@@ -204,12 +204,6 @@ def _eq_product(z: complex, q: float) -> complex:
     return total
 
 
-def eq_zero_spiral(q, count: int = 8) -> np.ndarray:
-    """First points of the zero spiral q^{N*}/(1-q) of e_q."""
-    q = _as_q(q)
-    return np.array([q**k / (1.0 - q) for k in range(1, count + 1)])
-
-
 # ---------------------------------------------------------------------------
 # l_q and theta-quotient characters
 

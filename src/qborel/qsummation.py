@@ -19,7 +19,6 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from ._kernels import windowed_walk
 from ._quad import complex_quad, peak_scale
 from .classical import (
     SummationLadder,
@@ -108,6 +107,15 @@ def _eq_vec(x: np.ndarray, Q: float) -> np.ndarray:
     return out
 
 
+def _window(Q: float, M: int) -> tuple[int, int]:
+    """Bounds (L1, L2) of the kernel support dlt in [-L1, L2] on the grid
+    with M sub-steps per Q-step."""
+    lnQ = math.log(Q)
+    L1 = int(math.ceil(42.0 * M / lnQ)) + 4 * M
+    L2 = (int(math.ceil(math.sqrt(2.0 * 92.0 / lnQ))) + 12) * M
+    return L1, L2
+
+
 def _jackson_kernel(Q: float, M: int = 1, max_len: int = 120000) -> tuple[np.ndarray, int]:
     """Node weights of the level kernel on the grid with M sub-steps per
     Q-step: K(dlt) = (Q-1)/M * y / e_Q(Q y) at y = Q^(dlt/M), dlt in [-L1, L2].
@@ -118,15 +126,13 @@ def _jackson_kernel(Q: float, M: int = 1, max_len: int = 120000) -> tuple[np.nda
     tail is geometric (42 e-folds); the upper tail is cut where the kernel's
     Gaussian-type decay reaches ~1e-40.
     """
-    lnQ = math.log(Q)
-    L1 = int(math.ceil(42.0 * M / lnQ)) + 4 * M
-    L2 = (int(math.ceil(math.sqrt(2.0 * 92.0 / lnQ))) + 12) * M
+    L1, L2 = _window(Q, M)
     if L1 + L2 > max_len:
         raise RangeError(
             f"kernel support {L1 + L2} exceeds the node cap {max_len}"
         )
     dlt = np.arange(-L1, L2 + 1)
-    y = np.exp(dlt * (lnQ / M))
+    y = np.exp(dlt * (math.log(Q) / M))
     vals = (Q - 1.0) / M * y / _eq_vec(Q * y, Q)
     return vals.astype(complex), L1
 
@@ -220,10 +226,8 @@ class QContinuation:
             raise ArgumentError("series for continuation has zero radius estimate")
         self._m = self.op.order
         self._lead = self.op.coefficients[-1]
-        self._trail = self.op.coefficients[0]
         self.pole_spirals = self._spirals()
         self._check_ray()
-        self._cache: dict[int, complex] = {}
         # seeds must sit deep inside the disk: walks of order >= 2 amplify
         # seed error by the dominant/subdominant solution ratio, so the
         # series tail at the outermost seed point is checked explicitly
@@ -266,71 +270,59 @@ class QContinuation:
         m = self._m
         if m == 0:
             raise UnsupportedError("cannot continue with an order-0 operator")
-        # window after k steps holds f(z0 q^(k+j)), j = 0..m-1; we need
-        # z0 q^(steps+m-1) = zeta with every seed point inside the disk
+        # the walk ends at z0 q^(steps+m-1) = zeta with every seed point
+        # z0 q^j, j < m, inside the disk
         T = int(math.ceil(math.log(abs(z) / self._anchor_scale) / math.log(self.q)))
         steps = max(T - m + 1, 0)
         z0 = z / self.q ** (steps + m - 1)
-        window = [self.series.eval(z0 * self.q**j) for j in range(m)]
-        for t in range(steps):
-            base = z0 * self.q**t
-            lead = self._lead(base)
-            scale = sum(abs(c) * abs(base) ** j for j, c in enumerate(self._lead.coeffs))
-            if abs(lead) <= 1e-11 * max(scale, 1e-300):
-                raise SpiralCollisionError(
-                    f"sigma_q step hit a zero of the leading coefficient near "
-                    f"{base * self.q**m}"
-                )
-            acc = self.op.rhs.eval(base) if self.op.rhs is not None else 0.0
-            for j in range(m):
-                acc -= self.op.coefficients[j](base) * window[j]
-            nxt = acc / lead
-            window = window[1:] + [nxt]
-        return window[-1]
+        seeds = [self.series.eval(z0 * self.q**j) for j in range(m)]
+        bases = np.array([z0 * self.q**t for t in range(steps)], dtype=complex)
+        return complex(self._walk(bases, seeds)[-1])
 
     def grid_values(self, base: complex, t_lo: int, t_hi: int) -> np.ndarray:
         """Values on the grid base * q^t for t in [t_lo, t_hi] (one walk)."""
         q, m = self.q, self._m
         anchor_t = int(math.floor(math.log(self._anchor_scale / abs(base)) / math.log(q)))
         start = min(t_lo, anchor_t - m)
-        count = t_hi - start + 1
-        ts = np.arange(start, t_hi + 1)
-        radii = np.abs(base) * q ** ts.astype(float)
-        inside = radii <= 0.8 * self.radius
-        vals = np.zeros(count, dtype=complex)
-        # seed everything inside the disk by the series
-        phase = base / abs(base)
-        for i in np.where(inside)[0]:
-            vals[i] = self.series.eval(base * q ** float(ts[i]))
-        first_out = np.where(~inside)[0]
-        if len(first_out):
-            i0 = int(first_out[0])
+        # scalar powers: numpy's array power can differ in the last bit
+        qt = np.array([q ** float(t) for t in range(start, t_hi + 1)])
+        # q > 1, so the in-disk nodes are a prefix; they are summed by the
+        # series and the rest are walked on from the last m of them
+        i0 = int(np.count_nonzero(np.abs(base) * qt <= 0.8 * self.radius))
+        vals = np.empty(len(qt), dtype=complex)
+        vals[:i0] = np.polynomial.polynomial.polyval(base * qt[:i0], self.series.coefficients)
+        if i0 < len(qt):
             if i0 < m:
                 raise ArgumentError("grid starts outside the seedable disk")
-            zb = np.array([base * q ** float(t - m) for t in ts[i0:]])
-            rows = np.zeros((len(zb), m + 1), dtype=complex)
-            rows[:, 0] = [self._lead(w) for w in zb]
-            for i in range(1, m + 1):
-                bj = self.op.coefficients[m - i]
-                rows[:, i] = [bj(w) for w in zb]
-            rhs = np.zeros(len(zb), dtype=complex)
-            if self.op.rhs is not None:
-                rhs = np.array([self.op.rhs.eval(w) for w in zb])
-            local = np.zeros(len(zb))
-            for j, cc in enumerate(self._lead.coeffs):
-                local += abs(cc) * np.abs(zb) ** j
-            if np.any(np.abs(rows[:, 0]) <= 1e-12 * np.maximum(local, 1e-300)):
-                raise SpiralCollisionError(
-                    "grid walk meets a zero of the leading coefficient"
-                )
-            full = np.concatenate([vals[i0 - m : i0], np.zeros(len(zb), dtype=complex)])
-            walked = windowed_walk(
-                np.concatenate([np.ones((m, m + 1), dtype=complex), rows]),
-                np.concatenate([np.zeros(m, dtype=complex), rhs]),
-                full[:m],
-            )
-            vals[i0:] = walked[m:]
+            vals[i0 - m :] = self._walk(base * qt[i0 - m : len(qt) - m], vals[i0 - m : i0])
         return vals[t_lo - start :]
+
+    def _walk(self, bases: np.ndarray, seeds) -> np.ndarray:
+        """Step f by sigma_q from the m seeds f(bases[0] q^j), j < m: step k
+        solves b_m(w) f(w q^m) = rhs(w) - sum_j b_j(w) f(w q^j) at
+        w = bases[k].  Returns the seeds followed by the walked values."""
+        m, n = self._m, len(bases)
+        rows = np.empty((n, m + 1), dtype=complex)   # b_m, b_(m-1), ..., b_0
+        for i, b in enumerate(self.op.coefficients[::-1]):
+            rows[:, i] = [b(w) for w in bases]
+        rhs = np.zeros(n, dtype=complex)
+        if self.op.rhs is not None:
+            rhs[:] = [self.op.rhs.eval(w) for w in bases]
+        scale = np.polynomial.polynomial.polyval(np.abs(bases), np.abs(self._lead.coeffs))
+        hit = np.flatnonzero(np.abs(rows[:, 0]) <= 1e-12 * np.maximum(scale, 1e-300))
+        if len(hit):
+            raise SpiralCollisionError(
+                f"sigma_q step hit a zero of the leading coefficient near "
+                f"{bases[hit[0]] * self.q**m}"
+            )
+        out = np.empty(m + n, dtype=complex)
+        out[:m] = seeds
+        for t in range(m, m + n):
+            acc = rhs[t - m]
+            for i in range(1, m + 1):
+                acc -= rows[t - m, i] * out[t - i]
+            out[t] = acc / rows[t - m, 0]
+        return out
 
 
 def q_continuation(s: PowerSeries, q_op: LinearOperator, d: float) -> QContinuation:
@@ -643,13 +635,6 @@ class _QSection:
     cont: Optional[QContinuation] = None
     _grid: Optional[tuple[int, int, list]] = None
 
-    def _kernels(self):
-        out = []
-        for lam in self.orders_w[:-1]:
-            Qh = self.Qw ** float(lam)
-            out.append(_jackson_kernel(Qh, self.M))
-        return out
-
     def build(self, d_w: float, mode: str):
         self.d_w = d_w
         self.mode = mode
@@ -690,7 +675,8 @@ class _QSection:
             if glo <= lo and ghi >= hi:
                 return
             lo, hi = min(lo, glo), max(hi, ghi)
-        kernels = self._kernels()
+        kernels = [_jackson_kernel(self.Qw ** float(lam), self.M)
+                   for lam in self.orders_w[:-1]]
         lo1, hi1 = lo, hi
         for K, L1 in kernels:
             lo1 -= L1
@@ -722,8 +708,7 @@ class _QSection:
             )
         lnQh = math.log(Qh)
         c = int(round(M * math.log(abs(W) / (Qh - 1.0)) / lnQh))
-        L1 = int(math.ceil(42.0 * M / lnQh)) + 4 * M
-        L2 = (int(math.ceil(math.sqrt(2.0 * 92.0 / lnQh))) + 12) * M
+        L1, L2 = _window(Qh, M)
         self._ensure_grid(c - L1, c + L2)
         glo, ghi, arrays = self._grid
         nodes = arrays[-1]

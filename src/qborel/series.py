@@ -106,13 +106,6 @@ def gamma(z: ComplexLike) -> complex:
     return ensure_finite(value, "gamma")
 
 
-def log_gamma_real(x: float) -> float:
-    """log Gamma(x) for real x > 0 (used for scale bookkeeping)."""
-    if x <= 0:
-        raise DomainError(f"log_gamma_real requires x > 0, got {x}")
-    return math.lgamma(x)
-
-
 # ---------------------------------------------------------------------------
 # Sector points
 
@@ -462,10 +455,3 @@ def section(s: PowerSeries, beta: int, l: int) -> PowerSeries:
     out = np.zeros((len(picked) - 1) * beta + 1, dtype=complex)
     out[::beta] = picked
     return PowerSeries(out, 1)
-
-
-def section_compact(s: PowerSeries, beta: int, l: int) -> np.ndarray:
-    """Coefficients of the beta-section in the compressed variable w = z^beta."""
-    if s.ram_index != 1:
-        raise ArgumentError("section_compact requires ram_index 1")
-    return np.asarray(s.coefficients[l::beta], dtype=complex).copy()

@@ -152,6 +152,39 @@ def test_q_continuation_spiral_collision():
         qs.q_continuation(g, bop, math.pi)
 
 
+def test_q_continuation_grid_matches_eval_at_order_one():
+    q = 1.1
+    op = make_q_euler(q)
+    g = qs.q_borel(solve_series(op, 90), 1, q)
+    h = qs.q_continuation(g, borel_plane_operator(op, 1), 0.0)
+    grid = h.grid_values(1.0, -5, 40)
+    pointwise = np.array([h.eval_at(q**t) for t in range(-5, 41)])
+    assert np.max(np.abs(grid - pointwise) / np.abs(pointwise)) < 1e-11
+
+
+def test_q_continuation_grid_matches_eval_at_order_two():
+    from qborel import hypergeom as hg
+
+    qb = 1.2
+    par = hg.PhiParams((3.0, 5.0), (), 1.0 / qb)
+    f = qs.rz_borel(hg.rphi(par, None, 80), qb)
+    h = qs.q_continuation(f, rz_borel_operator(hg.rphi_operator(par)), 0.0)
+    assert h.op.order == 2
+    grid = h.grid_values(1.0, -5, 40)
+    pointwise = np.array([h.eval_at(qb**t) for t in range(-5, 41)])
+    assert np.max(np.abs(grid - pointwise) / np.abs(pointwise)) < 1e-11
+
+
+def test_q_continuation_eval_at_on_pole_spiral_raises():
+    q = 1.1
+    op = make_q_euler(q)
+    g = qs.q_borel(solve_series(op, 90), 1, q)
+    h = qs.q_continuation(g, borel_plane_operator(op, 1), 0.0)
+    spiral = h.pole_spirals[0]
+    with pytest.raises(SpiralCollisionError, match="leading coefficient near"):
+        h.eval_at(spiral.base * q**3)
+
+
 # ---------------------------------------------------------------------------
 # the three q-Laplace kernels
 
