@@ -7,7 +7,12 @@ import pytest
 from scipy.integrate import quad
 
 from qborel import classical as cl
-from qborel.errors import ArgumentError, DomainError, SingularDirectionError
+from qborel.errors import (
+    ArgumentError,
+    DomainError,
+    SingularDirectionError,
+    ValidationError,
+)
 from qborel.operators import (
     LinearOperator,
     borel_plane_operator,
@@ -297,3 +302,128 @@ def test_multisum_fractional_slope_unsupported():
     assert ladder.kappa_tilde == (Fraction(12, 5),) * 4 + (Fraction(3),)
     with pytest.raises(UnsupportedError):
         cl.multisum(None, op, math.pi / 12)
+
+
+# ---------------------------------------------------------------------------
+# stage tabulation (adaptive batched Gauss-Kronrod, validated, no fallback)
+
+
+def _check_points(handle):
+    """The three points at which a stage validates its tabulation."""
+    lo, hi = handle._interp.a, handle._interp.b
+    return np.array([lo * (hi / lo) ** f for f in (0.23, 0.52, 0.81)])
+
+
+@pytest.fixture(scope="module")
+def stokes_pair():
+    """Euler sums on the rays pi +/- pi/24 (rtol 1e-10), built while counting
+    each stage handle's tabulations and direct quadratures."""
+    euler = LinearOperator("differential", "delta",
+                           (Polynomial([1.0]), Polynomial([0.0, 1.0])),
+                           None, PowerSeries([0.0, 1.0]))
+    tabulated, direct = {}, {}
+    prepare_locked = cl.LaplaceStageHandle._prepare_locked
+    direct_fn = cl.LaplaceStageHandle._direct
+
+    def counting_prepare(self):
+        tabulated[id(self)] = tabulated.get(id(self), 0) + 1
+        return prepare_locked(self)
+
+    def counting_direct(self, x):
+        direct[id(self)] = direct.get(id(self), 0) + 1
+        return direct_fn(self, x)
+
+    offset = math.pi / 24.0
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cl.LaplaceStageHandle, "_prepare_locked", counting_prepare)
+        mp.setattr(cl.LaplaceStageHandle, "_direct", counting_direct)
+        plus = cl.multisum(None, euler, math.pi + offset, rtol=1e-10)
+        minus = cl.multisum(None, euler, math.pi - offset, rtol=1e-10)
+    return plus, minus, tabulated, direct
+
+
+def test_batched_laplace_matches_adaptive_quadrature_near_stokes_ray(stokes_pair):
+    plus = stokes_pair[0]
+    for sec in plus.sections:
+        for h in sec.handles[1:]:
+            h.prepare(h._x0)
+            xs = _check_points(h)
+            got = cl._batched_ray_laplace(h.prev, h.lam, h.direction, xs)
+            for x, g in zip(xs, got):
+                ref = cl.laplace_along_ray(h.prev, h.lam, h.direction,
+                                           SectorPoint.from_polar(x, h.direction))
+                assert abs(g - ref) < 1e-11 * abs(ref)
+
+
+def test_tabulation_makes_only_its_three_check_quadratures(stokes_pair):
+    _, _, tabulated, direct = stokes_pair
+    assert len(tabulated) == 6
+    assert set(direct) == set(tabulated)
+    for key, n_tab in tabulated.items():
+        assert n_tab == 1
+        assert direct[key] == 3
+
+
+def test_classical_stokes_constant_near_pi(stokes_pair):
+    plus, minus = stokes_pair[:2]
+    z = SectorPoint.from_polar(0.2, math.pi)
+    J = plus(z) - minus(z)
+    assert abs(abs(J * cmath.exp(-1.0 / z.to_complex())) - 2 * math.pi) < 1e-11
+
+
+def test_batched_laplace_points_per_node_on_positive_axis(euler_op, monkeypatch):
+    # the d = 0 Euler tabulations must stay as cheap as the fixed 14-panel,
+    # 24-point rule they replace: 14 * 24 + 1 integrand points per node
+    ratios = []
+    batched = cl._batched_ray_laplace
+
+    def counting(handle, lam, d, xs):
+        seen = [0]
+        many = handle.eval_ray_many
+
+        def counted(pts):
+            seen[0] += len(pts)
+            return many(pts)
+
+        handle.eval_ray_many = counted
+        try:
+            return batched(handle, lam, d, xs)
+        finally:
+            del handle.eval_ray_many
+            ratios.append(seen[0] / len(xs))
+
+    monkeypatch.setattr(cl, "_batched_ray_laplace", counting)
+    S = cl.multisum(None, euler_op, 0.0)
+    S(SectorPoint.from_complex(0.1))
+    assert len(ratios) == 6
+    assert max(ratios) <= 14 * 24 + 1
+
+
+def test_stage_ode_anchor_matches_direct_for_order_two():
+    # the 2F0 operator of acceptance criterion 7: each stage ODE starts from
+    # moments t = 0, 1 of the previous stage, so both need their own tolerance
+    a1, a2 = 0.3, 0.9
+    op = LinearOperator("differential", "delta",
+                        (Polynomial([0, a1 * a2]), Polynomial([1.0, a1 + a2]),
+                         Polynomial([0, 1.0])))
+    S = cl.multisum(None, op, 0.0)
+    for sec in S.sections:
+        for h in sec.handles[1:]:
+            x = h._x0 * (1.0 + 5e-5)
+            ref = h._direct(x)
+            assert abs(h.eval_ray(x) - ref) < 1e-10 * abs(ref)
+
+
+def test_tabulation_check_failure_raises(euler_op, monkeypatch):
+    batched = cl._batched_ray_laplace
+    monkeypatch.setattr(cl, "_batched_ray_laplace",
+                        lambda *args: batched(*args) * (1.0 + 1e-6))
+    with pytest.raises(ValidationError, match="relative error"):
+        cl.multisum(None, euler_op, 0.0)
+
+
+def test_tabulation_panel_budget_raises(euler_op, monkeypatch):
+    # the d = 0 Euler tabulation bisects one of its 14 starting panels
+    monkeypatch.setattr(cl, "_GK_MAX_PANELS", 14)
+    with pytest.raises(ValidationError, match="14 panels"):
+        cl.multisum(None, euler_op, 0.0)
