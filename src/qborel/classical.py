@@ -180,55 +180,14 @@ class FunctionHandle(RayHandle):
         return self._growth
 
 
-class ContinuationHandle(RayHandle):
-    """Analytic continuation of a convergent series along a ray: direct series
-    inside 0.8x the empirical radius, numerical integration of the defining
-    ODE beyond, initialized from the series at 0.5x the radius."""
+class _OdeRayHandle(RayHandle):
+    """A ray handle continued beyond its anchor x0 by the operator's ODE
+    delta V = C(w) V + F(w) for V = (f, delta f, ..., delta^{m-1} f).
 
-    def __init__(self, series: PowerSeries, op: LinearOperator, direction: float,
-                 rtol: float = 1e-12):
-        if series.ram_index != 1:
-            raise ArgumentError("continuation works on unramified series")
-        self.series = series
-        self.op = op
-        self.direction = direction
-        self.rtol = rtol
-        self._quad_epsrel = max(1e-11, rtol)
-        self.radius = _cauchy_hadamard(series.coefficients)
-        self._lead_roots = op.coefficients[-1].nonzero_roots()
-        self._check_ray_clear()
-        self._segments: list = []  # list of OdeSolution
-        self._x_hi = 0.0
-        self._lock = threading.RLock()
-        self._x0 = 0.5 * self.radius
-        self._series_limit = 0.8 * self.radius
-        m = op.order
-        self._m = m
-        self._forcing = op.rhs
-
-    def _check_ray_clear(self, x_max: float = np.inf):
-        d = self.direction
-        for rho in self._lead_roots:
-            ang = _angdiff(cmath.phase(rho), d)
-            dist = abs(rho) * abs(math.sin(ang)) if abs(ang) < math.pi / 2 else abs(rho)
-            if abs(ang) < 1e-9 or dist < 1e-12 * max(abs(rho), 1.0):
-                raise SingularDirectionError(
-                    f"continuation ray arg={d} hits a singularity of the "
-                    f"Borel-plane operator at {rho}"
-                )
-
-    # -- series-side values --------------------------------------------------
-
-    def _series_vector(self, x: float) -> np.ndarray:
-        """(f, delta f, ..., delta^{m-1} f) at x e^{i d} from the series."""
-        zeta = x * cmath.exp(1j * self.direction)
-        c = self.series.coefficients
-        n = np.arange(len(c))
-        out = np.empty(self._m, dtype=complex)
-        powers = zeta ** n
-        for i in range(self._m):
-            out[i] = np.sum(c * (n**i) * powers)
-        return out
+    Subclasses set op, direction, rtol, _m, _forcing, _lock, the anchor x0
+    with its vector _V0, and start with no segments and _x_hi = 0; every
+    ensure() past _x_hi adds a dense solve_ivp segment (lo, hi, sol).
+    """
 
     def _rhs_vector(self, x: float) -> np.ndarray:
         w = x * cmath.exp(1j * self.direction)
@@ -258,34 +217,17 @@ class ContinuationHandle(RayHandle):
         dV = (self._companion(x) @ V + self._rhs_vector(x)) / x
         return np.concatenate([dV.real, dV.imag])
 
-    def ensure(self, x_max: float):
-        if x_max <= self._x_hi:
-            return
-        if self._m == 0:
-            return
-        with self._lock:
-            self._ensure_locked(x_max)
-
     def _ensure_locked(self, x_max: float):
         if x_max <= self._x_hi:
             return
         if not self._segments:
-            start = self._x0
-            V0 = self._series_vector(start)
+            start, V0 = self._x0, self._V0
         else:
-            start = self._x_hi
-            V0 = self._vector_at(start)
+            start, V0 = self._x_hi, self._vector_at(self._x_hi)
         y0 = np.concatenate([V0.real, V0.imag])
         scale = max(np.max(np.abs(V0)), 1e-30)
-        sol = solve_ivp(
-            self._ode_rhs,
-            (start, x_max * 1.0001),
-            y0,
-            method="DOP853",
-            rtol=self.rtol,
-            atol=scale * 1e-16,
-            dense_output=True,
-        )
+        sol = solve_ivp(self._ode_rhs, (start, x_max * 1.0001), y0, method="DOP853",
+                        rtol=self.rtol, atol=scale * 1e-16, dense_output=True)
         if not sol.success:
             raise GrowthError(
                 f"ODE continuation failed along arg={self.direction}: {sol.message}"
@@ -294,13 +236,94 @@ class ContinuationHandle(RayHandle):
         self._x_hi = x_max * 1.0001
 
     def _vector_at(self, x: float) -> np.ndarray:
-        if x <= self._series_limit:
-            return self._series_vector(x)
         for lo, hi, dense in self._segments:
             if lo <= x <= hi:
                 y = dense(x)
                 return y[: self._m] + 1j * y[self._m :]
         raise ArgumentError(f"point {x} outside the continued range")
+
+    def _segment_values(self, pts: np.ndarray) -> np.ndarray:
+        """f at the ray points pts from the dense segments (the first segment
+        that covers a point wins); points no segment covers go to eval_ray."""
+        vals = np.empty(len(pts), dtype=complex)
+        left = np.ones(len(pts), dtype=bool)
+        for lo, hi, dense in self._segments:
+            mask = left & (pts >= lo) & (pts <= hi)
+            if np.any(mask):
+                y = dense(pts[mask])
+                vals[mask] = y[0] + 1j * y[self._m]
+                left &= ~mask
+        for j in np.flatnonzero(left):
+            vals[j] = self.eval_ray(float(pts[j]))
+        return vals
+
+
+class ContinuationHandle(_OdeRayHandle):
+    """Analytic continuation of a convergent series along a ray: direct series
+    inside 0.8x the empirical radius, numerical integration of the defining
+    ODE beyond, initialized from the series at 0.5x the radius."""
+
+    def __init__(self, series: PowerSeries, op: LinearOperator, direction: float,
+                 rtol: float = 1e-12):
+        if series.ram_index != 1:
+            raise ArgumentError("continuation works on unramified series")
+        self.series = series
+        self.op = op
+        self.direction = direction
+        self.rtol = rtol
+        self._quad_epsrel = max(1e-11, rtol)
+        self.radius = _cauchy_hadamard(series.coefficients)
+        self._lead_roots = op.coefficients[-1].nonzero_roots()
+        self._check_ray_clear()
+        self._segments: list = []  # list of OdeSolution
+        self._x_hi = 0.0
+        self._lock = threading.RLock()
+        self._x0 = 0.5 * self.radius
+        self._series_limit = 0.8 * self.radius
+        self._m = op.order
+        self._forcing = op.rhs
+
+    @property
+    def _V0(self) -> np.ndarray:
+        """The ODE's initial vector at the anchor, from the series."""
+        return self._series_vector(self._x0)
+
+    def _check_ray_clear(self, x_max: float = np.inf):
+        d = self.direction
+        for rho in self._lead_roots:
+            ang = _angdiff(cmath.phase(rho), d)
+            dist = abs(rho) * abs(math.sin(ang)) if abs(ang) < math.pi / 2 else abs(rho)
+            if abs(ang) < 1e-9 or dist < 1e-12 * max(abs(rho), 1.0):
+                raise SingularDirectionError(
+                    f"continuation ray arg={d} hits a singularity of the "
+                    f"Borel-plane operator at {rho}"
+                )
+
+    # -- series-side values --------------------------------------------------
+
+    def _series_vector(self, x: float) -> np.ndarray:
+        """(f, delta f, ..., delta^{m-1} f) at x e^{i d} from the series."""
+        zeta = x * cmath.exp(1j * self.direction)
+        c = self.series.coefficients
+        n = np.arange(len(c))
+        out = np.empty(self._m, dtype=complex)
+        powers = zeta ** n
+        for i in range(self._m):
+            out[i] = np.sum(c * (n**i) * powers)
+        return out
+
+    def ensure(self, x_max: float):
+        if x_max <= self._x_hi:
+            return
+        if self._m == 0:
+            return
+        with self._lock:
+            self._ensure_locked(x_max)
+
+    def _vector_at(self, x: float) -> np.ndarray:
+        if x <= self._series_limit:
+            return self._series_vector(x)
+        return super()._vector_at(x)
 
     def prepare(self, x_hi: float):
         self.ensure(x_hi * 1.0001)
@@ -329,18 +352,8 @@ class ContinuationHandle(RayHandle):
                 np.polynomial.polynomial.polyval(ts[i:i + 16384],
                                                  self.series.coefficients)
                 for i in range(0, len(ts), 16384)])
-        idx = np.where(~inner)[0]
-        if len(idx):
-            pts = xs[idx]
-            for lo, hi, dense in self._segments:
-                mask = (pts >= lo) & (pts <= hi)
-                if np.any(mask):
-                    y = dense(pts[mask])
-                    out[idx[mask]] = y[0] + 1j * y[self._m]
-                    pts = np.where(mask, np.nan, pts)
-            left = ~np.isnan(pts)
-            for j in np.where(left)[0]:
-                out[idx[j]] = self.eval_ray(float(pts[j]))
+        if not np.all(inner):
+            out[~inner] = self._segment_values(xs[~inner])
         return out
 
     def growth(self, k: float) -> tuple[float, float]:
@@ -697,7 +710,7 @@ def _batched_ray_laplace(handle: RayHandle, lam: float, d: float,
     return K.sum(axis=1) + handle.eval_ray_many(xs * (0.5 * u0) ** inv_lam) * u0
 
 
-class LaplaceStageHandle(RayHandle):
+class LaplaceStageHandle(_OdeRayHandle):
     """f = L_lam(prev) along the shared ray.
 
     Three regimes: the truncated (Gevrey-)asymptotic expansion at tiny x, a
@@ -767,10 +780,6 @@ class LaplaceStageHandle(RayHandle):
                     f"stage ray arg={d} hits a singularity at {rho}"
                 )
 
-    _companion = ContinuationHandle._companion
-    _rhs_vector = ContinuationHandle._rhs_vector
-    _ode_rhs = ContinuationHandle._ode_rhs
-
     def ensure(self, x_max: float):
         if x_max <= self._x_hi:
             return
@@ -781,29 +790,6 @@ class LaplaceStageHandle(RayHandle):
             )
         with self._lock:
             self._ensure_locked(x_max)
-
-    def _ensure_locked(self, x_max: float):
-        if x_max <= self._x_hi:
-            return
-        if not self._segments:
-            start, V0 = self._x0, self._V0
-        else:
-            start, V0 = self._x_hi, self._vector_at(self._x_hi)
-        y0 = np.concatenate([V0.real, V0.imag])
-        scale = max(np.max(np.abs(V0)), 1e-30)
-        sol = solve_ivp(self._ode_rhs, (start, x_max * 1.0001), y0, method="DOP853",
-                        rtol=self.rtol, atol=scale * 1e-16, dense_output=True)
-        if not sol.success:
-            raise GrowthError(f"stage continuation failed: {sol.message}")
-        self._segments.append((start, x_max * 1.0001, sol.sol))
-        self._x_hi = x_max * 1.0001
-
-    def _vector_at(self, x: float) -> np.ndarray:
-        for lo, hi, dense in self._segments:
-            if lo <= x <= hi:
-                y = dense(x)
-                return y[: self._m] + 1j * y[self._m :]
-        raise ArgumentError(f"stage point {x} outside continued range")
 
     def _direct(self, x: float) -> complex:
         v = self._cache.get(x)
@@ -880,18 +866,7 @@ class LaplaceStageHandle(RayHandle):
             if top > self._x_hi:
                 self.ensure(top)
             sel = xs >= self._x0
-            pts = xs[sel]
-            vals = np.empty(len(pts), dtype=complex)
-            left = np.ones(len(pts), dtype=bool)
-            for lo, hi, dense in self._segments:
-                mask = left & (pts >= lo) & (pts <= hi)
-                if np.any(mask):
-                    y = dense(pts[mask])
-                    vals[mask] = y[0] + 1j * y[self._m]
-                    left &= ~mask
-            for j in np.where(left)[0]:
-                vals[j] = self.eval_ray(float(pts[j]))
-            out[sel] = vals
+            out[sel] = self._segment_values(xs[sel])
             done |= sel
         if self._asym is not None:
             sel = (~done) & (xs <= self._x_asym)
@@ -918,24 +893,11 @@ class LaplaceStageHandle(RayHandle):
 # Section pipelines
 
 
-def _section_master(op: LinearOperator) -> Recurrence:
-    if op.kind != "differential":
-        raise ArgumentError("classical multisummation applies to delta-operators")
-    return Recurrence.from_operator(op)
-
-
-def _section_seed_logs(op: LinearOperator, beta: int, l: int, count: int):
-    """Section coefficients s_n = a_{l+n*beta}, n < count, in (phase, log) form."""
-    rec = Recurrence.from_operator(op)
-    order = l + beta * (count - 1) + 1
-    phases, logmags = rec.solve_logspace(order)
-    idx = [l + beta * n for n in range(count)]
-    return phases[idx], logmags[idx]
-
-
 @dataclass
 class SectionPipeline:
-    """All per-section data needed to evaluate S^d(h^(l)) at w = z^beta."""
+    """One beta-section of the ladder: its chain of stage recurrences and
+    operators, their seeds and g_1 (shared by the classical and q pipelines),
+    and the classical stage handles that evaluate S^d(h^(l)) at w = z^beta."""
 
     l: int
     beta: int
@@ -976,17 +938,25 @@ class SectionPipeline:
         return laplace_along_ray(top, lam_s, self.d_w, w)
 
 
-def _stage_seeds(op, beta: int, l: int, m_sub: Sequence[int], count: int) -> np.ndarray:
-    """First coefficients of B_{1/m_sub[0]} ... B_{1/m_sub[-1]} (section),
-    i.e. section values divided by prod Gamma(1 + n*m), in ordinary floats."""
-    ph, lg = _section_seed_logs(op, beta, l, count)
-    out = np.zeros(count, dtype=complex)
-    for n in range(count):
-        if lg[n] == -np.inf:
+def _stage_seeds(phases: np.ndarray, logmags: np.ndarray,
+                 log_weight: Callable[[int], float]) -> np.ndarray:
+    """First coefficients s_n / W(n) of a partial Borel chain of a section,
+    in ordinary floats, from s_n = phases[n] * exp(logmags[n]) and
+    log W(n) = log_weight(n)."""
+    out = np.zeros(len(phases), dtype=complex)
+    for n in range(len(phases)):
+        if logmags[n] == -np.inf:
             continue
-        w = sum(math.lgamma(1.0 + n * m) for m in m_sub)
-        out[n] = ph[n] * math.exp(lg[n] - w)
+        out[n] = phases[n] * math.exp(logmags[n] - log_weight(n))
     return out
+
+
+def _ln_qfact(n: int, Q: float) -> float:
+    """log [n]_Q!"""
+    total = 0.0
+    for t in range(1, n + 1):
+        total += math.log((Q**t - 1.0) / (Q - 1.0))
+    return total
 
 
 def _attach_stage_rhs(rec: Recurrence, seeds: np.ndarray):
@@ -1009,21 +979,49 @@ def _attach_stage_rhs(rec: Recurrence, seeds: np.ndarray):
     rec.rhs = rhs
 
 
+def _truncate_overflow(coeffs: np.ndarray, n_seed: int) -> np.ndarray:
+    """Cut a coefficient array where magnitudes leave the safe float range
+    (non-finite or above 1e280).  At least n_seed + 8 entries are kept, unless
+    one of those is itself non-finite; then the cut falls before it."""
+    mags = np.abs(coeffs)
+    bad = np.where(~np.isfinite(mags) | (mags > 1e280))[0]
+    if len(bad):
+        keep = max(int(bad[0]), n_seed + 8)
+        coeffs = coeffs[:keep]
+        if not np.all(np.isfinite(coeffs)):
+            coeffs = coeffs[: int(bad[0])]
+    return coeffs
+
+
 def _build_sections(
-    op: LinearOperator, ladder: SummationLadder, order: int = 240
+    op: LinearOperator, ladder: SummationLadder, order: int = 240,
+    weight: str = "gamma",
 ) -> list[SectionPipeline]:
+    """The beta section pipelines of the ladder.  The weight of each Borel
+    level is "gamma", Gamma(1 + n/k) (Borel-Laplace), or "qfact",
+    [n/k]_{q^k}! (q-Borel-Laplace on a q-difference operator)."""
+    if weight == "gamma" and op.kind != "differential":
+        raise ArgumentError("classical multisummation applies to delta-operators")
     beta = ladder.beta
     orders_w = ladder.w_orders()
     m_list = [int(1 / lam) for lam in orders_w]
-    rec = _section_master(op)
+    if weight == "gamma":
+        def log_weight(n: int, j: int) -> float:
+            return sum(math.lgamma(1.0 + n * m) for m in m_list[j:])
+    else:
+        bases = [op.q ** float(kt) for kt in ladder.kappa_tilde]
+
+        def log_weight(n: int, j: int) -> float:
+            return sum(_ln_qfact(n * m, Q) for m, Q in zip(m_list[j:], bases[j:]))
+    rec = Recurrence.from_operator(op)
+    if rec.span != 1:
+        raise UnsupportedError(
+            "multisummation currently derives section operators only for "
+            "operators whose coefficient recurrence has span 1 "
+            "(polynomial coefficients of z-degree <= 1)"
+        )
     sections = []
     for l in range(beta):
-        if rec.span != 1:
-            raise UnsupportedError(
-                "multisummation currently derives section operators only for "
-                "operators whose coefficient recurrence has span 1 "
-                "(polynomial coefficients of z-degree <= 1)"
-            )
         sec_rec = section_recurrence(rec, beta, l)
         # chain of stage recurrences: stage j annihilates
         # g_j = B_{lam_j} ... B_{lam_s} (section); build from the top down,
@@ -1031,36 +1029,26 @@ def _build_sections(
         recs = [None] * len(orders_w)
         cur = sec_rec
         for j in range(len(orders_w) - 1, -1, -1):
-            cur = reweight_recurrence(cur, orders_w[j], "gamma")
+            cur = reweight_recurrence(cur, orders_w[j], weight)
             cur.rhs = {}
             recs[j] = cur
         n_seed = max(sec_rec.n_min + sec_rec.span + 2, 8)
+        # section coefficients s_n = a_{l + n beta}, n < n_seed, in log form
+        phases, logmags = rec.solve_logspace(l + beta * (n_seed - 1) + 1)
         all_seeds = []
-        for j in range(len(orders_w)):
-            seeds_j = _stage_seeds(op, beta, l, m_list[j:], n_seed)
-            _attach_stage_rhs(recs[j], seeds_j)
+        for j, rec_j in enumerate(recs):
+            seeds_j = _stage_seeds(phases[l::beta], logmags[l::beta],
+                                   lambda n: log_weight(n, j))
+            _attach_stage_rhs(rec_j, seeds_j)
             all_seeds.append(seeds_j)
-        g1 = _solve_stage1(recs[0], all_seeds[0], order)
+        with np.errstate(over="ignore", invalid="ignore"):
+            coeffs, _meta = recs[0].solve(order, seed=all_seeds[0])
+        g1 = PowerSeries(_truncate_overflow(coeffs, n_seed), 1)
         ops_chain = [r.to_operator() for r in recs]
         sections.append(
             SectionPipeline(l, beta, orders_w, recs, ops_chain, g1, all_seeds)
         )
     return sections
-
-
-def _solve_stage1(stage1_rec, seeds: np.ndarray, order: int) -> PowerSeries:
-    """Coefficients of g_1 = full Borel chain of the section, overflow-safe."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        coeffs, _meta = stage1_rec.solve(order, seed=seeds)
-    # overflow guard: truncate where magnitudes leave the safe float range
-    mags = np.abs(coeffs)
-    bad = np.where(~np.isfinite(mags) | (mags > 1e280))[0]
-    if len(bad):
-        keep = max(int(bad[0]), len(seeds) + 8)
-        coeffs = coeffs[:keep]
-        if not np.all(np.isfinite(coeffs)):
-            coeffs = coeffs[: int(bad[0])]
-    return PowerSeries(coeffs, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -645,7 +645,7 @@ def solve_series(
     series on its own.
     """
     rec = Recurrence.from_operator(op)
-    coeffs, meta = rec.solve(order, valuation=valuation, leading=leading)
+    coeffs, _meta = rec.solve(order, valuation=valuation, leading=leading)
     out = PowerSeries(coeffs, 1)
     if op.rhs is None and abs(out.coefficients[valuation] - leading) > 1e-9 * max(
         1.0, abs(leading)
@@ -654,11 +654,7 @@ def solve_series(
             f"valuation {valuation} is not an admissible leading index "
             f"for this homogeneous operator"
         )
-    solve_series.last_meta = meta  # diagnostics for callers that want them
     return out
-
-
-solve_series.last_meta = {}
 
 
 # ---------------------------------------------------------------------------

@@ -67,32 +67,39 @@ def theta(z, q, mode: str = "series") -> complex:
     if z == 0:
         raise DomainError("theta is undefined at z = 0")
     if mode == "series":
-        return _theta_series(z, q)
+        total, log_peak = _theta_sum(z, q)
+        return total * cmath.exp(complex(log_peak, 0.0))
     if mode == "product":
         return _theta_product(z, q)
     raise ArgumentError(f"unknown theta mode {mode!r}")
 
 
-def _theta_series(z: complex, q: float) -> complex:
-    # center the sum on the dominant index to avoid overflow:
-    # |term_n| peaks near n0 = log_q|z| - 1/2
+def _theta_sum(z: complex, q: float, weighted: bool = False) -> tuple[complex, float]:
+    """The theta series sum_n q^{-n(n+1)/2} z^n, or with weighted=True that of
+    delta(Theta_q), whose terms carry the factor n and stop log(1+|n|) earlier.
+
+    The sum is centred on the dominant index n0 = log_q|z| - 1/2 to avoid
+    overflow: returns (sum / peak term, log|peak term|).
+    """
     lz = math.log(abs(z))
     lq = math.log(q)
     n0 = int(round(lz / lq - 0.5))
-    # scale: log|term_{n0}|
     log_peak = -0.5 * n0 * (n0 + 1) * lq + n0 * lz
+    cut = math.log(_TERM_CUTOFF)
     total = 0.0 + 0.0j
     for direction in (1, -1):
         n = n0 if direction == 1 else n0 - 1
         while True:
             log_term = -0.5 * n * (n + 1) * lq + n * lz
-            if log_term - log_peak < math.log(_TERM_CUTOFF):
+            offset = math.log(1.0 + abs(n)) if weighted else 0.0
+            if log_term - log_peak < cut - offset:
                 break
-            total += cmath.exp(complex(log_term - log_peak, n * cmath.phase(z)))
+            term = cmath.exp(complex(log_term - log_peak, n * cmath.phase(z)))
+            total += n * term if weighted else term
             n += direction
             if abs(n - n0) > 100000:
                 raise RangeError("theta series did not converge")
-    return total * cmath.exp(complex(log_peak, 0.0))
+    return total, log_peak
 
 
 def theta_log(z, q) -> complex:
@@ -103,21 +110,7 @@ def theta_log(z, q) -> complex:
     z = complex(z)
     if z == 0:
         raise DomainError("theta is undefined at z = 0")
-    lz = math.log(abs(z))
-    lq = math.log(q)
-    n0 = int(round(lz / lq - 0.5))
-    log_peak = -0.5 * n0 * (n0 + 1) * lq + n0 * lz
-    total = 0.0 + 0.0j
-    for direction in (1, -1):
-        n = n0 if direction == 1 else n0 - 1
-        while True:
-            log_term = -0.5 * n * (n + 1) * lq + n * lz
-            if log_term - log_peak < math.log(_TERM_CUTOFF):
-                break
-            total += cmath.exp(complex(log_term - log_peak, n * cmath.phase(z)))
-            n += direction
-            if abs(n - n0) > 100000:
-                raise RangeError("theta series did not converge")
+    total, log_peak = _theta_sum(z, q)
     if total == 0:
         raise PoleError(f"theta_log evaluated at a zero of Theta_q ({z})")
     return cmath.log(total) + log_peak
@@ -190,40 +183,30 @@ def _eq_series(z: complex, q: float) -> complex:
     return total
 
 
-def _eq_product(z: complex, q: float) -> complex:
-    total = 1.0 + 0.0j
+def _eq_weights(q: float, az: float):
+    """The weights t_n = (q-1) q^{-n-1} of the factors 1 + t_n z of
+    e_q(z) = prod (1 + t_n z), n = 0, 1, ..., up to the first n > 4 with
+    t_n |z| < 1e-17; az = |z|."""
     n = 0
     while True:
-        factor = 1.0 + (q - 1.0) * q ** (-n - 1.0) * z
-        total *= factor
-        if (q - 1.0) * q ** (-n - 1.0) * abs(z) < _TERM_CUTOFF and n > 4:
-            break
+        t = (q - 1.0) * q ** (-n - 1.0)
+        yield t
+        if t * az < _TERM_CUTOFF and n > 4:
+            return
         n += 1
         if n > 200000:
             raise RangeError("e_q product did not converge")
+
+
+def _eq_product(z: complex, q: float) -> complex:
+    total = 1.0 + 0.0j
+    for t in _eq_weights(q, abs(z)):
+        total *= 1.0 + t * z
     return total
 
 
 # ---------------------------------------------------------------------------
 # l_q and theta-quotient characters
-
-
-def _theta_delta(z: complex, q: float) -> complex:
-    """delta(Theta_q)(z) = sum n q^{-n(n+1)/2} z^n, same centering as theta."""
-    lz = math.log(abs(z))
-    lq = math.log(q)
-    n0 = int(round(lz / lq - 0.5))
-    log_peak = -0.5 * n0 * (n0 + 1) * lq + n0 * lz
-    total = 0.0 + 0.0j
-    for direction in (1, -1):
-        n = n0 if direction == 1 else n0 - 1
-        while True:
-            log_term = -0.5 * n * (n + 1) * lq + n * lz
-            if log_term - log_peak < math.log(_TERM_CUTOFF) - math.log(1.0 + abs(n)):
-                break
-            total += n * cmath.exp(complex(log_term - log_peak, n * cmath.phase(z)))
-            n += direction
-    return total * cmath.exp(complex(log_peak, 0.0))
 
 
 def lq(z, q) -> complex:
@@ -232,18 +215,10 @@ def lq(z, q) -> complex:
     z = complex(z)
     if z == 0:
         raise DomainError("l_q is undefined at z = 0")
-    th = _theta_series(z, q)
-    scale = _theta_scale(z, q)
-    if abs(th) < 1e-8 * scale:
+    total, _ = _theta_sum(z, q)
+    if abs(total) < 1e-8:
         raise PoleError(f"l_q evaluated on (or too near) the theta zero spiral at {z}")
-    return _theta_delta(z, q) / th
-
-
-def _theta_scale(z: complex, q: float) -> float:
-    lz = math.log(abs(z))
-    lq_ = math.log(q)
-    n0 = round(lz / lq_ - 0.5)
-    return math.exp(-0.5 * n0 * (n0 + 1) * lq_ + n0 * lz)
+    return _theta_sum(z, q, weighted=True)[0] / total
 
 
 def lambda_char(a, z, q) -> complex:
@@ -254,10 +229,11 @@ def lambda_char(a, z, q) -> complex:
     if a == 0:
         raise ArgumentError("lambda_char requires a nonzero eigenvalue")
     z = complex(z)
-    denom = _theta_series(z / a, q)
-    if abs(denom) < 1e-8 * _theta_scale(z / a, q):
+    denom, log_denom = _theta_sum(z / a, q)
+    if abs(denom) < 1e-8:
         raise PoleError(f"Lambda_(q,{a}) has a pole (too near) z = {z}")
-    return _theta_series(z, q) / denom
+    num, log_num = _theta_sum(z, q)
+    return num / denom * math.exp(log_num - log_denom)
 
 
 # ---------------------------------------------------------------------------

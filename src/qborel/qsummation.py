@@ -19,9 +19,16 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from . import qspecial
 from ._quad import complex_quad, peak_scale
+from .qspecial import _eq_product, _eq_weights
 from .classical import (
+    SectionPipeline,
     SummationLadder,
+    _angdiff,
+    _build_sections,
+    _cauchy_hadamard,
+    _truncate_overflow,
     build_ladder,
     singular_directions as classical_singular_directions,
 )
@@ -35,13 +42,7 @@ from .errors import (
     SpiralCollisionError,
     UnsupportedError,
 )
-from .operators import (
-    LinearOperator,
-    Recurrence,
-    newton_polygon,
-    reweight_recurrence,
-    section_recurrence,
-)
+from .operators import LinearOperator, newton_polygon
 from .series import (
     PowerSeries,
     SectorPoint,
@@ -212,16 +213,9 @@ class QContinuation:
         self.op = op.to_sigma_basis()
         self.q = self.op.q
         self.direction = direction
-        coeffs = np.abs(series.coefficients)
-        if not np.all(np.isfinite(coeffs)):
+        if not np.all(np.isfinite(np.abs(series.coefficients))):
             raise ArgumentError("series for continuation has non-finite coefficients")
-        nz = [(n, c) for n, c in enumerate(coeffs) if c > 0]
-        if len(nz) >= 4:
-            tail = nz[-16:]
-            est = max(math.log(c) / n for n, c in tail if n > 0)
-            self.radius = math.exp(-est)
-        else:
-            self.radius = 1e6
+        self.radius = _cauchy_hadamard(series.coefficients)
         if not (self.radius > 0.0):
             raise ArgumentError("series for continuation has zero radius estimate")
         self._m = self.op.order
@@ -254,8 +248,7 @@ class QContinuation:
     def _check_ray(self):
         d = self.direction
         for sp in self.pole_spirals:
-            ang = (cmath.phase(sp.base) - d + math.pi) % TWO_PI - math.pi
-            if abs(ang) < 1e-9:
+            if abs(_angdiff(cmath.phase(sp.base), d)) < 1e-9:
                 raise SpiralCollisionError(
                     f"continuation ray arg={d} meets the pole spiral through "
                     f"{sp.base} (ratio {sp.ratio})"
@@ -360,17 +353,10 @@ def _growth_fit_q(handle_eval, q: float, k: float, x_lo: float, x_hi: float,
 
 
 def _ln_eq(Q: float, x: float) -> float:
-    """log e_Q(x) for real x >= 0."""
+    """log e_Q(x) for real x >= 0, the log1p sum of the factors of e_Q(x)."""
     if x <= 0:
         return 0.0
-    total = 0.0
-    n = 0
-    while (Q - 1.0) * Q ** (-n - 1) * x > 1e-18 or n < 4:
-        total += math.log1p((Q - 1.0) * Q ** (-n - 1) * x)
-        n += 1
-        if n > 500000:
-            break
-    return total
+    return sum(math.log1p(t * x) for t in _eq_weights(Q, x))
 
 
 def discrete_q_laplace(f, k, d: float, q: float, z,
@@ -408,8 +394,20 @@ def discrete_q_laplace(f, k, d: float, q: float, z,
                 f"L |z|^k = {L_fit * abs(Z):.3e} vs q^k = {Q:.3e}"
             )
     phase = cmath.exp(1j * lam * d)
-    lnQ = math.log(Q)
-    c = int(round(math.log(abs(Z) / (Q - 1.0)) / lnQ))
+    c = int(round(math.log(abs(Z) / (Q - 1.0)) / math.log(Q)))
+
+    def term(l: int) -> complex:
+        xi = Q**l * phase
+        node_x = q ** (l * lam)  # radius in the f-plane grid q^(l k)
+        return (Q - 1.0) * xi * eval_ray(node_x) / (Z * _eq_product(Q * xi / Z, Q))
+
+    return _two_sided_sum(term, c, "discrete q-Laplace")
+
+
+def _two_sided_sum(term: Callable[[int], complex], c: int, what: str) -> complex:
+    """sum_l term(l) over all integers l, outwards from l = c: each side stops
+    once a term falls below 1e-17 of the running total (after 6 terms); 14
+    growing terms in a row on the upper side mean the sum diverges."""
     total = 0.0 + 0.0j
     for direction in (1, -1):
         l = c if direction == 1 else c - 1
@@ -417,18 +415,15 @@ def discrete_q_laplace(f, k, d: float, q: float, z,
         grew = 0
         prev = None
         while True:
-            xi = Q**l * phase
-            node_x = q ** (l * lam)  # radius in the f-plane grid q^(l k)
-            fv = eval_ray(node_x)
-            term = (Q - 1.0) * xi * fv / (Z * _eq_scalar(Q * xi / Z, Q))
-            total += term
-            at = abs(term)
+            t = term(l)
+            total += t
+            at = abs(t)
             if prev is not None and at > prev and direction == 1:
                 grew += 1
                 if grew >= 14:
                     raise GrowthError(
-                        "discrete q-Laplace sum diverges; evaluation point "
-                        "outside the growth domain"
+                        f"{what} sum diverges; evaluation point outside the "
+                        f"growth domain"
                     )
             else:
                 grew = 0
@@ -438,18 +433,8 @@ def discrete_q_laplace(f, k, d: float, q: float, z,
             if at < 1e-17 * max(abs(total), 1e-300) and steps > 6:
                 break
             if steps > 6000:
-                raise RangeError("discrete q-Laplace sum did not converge")
+                raise RangeError(f"{what} sum did not converge")
     return total
-
-
-def _eq_scalar(x: complex, Q: float) -> complex:
-    out = 1.0 + 0.0j
-    n = 0
-    ax = abs(x)
-    while (Q - 1.0) * Q ** (-n - 1) * max(ax, 1.0) > 1e-18 or n < 4:
-        out *= 1.0 + (Q - 1.0) * Q ** (-n - 1) * x
-        n += 1
-    return out
 
 
 def _ray_evaluator(f, d: float):
@@ -469,8 +454,6 @@ def _ray_evaluator(f, d: float):
 def theta_q_laplace(f, d: float, q: float, z, spiral_tol: float = 1e-6) -> complex:
     """Theta-kernel q-Laplace (order 1):
     sum_n f(q^n (q-1) e^{id}) / Theta_q(q^{n+1} (q-1) e^{id} / z)."""
-    from .qspecial import theta as theta_fn
-
     zp = as_sector_point(z)
     zc = zp.to_complex()
     spiral = PoleSpiral((q - 1.0) * cmath.exp(1j * (d + math.pi)), q)
@@ -480,34 +463,14 @@ def theta_q_laplace(f, d: float, q: float, z, spiral_tol: float = 1e-6) -> compl
         )
     eval_ray = _ray_evaluator(f, d)
     lam0 = (q - 1.0)
+    phase = cmath.exp(1j * d)
     c = int(round(math.log(abs(zc) / lam0) / math.log(q)))
-    total = 0.0 + 0.0j
-    for direction in (1, -1):
-        n = c if direction == 1 else c - 1
-        steps = 0
-        grew = 0
-        prev = None
-        while True:
-            node = q**n * lam0
-            fv = eval_ray(node)
-            kern = theta_fn(q ** (n + 1) * lam0 * cmath.exp(1j * d) / zc, q)
-            term = fv * cmath.exp(1j * 0.0) / kern
-            total += term
-            at = abs(term)
-            if prev is not None and at > prev and direction == 1:
-                grew += 1
-                if grew >= 14:
-                    raise GrowthError("theta q-Laplace sum diverges")
-            else:
-                grew = 0
-            prev = at
-            n += direction
-            steps += 1
-            if at < 1e-17 * max(abs(total), 1e-300) and steps > 6:
-                break
-            if steps > 6000:
-                raise RangeError("theta q-Laplace sum did not converge")
-    return total
+
+    def term(n: int) -> complex:
+        kern = qspecial.theta(q ** (n + 1) * lam0 * phase / zc, q)
+        return eval_ray(q**n * lam0) / kern
+
+    return _two_sided_sum(term, c, "theta q-Laplace")
 
 
 def continuous_q_laplace(f, k, d: float, q: float, z,
@@ -530,7 +493,7 @@ def continuous_q_laplace(f, k, d: float, q: float, z,
         if s <= 0:
             return 0.0 + 0.0j
         xi = s * phase
-        return eval_ray(s ** (1.0 / lam)) * phase / (Z * _eq_scalar(Q * xi / Z, Q))
+        return eval_ray(s ** (1.0 / lam)) * phase / (Z * _eq_product(Q * xi / Z, Q))
 
     # kernel scale: e_Q(Q s/|Z|) reaches 1/eps around s* with
     # ln e_Q ~ ln^2(s (Q-1)/|Z|)/(2 ln Q)
@@ -560,57 +523,6 @@ def continuous_q_laplace(f, k, d: float, q: float, z,
 # q-multisummation pipeline
 
 
-def _q_section_seed_logs(op: LinearOperator, beta: int, l: int, count: int):
-    rec = Recurrence.from_operator(op)
-    order = l + beta * (count - 1) + 1
-    phases, logmags = rec.solve_logspace(order)
-    idx = [l + beta * n for n in range(count)]
-    return phases[idx], logmags[idx]
-
-
-def _ln_qfact(n: int, Q: float) -> float:
-    total = 0.0
-    for t in range(1, n + 1):
-        total += math.log((Q**t - 1.0) / (Q - 1.0))
-    return total
-
-
-def _q_stage_seeds(op, beta: int, l: int, m_sub: Sequence[int],
-                   kt_sub: Sequence[Fraction], q: float, count: int) -> np.ndarray:
-    """First coefficients of the partial q-Borel chain of the section:
-    section values divided by prod_i [n*m_i]_{q^{kt_i}}! in log space."""
-    ph, lg = _q_section_seed_logs(op, beta, l, count)
-    out = np.zeros(count, dtype=complex)
-    for n in range(count):
-        if lg[n] == -np.inf:
-            continue
-        w = sum(
-            _ln_qfact(n * m, q ** float(kt))
-            for m, kt in zip(m_sub, kt_sub)
-        )
-        out[n] = ph[n] * math.exp(lg[n] - w)
-    return out
-
-
-def _attach_q_stage_rhs(rec: Recurrence, seeds: np.ndarray):
-    span = rec.span
-    upto = min(rec.n_min + span, len(seeds) - 1)
-    rhs: dict[int, complex] = {}
-    for n in range(0, upto + 1):
-        row = rec.coeff_row(n)
-        acc = 0.0 + 0.0j
-        scale = 0.0
-        for i in range(span + 1):
-            if n - i >= 0:
-                term = row[i] * seeds[n - i]
-                acc += term
-                scale = max(scale, abs(term))
-        if abs(acc) > 1e-9 * max(scale, 1e-300):
-            rhs[n] = acc
-    rec.rhs = rhs
-
-
-@dataclass
 class _QSection:
     """Per-section stage data on the shared log-uniform node grid.
 
@@ -621,26 +533,15 @@ class _QSection:
     the integrand analytic in a strip).
     """
 
-    l: int
-    beta: int
-    orders_w: tuple[Fraction, ...]
-    Qw: float
-    stage_recs: list
-    stage_ops: list
-    g1: PowerSeries
-    stage_seeds: list
-    d_w: Optional[float] = None
-    mode: str = "discrete"
-    M: int = 1
-    cont: Optional[QContinuation] = None
-    _grid: Optional[tuple[int, int, list]] = None
-
-    def build(self, d_w: float, mode: str):
+    def __init__(self, sec: SectionPipeline, Qw: float, d_w: float, mode: str):
+        self.l = sec.l
+        self.orders_w = sec.orders_w
+        self.Qw = Qw
         self.d_w = d_w
         self.mode = mode
         self.M = 1 if mode == "discrete" else 8
-        self.cont = QContinuation(self.g1, self.stage_ops[0], d_w)
-        self._grid = None
+        self.cont = QContinuation(sec.g1, sec.stage_ops[0], d_w)
+        self._grid: Optional[tuple[int, int, list]] = None
         self._lock = threading.RLock()
 
     def _stage1_fine(self, lo: int, hi: int) -> np.ndarray:
@@ -835,12 +736,9 @@ def q_multisum(
         from .operators import solve_series
 
         series = s if s is not None else solve_series(op, order)
-        coeffs = np.abs(series.coefficients)
-        nz = [(n, c) for n, c in enumerate(coeffs) if c > 0]
-        est = max((math.log(c) / n for n, c in nz[-16:] if n > 0), default=-10.0)
         return QSummedFunction(None, d, q, mode, [], (),
                                convergent_series=series,
-                               radius=0.999 * math.exp(-est))
+                               radius=0.999 * _cauchy_hadamard(series.coefficients))
     if mode == "theta":
         return _theta_mode_sum(s, op, sop, d, order)
     if mode not in ("discrete", "continuous"):
@@ -867,43 +765,8 @@ def q_multisum(
             "fractional slopes are outside the supported envelope"
         )
     beta = ladder.beta
-    orders_w = ladder.w_orders()
-    m_list = [int(1 / lam) for lam in orders_w]
-    Qw = q**beta
-    rec = Recurrence.from_operator(sop)
-    sections = []
-    for l in range(beta):
-        if rec.span != 1:
-            raise UnsupportedError(
-                "q-multisummation currently derives section operators only "
-                "for coefficient recurrences of span 1 (z-degree <= 1)"
-            )
-        sec_rec = section_recurrence(rec, beta, l)
-        recs = [None] * len(orders_w)
-        cur = sec_rec
-        for j in range(len(orders_w) - 1, -1, -1):
-            cur = reweight_recurrence(cur, orders_w[j], "qfact")
-            cur.rhs = {}
-            recs[j] = cur
-        n_seed = max(sec_rec.n_min + sec_rec.span + 2, 8)
-        all_seeds = []
-        for j in range(len(orders_w)):
-            seeds_j = _q_stage_seeds(
-                sop, beta, l, m_list[j:], ladder.kappa_tilde[j:], q, n_seed
-            )
-            _attach_q_stage_rhs(recs[j], seeds_j)
-            all_seeds.append(seeds_j)
-        with np.errstate(over="ignore", invalid="ignore"):
-            coeffs, _meta = recs[0].solve(order, seed=all_seeds[0])
-        mags = np.abs(coeffs)
-        bad = np.where(~np.isfinite(mags) | (mags > 1e280))[0]
-        if len(bad):
-            coeffs = coeffs[: max(int(bad[0]), n_seed + 8)]
-        g1 = PowerSeries(coeffs, 1)
-        ops_chain = [r.to_operator() for r in recs]
-        sec = _QSection(l, beta, orders_w, Qw, recs, ops_chain, g1, all_seeds)
-        sec.build(beta * d, mode)
-        sections.append(sec)
+    sections = [_QSection(sec, q**beta, beta * d, mode)
+                for sec in _build_sections(sop, ladder, order, "qfact")]
     spirals = _final_pole_spirals(ladder, d, q)
     return QSummedFunction(ladder, d, q, mode, sections, spirals)
 
@@ -925,10 +788,7 @@ def _theta_mode_sum(s, op, sop, d, order) -> QSummedFunction:
     else:
         with np.errstate(over="ignore", invalid="ignore"):
             series = solve_series(op, order)
-        mags = np.abs(series.coefficients)
-        bad = np.where(~np.isfinite(mags) | (mags > 1e280))[0]
-        if len(bad):
-            series = series.truncate(max(int(bad[0]), 8))
+        series = PowerSeries(_truncate_overflow(series.coefficients, 0), 1)
     fhat = rz_borel(series, q)
     bop = rz_borel_operator(op)
     handle = QContinuation(fhat, bop, d)
@@ -955,7 +815,7 @@ def first_order_homogeneous_solution(op: LinearOperator):
     b1, b0 = sop.coefficients[1], sop.coefficients[0]
     if b1.degree != 1 or abs(b1.coeffs[0]) > 1e-14 or b0.degree != 0:
         raise UnsupportedError(
-            "normalizer needs b1 = c*z und b0 = c' (q-Euler shape)"
+            "normalizer needs b1 = c*z and b0 = c' (q-Euler shape)"
         )
     a = complex(b0.coeffs[0] / b1.coeffs[1])
     q = sop.q
@@ -983,17 +843,13 @@ def q_stokes_jump(
     polygon = newton_polygon(sop)
     if polygon.is_convergent_only():
         return 0.0 + 0.0j
-    ref = limit_op if limit_op is not None else None
-    if ref is not None:
-        dirs = classical_singular_directions(ref)
+    if limit_op is not None:
+        dirs = classical_singular_directions(limit_op)
         others = [x for x in dirs.singular_directions
-                  if abs((x - d_singular + math.pi) % TWO_PI - math.pi) > 1e-9]
-        gap = min(
-            (abs((x - d_singular + math.pi) % TWO_PI - math.pi) for x in others),
-            default=math.pi,
-        )
-        degrees = [c.degree for c in ref.coefficients if not c.is_zero]
-        ladder = build_ladder(newton_polygon(ref), degrees)
+                  if abs(_angdiff(x, d_singular)) > 1e-9]
+        gap = min((abs(_angdiff(x, d_singular)) for x in others), default=math.pi)
+        degrees = [c.degree for c in limit_op.coefficients if not c.is_zero]
+        ladder = build_ladder(newton_polygon(limit_op), degrees)
         offset = min(math.pi / (8.0 * ladder.top_level), gap / 2.0)
     else:
         offset = math.pi / 24.0

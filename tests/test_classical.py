@@ -19,7 +19,9 @@ from qborel.operators import (
     newton_polygon,
     solve_series,
 )
-from qborel.series import Polynomial, PowerSeries, SectorPoint, gamma
+from qborel.series import Polynomial, PowerSeries, SectorPoint, gamma, q_factorial
+
+from conftest import make_q_euler
 
 rng = np.random.default_rng(7)
 
@@ -302,6 +304,58 @@ def test_multisum_fractional_slope_unsupported():
     assert ladder.kappa_tilde == (Fraction(12, 5),) * 4 + (Fraction(3),)
     with pytest.raises(UnsupportedError):
         cl.multisum(None, op, math.pi / 12)
+
+
+# ---------------------------------------------------------------------------
+# section chain (one builder for the Gamma and the q-factorial weight)
+
+
+@pytest.mark.parametrize("weight", ["gamma", "qfact"])
+def test_stage_seeds_match_weighted_section_coefficients(euler_op, weight):
+    # seeds of stage j on section l: a_{l + n beta} / prod_{i >= j} W_i(n),
+    # W_i(n) = Gamma(1 + n m_i) for Euler and [n m_i]_{q^kt_i}! for q-Euler
+    # at q = 1.05; a_n from the linear recurrence solve
+    q = 1.05
+    op = euler_op if weight == "gamma" else make_q_euler(q)
+    ladder = cl.build_ladder(newton_polygon(euler_op), [0, 1, 1])
+    assert ladder.beta == 3 and ladder.levels == 3
+    m = [int(1 / lam) for lam in ladder.w_orders()]
+    sections = cl._build_sections(op, ladder, order=60, weight=weight)
+    assert [sec.l for sec in sections] == [0, 1, 2]
+    for sec in sections:
+        assert len(sec.stage_seeds) == 3
+        a = solve_series(op, 3 * len(sec.stage_seeds[0]) + 3).coefficients
+        for j, seeds in enumerate(sec.stage_seeds):
+            for n, got in enumerate(seeds):
+                if weight == "gamma":
+                    w = math.prod(math.gamma(1.0 + n * mi) for mi in m[j:])
+                else:
+                    w = math.prod(q_factorial(n * mi, q ** float(kt))
+                                  for mi, kt in zip(m[j:], ladder.kappa_tilde[j:]))
+                want = a[sec.l + n * ladder.beta] / w
+                assert abs(got - want) <= 1e-12 * abs(want), (sec.l, j, n)
+
+
+def test_truncate_overflow_cuts_past_the_seed_floor():
+    # 5 seeds: the first 13 entries are kept whatever their size ...
+    coeffs = np.ones(40, dtype=complex)
+    coeffs[6] = 1e290
+    coeffs[20] = 1e281
+    coeffs[30] = complex(np.inf, 0.0)
+    assert len(cl._truncate_overflow(coeffs, 5)) == 13
+    # ... and beyond them the cut falls at the first entry above 1e280
+    coeffs[6] = 1.0
+    out = cl._truncate_overflow(coeffs, 5)
+    assert len(out) == 20 and np.all(out == 1.0)
+    assert len(cl._truncate_overflow(np.ones(40, dtype=complex), 5)) == 40
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_truncate_overflow_drops_non_finite_entries_below_the_floor(bad):
+    coeffs = np.ones(40, dtype=complex)
+    coeffs[6] = complex(0.0, bad)
+    out = cl._truncate_overflow(coeffs, 5)
+    assert len(out) == 6 and np.all(np.isfinite(out))
 
 
 # ---------------------------------------------------------------------------

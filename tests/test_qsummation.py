@@ -381,6 +381,20 @@ def test_q_multisum_singular_direction(q_euler_op, euler_op):
         qs.q_multisum(None, q_euler_op, math.pi, limit_op=euler_op)
 
 
+def test_first_order_normalizer_refuses_other_shapes():
+    q = 1.05
+    order_two = LinearOperator("q_difference", "delta_q",
+                               (Polynomial([-1.0]), Polynomial([1.0]),
+                                Polynomial([0.0, 1.0])), q)
+    with pytest.raises(UnsupportedError, match="first-order operators"):
+        qs.first_order_homogeneous_solution(order_two)
+    # first order, but b1 = 1 + z is not c*z
+    not_euler = LinearOperator("q_difference", "delta_q",
+                               (Polynomial([1.0]), Polynomial([1.0, 1.0])), q)
+    with pytest.raises(UnsupportedError, match=r"b1 = c\*z and b0 = c'"):
+        qs.first_order_homogeneous_solution(not_euler)
+
+
 def test_q_stokes_convergent_zero():
     q = 1.3
     op = LinearOperator("q_difference", "sigma_q",
