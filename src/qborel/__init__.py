@@ -49,7 +49,6 @@ from .qspecial import (  # noqa: F401
     theta,
 )
 from .qsummation import (  # noqa: F401
-    QSummedFunction,
     continuous_q_laplace,
     discrete_q_laplace,
     jackson_integral,

@@ -14,7 +14,7 @@ from __future__ import annotations
 import cmath
 import math
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
@@ -36,8 +36,10 @@ from .operators import (
     NewtonPolygon,
     Recurrence,
     newton_polygon,
+    residual as op_residual,
     reweight_recurrence,
     section_recurrence,
+    solve_series,
 )
 from .series import PowerSeries, SectorPoint, as_sector_point, gamma
 
@@ -130,6 +132,30 @@ def build_ladder(
     return SummationLadder(
         tuple(slopes), k_r, tuple(kappa), tuple(kappa_tilde), beta, d0
     )
+
+
+def _summation_ladder(op: LinearOperator, limit_op: Optional[LinearOperator] = None,
+                      k_r: Optional[int] = None) -> SummationLadder:
+    """The ladder every sum of op is built on: the polygon and coefficient
+    degrees of limit_op if given, else of op (delta_q basis for q-difference
+    operators), plus the degree of op's right-hand side."""
+    ref = op if limit_op is None else limit_op
+    coeffs = ref.to_delta_q_basis().coefficients if ref.kind == "q_difference" else ref.coefficients
+    degrees = [c.degree for c in coeffs if not c.is_zero]
+    if op.rhs is not None:
+        degrees.append(op.rhs.truncation_order - 1)
+    return build_ladder(newton_polygon(ref), degrees, k_r)
+
+
+def _refuse_sub_unit(ladder: SummationLadder):
+    """Sums are evaluated only on ladders whose section orders are all 1."""
+    if any(lam < 1 for lam in ladder.w_orders()):
+        raise UnsupportedError(
+            "multisummation evaluation currently covers ladders whose "
+            "section-variable orders are all 1 (slope-1 problems of any "
+            "coefficient degree); fractional slopes produce sub-unit orders "
+            "whose stage sweeps are outside the supported envelope"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -895,19 +921,15 @@ class LaplaceStageHandle(_OdeRayHandle):
 
 @dataclass
 class SectionPipeline:
-    """One beta-section of the ladder: its chain of stage recurrences and
-    operators, their seeds and g_1 (shared by the classical and q pipelines),
-    and the classical stage handles that evaluate S^d(h^(l)) at w = z^beta."""
+    """One beta-section of the ladder, free of any direction: its chain of
+    stage operators (stage_ops[j-1] annihilates g_j), their seeds and g_1,
+    shared by every classical or q sum built from it."""
 
     l: int
-    beta: int
     orders_w: tuple[Fraction, ...]       # lambda_j = kappa~_j / beta, each 1/integer
-    stage_recs: list                     # stage_recs[j-1] annihilates g_j
     stage_ops: list
     g1: PowerSeries
-    stage_seeds: list = field(default_factory=list)
-    d_w: Optional[float] = None
-    handles: Optional[list] = None
+    stage_seeds: list
 
     def singular_roots(self) -> list[complex]:
         roots: list[complex] = []
@@ -915,27 +937,24 @@ class SectionPipeline:
             roots.extend(op.coefficients[-1].nonzero_roots().tolist())
         return roots
 
-    def build_handles(self, d_w: float, rtol: float = 1e-12):
-        if self.handles is not None and self.d_w == d_w:
-            return
-        handles: list[RayHandle] = [
-            ContinuationHandle(self.g1, self.stage_ops[0], d_w, rtol=rtol)
-        ]
-        for j in range(1, len(self.orders_w)):
-            seeds = self.stage_seeds[j] if j < len(self.stage_seeds) else None
-            handles.append(
-                LaplaceStageHandle(
-                    handles[-1], self.orders_w[j - 1], d_w, self.stage_ops[j],
-                    asym_seeds=seeds, rtol=rtol,
-                )
-            )
+
+class _LaplaceSection:
+    """The classical stage handles of one section along the ray d_w, which
+    evaluate S^d(h^(l)) at w = z^beta."""
+
+    def __init__(self, sec: SectionPipeline, d_w: float, rtol: float):
+        self.l = sec.l
+        self.lam = sec.orders_w[-1]
         self.d_w = d_w
+        handles: list[RayHandle] = [ContinuationHandle(sec.g1, sec.stage_ops[0], d_w, rtol=rtol)]
+        for j in range(1, len(sec.orders_w)):
+            handles.append(LaplaceStageHandle(
+                handles[-1], sec.orders_w[j - 1], d_w, sec.stage_ops[j],
+                asym_seeds=sec.stage_seeds[j], rtol=rtol))
         self.handles = handles
 
     def value(self, w: SectorPoint) -> complex:
-        top = self.handles[-1]
-        lam_s = self.orders_w[-1]
-        return laplace_along_ray(top, lam_s, self.d_w, w)
+        return laplace_along_ray(self.handles[-1], self.lam, self.d_w, w)
 
 
 def _stage_seeds(phases: np.ndarray, logmags: np.ndarray,
@@ -1045,9 +1064,7 @@ def _build_sections(
             coeffs, _meta = recs[0].solve(order, seed=all_seeds[0])
         g1 = PowerSeries(_truncate_overflow(coeffs, n_seed), 1)
         ops_chain = [r.to_operator() for r in recs]
-        sections.append(
-            SectionPipeline(l, beta, orders_w, recs, ops_chain, g1, all_seeds)
-        )
+        sections.append(SectionPipeline(l, orders_w, ops_chain, g1, all_seeds))
     return sections
 
 
@@ -1071,11 +1088,7 @@ class DirectionSet:
         return min(abs(_angdiff(d, s)) for s in self.singular_directions)
 
 
-def singular_directions(
-    op: LinearOperator,
-    ladder: Optional[SummationLadder] = None,
-    sections: Optional[list[SectionPipeline]] = None,
-) -> DirectionSet:
+def singular_directions(op: LinearOperator) -> DirectionSet:
     """Excluded directions: arguments (in the z-plane) of the leading-root
     singularities of every successive Borel-plane operator, united with the
     arguments of the nonzero roots of the operator's leading coefficient.
@@ -1084,37 +1097,33 @@ def singular_directions(
     the rotated copies of each Borel singularity); extra entries only shrink
     the verified domain.
     """
-    entries: list[tuple[float, str]] = []
-    polygon = newton_polygon(op)
-    if polygon.is_convergent_only():
+    if newton_polygon(op).is_convergent_only():
         return DirectionSet((), ())
-    if ladder is None:
-        ladder = build_ladder(polygon, [c.degree for c in op.coefficients if not c.is_zero])
-    if sections is None:
-        try:
-            sections = _build_sections(op, ladder, order=60)
-        except UnsupportedError:
-            # section operators unavailable (span > 1): report the
-            # leading-coefficient rays only; summation itself will refuse
-            sections = []
-    beta = ladder.beta
-    seen = set()
+    ladder = _summation_ladder(op)
+    try:
+        sections = _build_sections(op, ladder, order=60)
+    except UnsupportedError:
+        # section operators unavailable (span > 1): report the
+        # leading-coefficient rays only; summation itself will refuse
+        sections = []
+    return _chain_directions(op, ladder.beta, sections)
+
+
+def _chain_directions(op: LinearOperator, beta: int,
+                      sections: list[SectionPipeline]) -> DirectionSet:
+    """singular_directions read off a built section chain (its stage
+    operators do not depend on the truncation order)."""
+    found: dict[float, tuple[float, str]] = {}
     for sec in sections:
         for rho in sec.singular_roots():
             base = cmath.phase(rho)  # direction in the w-plane
             for t in range(beta):
                 d = _mod2pi((base + TWO_PI * t) / beta)
-                key = round(d, 9)
-                if key not in seen:
-                    seen.add(key)
-                    entries.append((d, "borel-pole"))
+                found.setdefault(round(d, 9), (d, "borel-pole"))
     for rho in op.coefficients[-1].nonzero_roots():
         d = _mod2pi(cmath.phase(rho))
-        key = round(d, 9)
-        if key not in seen:
-            seen.add(key)
-            entries.append((d, "leading-root"))
-    entries.sort()
+        found.setdefault(round(d, 9), (d, "leading-root"))
+    entries = sorted(found.values())
     return DirectionSet(tuple(e[0] for e in entries), tuple(e[1] for e in entries))
 
 
@@ -1122,28 +1131,61 @@ def _mod2pi(x: float) -> float:
     return x % TWO_PI
 
 
+def _refuse_singular(dirs: DirectionSet, d: float):
+    if dirs.min_distance(d) < 1e-9:
+        raise SingularDirectionError(
+            f"direction d = {d} is singular "
+            f"(singular set mod 2pi: {[round(x, 6) for x in dirs.singular_directions]})"
+        )
+
+
+def _bracket_offset(dirs: DirectionSet, d: float, top_level: int) -> float:
+    """Half-width of the bracket d +/- offset of a Stokes jump: pi/(8 k_r),
+    or half the gap to the nearest other singular direction if smaller."""
+    gap = min((abs(_angdiff(x, d)) for x in dirs.singular_directions
+               if abs(_angdiff(x, d)) > 1e-9), default=math.pi)
+    offset = min(math.pi / (8.0 * top_level), gap / 2.0)
+    if offset < 1e-8:
+        raise BracketingError(f"no singularity-free bracket around d = {d}")
+    return offset
+
+
 # ---------------------------------------------------------------------------
 # Multisummation
 
 
+@dataclass(frozen=True)
+class _LeadingRay:
+    """The ray through a root of the leading coefficient, from 0.99 of the
+    root outwards."""
+
+    root: complex
+
+    def _refuse(self, z: SectorPoint):
+        if (abs(_angdiff(z.argument, cmath.phase(self.root))) < 1e-9
+                and z.modulus >= 0.99 * abs(self.root)):
+            raise DomainError(
+                f"z lies on the excluded ray through the leading-coefficient "
+                f"root {self.root}"
+            )
+
+
 @dataclass
 class SummedFunction:
-    """Evaluable handle for the multisum S^d(h): carries the ladder, the
-    direction, the per-section stage handles and the sector of validity.
-    Evaluation outside the sector raises, never extrapolates."""
+    """Evaluable handle for a sum S^d(h) of either pipeline: the ladder (None
+    for a convergent series and for the theta-kernel sum), the direction, one
+    evaluator per section (its l and its value at w = z^beta), the excluded
+    loci (leading-root rays of the classical sum, pole spirals of the q sum)
+    and the half-opening of the sector about d.  Evaluation outside the
+    domain raises, never extrapolates."""
 
     ladder: Optional[SummationLadder]
     direction: float
     sections: list
-    excluded_rays: tuple[complex, ...]
+    exclusions: tuple = ()
+    half_opening: float = math.inf
     convergent_series: Optional[PowerSeries] = None
     radius: float = 0.0
-
-    @property
-    def half_opening(self) -> float:
-        if self.ladder is None:
-            return math.pi
-        return math.pi / (2.0 * self.ladder.top_level)
 
     def domain_check(self, z: SectorPoint):
         if self.convergent_series is not None:
@@ -1153,66 +1195,61 @@ class SummedFunction:
                     f"(radius ~ {self.radius:.4g})"
                 )
             return
+        for excluded in self.exclusions:
+            excluded._refuse(z)
         if abs(z.argument - self.direction) >= self.half_opening:
             raise DomainError(
                 f"arg z = {z.argument:.6f} outside the sector "
-                f"d +/- pi/(2 k_r) = {self.direction:.6f} +/- {self.half_opening:.6f}"
+                f"{self.direction:.6f} +/- {self.half_opening:.6f}"
             )
-        for alpha in self.excluded_rays:
-            if (
-                abs(_angdiff(z.argument, cmath.phase(alpha))) < 1e-9
-                and z.modulus >= 0.99 * abs(alpha)
-            ):
-                raise DomainError(
-                    f"z lies on the excluded ray through the leading-coefficient "
-                    f"root {alpha}"
-                )
 
     def __call__(self, z) -> complex:
         z = as_sector_point(z)
         self.domain_check(z)
         if self.convergent_series is not None:
             return self.convergent_series.eval(z)
-        beta = self.ladder.beta
-        w = z.power(beta)
+        w = z.power(1 if self.ladder is None else self.ladder.beta)
         total = 0.0 + 0.0j
         for sec in self.sections:
-            term = sec.value(w)
-            total += cmath.exp(sec.l * z.complex_log()) * term
+            total += cmath.exp(sec.l * z.complex_log()) * sec.value(w)
         return total
 
     def residual(self, op: LinearOperator, z, step: float = 1e-4) -> float:
-        """Relative residual of op at z using Richardson-extrapolated central
-        differences for delta in log z."""
+        """Relative residual of op at z: exact sigma_q shifts for a
+        q-difference operator, Richardson-extrapolated central differences
+        in log z for delta."""
         z = as_sector_point(z)
-        m = op.order
-
-        def dval(logz: complex) -> complex:
-            return self(SectorPoint(logz.real, logz.imag))
-
-        logz = z.complex_log()
-        vals: dict[float, complex] = {}
-
-        def delta_pow(j: int, h: float) -> complex:
-            # iterated central differences in log z, spacing h
-            def rec(jj: int, t: float) -> complex:
-                if jj == 0:
-                    if t not in vals:
-                        vals[t] = dval(logz + t)
-                    return vals[t]
-                return (rec(jj - 1, t + h / 2) - rec(jj - 1, t - h / 2)) / h
-
-            return rec(j, 0.0)
-
         zc = z.to_complex()
-        scale = 0.0
+        terms = []
+        if op.kind == "q_difference":
+            op = op.to_sigma_basis()
+            lnq = math.log(op.q)
+            for j, b in enumerate(op.coefficients):
+                terms.append(b(zc) * self(SectorPoint(z.log_modulus + j * lnq, z.argument)))
+        else:
+            logz = z.complex_log()
+            vals: dict[float, complex] = {}
+
+            def delta_pow(j: int, h: float) -> complex:
+                # iterated central differences in log z, spacing h
+                def rec(jj: int, t: float) -> complex:
+                    if jj == 0:
+                        if t not in vals:
+                            shifted = logz + t
+                            vals[t] = self(SectorPoint(shifted.real, shifted.imag))
+                        return vals[t]
+                    return (rec(jj - 1, t + h / 2) - rec(jj - 1, t - h / 2)) / h
+
+                return rec(j, 0.0)
+
+            for j, b in enumerate(op.coefficients):
+                coef = b(zc)
+                d1 = delta_pow(j, step)
+                d2 = delta_pow(j, step / 2)
+                terms.append(coef * ((4.0 * d2 - d1) / 3.0))  # Richardson
         total = 0.0 + 0.0j
-        for j, b in enumerate(op.coefficients):
-            coef = b(zc)
-            d1 = delta_pow(j, step)
-            d2 = delta_pow(j, step / 2)
-            dj = (4.0 * d2 - d1) / 3.0  # Richardson
-            term = coef * dj
+        scale = 0.0
+        for term in terms:
             total += term
             scale = max(scale, abs(term))
         if op.rhs is not None:
@@ -1220,6 +1257,30 @@ class SummedFunction:
             total -= rv
             scale = max(scale, abs(rv))
         return abs(total) / max(scale, 1e-300)
+
+
+def _convergent_sum(s: Optional[PowerSeries], op: LinearOperator, d: float,
+                    order: int) -> SummedFunction:
+    """The sum of a convergent formal solution: the series itself, on 0.999
+    of its estimated disk of convergence."""
+    series = s if s is not None else solve_series(op, order)
+    return SummedFunction(None, d, [], convergent_series=series,
+                          radius=0.999 * _cauchy_hadamard(series.coefficients))
+
+
+def _classical_sum(s: Optional[PowerSeries], op: LinearOperator, ladder: SummationLadder,
+                   sections: list[SectionPipeline], d: float, rtol: float) -> SummedFunction:
+    """S^d(h) on a built section chain; d is not a singular direction."""
+    if s is not None:
+        res = op_residual(op, s)
+        scale = max(np.max(np.abs(s.coefficients)), 1.0)
+        head = res.coefficients[: max(1, len(res.coefficients) - op.order - 1)]
+        if np.max(np.abs(head)) > 1e-8 * scale:
+            raise ArgumentError("supplied series does not satisfy the operator")
+    d_w = ladder.beta * d
+    rays = tuple(_LeadingRay(a) for a in op.coefficients[-1].nonzero_roots().tolist())
+    return SummedFunction(ladder, d, [_LaplaceSection(sec, d_w, rtol) for sec in sections],
+                          rays, math.pi / (2.0 * ladder.top_level))
 
 
 def multisum(
@@ -1236,45 +1297,13 @@ def multisum(
     right-hand side / valuation data); when supplied it is cross-checked
     against the operator's own solution.
     """
-    polygon = newton_polygon(op)
-    if polygon.is_convergent_only():
-        from .operators import solve_series
-
-        series = s if s is not None else solve_series(op, order)
-        radius = _cauchy_hadamard(series.coefficients)
-        return SummedFunction(None, d, [], (), convergent_series=series,
-                              radius=0.999 * radius)
-    degrees = [c.degree for c in op.coefficients if not c.is_zero]
-    if op.rhs is not None:
-        degrees.append(op.rhs.truncation_order - 1)
-    ladder = build_ladder(polygon, degrees, k_r_choice)
-    if any(lam < 1 for lam in ladder.w_orders()):
-        raise UnsupportedError(
-            "multisummation evaluation currently covers ladders whose "
-            "section-variable orders are all 1 (slope-1 problems of any "
-            "coefficient degree); fractional slopes produce sub-unit orders "
-            "whose stage sweeps are outside the supported envelope"
-        )
+    if newton_polygon(op).is_convergent_only():
+        return _convergent_sum(s, op, d, order)
+    ladder = _summation_ladder(op, k_r=k_r_choice)
+    _refuse_sub_unit(ladder)
     sections = _build_sections(op, ladder, order=order)
-    dirs = singular_directions(op, ladder, sections)
-    if dirs.min_distance(d) < 1e-9:
-        raise SingularDirectionError(
-            f"direction d = {d} is singular for this operator "
-            f"(singular set mod 2pi: {[round(x, 6) for x in dirs.singular_directions]})"
-        )
-    if s is not None:
-        from .operators import residual as op_residual
-
-        res = op_residual(op, s)
-        scale = max(np.max(np.abs(s.coefficients)), 1.0)
-        head = res.coefficients[: max(1, len(res.coefficients) - op.order - 1)]
-        if np.max(np.abs(head)) > 1e-8 * scale:
-            raise ArgumentError("supplied series does not satisfy the operator")
-    d_w = ladder.beta * d
-    for sec in sections:
-        sec.build_handles(d_w, rtol=rtol)
-    excluded = tuple(op.coefficients[-1].nonzero_roots().tolist())
-    return SummedFunction(ladder, d, sections, excluded)
+    _refuse_singular(_chain_directions(op, ladder.beta, sections), d)
+    return _classical_sum(s, op, ladder, sections, d, rtol)
 
 
 def stokes_jump(
@@ -1286,25 +1315,19 @@ def stokes_jump(
     rtol: float = 1e-10,
 ) -> complex:
     """Lateral-sum jump S^{d+}(h)(z) - S^{d-}(h)(z) across a singular
-    direction; a solution of the homogeneous equation."""
-    polygon = newton_polygon(op)
-    if polygon.is_convergent_only():
+    direction; a solution of the homogeneous equation.  Both lateral sums
+    share one section chain."""
+    if newton_polygon(op).is_convergent_only():
         return 0.0 + 0.0j
-    degrees = [c.degree for c in op.coefficients if not c.is_zero]
-    ladder = build_ladder(polygon, degrees)
-    dirs = singular_directions(op, ladder)
+    ladder = _summation_ladder(op)
+    sections = _build_sections(op, ladder, order=order)
+    dirs = _chain_directions(op, ladder.beta, sections)
     if dirs.min_distance(d_singular) > 1e-9:
         # not singular: lateral sums agree
         return 0.0 + 0.0j
-    others = [x for x in dirs.singular_directions
-              if abs(_angdiff(x, d_singular)) > 1e-9]
-    gap = min((abs(_angdiff(x, d_singular)) for x in others), default=math.pi)
-    offset = min(math.pi / (8.0 * ladder.top_level), gap / 2.0)
-    if offset < 1e-8:
-        raise BracketingError(
-            f"no singularity-free bracket around d = {d_singular}"
-        )
+    offset = _bracket_offset(dirs, d_singular, ladder.top_level)
+    _refuse_sub_unit(ladder)
     zp = as_sector_point(z)
-    plus = multisum(s, op, d_singular + offset, order=order, rtol=rtol)
-    minus = multisum(s, op, d_singular - offset, order=order, rtol=rtol)
+    plus = _classical_sum(s, op, ladder, sections, d_singular + offset, rtol)
+    minus = _classical_sum(s, op, ladder, sections, d_singular - offset, rtol)
     return plus(zp) - minus(zp)

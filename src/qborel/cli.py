@@ -25,6 +25,7 @@ from . import __version__
 from .errors import ConfigError, QBorelError, ParseError, ValidationError
 from .operators import (
     LinearOperator,
+    _parse_pair,
     characteristic_polynomial,
     newton_polygon,
     parse_operator,
@@ -99,7 +100,16 @@ def _parse_z(text: str) -> SectorPoint:
         raise ConfigError(str(exc)) from exc
 
 
-def _parse_grid(text: str) -> list[float]:
+def _samples(args) -> list[SectorPoint]:
+    zs = [_parse_z(z) for z in args.z]
+    if not zs:
+        raise ConfigError(f"{args.command} needs at least one --z sample")
+    return zs
+
+
+def _parse_grid(text: Optional[str]) -> list[float]:
+    if text is None:
+        raise ConfigError("this command requires --q-grid")
     try:
         grid = [float(v) for v in text.split(",") if v.strip()]
     except ValueError as exc:
@@ -146,6 +156,16 @@ class FamilyDocument:
         return LinearOperator("q_difference", self.basis, tuple(polys), q, self.rhs)
 
 
+def _doc_list(value, path: str) -> list:
+    if not isinstance(value, list):
+        raise ParseError("expected a list", path)
+    return value
+
+
+def _pair_list(value, path: str) -> list[complex]:
+    return [_parse_pair(p, f"{path}[{i}]") for i, p in enumerate(_doc_list(value, path))]
+
+
 def _load_family(path: str) -> FamilyDocument:
     try:
         with open(path) as fh:
@@ -156,18 +176,17 @@ def _load_family(path: str) -> FamilyDocument:
         raise ParseError(f"invalid JSON: {exc}", "$")
     if doc.get("kind") == "q_difference_family":
         basis = doc.get("basis", "delta_q")
-        tables = []
-        for i, poly in enumerate(doc.get("coefficients", [])):
-            table = []
-            for k, entry in enumerate(poly):
-                table.append(
-                    [complex(p[0], p[1]) for p in entry]
-                )
-            tables.append(table)
+        tables = [
+            [_pair_list(entry, f"coefficients[{i}][{k}]")
+             for k, entry in enumerate(_doc_list(poly, f"coefficients[{i}]"))]
+            for i, poly in enumerate(_doc_list(doc.get("coefficients", []), "coefficients"))
+        ]
+        if not isinstance(doc.get("limit"), dict):
+            raise ParseError("family document needs a limit operator object", "limit")
         limit = parse_operator(doc["limit"])
         rhs = None
         if doc.get("rhs"):
-            rhs = PowerSeries([complex(p[0], p[1]) for p in doc["rhs"]])
+            rhs = PowerSeries(_pair_list(doc["rhs"], "rhs"))
         return FamilyDocument(tables, basis, limit, rhs)
     # plain q-difference operator document: q-independent family
     op = parse_operator(doc)
@@ -210,16 +229,14 @@ def cmd_polygon(args) -> ResultTable:
 
 def cmd_ladder(args) -> ResultTable:
     op = _load_operator(args.op)
-    polygon = newton_polygon(op)
     table = ResultTable(
         ["field", "index", "value"],
         metadata={"command": "ladder", "op": args.op},
     )
-    if polygon.is_convergent_only():
+    if newton_polygon(op).is_convergent_only():
         table.add("convergent", "", "true")
         return table
-    degrees = [c.degree for c in op.coefficients if not c.is_zero]
-    ladder = cl.build_ladder(polygon, degrees, args.kr)
+    ladder = cl._summation_ladder(op, k_r=args.kr)
     for i, k in enumerate(ladder.positive_slopes):
         table.add("k", i + 1, k)
     table.add("k_top", len(ladder.positive_slopes) + 1, ladder.top_level)
@@ -236,9 +253,7 @@ def cmd_sum(args) -> ResultTable:
     op = _load_operator(args.op)
     if op.kind != "differential":
         raise ConfigError("sum applies to differential operators (use qsum)")
-    zs = [_parse_z(z) for z in args.z]
-    if not zs:
-        raise ConfigError("sum needs at least one --z sample")
+    zs = _samples(args)
     table = ResultTable(
         ["z_re", "z_im", "z_arg", "value_re", "value_im", "residual",
          "growth_J", "growth_L", "status"],
@@ -250,14 +265,11 @@ def cmd_sum(args) -> ResultTable:
         zc = z.to_complex()
         try:
             val = S(z)
-            resid = S.residual(op, z) if S.convergent_series is None else 0.0
-            J = L = 0.0
-            if S.sections:
-                tops = [sec.handles[-1] for sec in S.sections if sec.handles]
-                fits = [cl._cached_growth(t, float(S.ladder.w_orders()[-1]))
-                        for t in tops]
-                J = max(f[0] for f in fits)
-                L = max(f[1] for f in fits)
+            resid = S.residual(op, z) if S.ladder is not None else 0.0
+            fits = [cl._cached_growth(sec.handles[-1], float(S.ladder.w_orders()[-1]))
+                    for sec in S.sections]
+            J = max((f[0] for f in fits), default=0.0)
+            L = max((f[1] for f in fits), default=0.0)
             table.add(zc.real, zc.imag, z.argument, val.real, val.imag,
                       resid, J, L, "ok")
         except QBorelError as exc:
@@ -270,9 +282,7 @@ def cmd_qsum(args) -> ResultTable:
     op = _load_operator(args.op)
     if op.kind != "q_difference":
         raise ConfigError("qsum applies to q-difference operators")
-    zs = [_parse_z(z) for z in args.z]
-    if not zs:
-        raise ConfigError("qsum needs at least one --z sample")
+    zs = _samples(args)
     limit_op = _load_operator(args.limit_op) if args.limit_op else None
     table = ResultTable(
         ["z_re", "z_im", "z_arg", "value_re", "value_im", "residual", "status"],
@@ -285,11 +295,7 @@ def cmd_qsum(args) -> ResultTable:
         zc = z.to_complex()
         try:
             val = S(z)
-            resid = (
-                S.residual(op, z)
-                if S.convergent_series is None and S.direct_evaluator is None
-                else 0.0
-            )
+            resid = S.residual(op, z) if S.ladder is not None else 0.0
             table.add(zc.real, zc.imag, z.argument, val.real, val.imag, resid, "ok")
         except QBorelError as exc:
             table.add(zc.real, zc.imag, z.argument, "", "", "", f"{exc.code}-error")
@@ -299,9 +305,7 @@ def cmd_qsum(args) -> ResultTable:
 def cmd_confluence(args) -> ResultTable:
     family = _load_family(args.op)
     grid = _parse_grid(args.q_grid)
-    zs = [_parse_z(z) for z in args.z]
-    if not zs:
-        raise ConfigError("confluence needs at least one --z sample")
+    zs = _samples(args)
     report = qs.validate_confluence_family(family.op_of_q, family.limit, grid)
     table = ResultTable(
         ["q"] + [f"Sq_re_{i}" for i in range(len(zs))]
@@ -349,9 +353,7 @@ def cmd_confluence(args) -> ResultTable:
 
 def cmd_stokes(args) -> ResultTable:
     family = _load_family(args.op)
-    zs = [_parse_z(z) for z in args.z]
-    if not zs:
-        raise ConfigError("stokes needs at least one --z sample")
+    zs = _samples(args)
     d = args.direction
     limit = family.limit
     table = ResultTable(
@@ -490,52 +492,53 @@ def cmd_validate(args) -> ResultTable:
 # Entry point
 
 
+# every option of the CLI; each subcommand takes --out and the ones its
+# cmd_* function reads
+_OPTIONS = {
+    "op": dict(required=True, help="operator/family document path"),
+    "direction": dict(type=float, default=0.0, help="summation direction d in radians"),
+    "z": dict(action="append", default=[], help="sample point re,im[,arg]; repeatable"),
+    "q-grid": dict(default=None, help="comma list of q values, strictly decreasing toward 1"),
+    "mode": dict(choices=["discrete", "theta", "continuous"], default="discrete"),
+    "order": dict(type=int, default=240, help="series truncation"),
+    "out": dict(default=None, help="output CSV path (default stdout)"),
+    "plot": dict(default=None, help="plot-data CSV path"),
+    "kr": dict(type=int, default=None, help="top level choice"),
+    "limit-op": dict(default=None, help="limit operator document path"),
+    "upper": dict(default=None, help="comma list of upper parameters"),
+    "lower": dict(default="", help="comma list of lower parameters"),
+    "p": dict(type=float, default=None, help="phi base in (0,1)"),
+    "alphas": dict(default=None, help="comma list of F upper parameters"),
+    "betas": dict(default="", help="comma list of F lower parameters"),
+    "p-grid": dict(default=None, help="comma list of p values increasing toward 1"),
+}
+
+_SUBCOMMANDS = (
+    ("polygon", "Newton polygon, slopes, characteristic roots", ("op",)),
+    ("ladder", "summation ladder (exact rationals)", ("op", "kr")),
+    ("sum", "classical multisummation at sample points", ("op", "direction", "z", "order")),
+    ("qsum", "q-multisummation at sample points",
+     ("op", "direction", "z", "mode", "order", "limit-op")),
+    ("confluence", "|S_q - S| table over a q-grid",
+     ("op", "direction", "z", "q-grid", "mode", "order", "plot")),
+    ("stokes", "classical and q-Stokes jump probe",
+     ("op", "direction", "z", "q-grid", "mode", "order")),
+    ("hypergeom", "hypergeometric identity checks",
+     ("direction", "z", "upper", "lower", "p", "alphas", "betas", "p-grid")),
+    ("validate", "(A1)-(A3) confluence-family report", ("op", "q-grid")),
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qborel",
         description="(q-)Borel-Laplace summation lab",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, op_required=True):
-        p.add_argument("--op", required=op_required, help="operator/family document path")
-        p.add_argument("--direction", type=float, default=0.0,
-                       help="summation direction d in radians")
-        p.add_argument("--z", action="append", default=[],
-                       help="sample point re,im[,arg]; repeatable")
-        p.add_argument("--q-grid", dest="q_grid", default=None,
-                       help="comma list of q values, strictly decreasing toward 1")
-        p.add_argument("--mode", choices=["discrete", "theta", "continuous"],
-                       default="discrete")
-        p.add_argument("--order", type=int, default=240, help="series truncation")
-        p.add_argument("--out", default=None, help="output CSV path (default stdout)")
-        p.add_argument("--plot", default=None, help="plot-data CSV path")
-
-    p = sub.add_parser("polygon", help="Newton polygon, slopes, characteristic roots")
-    common(p)
-    p = sub.add_parser("ladder", help="summation ladder (exact rationals)")
-    common(p)
-    p.add_argument("--kr", type=int, default=None, help="top level choice")
-    p = sub.add_parser("sum", help="classical multisummation at sample points")
-    common(p)
-    p = sub.add_parser("qsum", help="q-multisummation at sample points")
-    common(p)
-    p.add_argument("--limit-op", dest="limit_op", default=None)
-    p = sub.add_parser("confluence", help="|S_q - S| table over a q-grid")
-    common(p)
-    p = sub.add_parser("stokes", help="classical and q-Stokes jump probe")
-    common(p)
-    p = sub.add_parser("hypergeom", help="hypergeometric identity checks")
-    common(p, op_required=False)
-    p.add_argument("--upper", default=None, help="comma list of upper parameters")
-    p.add_argument("--lower", default="", help="comma list of lower parameters")
-    p.add_argument("--p", type=float, default=None, help="phi base in (0,1)")
-    p.add_argument("--alphas", default=None, help="comma list of F upper parameters")
-    p.add_argument("--betas", default="", help="comma list of F lower parameters")
-    p.add_argument("--p-grid", dest="p_grid", default=None,
-                   help="comma list of p values increasing toward 1")
-    p = sub.add_parser("validate", help="(A1)-(A3) confluence-family report")
-    common(p)
+    for name, help_text, options in _SUBCOMMANDS:
+        p = sub.add_parser(name, help=help_text)
+        for option in options + ("out",):
+            p.add_argument(f"--{option}", **_OPTIONS[option])
     return parser
 
 
@@ -554,9 +557,6 @@ _COMMANDS = {
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "confluence" and not args.q_grid:
-        print("error[config]: confluence requires --q-grid", file=sys.stderr)
-        return 2
     try:
         table = _COMMANDS[args.command](args)
     except ConfigError as exc:

@@ -183,26 +183,20 @@ def _eq_series(z: complex, q: float) -> complex:
     return total
 
 
-def _eq_weights(q: float, az: float):
-    """The weights t_n = (q-1) q^{-n-1} of the factors 1 + t_n z of
-    e_q(z) = prod (1 + t_n z), n = 0, 1, ..., up to the first n > 4 with
-    t_n |z| < 1e-17; az = |z|."""
+def _eq_product(z: complex, q: float) -> complex:
+    """e_q(z) = prod (1 + t_n z), t_n = (q-1) q^{-n-1}, n = 0, 1, ..., up to
+    the first n > 4 with t_n |z| < 1e-17."""
+    total = 1.0 + 0.0j
+    az = abs(z)
     n = 0
     while True:
         t = (q - 1.0) * q ** (-n - 1.0)
-        yield t
+        total *= 1.0 + t * z
         if t * az < _TERM_CUTOFF and n > 4:
-            return
+            return total
         n += 1
         if n > 200000:
             raise RangeError("e_q product did not converge")
-
-
-def _eq_product(z: complex, q: float) -> complex:
-    total = 1.0 + 0.0j
-    for t in _eq_weights(q, abs(z)):
-        total *= 1.0 + t * z
-    return total
 
 
 # ---------------------------------------------------------------------------

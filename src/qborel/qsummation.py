@@ -21,16 +21,21 @@ import numpy as np
 
 from . import qspecial
 from ._quad import complex_quad, peak_scale
-from .qspecial import _eq_product, _eq_weights
+from .qspecial import _eq_product
 from .classical import (
     SectionPipeline,
     SummationLadder,
+    SummedFunction,
     _angdiff,
+    _bracket_offset,
     _build_sections,
     _cauchy_hadamard,
+    _convergent_sum,
+    _refuse_singular,
+    _refuse_sub_unit,
+    _summation_ladder,
     _truncate_overflow,
-    build_ladder,
-    singular_directions as classical_singular_directions,
+    singular_directions,
 )
 from .errors import (
     ArgumentError,
@@ -38,7 +43,6 @@ from .errors import (
     GrowthError,
     PoleError,
     RangeError,
-    SingularDirectionError,
     SpiralCollisionError,
     UnsupportedError,
 )
@@ -193,6 +197,14 @@ class PoleSpiral:
         node = self.base * self.ratio**t
         return abs(z - node) / abs(node)
 
+    def _refuse(self, z: SectorPoint):
+        zc = z.to_complex()
+        if self.distance_rel(zc) < 1e-6:
+            raise PoleError(
+                f"z = {zc:.6g} lies within 1e-6 of the pole spiral "
+                f"(base {self.base:.6g}, ratio {self.ratio:.6g})"
+            )
+
 
 class QContinuation:
     """Meromorphic continuation of a convergent series along a ray by
@@ -328,8 +340,8 @@ def q_continuation(s: PowerSeries, q_op: LinearOperator, d: float) -> QContinuat
 
 
 def _growth_fit_q(handle_eval, q: float, k: float, x_lo: float, x_hi: float,
-                  samples: int = 40) -> tuple[float, float]:
-    """(J, L) with |f(x e^{id})| <= J e_{q^k}(L x^k) on the sampled ray."""
+                  samples: int = 40) -> float:
+    """L with |f(x e^{id})| <= J e_{q^k}(L x^k) on the sampled ray, for some J."""
     Q = q**k
     xs = np.geomspace(x_lo, x_hi, samples)
     vals = np.maximum([abs(handle_eval(x)) for x in xs], 1e-300)
@@ -343,20 +355,22 @@ def _growth_fit_q(handle_eval, q: float, k: float, x_lo: float, x_hi: float,
         )
         est = (ratio - 1.0) / ((Q - 1.0) * xs[i] ** k)
         L = max(L, est)
-    L = max(L, 0.0)
-    if L > 0:
-        ln_eq = np.array([_ln_eq(Q, L * x**k) for x in xs])
-    else:
-        ln_eq = np.zeros(len(xs))
-    J = float(np.max(np.exp(logs - ln_eq))) * 1.3
-    return max(J, 1e-300), L
+    return max(L, 0.0)
 
 
-def _ln_eq(Q: float, x: float) -> float:
-    """log e_Q(x) for real x >= 0, the log1p sum of the factors of e_Q(x)."""
-    if x <= 0:
-        return 0.0
-    return sum(math.log1p(t * x) for t in _eq_weights(Q, x))
+def _level(k, d: float, q: float, z, spiral_tol: float) -> tuple[float, float, complex]:
+    """lam = k, Q = q^k and Z = z^k of an order-k q-Laplace in direction d;
+    Z within spiral_tol of the pole spiral (Q-1) Q^Z e^{i(kd+pi)} raises."""
+    lam = float(Fraction(k))
+    Q = q**lam
+    Z = cmath.exp(lam * as_sector_point(z).complex_log())
+    spiral = PoleSpiral((Q - 1.0) * cmath.exp(1j * (lam * d + math.pi)), Q)
+    if spiral.distance_rel(Z) < spiral_tol:
+        raise PoleError(
+            f"z^k = {Z:.6g} lies within {spiral_tol} of the level-{lam} pole "
+            f"spiral (base {spiral.base:.6g}, ratio {spiral.ratio:.6g})"
+        )
+    return lam, Q, Z
 
 
 def discrete_q_laplace(f, k, d: float, q: float, z,
@@ -367,27 +381,16 @@ def discrete_q_laplace(f, k, d: float, q: float, z,
     in the conjugate variable.  Poles of the result lie on the q-spiral
     (q^k - 1)[k d + pi] of z^k (checked before summing).
     """
-    k = Fraction(k)
-    lam = float(k)
-    Q = q**lam
-    zp = as_sector_point(z)
-    Z = cmath.exp(lam * zp.complex_log())
-    spiral = PoleSpiral((Q - 1.0) * cmath.exp(1j * (lam * d + math.pi)), Q)
-    if spiral.distance_rel(Z) < spiral_tol:
-        raise PoleError(
-            f"z^k = {Z} lies within {spiral_tol} of the pole spiral "
-            f"(q^k-1) q^(k Z) e^(i(kd+pi))"
-        )
+    lam, Q, Z = _level(k, d, q, z, spiral_tol)
     eval_ray = _ray_evaluator(f, d)
     # growth gate: the sum converges when the e_{q^k} kernel outruns the
     # handle's fitted e_q-class growth, i.e. L |z|^k safely below q^k
     if isinstance(f, QContinuation):
-        fit = getattr(f, "_q_growth_fit", None)
-        if fit is None:
+        L_fit = getattr(f, "_q_growth_fit", None)
+        if L_fit is None:
             hi = max(4.0 * f.radius, 2.0)
-            fit = _growth_fit_q(eval_ray, q, lam, 0.05 * f.radius, hi)
-            f._q_growth_fit = fit
-        J_fit, L_fit = fit
+            L_fit = _growth_fit_q(eval_ray, q, lam, 0.05 * f.radius, hi)
+            f._q_growth_fit = L_fit
         if L_fit * abs(Z) >= 0.98 * Q:
             raise GrowthError(
                 f"evaluation point outside the fitted growth domain: "
@@ -478,14 +481,7 @@ def continuous_q_laplace(f, k, d: float, q: float, z,
     """Continuous q-Laplace of order k:
     (q^k-1)/log(q^k) * int_0^{inf e^{ikd}} rho_{1/k}f(xi) / (Z e_{q^k}(q^k xi/Z)) dxi.
     """
-    k = Fraction(k)
-    lam = float(k)
-    Q = q**lam
-    zp = as_sector_point(z)
-    Z = cmath.exp(lam * zp.complex_log())
-    spiral = PoleSpiral((Q - 1.0) * cmath.exp(1j * (lam * d + math.pi)), Q)
-    if spiral.distance_rel(Z) < spiral_tol:
-        raise PoleError(f"z^k = {Z} lies within {spiral_tol} of the pole spiral")
+    lam, Q, Z = _level(k, d, q, z, spiral_tol)
     eval_ray = _ray_evaluator(f, d)
     phase = cmath.exp(1j * lam * d)
 
@@ -595,18 +591,9 @@ class _QSection:
         self._grid = (cur_lo, cur_hi, arrays)
 
     def value(self, w: SectorPoint) -> complex:
-        lam = float(self.orders_w[-1])
-        Qh = self.Qw**lam
+        lam, Qh, W = _level(self.orders_w[-1], self.d_w, self.Qw, w,
+                            1e-6 if self.mode == "discrete" else 0.0)
         M = self.M
-        W = cmath.exp(lam * w.complex_log())
-        spiral = PoleSpiral(
-            (Qh - 1.0) * cmath.exp(1j * (lam * self.d_w + math.pi)), Qh
-        )
-        if self.mode == "discrete" and spiral.distance_rel(W) < 1e-6:
-            raise PoleError(
-                f"evaluation point lies within 1e-6 of the level-{lam} pole "
-                f"spiral (base {spiral.base:.6g}, ratio {spiral.ratio:.6g})"
-            )
         lnQh = math.log(Qh)
         c = int(round(M * math.log(abs(W) / (Qh - 1.0)) / lnQh))
         L1, L2 = _window(Qh, M)
@@ -627,78 +614,17 @@ class _QSection:
         return total
 
 
+class _ThetaSection:
+    """The theta-kernel q-Laplace of one continuation handle, the single
+    section (l = 0) of the theta-mode sum, in the variable w = z."""
 
-@dataclass
-class QSummedFunction:
-    """Evaluable handle for S_q^{[d]}(h): ladder, direction, q, kernel mode,
-    per-section node data and the recorded pole spirals.  Evaluation within
-    1e-6 relative distance of a pole spiral raises, never returns a value."""
+    l = 0
 
-    ladder: Optional[SummationLadder]
-    direction: float
-    q: float
-    mode: str
-    sections: list
-    pole_spirals: tuple[PoleSpiral, ...]
-    convergent_series: Optional[PowerSeries] = None
-    radius: float = 0.0
-    direct_evaluator: Optional[Callable[[SectorPoint], complex]] = None
+    def __init__(self, cont: QContinuation, d: float, q: float):
+        self.cont, self.d, self.q = cont, d, q
 
-    def domain_check(self, z: SectorPoint):
-        if self.convergent_series is not None:
-            if z.modulus >= self.radius:
-                raise DomainError(
-                    f"|z| = {z.modulus:.4g} outside the convergence disk "
-                    f"(radius ~ {self.radius:.4g})"
-                )
-            return
-        zc = z.to_complex()
-        for sp in self.pole_spirals:
-            if sp.distance_rel(zc) < 1e-6:
-                raise PoleError(
-                    f"z = {zc:.6g} lies within 1e-6 of the pole spiral "
-                    f"(base {sp.base:.6g}, ratio {sp.ratio:.6g})"
-                )
-        if self.ladder is not None:
-            half = math.pi / self.ladder.top_level
-            if abs(z.argument - self.direction) > half + 1e-12:
-                raise DomainError(
-                    f"arg z = {z.argument:.6f} outside the sector "
-                    f"d +/- pi/k_r = {self.direction:.6f} +/- {half:.6f}"
-                )
-
-    def __call__(self, z) -> complex:
-        z = as_sector_point(z)
-        self.domain_check(z)
-        if self.convergent_series is not None:
-            return self.convergent_series.eval(z)
-        if self.direct_evaluator is not None:
-            return self.direct_evaluator(z)
-        beta = self.ladder.beta
-        w = z.power(beta)
-        total = 0.0 + 0.0j
-        for sec in self.sections:
-            total += cmath.exp(sec.l * z.complex_log()) * sec.value(w)
-        return total
-
-    def residual(self, op: LinearOperator, z) -> float:
-        """Relative residual of the q-operator at z via exact sigma_q shifts."""
-        op = op.to_sigma_basis()
-        z = as_sector_point(z)
-        zc = z.to_complex()
-        lnq = math.log(op.q)
-        total = 0.0 + 0.0j
-        scale = 0.0
-        for j, b in enumerate(op.coefficients):
-            zj = SectorPoint(z.log_modulus + j * lnq, z.argument)
-            term = b(zc) * self(zj)
-            total += term
-            scale = max(scale, abs(term))
-        if op.rhs is not None:
-            rv = op.rhs.eval(z)
-            total -= rv
-            scale = max(scale, abs(rv))
-        return abs(total) / max(scale, 1e-300)
+    def value(self, w: SectorPoint) -> complex:
+        return theta_q_laplace(self.cont, self.d, self.q, w)
 
 
 def _final_pole_spirals(ladder: SummationLadder, d: float, q: float) -> tuple:
@@ -712,6 +638,9 @@ def _final_pole_spirals(ladder: SummationLadder, d: float, q: float) -> tuple:
     return tuple(out)
 
 
+_LADDER_MODES = ("discrete", "continuous")
+
+
 def q_multisum(
     s: Optional[PowerSeries],
     op: LinearOperator,
@@ -719,65 +648,50 @@ def q_multisum(
     mode: str = "discrete",
     limit_op: Optional[LinearOperator] = None,
     order: int = 240,
-) -> QSummedFunction:
+) -> SummedFunction:
     """q-Borel/q-Laplace multisummation S_q^{[d]} of the formal solution.
 
     mode 'discrete' runs the Jackson-kernel ladder, 'continuous' the
     appendix kernel; 'theta' runs the single-level slope-1 summation
     (theta-weight Borel + theta-kernel Laplace) and requires the sigma_q
-    polygon to have {1} as its positive slopes.
+    polygon to have {1} as its positive slopes.  Evaluation within 1e-6
+    relative distance of a recorded pole spiral raises.
     """
     if op.kind != "q_difference":
         raise ArgumentError("q_multisum needs a q-difference operator")
     sop = op.to_sigma_basis()
-    q = sop.q
-    polygon = newton_polygon(sop)
-    if polygon.is_convergent_only():
-        from .operators import solve_series
+    if newton_polygon(sop).is_convergent_only():
+        return _convergent_sum(s, op, d, order)
+    if limit_op is not None and mode in _LADDER_MODES:
+        _refuse_singular(singular_directions(limit_op), d)
+    return _q_sums(s, op, sop, mode, limit_op, order)(d)
 
-        series = s if s is not None else solve_series(op, order)
-        return QSummedFunction(None, d, q, mode, [], (),
-                               convergent_series=series,
-                               radius=0.999 * _cauchy_hadamard(series.coefficients))
+
+def _q_sums(s, op, sop, mode, limit_op, order) -> Callable[[float], SummedFunction]:
+    """d -> S_q^{[d]}(h); the series, ladder and section chain are built once
+    and shared by the sums in every direction."""
     if mode == "theta":
-        return _theta_mode_sum(s, op, sop, d, order)
-    if mode not in ("discrete", "continuous"):
+        return _theta_sums(s, op, sop, order)
+    if mode not in _LADDER_MODES:
         raise ArgumentError(f"unknown q-summation mode {mode!r}")
-    if limit_op is not None:
-        degrees = [c.degree for c in limit_op.coefficients if not c.is_zero]
-        ladder_polygon = newton_polygon(limit_op)
-        dirs = classical_singular_directions(limit_op)
-        if dirs.min_distance(d) < 1e-9:
-            raise SingularDirectionError(
-                f"direction d = {d} is singular for the limit operator"
-            )
-    else:
-        dop = op.to_delta_q_basis()
-        degrees = [c.degree for c in dop.coefficients if not c.is_zero]
-        ladder_polygon = polygon
-    if op.rhs is not None:
-        degrees.append(op.rhs.truncation_order - 1)
-    ladder = build_ladder(ladder_polygon, degrees)
-    if any(lam < 1 for lam in ladder.w_orders()):
-        raise UnsupportedError(
-            "q-multisummation evaluation currently covers ladders whose "
-            "section-variable orders are all 1 (slope-1 problems); "
-            "fractional slopes are outside the supported envelope"
-        )
-    beta = ladder.beta
-    sections = [_QSection(sec, q**beta, beta * d, mode)
-                for sec in _build_sections(sop, ladder, order, "qfact")]
-    spirals = _final_pole_spirals(ladder, d, q)
-    return QSummedFunction(ladder, d, q, mode, sections, spirals)
+    ladder = _summation_ladder(op, limit_op)
+    _refuse_sub_unit(ladder)
+    q, beta = sop.q, ladder.beta
+    sections = _build_sections(sop, ladder, order, "qfact")
+
+    def at(d: float) -> SummedFunction:
+        return SummedFunction(ladder, d, [_QSection(sec, q**beta, beta * d, mode) for sec in sections],
+                              _final_pole_spirals(ladder, d, q), math.pi / ladder.top_level + 1e-12)
+
+    return at
 
 
-def _theta_mode_sum(s, op, sop, d, order) -> QSummedFunction:
+def _theta_sums(s, op, sop, order) -> Callable[[float], SummedFunction]:
     """Single-level slope-1 summation: theta-weight q-Borel then the
     theta-kernel q-Laplace (valid when the only positive slope is 1)."""
     from .operators import rz_borel_operator, solve_series
 
-    polygon = newton_polygon(sop)
-    if polygon.positive_slopes() != (Fraction(1),):
+    if newton_polygon(sop).positive_slopes() != (Fraction(1),):
         raise UnsupportedError(
             "theta-kernel summation applies to sigma_q polygons whose only "
             "positive slope is 1"
@@ -791,12 +705,13 @@ def _theta_mode_sum(s, op, sop, d, order) -> QSummedFunction:
         series = PowerSeries(_truncate_overflow(series.coefficients, 0), 1)
     fhat = rz_borel(series, q)
     bop = rz_borel_operator(op)
-    handle = QContinuation(fhat, bop, d)
-    spirals = (PoleSpiral((q - 1.0) * cmath.exp(1j * (d + math.pi)), q),)
-    return QSummedFunction(
-        None, d, q, "theta", [], spirals,
-        direct_evaluator=lambda z: theta_q_laplace(handle, d, q, z),
-    )
+
+    def at(d: float) -> SummedFunction:
+        spiral = PoleSpiral((q - 1.0) * cmath.exp(1j * (d + math.pi)), q)
+        return SummedFunction(None, d, [_ThetaSection(QContinuation(fhat, bop, d), d, q)],
+                              (spiral,))
+
+    return at
 
 
 # ---------------------------------------------------------------------------
@@ -838,26 +753,19 @@ def q_stokes_jump(
 ) -> complex:
     """S_q^{[d+]}(h)(z) - S_q^{[d-]}(h)(z) across a singular direction of the
     limit operator; a solution of the homogeneous q-equation whose normalized
-    form (divided by a nonvanishing homogeneous solution) is sigma_q-invariant."""
+    form (divided by a nonvanishing homogeneous solution) is sigma_q-invariant.
+    Both lateral sums share one section chain."""
     sop = op.to_sigma_basis()
-    polygon = newton_polygon(sop)
-    if polygon.is_convergent_only():
+    if newton_polygon(sop).is_convergent_only():
         return 0.0 + 0.0j
     if limit_op is not None:
-        dirs = classical_singular_directions(limit_op)
-        others = [x for x in dirs.singular_directions
-                  if abs(_angdiff(x, d_singular)) > 1e-9]
-        gap = min((abs(_angdiff(x, d_singular)) for x in others), default=math.pi)
-        degrees = [c.degree for c in limit_op.coefficients if not c.is_zero]
-        ladder = build_ladder(newton_polygon(limit_op), degrees)
-        offset = min(math.pi / (8.0 * ladder.top_level), gap / 2.0)
+        offset = _bracket_offset(singular_directions(limit_op), d_singular,
+                                 _summation_ladder(op, limit_op).top_level)
     else:
         offset = math.pi / 24.0
     zp = as_sector_point(z)
-    plus = q_multisum(s, op, d_singular + offset, mode=mode, limit_op=limit_op,
-                      order=order)
-    minus = q_multisum(s, op, d_singular - offset, mode=mode, limit_op=limit_op,
-                       order=order)
+    lateral = _q_sums(s, op, sop, mode, limit_op, order)
+    plus, minus = lateral(d_singular + offset), lateral(d_singular - offset)
     return plus(zp) - minus(zp)
 
 

@@ -289,6 +289,39 @@ def test_stokes_jump_convergent_is_zero():
     assert cl.stokes_jump(None, op, math.pi, SectorPoint.from_polar(0.3, math.pi)) == 0.0
 
 
+# ---------------------------------------------------------------------------
+# one front end: the ladder, chain and directions every sum reads
+
+
+def test_multisum_refuses_every_direction_of_the_singular_set():
+    # z delta y + y = z^3: the rhs degree 3 makes d0 = 3, k_r = 4, beta = 4;
+    # singular_directions and multisum read the same ladder and chain
+    op = LinearOperator("differential", "delta",
+                        (Polynomial([1.0]), Polynomial([0.0, 1.0])),
+                        None, PowerSeries([0.0, 0.0, 0.0, 1.0]))
+    dirs = cl.singular_directions(op).singular_directions
+    assert len(dirs) == 4
+    for d in dirs:
+        with pytest.raises(SingularDirectionError):
+            cl.multisum(None, op, d)
+
+
+def test_stokes_jump_builds_one_section_chain(euler_op, monkeypatch):
+    # the direction check and both lateral sums share the chain
+    built = []
+    build = cl._build_sections
+
+    def counting(*args, **kwargs):
+        built.append(args[0])
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(cl, "_build_sections", counting)
+    z = SectorPoint.from_polar(0.2, math.pi)
+    J = cl.stokes_jump(None, euler_op, math.pi, z)
+    assert built == [euler_op]
+    assert abs(abs(J * cmath.exp(-1.0 / z.to_complex())) - 2 * math.pi) < 1e-9
+
+
 def test_multisum_fractional_slope_unsupported():
     # y - z (delta+1)^2 y = 1 has the single slope 1/2: the ladder's
     # section-variable orders drop below 1 and evaluation is declined

@@ -119,6 +119,46 @@ def test_confluence_requires_grid(opfiles, capsys):
     assert rc == 2
 
 
+def test_validate_requires_grid(opfiles, capsys):
+    rc = main(["validate", "--op", opfiles["qeuler"]])
+    assert rc == 2
+    assert "error[config]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("fault, path", [("pair", "coefficients[1][1][0]"),
+                                         ("limit", "limit")])
+def test_malformed_family_document_exits_2(tmp_path, capsys, fault, path):
+    family = {"kind": "q_difference_family", "basis": "delta_q",
+              "coefficients": [[[[1.0, 0.0]]], [[[0.0, 0.0]], [[1.0, 0.0]]]],
+              "rhs": [[0.0, 0.0], [1.0, 0.0]], "limit": EULER}
+    if fault == "pair":
+        family["coefficients"][1][1][0] = [1.0]
+    else:
+        del family["limit"]
+    f = tmp_path / "family.json"
+    f.write_text(json.dumps(family))
+    rc = main(["validate", "--op", str(f), "--q-grid", "1.5,1.2"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "error[parse]" in err and path in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["polygon", "--plot", "p.csv"],
+    ["polygon", "--mode", "theta"],
+    ["ladder", "--q-grid", "9"],
+    ["sum", "--mode", "theta"],
+    ["validate", "--z", "0.1,0"],
+    ["hypergeom", "--order", "80"],
+])
+def test_option_the_command_does_not_read_exits_2(opfiles, capsys, argv):
+    op = [] if argv[0] == "hypergeom" else ["--op", opfiles["qeuler"]]
+    with pytest.raises(SystemExit) as exc:
+        main(argv[:1] + op + argv[1:])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_confluence_bad_grid_order(opfiles, capsys):
     rc = main(["confluence", "--op", opfiles["qeuler"], "--z", "0.1,0",
                "--q-grid", "1.1,1.2"])

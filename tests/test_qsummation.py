@@ -9,6 +9,7 @@ from scipy.special import exp1
 from qborel import classical as cl
 from qborel import qsummation as qs
 from qborel.errors import (
+    BracketingError,
     GrowthError,
     PoleError,
     RangeError,
@@ -379,6 +380,33 @@ def test_q_multisum_slope_zero_passthrough():
 def test_q_multisum_singular_direction(q_euler_op, euler_op):
     with pytest.raises(SingularDirectionError):
         qs.q_multisum(None, q_euler_op, math.pi, limit_op=euler_op)
+
+
+def test_q_stokes_jump_builds_two_section_chains(euler_op, monkeypatch):
+    # one classical chain of the limit operator gives the bracket, one q
+    # chain serves both lateral sums
+    built = []
+    build = cl._build_sections
+
+    def counting(op, *args, **kwargs):
+        built.append(op.kind)
+        return build(op, *args, **kwargs)
+
+    monkeypatch.setattr(cl, "_build_sections", counting)
+    monkeypatch.setattr(qs, "_build_sections", counting)
+    z = SectorPoint.from_polar(0.2, math.pi)
+    Jq = qs.q_stokes_jump(None, make_q_euler(1.2), math.pi, z, limit_op=euler_op)
+    assert sorted(built) == ["differential", "q_difference"]
+    assert np.isfinite(Jq) and Jq != 0
+
+
+def test_q_stokes_jump_refuses_a_bracket_below_1e8(q_euler_op, euler_op, monkeypatch):
+    # two singular directions of the limit operator 1e-8 apart leave no
+    # singularity-free bracket
+    close = cl.DirectionSet((math.pi, math.pi + 1e-8), ("borel-pole", "borel-pole"))
+    monkeypatch.setattr(qs, "singular_directions", lambda op: close)
+    with pytest.raises(BracketingError, match="no singularity-free bracket"):
+        qs.q_stokes_jump(None, q_euler_op, math.pi, -0.2, limit_op=euler_op)
 
 
 def test_first_order_normalizer_refuses_other_shapes():
