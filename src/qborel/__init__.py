@@ -29,6 +29,7 @@ from .operators import (  # noqa: F401
 )
 from .classical import (  # noqa: F401
     DirectionSet,
+    SummationChain,
     SummationLadder,
     SummedFunction,
     build_ladder,
@@ -37,6 +38,7 @@ from .classical import (  # noqa: F401
     multisum,
     singular_directions,
     stokes_jump,
+    summation_chain,
 )
 from .qspecial import (  # noqa: F401
     QParameter,

@@ -134,12 +134,13 @@ def build_ladder(
     )
 
 
-def _summation_ladder(op: LinearOperator, limit_op: Optional[LinearOperator] = None,
+def _summation_ladder(op: LinearOperator, ref: Optional[LinearOperator] = None,
                       k_r: Optional[int] = None) -> SummationLadder:
     """The ladder every sum of op is built on: the polygon and coefficient
-    degrees of limit_op if given, else of op (delta_q basis for q-difference
-    operators), plus the degree of op's right-hand side."""
-    ref = op if limit_op is None else limit_op
+    degrees of ref (the limit operator of a q-family) if given, else of op
+    (delta_q basis for q-difference operators), plus the degree of op's
+    right-hand side."""
+    ref = op if ref is None else ref
     coeffs = ref.to_delta_q_basis().coefficients if ref.kind == "q_difference" else ref.coefficients
     degrees = [c.degree for c in coeffs if not c.is_zero]
     if op.rhs is not None:
@@ -931,12 +932,6 @@ class SectionPipeline:
     g1: PowerSeries
     stage_seeds: list
 
-    def singular_roots(self) -> list[complex]:
-        roots: list[complex] = []
-        for op in self.stage_ops:
-            roots.extend(op.coefficients[-1].nonzero_roots().tolist())
-        return roots
-
 
 class _LaplaceSection:
     """The classical stage handles of one section along the ray d_w, which
@@ -1097,16 +1092,12 @@ def singular_directions(op: LinearOperator) -> DirectionSet:
     the rotated copies of each Borel singularity); extra entries only shrink
     the verified domain.
     """
-    if newton_polygon(op).is_convergent_only():
-        return DirectionSet((), ())
-    ladder = _summation_ladder(op)
     try:
-        sections = _build_sections(op, ladder, order=60)
+        return summation_chain(op, order=60).directions
     except UnsupportedError:
         # section operators unavailable (span > 1): report the
         # leading-coefficient rays only; summation itself will refuse
-        sections = []
-    return _chain_directions(op, ladder.beta, sections)
+        return _chain_directions(op, 1, [])
 
 
 def _chain_directions(op: LinearOperator, beta: int,
@@ -1114,21 +1105,17 @@ def _chain_directions(op: LinearOperator, beta: int,
     """singular_directions read off a built section chain (its stage
     operators do not depend on the truncation order)."""
     found: dict[float, tuple[float, str]] = {}
-    for sec in sections:
-        for rho in sec.singular_roots():
+    for stage_op in (o for sec in sections for o in sec.stage_ops):
+        for rho in stage_op.coefficients[-1].nonzero_roots():
             base = cmath.phase(rho)  # direction in the w-plane
             for t in range(beta):
-                d = _mod2pi((base + TWO_PI * t) / beta)
+                d = ((base + TWO_PI * t) / beta) % TWO_PI
                 found.setdefault(round(d, 9), (d, "borel-pole"))
     for rho in op.coefficients[-1].nonzero_roots():
-        d = _mod2pi(cmath.phase(rho))
+        d = cmath.phase(rho) % TWO_PI
         found.setdefault(round(d, 9), (d, "leading-root"))
     entries = sorted(found.values())
     return DirectionSet(tuple(e[0] for e in entries), tuple(e[1] for e in entries))
-
-
-def _mod2pi(x: float) -> float:
-    return x % TWO_PI
 
 
 def _refuse_singular(dirs: DirectionSet, d: float):
@@ -1268,66 +1255,90 @@ def _convergent_sum(s: Optional[PowerSeries], op: LinearOperator, d: float,
                           radius=0.999 * _cauchy_hadamard(series.coefficients))
 
 
-def _classical_sum(s: Optional[PowerSeries], op: LinearOperator, ladder: SummationLadder,
-                   sections: list[SectionPipeline], d: float, rtol: float) -> SummedFunction:
-    """S^d(h) on a built section chain; d is not a singular direction."""
-    if s is not None:
-        res = op_residual(op, s)
-        scale = max(np.max(np.abs(s.coefficients)), 1.0)
-        head = res.coefficients[: max(1, len(res.coefficients) - op.order - 1)]
-        if np.max(np.abs(head)) > 1e-8 * scale:
-            raise ArgumentError("supplied series does not satisfy the operator")
-    d_w = ladder.beta * d
-    rays = tuple(_LeadingRay(a) for a in op.coefficients[-1].nonzero_roots().tolist())
-    return SummedFunction(ladder, d, [_LaplaceSection(sec, d_w, rtol) for sec in sections],
-                          rays, math.pi / (2.0 * ladder.top_level))
+@dataclass(frozen=True)
+class SummationChain:
+    """What every sum of one differential operator shares, whatever its
+    direction: its ladder, section chain and singular set (a convergent
+    operator has none of them).  sum(d) and lateral_pair(d) add only the
+    stage handles of their directions; a q-family passes the chain of its
+    limit operator to q_multisum and q_stokes_jump as ``limit``."""
+
+    op: LinearOperator
+    ladder: Optional[SummationLadder]
+    sections: tuple[SectionPipeline, ...]
+    directions: DirectionSet
+    order: int
+
+    def sum(self, d: float, s: Optional[PowerSeries] = None,
+            rtol: float = 1e-11) -> SummedFunction:
+        """S^d(h); a singular d raises SingularDirectionError.  A supplied
+        series s is checked against the operator."""
+        if self.ladder is None:
+            return _convergent_sum(s, self.op, d, self.order)
+        _refuse_sub_unit(self.ladder)
+        _refuse_singular(self.directions, d)
+        return self._at(d, s, rtol)
+
+    def lateral_pair(self, d: float, s: Optional[PowerSeries] = None,
+                     rtol: float = 1e-10) -> Optional[tuple[SummedFunction, SummedFunction]]:
+        """(S^{d+o}, S^{d-o}) about a singular direction d, o from
+        _bracket_offset; None off the singular set, where they agree."""
+        if self.ladder is None or self.directions.min_distance(d) > 1e-9:
+            return None
+        offset = _bracket_offset(self.directions, d, self.ladder.top_level)
+        _refuse_sub_unit(self.ladder)
+        return self._at(d + offset, s, rtol), self._at(d - offset, s, rtol)
+
+    def _at(self, d: float, s: Optional[PowerSeries], rtol: float) -> SummedFunction:
+        op, ladder = self.op, self.ladder
+        if s is not None:
+            res = op_residual(op, s)
+            scale = max(np.max(np.abs(s.coefficients)), 1.0)
+            head = res.coefficients[: max(1, len(res.coefficients) - op.order - 1)]
+            if np.max(np.abs(head)) > 1e-8 * scale:
+                raise ArgumentError("supplied series does not satisfy the operator")
+        rays = tuple(_LeadingRay(a) for a in op.coefficients[-1].nonzero_roots().tolist())
+        return SummedFunction(ladder, d, [_LaplaceSection(sec, ladder.beta * d, rtol)
+                                          for sec in self.sections],
+                              rays, math.pi / (2.0 * ladder.top_level))
 
 
-def multisum(
-    s: Optional[PowerSeries],
-    op: LinearOperator,
-    d: float,
-    k_r_choice: Optional[int] = None,
-    order: int = 240,
-    rtol: float = 1e-11,
-) -> SummedFunction:
+def summation_chain(op: LinearOperator, k_r_choice: Optional[int] = None,
+                    order: int = 240) -> SummationChain:
+    """The SummationChain of a differential operator (top level k_r_choice
+    if given, g_1 truncated at order), shared by all its sums and jumps."""
+    if newton_polygon(op).is_convergent_only():
+        return SummationChain(op, None, (), DirectionSet((), ()), order)
+    ladder = _summation_ladder(op, k_r=k_r_choice)
+    sections = tuple(_build_sections(op, ladder, order=order))
+    return SummationChain(op, ladder, sections,
+                          _chain_directions(op, ladder.beta, sections), order)
+
+
+def _jumps(pair: Optional[tuple], zs) -> list[complex]:
+    """plus(z) - minus(z) of a lateral pair at each z of zs; 0 without one."""
+    if pair is None:
+        return [0.0 + 0.0j for _ in zs]
+    plus, minus = pair
+    return [plus(z) - minus(z) for z in zs]
+
+
+def multisum(s: Optional[PowerSeries], op: LinearOperator, d: float,
+             k_r_choice: Optional[int] = None, order: int = 240,
+             rtol: float = 1e-11) -> SummedFunction:
     """Multisummation S^d of the formal solution of op along direction d.
 
     The series argument is optional (it is pinned by the operator and its
     right-hand side / valuation data); when supplied it is cross-checked
-    against the operator's own solution.
+    against the operator's own solution.  Sums of one operator in several
+    directions should share one summation_chain(op).
     """
-    if newton_polygon(op).is_convergent_only():
-        return _convergent_sum(s, op, d, order)
-    ladder = _summation_ladder(op, k_r=k_r_choice)
-    _refuse_sub_unit(ladder)
-    sections = _build_sections(op, ladder, order=order)
-    _refuse_singular(_chain_directions(op, ladder.beta, sections), d)
-    return _classical_sum(s, op, ladder, sections, d, rtol)
+    return summation_chain(op, k_r_choice, order).sum(d, s, rtol)
 
 
-def stokes_jump(
-    s: Optional[PowerSeries],
-    op: LinearOperator,
-    d_singular: float,
-    z,
-    order: int = 240,
-    rtol: float = 1e-10,
-) -> complex:
-    """Lateral-sum jump S^{d+}(h)(z) - S^{d-}(h)(z) across a singular
-    direction; a solution of the homogeneous equation.  Both lateral sums
-    share one section chain."""
-    if newton_polygon(op).is_convergent_only():
-        return 0.0 + 0.0j
-    ladder = _summation_ladder(op)
-    sections = _build_sections(op, ladder, order=order)
-    dirs = _chain_directions(op, ladder.beta, sections)
-    if dirs.min_distance(d_singular) > 1e-9:
-        # not singular: lateral sums agree
-        return 0.0 + 0.0j
-    offset = _bracket_offset(dirs, d_singular, ladder.top_level)
-    _refuse_sub_unit(ladder)
-    zp = as_sector_point(z)
-    plus = _classical_sum(s, op, ladder, sections, d_singular + offset, rtol)
-    minus = _classical_sum(s, op, ladder, sections, d_singular - offset, rtol)
-    return plus(zp) - minus(zp)
+def stokes_jump(s: Optional[PowerSeries], op: LinearOperator, d_singular: float,
+                zs: Sequence, order: int = 240, rtol: float = 1e-10) -> list[complex]:
+    """Lateral-sum jumps S^{d+}(h)(z) - S^{d-}(h)(z) across a singular
+    direction d, one per point z of zs (0 off the singular set); each is a
+    solution of the homogeneous equation.  One lateral pair serves all."""
+    return _jumps(summation_chain(op, order=order).lateral_pair(d_singular, s, rtol), zs)

@@ -283,14 +283,15 @@ def cmd_qsum(args) -> ResultTable:
     if op.kind != "q_difference":
         raise ConfigError("qsum applies to q-difference operators")
     zs = _samples(args)
-    limit_op = _load_operator(args.limit_op) if args.limit_op else None
+    limit = (cl.summation_chain(_load_operator(args.limit_op), order=args.order)
+             if args.limit_op else None)
     table = ResultTable(
         ["z_re", "z_im", "z_arg", "value_re", "value_im", "residual", "status"],
         metadata={"command": "qsum", "op": args.op, "direction": args.direction,
                   "mode": args.mode, "order": args.order},
     )
     S = qs.q_multisum(None, op, args.direction, mode=args.mode,
-                      limit_op=limit_op, order=args.order)
+                      limit=limit, order=args.order)
     for z in zs:
         zc = z.to_complex()
         try:
@@ -321,15 +322,16 @@ def cmd_confluence(args) -> ResultTable:
         )
         table.emit(args.out)
         raise ValidationError("confluence assumptions (A1)-(A3) failed")
-    classical_vals = []
-    S_lim = cl.multisum(None, family.limit, args.direction, order=args.order)
-    for z in zs:
-        classical_vals.append(S_lim(z))
+    # one limit chain: the classical reference sum and every q-sum's
+    # ladder and singular set
+    limit = cl.summation_chain(family.limit, order=args.order)
+    S_lim = limit.sum(args.direction)
+    classical_vals = [S_lim(z) for z in zs]
     errors = []
     for q in grid:
         opq = family.op_of_q(q)
         Sq = qs.q_multisum(None, opq, args.direction, mode=args.mode,
-                           limit_op=family.limit, order=args.order)
+                           limit=limit, order=args.order)
         vals = [Sq(z) for z in zs]
         errs = [abs(v - c) for v, c in zip(vals, classical_vals)]
         errors.append(errs)
@@ -355,24 +357,23 @@ def cmd_stokes(args) -> ResultTable:
     family = _load_family(args.op)
     zs = _samples(args)
     d = args.direction
-    limit = family.limit
     table = ResultTable(
         ["q", "z_re", "z_im", "jump_re", "jump_im", "normalized_abs",
          "invariance_residual", "status"],
         metadata={"command": "stokes", "op": args.op, "direction": d,
                   "invariance_tolerance": 1e-6},
     )
-    polygon = newton_polygon(limit)
-    if polygon.is_convergent_only():
+    # one limit chain: the classical lateral pair and every q-jump's bracket
+    limit = cl.summation_chain(family.limit, order=args.order)
+    if limit.ladder is None:
         for z in zs:
             zc = z.to_complex()
             table.add("classical", zc.real, zc.imag, 0.0, 0.0, 0.0, 0.0, "ok")
         table.metadata["verdict"] = "no-stokes-phenomenon"
         return table
     # classical jump and its normalized modulus |J e^{-1/z}|-style constant
-    for z in zs:
+    for z, J in zip(zs, cl._jumps(limit.lateral_pair(d), zs)):
         zc = z.to_complex()
-        J = cl.stokes_jump(None, limit, d, z, order=args.order)
         norm = abs(J * cmath.exp(-1.0 / zc))
         table.add("classical", zc.real, zc.imag, J.real, J.imag, norm, 0.0, "ok")
     grid = _parse_grid(args.q_grid) if args.q_grid else []
@@ -380,15 +381,21 @@ def cmd_stokes(args) -> ResultTable:
     for q in grid:
         opq = family.op_of_q(q)
         y_h = qs.first_order_homogeneous_solution(opq)
-        for z in zs:
+        # the jumps at every z and at q z from one q lateral pair; a failure
+        # marks every row of this q
+        zqs = [SectorPoint(z.log_modulus + math.log(q), z.argument) for z in zs]
+        try:
+            jumps = qs.q_stokes_jump(None, opq, d, zs + zqs, mode=args.mode,
+                                     limit=limit, order=args.order)
+        except QBorelError as exc:
+            for z in zs:
+                zc = z.to_complex()
+                table.add(q, zc.real, zc.imag, "", "", "", "", f"{exc.code}-error")
+            continue
+        for z, zq, Jq, Jq2 in zip(zs, zqs, jumps, jumps[len(zs):]):
             zc = z.to_complex()
             try:
-                Jq = qs.q_stokes_jump(None, opq, d, z, mode=args.mode,
-                                      limit_op=limit, order=args.order)
                 c = Jq / y_h(z)
-                zq = SectorPoint(z.log_modulus + math.log(q), z.argument)
-                Jq2 = qs.q_stokes_jump(None, opq, d, zq, mode=args.mode,
-                                       limit_op=limit, order=args.order)
                 c2 = Jq2 / y_h(zq)
                 invar = abs(c2 / c - 1.0)
                 normalized.append(abs(c))

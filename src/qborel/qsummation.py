@@ -24,6 +24,7 @@ from ._quad import complex_quad, peak_scale
 from .qspecial import _eq_product
 from .classical import (
     SectionPipeline,
+    SummationChain,
     SummationLadder,
     SummedFunction,
     _angdiff,
@@ -31,11 +32,11 @@ from .classical import (
     _build_sections,
     _cauchy_hadamard,
     _convergent_sum,
+    _jumps,
     _refuse_singular,
     _refuse_sub_unit,
     _summation_ladder,
     _truncate_overflow,
-    singular_directions,
 )
 from .errors import (
     ArgumentError,
@@ -646,7 +647,7 @@ def q_multisum(
     op: LinearOperator,
     d: float,
     mode: str = "discrete",
-    limit_op: Optional[LinearOperator] = None,
+    limit: Optional[SummationChain] = None,
     order: int = 240,
 ) -> SummedFunction:
     """q-Borel/q-Laplace multisummation S_q^{[d]} of the formal solution.
@@ -655,26 +656,28 @@ def q_multisum(
     appendix kernel; 'theta' runs the single-level slope-1 summation
     (theta-weight Borel + theta-kernel Laplace) and requires the sigma_q
     polygon to have {1} as its positive slopes.  Evaluation within 1e-6
-    relative distance of a recorded pole spiral raises.
+    relative distance of a recorded pole spiral raises.  limit, the
+    summation_chain of a family's limit operator, gives the ladder modes
+    their polygon and singular directions.
     """
     if op.kind != "q_difference":
         raise ArgumentError("q_multisum needs a q-difference operator")
     sop = op.to_sigma_basis()
     if newton_polygon(sop).is_convergent_only():
         return _convergent_sum(s, op, d, order)
-    if limit_op is not None and mode in _LADDER_MODES:
-        _refuse_singular(singular_directions(limit_op), d)
-    return _q_sums(s, op, sop, mode, limit_op, order)(d)
+    if limit is not None and mode in _LADDER_MODES:
+        _refuse_singular(limit.directions, d)
+    return _q_sums(s, op, sop, mode, limit, order)(d)
 
 
-def _q_sums(s, op, sop, mode, limit_op, order) -> Callable[[float], SummedFunction]:
+def _q_sums(s, op, sop, mode, limit, order) -> Callable[[float], SummedFunction]:
     """d -> S_q^{[d]}(h); the series, ladder and section chain are built once
     and shared by the sums in every direction."""
     if mode == "theta":
         return _theta_sums(s, op, sop, order)
     if mode not in _LADDER_MODES:
         raise ArgumentError(f"unknown q-summation mode {mode!r}")
-    ladder = _summation_ladder(op, limit_op)
+    ladder = _summation_ladder(op, None if limit is None else limit.op)
     _refuse_sub_unit(ladder)
     q, beta = sop.q, ladder.beta
     sections = _build_sections(sop, ladder, order, "qfact")
@@ -746,27 +749,27 @@ def q_stokes_jump(
     s: Optional[PowerSeries],
     op: LinearOperator,
     d_singular: float,
-    z,
+    zs: Sequence,
     mode: str = "discrete",
-    limit_op: Optional[LinearOperator] = None,
+    limit: Optional[SummationChain] = None,
     order: int = 240,
-) -> complex:
-    """S_q^{[d+]}(h)(z) - S_q^{[d-]}(h)(z) across a singular direction of the
-    limit operator; a solution of the homogeneous q-equation whose normalized
-    form (divided by a nonvanishing homogeneous solution) is sigma_q-invariant.
-    Both lateral sums share one section chain."""
+) -> list[complex]:
+    """S_q^{[d+]}(h)(z) - S_q^{[d-]}(h)(z) across a singular direction d of
+    the limit operator, one per point z of zs (ask for z and q z together);
+    each solves the homogeneous q-equation, and its normalized form (divided
+    by a nonvanishing homogeneous solution) is sigma_q-invariant.  One
+    lateral pair serves all points; it brackets d by the singular set of the
+    limit chain (summation_chain of the limit operator), else by pi/24."""
     sop = op.to_sigma_basis()
     if newton_polygon(sop).is_convergent_only():
-        return 0.0 + 0.0j
-    if limit_op is not None:
-        offset = _bracket_offset(singular_directions(limit_op), d_singular,
-                                 _summation_ladder(op, limit_op).top_level)
+        return _jumps(None, zs)
+    if limit is not None:
+        offset = _bracket_offset(limit.directions, d_singular,
+                                 _summation_ladder(op, limit.op).top_level)
     else:
         offset = math.pi / 24.0
-    zp = as_sector_point(z)
-    lateral = _q_sums(s, op, sop, mode, limit_op, order)
-    plus, minus = lateral(d_singular + offset), lateral(d_singular - offset)
-    return plus(zp) - minus(zp)
+    lateral = _q_sums(s, op, sop, mode, limit, order)
+    return _jumps((lateral(d_singular + offset), lateral(d_singular - offset)), zs)
 
 
 # ---------------------------------------------------------------------------
@@ -794,7 +797,7 @@ class ConfluenceReport:
 
 def validate_confluence_family(
     op_of_q: Callable[[float], LinearOperator],
-    limit_op: LinearOperator,
+    limit: LinearOperator,
     q_grid: Sequence[float],
     z_samples: Optional[Sequence[complex]] = None,
 ) -> ConfluenceReport:
@@ -811,19 +814,19 @@ def validate_confluence_family(
             for r in (0.3, 1.0, 3.0)
             for k in range(8)
         ]
-    limit_polygon = newton_polygon(limit_op)
-    limit_coeffs = limit_op.coefficients
+    limit_polygon = newton_polygon(limit)
+    limit_coeffs = limit.coefficients
     a1 = []
     a3 = []
     slopes_q = None
     a2_ok = True
     for q in q_grid:
         opq = op_of_q(q).to_delta_q_basis()
-        if opq.order != limit_op.order:
+        if opq.order != limit.order:
             raise ArgumentError("family and limit operator orders differ")
         dev = 0.0
         c1 = 0.0
-        for i in range(limit_op.order + 1):
+        for i in range(limit.order + 1):
             bq = opq.coefficients[i]
             bl = limit_coeffs[i]
             n = max(len(bq.coeffs), len(bl.coeffs))

@@ -15,6 +15,7 @@ from fractions import Fraction
 from typing import Callable, Sequence, Union
 
 import numpy as np
+from scipy import special
 
 from .errors import ArgumentError, DomainError, RangeError
 
@@ -61,49 +62,17 @@ def q_factorial(n: int, q: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Gamma (Lanczos approximation, g = 607/128, 15 coefficients)
-
-_LANCZOS_G = 607.0 / 128.0
-_LANCZOS_C = (
-    0.99999999999999709182,
-    57.156235665862923517,
-    -59.597960355475491248,
-    14.136097974741747174,
-    -0.49191381609762019978,
-    3.3994649984811888699e-5,
-    4.6523628927048575665e-5,
-    -9.8374475304879564677e-5,
-    1.5808870322491248884e-4,
-    -2.1026444172410488319e-4,
-    2.1743961811521264320e-4,
-    -1.6431810653676389022e-4,
-    8.4418223983852743293e-5,
-    -2.6190838401581408670e-5,
-    3.6899182659531622704e-6,
-)
+# Gamma
 
 
 def gamma(z: ComplexLike) -> complex:
-    """Complex Gamma function.
-
-    Accurate to at least 12 significant digits for |z| <= 50 away from the
-    poles; poles at the non-positive integers raise :class:`DomainError`.
-    """
+    """Complex Gamma function (scipy.special.gamma; real arguments take its
+    real path).  Poles at the non-positive integers raise
+    :class:`DomainError`."""
     z = complex(z)
     if z.imag == 0.0 and z.real == round(z.real) and z.real <= 0.0:
         raise DomainError(f"gamma pole at z = {int(z.real)}")
-    if z.real < 0.5:
-        # reflection: gamma(z) gamma(1-z) = pi / sin(pi z)
-        return ensure_finite(
-            math.pi / (cmath.sin(math.pi * z) * gamma(1.0 - z)), "gamma"
-        )
-    w = z - 1.0
-    acc = _LANCZOS_C[0]
-    for k in range(1, len(_LANCZOS_C)):
-        acc += _LANCZOS_C[k] / (w + k)
-    t = w + _LANCZOS_G + 0.5
-    value = math.sqrt(2.0 * math.pi) * t ** (w + 0.5) * cmath.exp(-t) * acc
-    return ensure_finite(value, "gamma")
+    return ensure_finite(complex(special.gamma(z.real if z.imag == 0.0 else z)), "gamma")
 
 
 # ---------------------------------------------------------------------------

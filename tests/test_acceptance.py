@@ -320,13 +320,14 @@ def test_criterion_8_stokes_probe(euler_op):
     assert max(abs(c - consts[0]) for c in consts) < 1e-6 * abs(consts[0])
 
     gaps = []
+    limit = cl.summation_chain(euler_op)
     for qv in (1.2, 1.1, 1.05):
         opq = make_q_euler(qv)
         y_h = qs.first_order_homogeneous_solution(opq)
-        Jq = qs.q_stokes_jump(None, opq, math.pi, z, limit_op=euler_op)
-        c = Jq / y_h(z)
         zq = SectorPoint(z.log_modulus + math.log(qv), z.argument)
-        c2 = qs.q_stokes_jump(None, opq, math.pi, zq, limit_op=euler_op) / y_h(zq)
+        Jq, Jq2 = qs.q_stokes_jump(None, opq, math.pi, [z, zq], limit=limit)
+        c = Jq / y_h(z)
+        c2 = Jq2 / y_h(zq)
         assert abs(c2 / c - 1.0) < 1e-6
         gaps.append(abs(abs(c) - 2 * math.pi))
     assert all(a > b for a, b in zip(gaps, gaps[1:]))

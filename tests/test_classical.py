@@ -286,7 +286,8 @@ def test_multisum_singular_direction_rejected(euler_op):
 def test_stokes_jump_convergent_is_zero():
     op = LinearOperator("differential", "delta",
                         (Polynomial([0.0, -1.0]), Polynomial([1.0, -1.0])))
-    assert cl.stokes_jump(None, op, math.pi, SectorPoint.from_polar(0.3, math.pi)) == 0.0
+    (J,) = cl.stokes_jump(None, op, math.pi, [SectorPoint.from_polar(0.3, math.pi)])
+    assert J == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -317,7 +318,7 @@ def test_stokes_jump_builds_one_section_chain(euler_op, monkeypatch):
 
     monkeypatch.setattr(cl, "_build_sections", counting)
     z = SectorPoint.from_polar(0.2, math.pi)
-    J = cl.stokes_jump(None, euler_op, math.pi, z)
+    (J,) = cl.stokes_jump(None, euler_op, math.pi, [z])
     assert built == [euler_op]
     assert abs(abs(J * cmath.exp(-1.0 / z.to_complex())) - 2 * math.pi) < 1e-9
 

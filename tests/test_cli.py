@@ -220,3 +220,52 @@ def test_confluence_plot_emission(opfiles, tmp_path):
     assert "q_minus_1" in text
     rows = [l for l in text.splitlines() if l and not l.startswith("#")][1:]
     assert len(rows) == 2 and rows[0].startswith("0.5")
+
+
+# ---------------------------------------------------------------------------
+# one limit chain per command
+
+
+@pytest.fixture
+def built_chains(monkeypatch):
+    """The operator kind of every section chain built, in order."""
+    from qborel import classical as cl
+    from qborel import qsummation as qs
+
+    built = []
+    build = cl._build_sections
+
+    def counting(op, *args, **kwargs):
+        built.append(op.kind)
+        return build(op, *args, **kwargs)
+
+    monkeypatch.setattr(cl, "_build_sections", counting)
+    monkeypatch.setattr(qs, "_build_sections", counting)
+    return built
+
+
+def test_stokes_builds_one_limit_chain_and_one_q_chain_per_q(opfiles, capsys,
+                                                             built_chains):
+    # two --z samples: the classical jumps at both points share one lateral
+    # pair of the limit chain, and the q-jumps at z and q z one q pair per q
+    rc = main(["stokes", "--op", opfiles["qeuler"], "--direction", f"{math.pi}",
+               f"--z=-0.2,0,{math.pi}", f"--z=-0.25,0,{math.pi}",
+               "--q-grid", "1.3,1.2", "--mode", "discrete"])
+    assert rc == 0
+    assert built_chains == ["differential", "q_difference", "q_difference"]
+    lines = [l for l in capsys.readouterr().out.splitlines() if not l.startswith("#")]
+    for prefix in ("1.3", "1.2"):
+        rows = [l for l in lines if l.startswith(prefix)]
+        assert len(rows) == 2 and all(l.endswith(",ok") for l in rows)
+        assert all(float(l.split(",")[6]) < 1e-6 for l in rows)
+
+
+def test_confluence_builds_one_limit_chain(opfiles, capsys, built_chains):
+    grid = [1.5, 1.3, 1.2]
+    rc = main(["confluence", "--op", opfiles["qeuler"], "--direction", "0",
+               "--z", "0.1,0", "--q-grid", ",".join(map(str, grid)),
+               "--mode", "discrete"])
+    assert rc == 0
+    assert len(built_chains) == 1 + len(grid)
+    assert built_chains[0] == "differential"
+    assert "# verdict: monotone" in capsys.readouterr().out

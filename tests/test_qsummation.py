@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 
 import numpy as np
@@ -379,7 +380,7 @@ def test_q_multisum_slope_zero_passthrough():
 
 def test_q_multisum_singular_direction(q_euler_op, euler_op):
     with pytest.raises(SingularDirectionError):
-        qs.q_multisum(None, q_euler_op, math.pi, limit_op=euler_op)
+        qs.q_multisum(None, q_euler_op, math.pi, limit=cl.summation_chain(euler_op))
 
 
 def test_q_stokes_jump_builds_two_section_chains(euler_op, monkeypatch):
@@ -395,18 +396,19 @@ def test_q_stokes_jump_builds_two_section_chains(euler_op, monkeypatch):
     monkeypatch.setattr(cl, "_build_sections", counting)
     monkeypatch.setattr(qs, "_build_sections", counting)
     z = SectorPoint.from_polar(0.2, math.pi)
-    Jq = qs.q_stokes_jump(None, make_q_euler(1.2), math.pi, z, limit_op=euler_op)
+    limit = cl.summation_chain(euler_op)
+    (Jq,) = qs.q_stokes_jump(None, make_q_euler(1.2), math.pi, [z], limit=limit)
     assert sorted(built) == ["differential", "q_difference"]
     assert np.isfinite(Jq) and Jq != 0
 
 
-def test_q_stokes_jump_refuses_a_bracket_below_1e8(q_euler_op, euler_op, monkeypatch):
+def test_q_stokes_jump_refuses_a_bracket_below_1e8(q_euler_op, euler_op):
     # two singular directions of the limit operator 1e-8 apart leave no
     # singularity-free bracket
     close = cl.DirectionSet((math.pi, math.pi + 1e-8), ("borel-pole", "borel-pole"))
-    monkeypatch.setattr(qs, "singular_directions", lambda op: close)
+    limit = dataclasses.replace(cl.summation_chain(euler_op), directions=close)
     with pytest.raises(BracketingError, match="no singularity-free bracket"):
-        qs.q_stokes_jump(None, q_euler_op, math.pi, -0.2, limit_op=euler_op)
+        qs.q_stokes_jump(None, q_euler_op, math.pi, [-0.2], limit=limit)
 
 
 def test_first_order_normalizer_refuses_other_shapes():
@@ -427,8 +429,8 @@ def test_q_stokes_convergent_zero():
     q = 1.3
     op = LinearOperator("q_difference", "sigma_q",
                         (Polynomial([-1.0, -1.0]), Polynomial([1.0])), q)
-    assert qs.q_stokes_jump(None, op, math.pi,
-                            SectorPoint.from_polar(0.1, math.pi)) == 0.0
+    (Jq,) = qs.q_stokes_jump(None, op, math.pi, [SectorPoint.from_polar(0.1, math.pi)])
+    assert Jq == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -480,11 +482,12 @@ def test_q_multisum_confluence_hypergeometric_family():
                           Polynomial([0, 1.0])))
     target = hg.classical_limit_rhs(hg.FParams((a1, a2), ()), 0.0, 2.0)
     errs = []
+    limit = cl.summation_chain(lim)
     for q in (1.3, 1.15, 1.08):
         opq = LinearOperator("q_difference", "delta_q",
                              (Polynomial([0, a1 * a2]), Polynomial([1.0, a1 + a2]),
                               Polynomial([0, 1.0])), q)
-        S = qs.q_multisum(None, opq, 0.0, mode="discrete", limit_op=lim)
+        S = qs.q_multisum(None, opq, 0.0, mode="discrete", limit=limit)
         z = SectorPoint.from_complex(2.0)
         errs.append(abs(S(z) - target))
         assert S.residual(opq, z) < 1e-9
