@@ -456,30 +456,21 @@ def _prepare(handle: RayHandle, x_hi: float):
 
 
 def _cached_growth(handle: RayHandle, k: float) -> tuple[float, float]:
-    cache = getattr(handle, "_growth_cache", None)
-    if cache is None:
-        cache = {}
-        try:
-            handle._growth_cache = cache
-        except AttributeError:
-            return handle.growth(k)
-    if k not in cache:
-        cache[k] = handle.growth(k)
-    return cache[k]
+    """The handle's growth(k), fitted once; racing threads all get the fit
+    that was stored first (dict.setdefault is atomic)."""
+    cache = vars(handle).setdefault("_growth_cache", {})
+    fit = cache.get(k)
+    if fit is None:
+        fit = cache.setdefault(k, handle.growth(k))
+    return fit
 
 
-def _laplace_base_integrals(
-    handle: RayHandle,
-    lam: float,
-    d: float,
-    w: SectorPoint,
-    t_max: int,
-    epsrel: float = 1e-11,
-) -> list[complex]:
-    """I_t = int_0^S f((s^{1/lam}) e^{id}) s^t exp(-s A) ds for t = 0..t_max,
-    with A = (e^{id}/w)^lam computed on the surface of the logarithm."""
+def _laplace_truncation(handle: RayHandle, lam: float, d: float, w: SectorPoint,
+                        t_max: int) -> tuple[complex, float, Callable[[float], complex], float]:
+    """A = (e^{id}/w)^lam on the surface of the logarithm and the truncation
+    point S of I_t = int_0^S f((s^{1/lam}) e^{id}) s^t exp(-s A) ds, t <= t_max,
+    with the t_max integrand and its coarse peak modulus on (0, S]."""
     A = cmath.exp(lam * (1j * d - w.complex_log()))
-    epsrel = max(epsrel, getattr(handle, "_quad_epsrel", 0.0))
     J, L = _cached_growth(handle, lam)
     margin = 1.05
     if A.real <= 0:
@@ -496,20 +487,16 @@ def _laplace_base_integrals(
     S = (42.0 + max(0.0, math.log(J))) / decay
     inv_lam = 1.0 / lam
 
-    def integrand_factory(t):
-        def integrand(s):
-            if s <= 0.0:
-                return 0.0j
-            return handle.eval_ray(s**inv_lam) * s**t * cmath.exp(-s * A)
-
-        return integrand
+    def fn0(s):
+        if s <= 0.0:
+            return 0.0j
+        return handle.eval_ray(s**inv_lam) * s**t_max * cmath.exp(-s * A)
 
     # authoritative truncation: extend until the integrand has fallen below
     # 1e-16 of its peak (the fitted L only seeds the first guess); never
     # extend past the reach of the handle's own Laplace domain
     reach = getattr(handle, "_x_dom", math.inf) * 0.96
     S = min(S, reach**lam)
-    fn0 = integrand_factory(t_max)
     _prepare(handle, S ** (1.0 / lam))
     scale0 = peak_scale(fn0, 0.0, S)
     grow_checks = 0
@@ -536,18 +523,13 @@ def _laplace_base_integrals(
                 f"Laplace truncation not reached; integrand decays too slowly "
                 f"(fitted growth L = {L:.3e})"
             )
-
-    # each moment's absolute tolerance follows its own integrand's peak
-    out = []
-    for t in range(t_max + 1):
-        fn = fn0 if t == t_max else integrand_factory(t)
-        scale = scale0 if t == t_max else peak_scale(fn, 0.0, S)
-        out.append(complex_quad(fn, 0.0, S, epsabs=1e-14 * scale * S, epsrel=epsrel))
-    return out
+    return A, S, fn0, scale0
 
 
 def laplace_along_ray(handle: RayHandle, k, d: float, z) -> complex:
-    """Order-k Laplace transform of the continued function, evaluated at z.
+    """Order-k Laplace transform of the continued function, evaluated at z,
+    by scalar adaptive quadrature (QUADPACK): the reference that the batched
+    rule of the stage tables is checked against.
 
     Requires arg z within pi/(2k) of d and |z|^k below 1/L for the handle's
     fitted growth constants (J, L).
@@ -559,16 +541,32 @@ def laplace_along_ray(handle: RayHandle, k, d: float, z) -> complex:
             f"arg z = {w.argument:.6f} outside (d - pi/(2k), d + pi/(2k)) "
             f"for d = {d:.6f}, k = {lam}"
         )
-    A = cmath.exp(lam * (1j * d - w.complex_log()))
-    I0 = _laplace_base_integrals(handle, lam, d, w, 0)[0]
-    return A * I0
+    A, S, fn, scale = _laplace_truncation(handle, lam, d, w, 0)
+    return A * complex_quad(fn, 0.0, S, epsabs=1e-14 * scale * S,
+                            epsrel=getattr(handle, "_quad_epsrel", 1e-11))
 
 
-def _moment_values(handle, lam, d, w, count) -> list[complex]:
-    """N_t(w^lam) = A e^{i lam d t} I_t for t = 0..count-1."""
-    A = cmath.exp(lam * (1j * d - w.complex_log()))
-    base = _laplace_base_integrals(handle, lam, d, w, count - 1)
-    return [A * cmath.exp(1j * lam * d * t) * base[t] for t in range(count)]
+def _moment_values(handle, lam, d, w, count) -> np.ndarray:
+    """N_t(w^lam) = A e^{i lam d t} I_t for t = 0..count-1, all from one
+    batched rule: each moment's error target is max(epsrel |I_t|,
+    1e-14 peak_t S), with peak_t the largest |integrand| sampled."""
+    A, S, _, _ = _laplace_truncation(handle, lam, d, w, count - 1)
+    inv_lam = 1.0 / lam
+    ts = np.arange(count)
+    peak = np.zeros(count)
+
+    def sample(s):
+        powers = s[None] ** ts.reshape((-1,) + (1,) * s.ndim)
+        F = handle.eval_ray_many(s.ravel() ** inv_lam).reshape(s.shape) * powers
+        np.maximum(peak, np.abs(F * np.exp(-s * A)).reshape(count, -1).max(axis=1), out=peak)
+        return F
+
+    epsrel = getattr(handle, "_quad_epsrel", 1e-11)
+    I = _gk_laplace(sample, A, S * 1e-12, S,
+                    lambda vals: np.maximum(epsrel * np.abs(vals), 1e-14 * S * peak),
+                    f"Laplace moments (lambda = {lam}, direction = {d}, "
+                    f"arg w = {w.argument:.6g})")
+    return A * np.exp(1j * lam * d * ts) * I
 
 
 def _delta_derivatives_from_moments(handle, lam, d, w: SectorPoint, m: int) -> np.ndarray:
@@ -674,6 +672,55 @@ _GK_TOL = 1e-10          # global error target, relative to max_i |I_i|
 _GK_MAX_PANELS = 448     # 32 times the 14 starting panels
 
 
+def _gk_laplace(sample: Callable[[np.ndarray], np.ndarray], A: complex,
+                s_lo: float, s_hi: float,
+                target: Callable[[np.ndarray], np.ndarray], what: str) -> np.ndarray:
+    """int_0^s_hi F(s) exp(-s A) ds for a vector F of integrands, all on one
+    set of panels: sample(s) maps an array s to F(s), of shape (n,) + s.shape.
+
+    The integral runs in v = log s with G10/K21 panels on [s_lo, s_hi], plus
+    F(s_lo/2) s_lo for (0, s_lo).  Each round bisects every panel on which
+    some entry's Kronrod-Gauss difference exceeds its share (1/panels) of
+    that entry's target(current integrals), and samples the new panels in
+    one call; past _GK_MAX_PANELS panels it raises ValidationError.
+    """
+    def panels(lo: np.ndarray, hi: np.ndarray):
+        """Kronrod sums and Kronrod-Gauss differences (entries x panels)."""
+        half = 0.5 * (hi - lo)
+        s = np.exp((0.5 * (lo + hi))[:, None] + half[:, None] * _GK_X[None, :])
+        fv = sample(s)
+        jac = half[:, None] * s * np.exp(-s * A)
+        K = np.einsum("npk,pk->np", fv, jac * _GK_WK)
+        G = np.einsum("npk,pk->np", fv, jac * _GK_WG)
+        return K, np.abs(K - G)
+
+    edges = np.linspace(math.log(s_lo), math.log(s_hi), 15)
+    lo, hi = edges[:-1], edges[1:]
+    K, err = panels(lo, hi)
+    while True:
+        tol = (target(K.sum(axis=1)) / len(lo))[:, None]
+        bad = np.any(err > tol, axis=0)
+        if not np.any(bad):
+            break
+        if len(lo) + int(np.count_nonzero(bad)) > _GK_MAX_PANELS:
+            raise ValidationError(
+                f"{what} did not reach its error target within {_GK_MAX_PANELS} "
+                f"panels (largest panel error {float(np.max(err / tol)):.2e} "
+                f"times its share of the target)"
+            )
+        mid = 0.5 * (lo[bad] + hi[bad])
+        new_lo = np.concatenate([lo[bad], mid])
+        new_hi = np.concatenate([mid, hi[bad]])
+        K_new, err_new = panels(new_lo, new_hi)
+        keep = ~bad
+        lo = np.concatenate([lo[keep], new_lo])
+        hi = np.concatenate([hi[keep], new_hi])
+        K = np.concatenate([K[:, keep], K_new], axis=1)
+        err = np.concatenate([err[:, keep], err_new], axis=1)
+    # left-end correction: the integrand tends to F(0+) like a constant
+    return K.sum(axis=1) + sample(np.asarray(0.5 * s_lo)) * s_lo
+
+
 def _batched_ray_laplace(handle: RayHandle, lam: float, d: float,
                          xs: np.ndarray) -> np.ndarray:
     """L_lam(handle) at the on-ray points x_i e^{id}, all at once.
@@ -681,9 +728,7 @@ def _batched_ray_laplace(handle: RayHandle, lam: float, d: float,
     On the ray A_i = x_i^(-lam) is real, so substituting s = u x_i^lam gives
     value_i = int_0^U f(x_i u^(1/lam)) e^-u du with a shared u-grid: one
     vectorized evaluation of the previous stage covers every node.  The
-    integral runs in v = log u with G10/K21 panels; each round bisects every
-    panel whose Kronrod-Gauss difference (max over the nodes) exceeds its
-    share of the global tolerance, and evaluates the new panels in one call.
+    error target is _GK_TOL max_i |value_i| for every node.
     """
     xs = np.asarray(xs, dtype=float)
     J, L = _cached_growth(handle, lam)
@@ -698,43 +743,13 @@ def _batched_ray_laplace(handle: RayHandle, lam: float, d: float,
     _prepare(handle, (U * x_top**lam) ** (1.0 / lam))
     inv_lam = 1.0 / lam
 
-    def panels(lo: np.ndarray, hi: np.ndarray):
-        """Kronrod sums (nodes x panels) and max-over-nodes error estimates."""
-        half = 0.5 * (hi - lo)
-        u = np.exp((0.5 * (lo + hi))[:, None] + half[:, None] * _GK_X[None, :])
-        pts = xs[:, None, None] * (u ** inv_lam)[None, :, :]
-        fv = handle.eval_ray_many(pts.ravel()).reshape(pts.shape)
-        jac = half[:, None] * u * np.exp(-u)
-        K = np.einsum("npk,pk->np", fv, jac * _GK_WK)
-        G = np.einsum("npk,pk->np", fv, jac * _GK_WG)
-        return K, np.max(np.abs(K - G), axis=0)
+    def sample(u):
+        pts = np.multiply.outer(xs, u ** inv_lam)
+        return handle.eval_ray_many(pts.ravel()).reshape(pts.shape)
 
-    edges = np.linspace(math.log(U * 1e-12), math.log(U), 15)
-    lo, hi = edges[:-1], edges[1:]
-    K, err = panels(lo, hi)
-    while True:
-        tol = _GK_TOL * float(np.max(np.abs(K.sum(axis=1)))) / len(lo)
-        bad = err > tol
-        if not np.any(bad):
-            break
-        if len(lo) + int(np.count_nonzero(bad)) > _GK_MAX_PANELS:
-            raise ValidationError(
-                f"batched Laplace tabulation (lambda = {lam}, direction = {d}) "
-                f"did not reach its error target within {_GK_MAX_PANELS} panels "
-                f"(largest panel error {float(np.max(err)):.2e}, target {tol:.2e})"
-            )
-        mid = 0.5 * (lo[bad] + hi[bad])
-        new_lo = np.concatenate([lo[bad], mid])
-        new_hi = np.concatenate([mid, hi[bad]])
-        K_new, err_new = panels(new_lo, new_hi)
-        keep = ~bad
-        lo = np.concatenate([lo[keep], new_lo])
-        hi = np.concatenate([hi[keep], new_hi])
-        K = np.concatenate([K[:, keep], K_new], axis=1)
-        err = np.concatenate([err[keep], err_new])
-    # left-end correction: the integrand tends to f(0+) like a constant
-    u0 = U * 1e-12
-    return K.sum(axis=1) + handle.eval_ray_many(xs * (0.5 * u0) ** inv_lam) * u0
+    return _gk_laplace(sample, 1.0, U * 1e-12, U,
+                       lambda I: np.full(len(I), _GK_TOL * float(np.max(np.abs(I)))),
+                       f"batched Laplace tabulation (lambda = {lam}, direction = {d})")
 
 
 class LaplaceStageHandle(_OdeRayHandle):
@@ -949,7 +964,8 @@ class _LaplaceSection:
         self.handles = handles
 
     def value(self, w: SectorPoint) -> complex:
-        return laplace_along_ray(self.handles[-1], self.lam, self.d_w, w)
+        # SummedFunction.domain_check keeps w inside the final level's sector
+        return complex(_moment_values(self.handles[-1], float(self.lam), self.d_w, w, 1)[0])
 
 
 def _stage_seeds(phases: np.ndarray, logmags: np.ndarray,

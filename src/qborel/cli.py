@@ -371,11 +371,17 @@ def cmd_stokes(args) -> ResultTable:
             table.add("classical", zc.real, zc.imag, 0.0, 0.0, 0.0, 0.0, "ok")
         table.metadata["verdict"] = "no-stokes-phenomenon"
         return table
-    # classical jump and its normalized modulus |J e^{-1/z}|-style constant
-    for z, J in zip(zs, cl._jumps(limit.lateral_pair(d), zs)):
+    # classical jump and its normalized modulus |J e^{-1/z}|-style constant;
+    # a point the lateral pair cannot evaluate gives an error row
+    pair = limit.lateral_pair(d)
+    for z in zs:
         zc = z.to_complex()
-        norm = abs(J * cmath.exp(-1.0 / zc))
-        table.add("classical", zc.real, zc.imag, J.real, J.imag, norm, 0.0, "ok")
+        try:
+            J = cl._jumps(pair, [z])[0]
+            row = (J.real, J.imag, abs(J * cmath.exp(-1.0 / zc)), 0.0, "ok")
+        except QBorelError as exc:
+            row = ("", "", "", "", f"{exc.code}-error")
+        table.add("classical", zc.real, zc.imag, *row)
     grid = _parse_grid(args.q_grid) if args.q_grid else []
     normalized = []
     for q in grid:
@@ -402,8 +408,9 @@ def cmd_stokes(args) -> ResultTable:
                 table.add(q, zc.real, zc.imag, Jq.real, Jq.imag, abs(c), invar, "ok")
             except QBorelError as exc:
                 table.add(q, zc.real, zc.imag, "", "", "", "", f"{exc.code}-error")
-    if grid and normalized:
-        target = table.rows[0][5]
+    classical = [row[5] for row in table.rows if row[0] == "classical" and row[-1] == "ok"]
+    if grid and normalized and classical:
+        target = classical[0]
         gaps = [abs(v - target) for v in normalized]
         table.metadata["verdict"] = (
             "approaching-classical"

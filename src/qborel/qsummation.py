@@ -387,11 +387,12 @@ def discrete_q_laplace(f, k, d: float, q: float, z,
     # growth gate: the sum converges when the e_{q^k} kernel outruns the
     # handle's fitted e_q-class growth, i.e. L |z|^k safely below q^k
     if isinstance(f, QContinuation):
+        # racing threads all use the fit stored first (setdefault is atomic)
         L_fit = getattr(f, "_q_growth_fit", None)
         if L_fit is None:
             hi = max(4.0 * f.radius, 2.0)
-            L_fit = _growth_fit_q(eval_ray, q, lam, 0.05 * f.radius, hi)
-            f._q_growth_fit = L_fit
+            L_fit = vars(f).setdefault(
+                "_q_growth_fit", _growth_fit_q(eval_ray, q, lam, 0.05 * f.radius, hi))
         if L_fit * abs(Z) >= 0.98 * Q:
             raise GrowthError(
                 f"evaluation point outside the fitted growth domain: "

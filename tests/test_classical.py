@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from qborel import classical as cl
@@ -515,3 +516,64 @@ def test_tabulation_panel_budget_raises(euler_op, monkeypatch):
     monkeypatch.setattr(cl, "_GK_MAX_PANELS", 14)
     with pytest.raises(ValidationError, match="14 panels"):
         cl.multisum(None, euler_op, 0.0)
+
+
+def test_moment_panel_budget_raises(monkeypatch):
+    # near the sector edge the kernel e^(-sA) oscillates: the moments bisect
+    # past 14 panels and raise instead of falling back to scalar quadrature
+    monkeypatch.setattr(cl, "_GK_MAX_PANELS", 14)
+    one = cl.FunctionHandle(lambda zeta: 1.0 + 0j, 0.0)
+    with pytest.raises(ValidationError, match="Laplace moments .* 14 panels"):
+        cl._moment_values(one, 1.0, 0.0, SectorPoint.from_polar(1.0, 1.5), 1)
+
+
+def test_scalar_quadrature_only_checks_the_tabulations(euler_op, monkeypatch):
+    # anchor moments and final-level values run the batched rule; QUADPACK
+    # serves only the three check points of each stage tabulation
+    counts = {"quad": 0, "outside_direct": 0, "tables": 0}
+    depth = [0]
+    quad_fn, direct_fn = cl.complex_quad, cl.LaplaceStageHandle._direct
+    batched = cl._batched_ray_laplace
+
+    def counting_quad(*args, **kwargs):
+        counts["quad"] += 1
+        counts["outside_direct"] += depth[0] == 0
+        return quad_fn(*args, **kwargs)
+
+    def direct(self, x):
+        depth[0] += 1
+        try:
+            return direct_fn(self, x)
+        finally:
+            depth[0] -= 1
+
+    def counting_batched(*args):
+        counts["tables"] += 1
+        return batched(*args)
+
+    monkeypatch.setattr(cl, "complex_quad", counting_quad)
+    monkeypatch.setattr(cl.LaplaceStageHandle, "_direct", direct)
+    monkeypatch.setattr(cl, "_batched_ray_laplace", counting_batched)
+    S = cl.multisum(None, euler_op, 0.0)
+    for z in (0.1, 0.05, 0.3, 0.2 + 0.05j, 0.15 - 0.05j):
+        S(SectorPoint.from_complex(z))
+    assert counts["tables"] == 6
+    assert counts["quad"] == 3 * counts["tables"]
+    assert counts["outside_direct"] == 0
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.floats(math.log(0.1), math.log(10.0)),
+       st.floats(-math.pi / 2 + 0.02, math.pi / 2 - 0.02))
+def test_batched_moments_of_one(log_modulus, arg):
+    # I_t = int_0^inf s^t e^(-s A) ds = t!/A^(t+1), and N_t = A I_t at d = 0.
+    # Sampling on the real s-axis cancels int |s^t e^(-s A)| ds / |I_t| =
+    # (|A|/Re A)^(t+1) = kappa_t, so double precision cannot beat eps kappa_t
+    # (kappa_4 = 3e8 at |arg A| = pi/2 - 0.02); measured worst 7e-15 kappa_t
+    A = cmath.rect(math.exp(log_modulus), arg)
+    one = cl.FunctionHandle(lambda zeta: 1.0 + 0j, 0.0)
+    N = cl._moment_values(one, 1.0, 0.0, SectorPoint.from_complex(1.0 / A), 5)
+    for t in range(5):
+        ref = math.factorial(t) / A**t
+        kappa = (abs(A) / A.real) ** (t + 1)
+        assert abs(N[t] - ref) <= 1e-13 * kappa * abs(ref)

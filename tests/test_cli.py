@@ -1,3 +1,4 @@
+import cmath
 import json
 import math
 
@@ -208,6 +209,31 @@ def test_stokes_command(opfiles, capsys):
     assert abs(float(classical.split(",")[5]) - 2 * math.pi) < 1e-6
     qrow = [l for l in lines if l.startswith("1.2")][0]
     assert float(qrow.split(",")[6]) < 1e-6  # sigma_q-invariance residual
+
+
+def test_stokes_point_outside_the_classical_sector_gives_an_error_row(opfiles, capsys):
+    rc = main(["stokes", "--op", opfiles["qeuler"], "--direction", f"{math.pi}",
+               f"--z=-0.2,0,{math.pi}", "--z=0.2,0", "--q-grid", "1.2"])
+    assert rc == 0
+    lines = [l for l in capsys.readouterr().out.splitlines() if not l.startswith("#")]
+    classical = [l.split(",") for l in lines if l.startswith("classical")]
+    assert [row[-1] for row in classical] == ["ok", "domain-error"]
+    assert abs(float(classical[0][5]) - 2 * math.pi) < 1e-6
+
+
+def test_stokes_verdict_reads_the_first_ok_classical_row(opfiles, capsys):
+    # arg z = pi + 0.45 lies in the q-sectors about pi +/- pi/24 but outside
+    # the classical ones (half-opening pi/6)
+    z = cmath.rect(0.2, math.pi + 0.45)
+    rc = main(["stokes", "--op", opfiles["qeuler"], "--direction", f"{math.pi}",
+               f"--z={z.real!r},{z.imag!r},{math.pi + 0.45!r}",
+               f"--z=-0.2,0,{math.pi}", "--q-grid", "1.2,1.1"])
+    assert rc == 0
+    out = capsys.readouterr().out
+    assert "# verdict: approaching-classical" in out
+    rows = [l for l in out.splitlines() if not l.startswith("#")][1:]
+    statuses = [l.split(",")[-1] for l in rows]
+    assert statuses == ["domain-error"] + ["ok"] * 5
 
 
 def test_confluence_plot_emission(opfiles, tmp_path):

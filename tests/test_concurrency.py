@@ -21,7 +21,8 @@ POINTS = [SectorPoint.from_polar(r, a) for r, a in
 @pytest.mark.parametrize("build", [
     lambda euler: cl.multisum(None, euler, 0.0),
     lambda euler: qs.q_multisum(None, make_q_euler(1.1), 0.0, mode="discrete"),
-], ids=["classical", "discrete"])
+    lambda euler: qs.q_multisum(None, make_q_euler(1.1), 0.0, mode="theta"),
+], ids=["classical", "discrete", "theta"])
 def test_fresh_sum_shared_by_four_threads_matches_serial(euler_op, build):
     S = build(euler_op)
     serial = [S(z) for z in POINTS]

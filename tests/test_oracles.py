@@ -5,7 +5,8 @@ import math
 import pytest
 
 from qborel import classical as cl
-from qborel.series import SectorPoint, gamma
+from qborel.operators import LinearOperator
+from qborel.series import Polynomial, SectorPoint, gamma
 
 mpmath = pytest.importorskip("mpmath")
 mp = mpmath.mp
@@ -41,3 +42,36 @@ def test_euler_sum_near_the_singular_direction(euler_op, d):
         ref = mp.exp(w) * mp.e1(w)
     S = cl.summation_chain(euler_op).sum(d)
     assert _rel(S(z), ref) < 1e-10
+
+
+@pytest.fixture(scope="module")
+def two_f_zero_sum():
+    # acceptance criterion 7: z delta^2 y + (1 + (a1 + a2) z) delta y + a1 a2 z y = 0
+    a1, a2 = 0.3, 0.9
+    op = LinearOperator("differential", "delta",
+                        (Polynomial([0, a1 * a2]), Polynomial([1.0, a1 + a2]),
+                         Polynomial([0, 1.0])))
+    return a1, a2, cl.multisum(None, op, 0.0)
+
+
+@pytest.mark.parametrize("z", [2.0, 0.5, 1 + 0.5j, 3 - 1j])
+def test_two_f_zero_sum_matches_hyperu(two_f_zero_sum, z):
+    # the Borel sum of 2F0(a1, a2;; -z) is x^a1 U(a1, 1 + a1 - a2, x), x = 1/z
+    a1, a2, S = two_f_zero_sum
+    with mp.workdps(30):
+        x = 1 / mp.mpc(z.real, z.imag)
+        ref = x**a1 * mp.hyperu(a1, 1 + a1 - a2, x)
+    assert _rel(S(SectorPoint.from_complex(z)), ref) < 1e-12
+
+
+@pytest.mark.parametrize("arg", [0.52, -0.52])
+def test_euler_sum_at_the_sector_edge(euler_op, arg):
+    # k_r = 3, so the d = 0 sum is defined for |arg z| < pi/6 = 0.5236: the
+    # final-level Laplace kernel oscillates some hundred times before it decays
+    z = SectorPoint.from_polar(0.2, arg)
+    zc = z.to_complex()
+    with mp.workdps(30):
+        w = 1 / mp.mpc(zc.real, zc.imag)
+        ref = mp.exp(w) * mp.e1(w)
+    S = cl.summation_chain(euler_op).sum(0.0)
+    assert _rel(S(z), ref) < 1e-11
