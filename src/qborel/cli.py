@@ -387,20 +387,21 @@ def cmd_stokes(args) -> ResultTable:
     for q in grid:
         opq = family.op_of_q(q)
         y_h = qs.first_order_homogeneous_solution(opq)
-        # the jumps at every z and at q z from one q lateral pair; a failure
-        # marks every row of this q
-        zqs = [SectorPoint(z.log_modulus + math.log(q), z.argument) for z in zs]
+        # one q lateral pair per q: a failure to build it marks every row of
+        # this q, a failure at z or q z only the row of z
         try:
-            jumps = qs.q_stokes_jump(None, opq, d, zs + zqs, mode=args.mode,
-                                     limit=limit, order=args.order)
+            pair = qs.q_lateral_pair(None, opq, d, mode=args.mode, limit=limit,
+                                     order=args.order)
         except QBorelError as exc:
             for z in zs:
                 zc = z.to_complex()
                 table.add(q, zc.real, zc.imag, "", "", "", "", f"{exc.code}-error")
             continue
-        for z, zq, Jq, Jq2 in zip(zs, zqs, jumps, jumps[len(zs):]):
+        for z in zs:
             zc = z.to_complex()
+            zq = SectorPoint(z.log_modulus + math.log(q), z.argument)
             try:
+                Jq, Jq2 = cl._jumps(pair, [z, zq])
                 c = Jq / y_h(z)
                 c2 = Jq2 / y_h(zq)
                 invar = abs(c2 / c - 1.0)

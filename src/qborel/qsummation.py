@@ -20,8 +20,6 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import qspecial
-from ._quad import complex_quad, peak_scale
-from .qspecial import _eq_product
 from .classical import (
     SectionPipeline,
     SummationChain,
@@ -113,34 +111,89 @@ def _eq_vec(x: np.ndarray, Q: float) -> np.ndarray:
     return out
 
 
-def _window(Q: float, M: int) -> tuple[int, int]:
-    """Bounds (L1, L2) of the kernel support dlt in [-L1, L2] on the grid
-    with M sub-steps per Q-step."""
+def _window(log_ratio: Callable[[np.ndarray], np.ndarray], below: float,
+            above: float) -> tuple[int, int, int]:
+    """Support (j_lo, j_peak, j_hi) of a kernel K_j known by its exact step
+    ratio, log|K_(j+1) / K_j| = log_ratio(j) for an integer array j: the
+    cumulative log ratio falls `below` e-folds under the peak at j_lo and
+    `above` e-folds at j_hi (each edge one node past its cut)."""
+    lo, hi = -64, 64
+    while True:
+        logk = np.concatenate(([0.0], np.cumsum(log_ratio(np.arange(lo, hi)))))
+        peak = int(np.argmax(logk))
+        short_lo = not logk[0] < logk[peak] - below
+        short_hi = not logk[-1] < logk[peak] - above
+        if not (short_lo or short_hi):
+            break
+        if hi - lo > 1 << 22:
+            raise RangeError("q-Laplace kernel does not decay on its node grid")
+        lo, hi = (2 * lo if short_lo else lo), (2 * hi if short_hi else hi)
+    first = int(np.argmax(logk >= logk[peak] - below))
+    last = len(logk) - 1 - int(np.argmax(logk[::-1] >= logk[peak] - above))
+    return lo + first - 1, lo + peak, lo + last + 1
+
+
+def _eq_window(Q: float, M: int, arg_y: float) -> tuple[int, int]:
+    """Offsets [a, b], in steps Q^(1/M), of the nodes y = Q^(t/M) e^{i arg_y}
+    on which the e_Q kernel K(y) = y / e_Q(Q y) is kept: from its step ratio
+    K(Q y) / K(y) = Q / (1 + (Q-1) Q y), the geometric lower tail is cut 42
+    e-folds under the peak and the upper tail 92; one Q-step is added on each
+    side for a node grid offset from y = 1."""
     lnQ = math.log(Q)
-    L1 = int(math.ceil(42.0 * M / lnQ)) + 4 * M
-    L2 = (int(math.ceil(math.sqrt(2.0 * 92.0 / lnQ))) + 12) * M
-    return L1, L2
+    c = (Q - 1.0) * Q * cmath.exp(1j * arg_y)
+    j_lo, _, j_hi = _window(lambda j: lnQ - np.log(np.abs(1.0 + c * np.exp(j * lnQ))),
+                            42.0, 92.0)
+    return M * (j_lo - 1), M * (j_hi + 1)
 
 
 def _jackson_kernel(Q: float, M: int = 1, max_len: int = 120000) -> tuple[np.ndarray, int]:
     """Node weights of the level kernel on the grid with M sub-steps per
-    Q-step: K(dlt) = (Q-1)/M * y / e_Q(Q y) at y = Q^(dlt/M), dlt in [-L1, L2].
+    Q-step: K(dlt) = (Q-1)/M * y / e_Q(Q y) at y = Q^(dlt/M), dlt in [-L1, L2]
+    (the _eq_window of real y).
 
     M = 1 is exactly the Jackson sum; M >= 8 is the trapezoid discretization
     of the continuous q-Laplace in log coordinates, whose error is spectrally
-    small (the integrand is analytic in a strip of width ~pi).  The lower
-    tail is geometric (42 e-folds); the upper tail is cut where the kernel's
-    Gaussian-type decay reaches ~1e-40.
+    small (the integrand is analytic in a strip of width ~pi).  Past its peak
+    near y = 1 the kernel first decays like e^(-y), up to y ~ 1/(Q-1), and
+    only then like a Gaussian in log y.
     """
-    L1, L2 = _window(Q, M)
-    if L1 + L2 > max_len:
+    a, b = _eq_window(Q, M, 0.0)
+    if b - a > max_len:
         raise RangeError(
-            f"kernel support {L1 + L2} exceeds the node cap {max_len}"
+            f"kernel support {b - a} exceeds the node cap {max_len}"
         )
-    dlt = np.arange(-L1, L2 + 1)
+    dlt = np.arange(a, b + 1)
     y = np.exp(dlt * (math.log(Q) / M))
     vals = (Q - 1.0) / M * y / _eq_vec(Q * y, Q)
-    return vals.astype(complex), L1
+    return vals.astype(complex), -a
+
+
+def _window_sum(values: np.ndarray, kernel: np.ndarray) -> complex:
+    """sum values * kernel over a kernel window; an edge term above 1e-12 of
+    the total means the window is too narrow for the values' growth."""
+    terms = values * kernel
+    total = complex(np.sum(terms))
+    edge = max(abs(terms[0]), abs(terms[-1]))
+    if not edge <= 1e-12 * max(abs(total), 1e-300):
+        raise RangeError(
+            "q-Laplace node window too narrow (edge terms not negligible)"
+        )
+    return total
+
+
+def _eq_laplace(nodes: Callable[[int, int], np.ndarray], lam: float, d: float,
+                Q: float, W: complex, M: int) -> complex:
+    """The kernel-window sum of an order-lam q-Laplace at W = w^lam:
+    (Q-1)/M sum_t xi_t F_t / (W e_Q(Q xi_t / W)) over xi_t = Q^(t/M) e^{i lam d},
+    with nodes(lo, hi) the values F_t for t in [lo, hi].  M = 1 is the Jackson
+    sum, M = 8 the log-trapezoid rule of the continuous q-Laplace."""
+    lnQ = math.log(Q)
+    u = M * math.log(abs(W)) / lnQ
+    a, b = _eq_window(Q, M, lam * d - cmath.phase(W))
+    lo, hi = math.floor(u) + a, math.ceil(u) + b
+    xi = np.exp(np.arange(lo, hi + 1) * (lnQ / M)) * cmath.exp(1j * lam * d)
+    kernel = (Q - 1.0) / M * xi / (W * _eq_vec(Q * xi / W, Q))
+    return _window_sum(nodes(lo, hi), kernel)
 
 
 # ---------------------------------------------------------------------------
@@ -211,10 +264,10 @@ class QContinuation:
     """Meromorphic continuation of a convergent series along a ray by
     iterating the first-order-system form of its q-difference equation.
 
-    Inside 0.8x the empirical radius the series is summed directly; outside,
-    the value is pulled forward by exact sigma_q steps from an anchor inside
-    the disk.  Pole spirals of the system are recorded; a ray that meets one
-    raises SpiralCollisionError.
+    Inside the anchor disk, where the series tail is checked, the series is
+    summed directly; outside, the value is pulled forward by exact sigma_q
+    steps from the last m in-disk nodes of its q-grid.  Pole spirals of the
+    system are recorded; a ray that meets one raises SpiralCollisionError.
     """
 
     def __init__(self, series: PowerSeries, op: LinearOperator, direction: float):
@@ -248,7 +301,7 @@ class QContinuation:
             if tail <= 1e-12 * scale:
                 break
             anchor *= 0.7
-        self._anchor_scale = anchor
+        self._anchor_disk = anchor * self.q ** max(self._m - 1, 0)
 
     def _spirals(self) -> list[PoleSpiral]:
         out = []
@@ -270,47 +323,42 @@ class QContinuation:
     def eval_at(self, zeta) -> complex:
         """Value at an arbitrary nonzero point reached from the disk along
         its own q-spiral (finitely many sigma_q steps)."""
-        z = complex(zeta)
-        if abs(z) <= 0.8 * self.radius:
-            return self.series.eval(z)
-        m = self._m
-        if m == 0:
-            raise UnsupportedError("cannot continue with an order-0 operator")
-        # the walk ends at z0 q^(steps+m-1) = zeta with every seed point
-        # z0 q^j, j < m, inside the disk
-        T = int(math.ceil(math.log(abs(z) / self._anchor_scale) / math.log(self.q)))
-        steps = max(T - m + 1, 0)
-        z0 = z / self.q ** (steps + m - 1)
-        seeds = [self.series.eval(z0 * self.q**j) for j in range(m)]
-        bases = np.array([z0 * self.q**t for t in range(steps)], dtype=complex)
-        return complex(self._walk(bases, seeds)[-1])
+        return complex(self.grid_values(complex(zeta), 0, 0)[0])
 
-    def grid_values(self, base: complex, t_lo: int, t_hi: int) -> np.ndarray:
-        """Values on the grid base * q^t for t in [t_lo, t_hi] (one walk)."""
+    def grid_values(self, base: complex, t_lo: int, t_hi: int, M: int = 1) -> np.ndarray:
+        """Values on the grid base * q^(t/M) for t in [t_lo, t_hi].  Each of
+        the M residue classes of t is a q-grid; the classes are seeded in the
+        anchor disk and walked together."""
         q, m = self.q, self._m
-        anchor_t = int(math.floor(math.log(self._anchor_scale / abs(base)) / math.log(q)))
-        start = min(t_lo, anchor_t - m)
-        # scalar powers: numpy's array power can differ in the last bit
-        qt = np.array([q ** float(t) for t in range(start, t_hi + 1)])
-        # q > 1, so the in-disk nodes are a prefix; they are summed by the
-        # series and the rest are walked on from the last m of them
-        i0 = int(np.count_nonzero(np.abs(base) * qt <= 0.8 * self.radius))
-        vals = np.empty(len(qt), dtype=complex)
-        vals[:i0] = np.polynomial.polynomial.polyval(base * qt[:i0], self.series.coefficients)
-        if i0 < len(qt):
-            if i0 < m:
-                raise ArgumentError("grid starts outside the seedable disk")
-            vals[i0 - m :] = self._walk(base * qt[i0 - m : len(qt) - m], vals[i0 - m : i0])
+        h = math.log(q) / M
+        t_in = math.floor(math.log(self._anchor_disk / abs(base)) / h)   # last in-disk node
+        start = min(t_lo, t_in - M * m + 1)
+        ts = np.arange(start, t_hi + 1)
+        # node base q^(r/M) q^T for t = M T + r; scalar powers, as numpy's
+        # array power can differ in the last bit
+        steps = np.array([math.exp(h * r) for r in range(M)])
+        powers = np.array([q ** float(T) for T in range(start // M, t_hi // M + 1)])
+        x = base * steps[ts % M] * powers[ts // M - start // M]
+        n_in = min(t_in - start + 1, len(x))
+        vals = np.empty(len(x), dtype=complex)
+        vals[:n_in] = np.polynomial.polynomial.polyval(x[:n_in], self.series.coefficients)
+        if n_in < len(x):
+            if m == 0:
+                raise UnsupportedError("cannot continue with an order-0 operator")
+            # x[i + M] = q x[i]: a sigma_q step from the last m in-disk nodes
+            s = n_in - M * m
+            vals[s:] = self._walk(x[s : len(x) - M * m], vals[s:n_in], M)
         return vals[t_lo - start :]
 
-    def _walk(self, bases: np.ndarray, seeds) -> np.ndarray:
-        """Step f by sigma_q from the m seeds f(bases[0] q^j), j < m: step k
-        solves b_m(w) f(w q^m) = rhs(w) - sum_j b_j(w) f(w q^j) at
-        w = bases[k].  Returns the seeds followed by the walked values."""
+    def _walk(self, bases: np.ndarray, seeds: np.ndarray, M: int) -> np.ndarray:
+        """Step f by sigma_q from the M m seeds f(bases[r] q^j), j < m, r < M:
+        step i solves b_m(w) f(w q^m) = rhs(w) - sum_j b_j(w) f(w q^j) at
+        w = bases[i], where bases[i + M] = q bases[i].  Returns the seeds
+        followed by the walked values."""
         m, n = self._m, len(bases)
         rows = np.empty((n, m + 1), dtype=complex)   # b_m, b_(m-1), ..., b_0
         for i, b in enumerate(self.op.coefficients[::-1]):
-            rows[:, i] = [b(w) for w in bases]
+            rows[:, i] = np.polynomial.polynomial.polyval(bases, b.coeffs)
         rhs = np.zeros(n, dtype=complex)
         if self.op.rhs is not None:
             rhs[:] = [self.op.rhs.eval(w) for w in bases]
@@ -321,13 +369,14 @@ class QContinuation:
                 f"sigma_q step hit a zero of the leading coefficient near "
                 f"{bases[hit[0]] * self.q**m}"
             )
-        out = np.empty(m + n, dtype=complex)
-        out[:m] = seeds
-        for t in range(m, m + n):
-            acc = rhs[t - m]
+        mM = m * M
+        out = np.empty(mM + n, dtype=complex)
+        out[:mM] = seeds
+        for t in range(mM, mM + n):
+            acc = rhs[t - mM]
             for i in range(1, m + 1):
-                acc -= rows[t - m, i] * out[t - i]
-            out[t] = acc / rows[t - m, 0]
+                acc -= rows[t - mM, i] * out[t - i * M]
+            out[t] = acc / rows[t - mM, 0]
         return out
 
 
@@ -378,12 +427,12 @@ def discrete_q_laplace(f, k, d: float, q: float, z,
                        spiral_tol: float = 1e-6) -> complex:
     """Jackson-sum q-Laplace of order k in direction d, evaluated at z.
 
-    Nodes are q^l e^{id} in the plane of f; the kernel is built from e_{q^k}
-    in the conjugate variable.  Poles of the result lie on the q-spiral
-    (q^k - 1)[k d + pi] of z^k (checked before summing).
+    Nodes are q^l e^{id} in the plane of f, xi = (q^l e^{id})^k in the
+    conjugate variable, where the kernel is built from e_{q^k}.  Poles of the
+    result lie on the q-spiral (q^k - 1)[k d + pi] of z^k (checked before
+    summing).
     """
     lam, Q, Z = _level(k, d, q, z, spiral_tol)
-    eval_ray = _ray_evaluator(f, d)
     # growth gate: the sum converges when the e_{q^k} kernel outruns the
     # handle's fitted e_q-class growth, i.e. L |z|^k safely below q^k
     if isinstance(f, QContinuation):
@@ -392,54 +441,24 @@ def discrete_q_laplace(f, k, d: float, q: float, z,
         if L_fit is None:
             hi = max(4.0 * f.radius, 2.0)
             L_fit = vars(f).setdefault(
-                "_q_growth_fit", _growth_fit_q(eval_ray, q, lam, 0.05 * f.radius, hi))
+                "_q_growth_fit",
+                _growth_fit_q(_ray_evaluator(f, d), q, lam, 0.05 * f.radius, hi))
         if L_fit * abs(Z) >= 0.98 * Q:
             raise GrowthError(
                 f"evaluation point outside the fitted growth domain: "
                 f"L |z|^k = {L_fit * abs(Z):.3e} vs q^k = {Q:.3e}"
             )
-    phase = cmath.exp(1j * lam * d)
-    c = int(round(math.log(abs(Z) / (Q - 1.0)) / math.log(Q)))
-
-    def term(l: int) -> complex:
-        xi = Q**l * phase
-        node_x = q ** (l * lam)  # radius in the f-plane grid q^(l k)
-        return (Q - 1.0) * xi * eval_ray(node_x) / (Z * _eq_product(Q * xi / Z, Q))
-
-    return _two_sided_sum(term, c, "discrete q-Laplace")
+    return _eq_laplace(lambda lo, hi: _ray_values(f, d, 1.0, q, lo, hi, 1), lam, d, Q, Z, 1)
 
 
-def _two_sided_sum(term: Callable[[int], complex], c: int, what: str) -> complex:
-    """sum_l term(l) over all integers l, outwards from l = c: each side stops
-    once a term falls below 1e-17 of the running total (after 6 terms); 14
-    growing terms in a row on the upper side mean the sum diverges."""
-    total = 0.0 + 0.0j
-    for direction in (1, -1):
-        l = c if direction == 1 else c - 1
-        steps = 0
-        grew = 0
-        prev = None
-        while True:
-            t = term(l)
-            total += t
-            at = abs(t)
-            if prev is not None and at > prev and direction == 1:
-                grew += 1
-                if grew >= 14:
-                    raise GrowthError(
-                        f"{what} sum diverges; evaluation point outside the "
-                        f"growth domain"
-                    )
-            else:
-                grew = 0
-            prev = at
-            l += direction
-            steps += 1
-            if at < 1e-17 * max(abs(total), 1e-300) and steps > 6:
-                break
-            if steps > 6000:
-                raise RangeError(f"{what} sum did not converge")
-    return total
+def continuous_q_laplace(f, k, d: float, q: float, z,
+                         spiral_tol: float = 1e-6) -> complex:
+    """Continuous q-Laplace of order k:
+    (q^k-1)/log(q^k) * int_0^{inf e^{ikd}} rho_{1/k}f(xi) / (Z e_{q^k}(q^k xi/Z)) dxi,
+    by the trapezoid rule in log xi with 8 nodes per q^k-step.
+    """
+    lam, Q, Z = _level(k, d, q, z, spiral_tol)
+    return _eq_laplace(lambda lo, hi: _ray_values(f, d, 1.0, q, lo, hi, 8), lam, d, Q, Z, 8)
 
 
 def _ray_evaluator(f, d: float):
@@ -456,9 +475,22 @@ def _ray_evaluator(f, d: float):
     raise ArgumentError("expected a continuation handle or callable")
 
 
+def _ray_values(f, d: float, r0: float, q: float, lo: int, hi: int, M: int) -> np.ndarray:
+    """f at the ray nodes r0 q^(t/M) e^{id}, t in [lo, hi]: one walk for a
+    continuation handle of the same q, else one evaluation per node."""
+    if isinstance(f, QContinuation) and f.q == q:
+        return f.grid_values(r0 * cmath.exp(1j * d), lo, hi, M)
+    eval_ray = _ray_evaluator(f, d)
+    return np.array([eval_ray(r0 * q ** (t / M)) for t in range(lo, hi + 1)], dtype=complex)
+
+
 def theta_q_laplace(f, d: float, q: float, z, spiral_tol: float = 1e-6) -> complex:
     """Theta-kernel q-Laplace (order 1):
-    sum_n f(q^n (q-1) e^{id}) / Theta_q(q^{n+1} (q-1) e^{id} / z)."""
+    sum_n f(q^n (q-1) e^{id}) / Theta_q(x_n), x_n = q^{n+1} (q-1) e^{id} / z.
+
+    Theta_q(q x) = x Theta_q(x), so the kernel has the step ratio 1/x_n: it
+    is kept 92 e-folds down on both sides of its peak and built from one
+    theta value there."""
     zp = as_sector_point(z)
     zc = zp.to_complex()
     spiral = PoleSpiral((q - 1.0) * cmath.exp(1j * (d + math.pi)), q)
@@ -466,55 +498,16 @@ def theta_q_laplace(f, d: float, q: float, z, spiral_tol: float = 1e-6) -> compl
         raise PoleError(
             f"z = {zc} lies within {spiral_tol} of the pole spiral (q-1)[d+pi]"
         )
-    eval_ray = _ray_evaluator(f, d)
-    lam0 = (q - 1.0)
-    phase = cmath.exp(1j * d)
-    c = int(round(math.log(abs(zc) / lam0) / math.log(q)))
-
-    def term(n: int) -> complex:
-        kern = qspecial.theta(q ** (n + 1) * lam0 * phase / zc, q)
-        return eval_ray(q**n * lam0) / kern
-
-    return _two_sided_sum(term, c, "theta q-Laplace")
-
-
-def continuous_q_laplace(f, k, d: float, q: float, z,
-                         spiral_tol: float = 1e-6) -> complex:
-    """Continuous q-Laplace of order k:
-    (q^k-1)/log(q^k) * int_0^{inf e^{ikd}} rho_{1/k}f(xi) / (Z e_{q^k}(q^k xi/Z)) dxi.
-    """
-    lam, Q, Z = _level(k, d, q, z, spiral_tol)
-    eval_ray = _ray_evaluator(f, d)
-    phase = cmath.exp(1j * lam * d)
-
-    def integrand(s: float) -> complex:
-        if s <= 0:
-            return 0.0 + 0.0j
-        xi = s * phase
-        return eval_ray(s ** (1.0 / lam)) * phase / (Z * _eq_product(Q * xi / Z, Q))
-
-    # kernel scale: e_Q(Q s/|Z|) reaches 1/eps around s* with
-    # ln e_Q ~ ln^2(s (Q-1)/|Z|)/(2 ln Q)
-    lnQ = math.log(Q)
-    target = 40.0 * 2.0 * lnQ
-    s_star = abs(Z) / (Q - 1.0) * math.exp(math.sqrt(target))
-    S = s_star
-    fn_scale = peak_scale(integrand, 0.0, S)
-    grew = 0
-    while abs(integrand(S)) * S > 1e-16 * fn_scale:
-        nxt = 1.6 * S
-        if abs(integrand(nxt)) > abs(integrand(S)):
-            grew += 1
-            if grew >= 3:
-                raise GrowthError(
-                    "continuous q-Laplace integrand does not decay; evaluation "
-                    "point outside the growth domain"
-                )
-        S = nxt
-        if S > 1e9 * s_star:
-            raise RangeError("continuous q-Laplace truncation not reached")
-    value = complex_quad(integrand, 0.0, S, epsabs=1e-14 * fn_scale * S, epsrel=1e-12)
-    return (Q - 1.0) / math.log(Q) * value
+    x0 = q * (q - 1.0) * cmath.exp(1j * d) / zc
+    lnq, ln_x0 = math.log(q), math.log(abs(x0))
+    lo, peak, hi = _window(lambda n: -(ln_x0 + n * lnq), 92.0, 92.0)
+    x = x0 * np.array([q ** float(n) for n in range(lo, hi + 1)])
+    p = peak - lo
+    kernel = np.empty(len(x), dtype=complex)
+    kernel[p] = 1.0 / qspecial.theta(x[p], q)
+    kernel[p + 1 :] = kernel[p] * np.cumprod(1.0 / x[p:-1])
+    kernel[:p] = kernel[p] * np.cumprod(x[:p][::-1])[::-1]
+    return _window_sum(_ray_values(f, d, q - 1.0, q, lo, hi, 1), kernel)
 
 
 # ---------------------------------------------------------------------------
@@ -542,24 +535,6 @@ class _QSection:
         self._grid: Optional[tuple[int, int, list]] = None
         self._lock = threading.RLock()
 
-    def _stage1_fine(self, lo: int, hi: int) -> np.ndarray:
-        """Stage-1 values on the fine grid exp(h t) e^{i d_w}, t in [lo, hi]."""
-        M = self.M
-        h = math.log(self.Qw) / M
-        out = np.empty(hi - lo + 1, dtype=complex)
-        for r in range(M):
-            # fine indices congruent to r (mod M) form a Q_w-grid
-            t0 = lo + ((r - lo) % M)
-            ts = np.arange(t0, hi + 1, M)
-            if len(ts) == 0:
-                continue
-            T_lo = (ts[0] - r) // M
-            T_hi = (ts[-1] - r) // M
-            base = cmath.exp(complex(0.0, self.d_w)) * math.exp(h * r)
-            vals = self.cont.grid_values(base, T_lo, T_hi)
-            out[ts - lo] = vals
-        return out
-
     def _ensure_grid(self, lo: int, hi: int):
         if self._grid is not None:
             glo, ghi, _ = self._grid
@@ -582,7 +557,7 @@ class _QSection:
             hi1 += len(K) - 1 - L1
         if hi1 - lo1 > 400000:
             raise RangeError("q-Laplace node grid exceeded the size cap")
-        arrays = [self._stage1_fine(lo1, hi1)]
+        arrays = [self.cont.grid_values(cmath.exp(1j * self.d_w), lo1, hi1, self.M)]
         cur_lo, cur_hi = lo1, hi1
         for K, L1 in kernels:
             # node_{j+1}(t) = sum_dlt K(dlt) node_j(t + dlt)
@@ -592,28 +567,15 @@ class _QSection:
             arrays.append(full)
         self._grid = (cur_lo, cur_hi, arrays)
 
+    def _nodes(self, lo: int, hi: int) -> np.ndarray:
+        self._ensure_grid(lo, hi)
+        glo, _, arrays = self._grid
+        return arrays[-1][lo - glo : hi - glo + 1]
+
     def value(self, w: SectorPoint) -> complex:
         lam, Qh, W = _level(self.orders_w[-1], self.d_w, self.Qw, w,
                             1e-6 if self.mode == "discrete" else 0.0)
-        M = self.M
-        lnQh = math.log(Qh)
-        c = int(round(M * math.log(abs(W) / (Qh - 1.0)) / lnQh))
-        L1, L2 = _window(Qh, M)
-        self._ensure_grid(c - L1, c + L2)
-        glo, ghi, arrays = self._grid
-        nodes = arrays[-1]
-        ls = np.arange(c - L1, c + L2 + 1)
-        vals = nodes[ls[0] - glo : ls[-1] - glo + 1]
-        phase = cmath.exp(1j * lam * self.d_w)
-        xi = np.exp(ls * (lnQh / M)) * phase
-        terms = (Qh - 1.0) / M * xi * vals / (W * _eq_vec(Qh * xi / W, Qh))
-        total = complex(np.sum(terms))
-        edge = max(abs(terms[0]), abs(terms[-1]))
-        if edge > 1e-12 * max(abs(total), 1e-300):
-            raise RangeError(
-                "q-Laplace node window too narrow (edge terms not negligible)"
-            )
-        return total
+        return _eq_laplace(self._nodes, lam, self.d_w, Qh, W, self.M)
 
 
 class _ThetaSection:
@@ -746,6 +708,30 @@ def first_order_homogeneous_solution(op: LinearOperator):
     return y_h
 
 
+def q_lateral_pair(
+    s: Optional[PowerSeries],
+    op: LinearOperator,
+    d_singular: float,
+    mode: str = "discrete",
+    limit: Optional[SummationChain] = None,
+    order: int = 240,
+) -> Optional[tuple[SummedFunction, SummedFunction]]:
+    """(S_q^{[d+o]}(h), S_q^{[d-o]}(h)) about a singular direction d of the
+    limit operator, from one q section chain; None for a convergent operator.
+    The bracket o comes from the singular set of the limit chain
+    (summation_chain of the limit operator), else it is pi/24."""
+    sop = op.to_sigma_basis()
+    if newton_polygon(sop).is_convergent_only():
+        return None
+    if limit is not None:
+        offset = _bracket_offset(limit.directions, d_singular,
+                                 _summation_ladder(op, limit.op).top_level)
+    else:
+        offset = math.pi / 24.0
+    lateral = _q_sums(s, op, sop, mode, limit, order)
+    return lateral(d_singular + offset), lateral(d_singular - offset)
+
+
 def q_stokes_jump(
     s: Optional[PowerSeries],
     op: LinearOperator,
@@ -759,18 +745,8 @@ def q_stokes_jump(
     the limit operator, one per point z of zs (ask for z and q z together);
     each solves the homogeneous q-equation, and its normalized form (divided
     by a nonvanishing homogeneous solution) is sigma_q-invariant.  One
-    lateral pair serves all points; it brackets d by the singular set of the
-    limit chain (summation_chain of the limit operator), else by pi/24."""
-    sop = op.to_sigma_basis()
-    if newton_polygon(sop).is_convergent_only():
-        return _jumps(None, zs)
-    if limit is not None:
-        offset = _bracket_offset(limit.directions, d_singular,
-                                 _summation_ladder(op, limit.op).top_level)
-    else:
-        offset = math.pi / 24.0
-    lateral = _q_sums(s, op, sop, mode, limit, order)
-    return _jumps((lateral(d_singular + offset), lateral(d_singular - offset)), zs)
+    q_lateral_pair serves all points."""
+    return _jumps(q_lateral_pair(s, op, d_singular, mode, limit, order), zs)
 
 
 # ---------------------------------------------------------------------------

@@ -221,6 +221,23 @@ def test_stokes_point_outside_the_classical_sector_gives_an_error_row(opfiles, c
     assert abs(float(classical[0][5]) - 2 * math.pi) < 1e-6
 
 
+def test_stokes_q_point_outside_its_sector_marks_only_its_own_row(opfiles, capsys):
+    # z = 0.2 lies outside the q-sectors about pi +/- pi/24; the q = 1.2 row
+    # of z = -0.2 is the one the command writes when -0.2 is the only --z
+    argv = ["stokes", "--op", opfiles["qeuler"], "--direction", f"{math.pi}",
+            f"--z=-0.2,0,{math.pi}", "--q-grid", "1.2"]
+
+    def q_rows(extra):
+        assert main(argv + extra) == 0
+        out = capsys.readouterr().out
+        return [l for l in out.splitlines() if l.startswith("1.2,")]
+
+    both = q_rows(["--z=0.2,0"])
+    (single,) = q_rows([])
+    assert [l.split(",")[-1] for l in both] == ["ok", "domain-error"]
+    assert both[0] == single
+
+
 def test_stokes_verdict_reads_the_first_ok_classical_row(opfiles, capsys):
     # arg z = pi + 0.45 lies in the q-sectors about pi +/- pi/24 but outside
     # the classical ones (half-opening pi/6)

@@ -1,12 +1,17 @@
-"""Checks against 30-digit mpmath values, which share no code with qborel."""
+"""Checks against 30-digit mpmath values and closed forms, which share no
+code with qborel."""
 
 import math
 
+import numpy as np
 import pytest
 
 from qborel import classical as cl
+from qborel import qsummation as qs
 from qborel.operators import LinearOperator
 from qborel.series import Polynomial, SectorPoint, gamma
+
+from conftest import make_q_euler, q_euler_borel
 
 mpmath = pytest.importorskip("mpmath")
 mp = mpmath.mp
@@ -75,3 +80,27 @@ def test_euler_sum_at_the_sector_edge(euler_op, arg):
         ref = mp.exp(w) * mp.e1(w)
     S = cl.summation_chain(euler_op).sum(0.0)
     assert _rel(S(z), ref) < 1e-11
+
+
+def _jackson_q_laplace(g, q: float, z: float) -> float:
+    """(q-1) sum_l xi_l g(xi_l) / (z e_q(q xi_l / z)) over xi_l = q^l with
+    e^-20 <= xi_l <= 1000 z, where log e_q(x) = sum_n log1p((q-1) q^(-n-1) x):
+    the terms left out are below 1e-15 of the sum for g(xi) ~ xi near 0."""
+    xi = q ** np.arange(-math.ceil(20.0 / math.log(q)), math.log(1000.0 * z) / math.log(q))
+    x = q * xi / z
+    log_eq = np.zeros_like(x)
+    for n in range(1, math.ceil(math.log(1e18 * x[-1]) / math.log(q)) + 1):
+        log_eq += np.log1p((q - 1.0) * q**-n * x)
+    kernel = np.exp(np.log((q - 1.0) * xi / z) - log_eq)
+    return float(np.sum(kernel * g(xi).real))
+
+
+@pytest.mark.parametrize("mode", ["discrete", "continuous"])
+@pytest.mark.parametrize("q", [1.015, 1.01])
+def test_q_euler_sum_near_q_one_is_the_jackson_sum_of_the_closed_form(q, mode):
+    # the q-Euler solution's q-Borel transform has the closed form
+    # q_euler_borel; both summation modes give its Jackson q-Laplace (the
+    # kernel window once cut the e^-y decay short: 1.9e-6 off at q = 1.01)
+    ref = _jackson_q_laplace(lambda xi: q_euler_borel(xi, q), q, 0.1)
+    S = qs.q_multisum(None, make_q_euler(q), 0.0, mode=mode)
+    assert _rel(S(SectorPoint.from_complex(0.1)), ref) <= 1e-13

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.special import exp1
 
@@ -34,7 +35,7 @@ from qborel.series import (
     ramify,
 )
 
-from conftest import make_q_euler
+from conftest import make_q_euler, q_euler_borel
 
 rng = np.random.default_rng(5)
 
@@ -134,13 +135,14 @@ def test_q_continuation_two_path_consistency():
 
 
 def test_q_continuation_polynomial_exact():
+    # p(qz) - p(z) = (q-1)(-2 z) + (q^2-1) z^2 / 2: the sigma_q equation
+    # continues the polynomial p beyond its anchor disk by exact steps
     q = 1.3
     poly = PowerSeries([1.0, -2.0, 0.5])
-    # operator annihilating any cubic-bounded series is irrelevant; use the
-    # q-Euler borel op only for its machinery: polynomial lies in its disk
-    op = make_q_euler(q)
-    bop = borel_plane_operator(op, 1)
-    h = qs.QContinuation(poly, bop, 0.0)
+    op = LinearOperator("q_difference", "sigma_q", (Polynomial([-1.0]), Polynomial([1.0])),
+                        q, PowerSeries([0.0, -2.0 * (q - 1.0), 0.5 * (q * q - 1.0)]))
+    h = qs.QContinuation(poly, op, 0.0)
+    assert h._anchor_disk < 0.05
     assert h.eval_at(0.05) == pytest.approx(poly.eval(0.05), rel=1e-12)
 
 
@@ -154,17 +156,23 @@ def test_q_continuation_spiral_collision():
         qs.q_continuation(g, bop, math.pi)
 
 
-def test_q_continuation_grid_matches_eval_at_order_one():
+def test_q_continuation_grid_matches_closed_form():
+    # the q-Borel transform of the q-Euler solution in closed form; the grid
+    # starts inside the disk of convergence (radius q) and leaves it
     q = 1.1
     op = make_q_euler(q)
     g = qs.q_borel(solve_series(op, 90), 1, q)
     h = qs.q_continuation(g, borel_plane_operator(op, 1), 0.0)
     grid = h.grid_values(1.0, -5, 40)
-    pointwise = np.array([h.eval_at(q**t) for t in range(-5, 41)])
-    assert np.max(np.abs(grid - pointwise) / np.abs(pointwise)) < 1e-11
+    want = q_euler_borel(q ** np.arange(-5.0, 41.0), q)
+    assert np.max(np.abs(grid - want) / np.abs(want)) <= 1e-14
+    for t in (-5, 7, 40):
+        assert abs(h.eval_at(q**t) - want[t + 5]) <= 1e-14 * abs(want[t + 5])
 
 
-def test_q_continuation_grid_matches_eval_at_order_two():
+def test_q_continuation_walk_matches_series_order_two():
+    # grid points between the anchor disk and 0.8 radius are walked by the
+    # order-2 equation, yet still inside the series' disk of convergence
     from qborel import hypergeom as hg
 
     qb = 1.2
@@ -172,9 +180,11 @@ def test_q_continuation_grid_matches_eval_at_order_two():
     f = qs.rz_borel(hg.rphi(par, None, 80), qb)
     h = qs.q_continuation(f, rz_borel_operator(hg.rphi_operator(par)), 0.0)
     assert h.op.order == 2
-    grid = h.grid_values(1.0, -5, 40)
-    pointwise = np.array([h.eval_at(qb**t) for t in range(-5, 41)])
-    assert np.max(np.abs(grid - pointwise) / np.abs(pointwise)) < 1e-11
+    ts = [t for t in range(-10, 0) if h._anchor_disk < qb**t < 0.8 * h.radius]
+    assert len(ts) >= 3
+    walked = h.grid_values(1.0, ts[0], ts[-1])
+    direct = np.array([h.series.eval(qb**t) for t in ts])
+    assert np.max(np.abs(walked - direct) / np.abs(direct)) < 1e-11
 
 
 def test_q_continuation_eval_at_on_pole_spiral_raises():
@@ -272,6 +282,21 @@ def test_theta_q_laplace_zero_and_shift():
     # the sum, multiplying the f(zeta)=zeta moment by q exactly
     rhs = q * qs.theta_q_laplace(f, 0.0, q, z)
     assert abs(lhs - rhs) < 1e-8 * abs(rhs)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(["discrete", "continuous"]), st.integers(1, 3),
+       st.floats(1.05, 1.5), st.floats(0.05, 1.0), st.floats(-0.5, 0.5))
+def test_order_k_q_laplace_is_the_conjugate_order_one_transform(form, k, q, r, arg):
+    # L_{q,k}(f)(z) = L_{q^k,1}(rho_{1/k} f)(z^k): f(zeta) = zeta^k is
+    # xi -> xi in the plane xi = zeta^k; |arg z^k| <= 1.5 keeps z^k off the
+    # pole spiral on the negative axis
+    X = {"discrete": qs.discrete_q_laplace, "continuous": qs.continuous_q_laplace}[form]
+    power = cl.FunctionHandle(lambda zeta: zeta**k, 0.0)
+    identity = cl.FunctionHandle(lambda xi: xi, 0.0)
+    lhs = X(power, k, 0.0, q, SectorPoint.from_polar(r, arg))
+    rhs = X(identity, 1, 0.0, q**k, SectorPoint.from_polar(r**k, k * arg))
+    assert abs(lhs - rhs) <= 1e-12 * abs(rhs)
 
 
 def test_continuous_q_laplace_identity_and_limit():
