@@ -18,6 +18,7 @@ from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 import numpy as np
+from scipy import fft as sp_fft
 
 from . import qspecial
 from .classical import (
@@ -97,20 +98,6 @@ def rz_borel(s: PowerSeries, q: float) -> PowerSeries:
 # elementary vectorized kernels
 
 
-def _eq_vec(x: np.ndarray, Q: float) -> np.ndarray:
-    """e_Q at an array of complex points, by the infinite product."""
-    x = np.asarray(x, dtype=complex)
-    out = np.ones_like(x)
-    n = 0
-    top = np.max(np.abs(x)) if x.size else 0.0
-    while (Q - 1.0) * Q ** (-n - 1) * max(top, 1.0) > 1e-18 or n < 4:
-        out = out * (1.0 + (Q - 1.0) * Q ** (-n - 1) * x)
-        n += 1
-        if n > 500000:
-            raise RangeError("e_q product did not converge")
-    return out
-
-
 def _window(log_ratio: Callable[[np.ndarray], np.ndarray], below: float,
             above: float) -> tuple[int, int, int]:
     """Support (j_lo, j_peak, j_hi) of a kernel K_j known by its exact step
@@ -146,10 +133,25 @@ def _eq_window(Q: float, M: int, arg_y: float) -> tuple[int, int]:
     return M * (j_lo - 1), M * (j_hi + 1)
 
 
+def _eq_kernel(y: np.ndarray, Q: float, M: int) -> np.ndarray:
+    """The e_Q kernel (Q-1)/M * y / e_Q(Q y) on a geometric grid with
+    y[i + M] = Q y[i] whose M lowest nodes are tiny (|y| ~ 1e-18 at a window's
+    low end): e_Q there is the product (a few factors), and every node above
+    follows from the step ratio e_Q(Q x) = (1 + (Q-1) x) e_Q(x), one
+    cumulative product per residue class."""
+    x = Q * y
+    eq = np.empty(len(x), dtype=complex)
+    eq[:M] = [qspecial._eq_product(v, Q) for v in x[:M]]
+    eq[M:] = 1.0 + (Q - 1.0) * x[:-M]
+    for r in range(M):
+        eq[r::M] = np.cumprod(eq[r::M])
+    return (Q - 1.0) / M * y / eq
+
+
 def _jackson_kernel(Q: float, M: int = 1, max_len: int = 120000) -> tuple[np.ndarray, int]:
     """Node weights of the level kernel on the grid with M sub-steps per
     Q-step: K(dlt) = (Q-1)/M * y / e_Q(Q y) at y = Q^(dlt/M), dlt in [-L1, L2]
-    (the _eq_window of real y).
+    (the _eq_window of real y), built by _eq_kernel from the step ratio.
 
     M = 1 is exactly the Jackson sum; M >= 8 is the trapezoid discretization
     of the continuous q-Laplace in log coordinates, whose error is spectrally
@@ -162,10 +164,89 @@ def _jackson_kernel(Q: float, M: int = 1, max_len: int = 120000) -> tuple[np.nda
         raise RangeError(
             f"kernel support {b - a} exceeds the node cap {max_len}"
         )
-    dlt = np.arange(a, b + 1)
-    y = np.exp(dlt * (math.log(Q) / M))
-    vals = (Q - 1.0) / M * y / _eq_vec(Q * y, Q)
-    return vals.astype(complex), -a
+    y = np.exp(np.arange(a, b + 1) * (math.log(Q) / M)).astype(complex)
+    return _eq_kernel(y, Q, M), -a
+
+
+# Kernels shorter than this are correlated by direct dots only: below it an
+# FFT block costs more than the dots it replaces.
+_FFT_MIN_KERNEL = 2048
+# An FFT output is kept when its round-off estimate is below this share of its
+# modulus; the others are recomputed by the direct dot.
+_FFT_RTOL = 1e-13
+
+
+def _block_size(n_kernel: int) -> int:
+    """Outputs per FFT block of a level correlation with an n_kernel-node
+    kernel, about n_kernel/4 (the FFT length B + n_kernel - 1 is a fast
+    length); 1 for a kernel correlated by direct dots.  Short blocks follow a
+    changing climb more closely and waste fewer nodes in the round-out."""
+    if n_kernel < _FFT_MIN_KERNEL:
+        return 1
+    return sp_fft.next_fast_len(n_kernel + n_kernel // 4) - n_kernel + 1
+
+
+def _direct_dots(a: np.ndarray, kernel: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """b_i = sum_k kernel_k a_(i+k) for the sorted output rows i, one dot per
+    row, taken by np.correlate over each run of consecutive rows (the same
+    dot product as np.dot(kernel, a[i:i + len(kernel)]), bit for bit)."""
+    n = len(kernel)
+    conj = np.conj(kernel)          # np.correlate conjugates its second argument
+    cuts = np.flatnonzero(np.diff(rows) != 1) + 1
+    out = np.empty(len(rows), dtype=complex)
+    for start, stop in zip(np.concatenate(([0], cuts)), np.concatenate((cuts, [len(rows)]))):
+        i0, i1 = rows[start], rows[stop - 1] + 1
+        out[start:stop] = np.correlate(a[i0 : i1 + n - 1], conj, "valid")
+    return out
+
+
+def _correlate(a: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    """The level correlation b_i = sum_k kernel_k a_(i+k) over the 'valid'
+    range, whose length must be a whole number of _block_size blocks.
+
+    Each block of B outputs is one FFT of its own N = B + len(kernel) - 1
+    inputs, so an output depends only on the block it lies in, never on how
+    far the arrays reach.  The block is tilted first, a(s) e^(-g s) and
+    K(k) e^(g k), with g the least-squares slope of log|a| over the block
+    (quantized so that g s is exact; powers of 2 scale both to unit size),
+    which flattens a geometric climb.  The FFT round-off of the block's
+    outputs is estimated as 40 sqrt(log2 N) eps |a'|_2 |K'|_2 / sqrt(N), a'
+    and K' the tilted block and kernel (about 4 times their rms error);
+    every output whose estimate exceeds _FFT_RTOL of its modulus, or that is
+    not finite, is recomputed by the direct dot, and so is every output of a
+    block holding a non-finite input.  Kernels shorter than _FFT_MIN_KERNEL
+    take the direct dot for every output."""
+    n = len(kernel)
+    n_out = len(a) - n + 1
+    B = _block_size(n)
+    if B == 1:
+        return _direct_dots(a, kernel, np.arange(n_out))
+    N = B + n - 1
+    s = np.arange(N)
+    s_mid = 0.5 * (N - 1)
+    g_cap = 300.0 / N               # keeps e^(+-g s) within e^300 over a block
+    rms4 = 40.0 * math.sqrt(math.log2(N)) * np.finfo(float).eps / math.sqrt(N)
+    out = np.empty(n_out, dtype=complex)
+    for j in range(0, n_out, B):
+        seg = a[j : j + N]
+        mag = np.log(np.maximum(np.abs(seg), 1e-300))
+        mean = float(np.mean(mag))
+        bad = np.arange(B)
+        if math.isfinite(mean):
+            g = float(np.dot(s - s_mid, mag)) / (N * (N * N - 1.0) / 12.0)
+            g = round(max(-g_cap, min(g_cap, g)) * 65536.0) / 65536.0
+            e_a = round((mean - g * s_mid) / math.log(2.0))
+            a_t = seg * np.ldexp(np.exp(-g * s), -e_a)
+            k_t = kernel * np.exp(g * s[:n])
+            e_k = round(math.log2(float(np.max(np.abs(k_t)))))
+            k_t *= 2.0 ** -e_k
+            c = sp_fft.ifft(sp_fft.fft(a_t) * sp_fft.fft(k_t[::-1], N))[n - 1 :]
+            err = rms4 * float(np.linalg.norm(a_t)) * float(np.linalg.norm(k_t))
+            out[j : j + B] = c * np.ldexp(np.exp(g * s[:B]), e_a + e_k)
+            bad = np.flatnonzero(~(err <= _FFT_RTOL * np.abs(c)) | ~np.isfinite(out[j : j + B]))
+        if len(bad):
+            out[j + bad] = _direct_dots(a, kernel, j + bad)
+    return out
 
 
 def _window_sum(values: np.ndarray, kernel: np.ndarray) -> complex:
@@ -192,8 +273,7 @@ def _eq_laplace(nodes: Callable[[int, int], np.ndarray], lam: float, d: float,
     a, b = _eq_window(Q, M, lam * d - cmath.phase(W))
     lo, hi = math.floor(u) + a, math.ceil(u) + b
     xi = np.exp(np.arange(lo, hi + 1) * (lnQ / M)) * cmath.exp(1j * lam * d)
-    kernel = (Q - 1.0) / M * xi / (W * _eq_vec(Q * xi / W, Q))
-    return _window_sum(nodes(lo, hi), kernel)
+    return _window_sum(nodes(lo, hi), _eq_kernel(xi / W, Q, M))
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +351,7 @@ class QContinuation:
     """
 
     def __init__(self, series: PowerSeries, op: LinearOperator, direction: float):
-        if series.ram_index != 1:
+        if series.ram_index != 1 or (op.rhs is not None and op.rhs.ram_index != 1):
             raise ArgumentError("q-continuation works on unramified series")
         if op.kind != "q_difference":
             raise ArgumentError("q-continuation needs a q-difference operator")
@@ -291,14 +371,15 @@ class QContinuation:
         # seeds must sit deep inside the disk: walks of order >= 2 amplify
         # seed error by the dominant/subdominant solution ratio, so the
         # series tail at the outermost seed point is checked explicitly
+        # (in logs: the tail term overflows a float for a large radius)
         anchor = 0.45 * self.radius / self.q ** max(self._m - 1, 0)
         coeffs_abs = np.abs(series.coefficients)
         N = len(coeffs_abs)
+        log_last = math.log(coeffs_abs[-1]) if coeffs_abs[-1] > 0 else -math.inf
         for _ in range(60):
             top = anchor * self.q ** max(self._m - 1, 0)
-            tail = coeffs_abs[-1] * top ** (N - 1)
             scale = max(abs(self.series.eval(top)), coeffs_abs[0], 1e-300)
-            if tail <= 1e-12 * scale:
+            if log_last + (N - 1) * math.log(top) <= math.log(1e-12 * scale):
                 break
             anchor *= 0.7
         self._anchor_disk = anchor * self.q ** max(self._m - 1, 0)
@@ -361,7 +442,7 @@ class QContinuation:
             rows[:, i] = np.polynomial.polynomial.polyval(bases, b.coeffs)
         rhs = np.zeros(n, dtype=complex)
         if self.op.rhs is not None:
-            rhs[:] = [self.op.rhs.eval(w) for w in bases]
+            rhs[:] = np.polynomial.polynomial.polyval(bases, self.op.rhs.coefficients)
         scale = np.polynomial.polynomial.polyval(np.abs(bases), np.abs(self._lead.coeffs))
         hit = np.flatnonzero(np.abs(rows[:, 0]) <= 1e-12 * np.maximum(scale, 1e-300))
         if len(hit):
@@ -518,10 +599,16 @@ class _QSection:
     """Per-section stage data on the shared log-uniform node grid.
 
     The grid is x_t = exp(h t) e^{i d_w} with h = log(Q_w)/M; every q-Laplace
-    level acts as the convolution with its node kernel.  M = 1 gives the
-    Jackson (discrete) summation exactly; M >= 8 gives the continuous
-    summation to spectral accuracy (trapezoid rule in log coordinates, with
-    the integrand analytic in a strip).
+    level but the last is a correlation with its node kernel, taken by
+    _correlate, and the last is the kernel-window sum of value().  M = 1
+    gives the Jackson (discrete) summation exactly; M >= 8 gives the
+    continuous summation to spectral accuracy (trapezoid rule in log
+    coordinates, with the integrand analytic in a strip).
+
+    Only the top level's values are kept.  Each level's range is rounded out
+    to whole blocks of its correlation, aligned to the absolute index t, so a
+    value never depends on the range the grid was grown to: a grid regrown
+    for a wider request equals a fresh build over that range, bit for bit.
     """
 
     def __init__(self, sec: SectionPipeline, Qw: float, d_w: float, mode: str):
@@ -532,7 +619,7 @@ class _QSection:
         self.mode = mode
         self.M = 1 if mode == "discrete" else 8
         self.cont = QContinuation(sec.g1, sec.stage_ops[0], d_w)
-        self._grid: Optional[tuple[int, int, list]] = None
+        self._grid: Optional[tuple[int, int, np.ndarray]] = None
         self._lock = threading.RLock()
 
     def _ensure_grid(self, lo: int, hi: int):
@@ -551,26 +638,27 @@ class _QSection:
             lo, hi = min(lo, glo), max(hi, ghi)
         kernels = [_jackson_kernel(self.Qw ** float(lam), self.M)
                    for lam in self.orders_w[:-1]]
-        lo1, hi1 = lo, hi
-        for K, L1 in kernels:
-            lo1 -= L1
-            hi1 += len(K) - 1 - L1
-        if hi1 - lo1 > 400000:
+        # node_{j+1}(t) = sum_dlt K(dlt) node_j(t + dlt): each level's t-range
+        # is whole blocks of its correlation, counted from t = 0, top level first
+        spans = []
+        for K, L1 in reversed(kernels):
+            B = _block_size(len(K))
+            lo, hi = lo - lo % B, hi - hi % B + B - 1
+            spans.append((lo, hi))
+            lo, hi = lo - L1, hi + len(K) - 1 - L1
+        if hi - lo > 400000:
             raise RangeError("q-Laplace node grid exceeded the size cap")
-        arrays = [self.cont.grid_values(cmath.exp(1j * self.d_w), lo1, hi1, self.M)]
-        cur_lo, cur_hi = lo1, hi1
-        for K, L1 in kernels:
-            # node_{j+1}(t) = sum_dlt K(dlt) node_j(t + dlt)
-            full = np.convolve(arrays[-1], K[::-1], mode="valid")
-            cur_lo = cur_lo + L1
-            cur_hi = cur_hi - (len(K) - 1 - L1)
-            arrays.append(full)
-        self._grid = (cur_lo, cur_hi, arrays)
+        values = self.cont.grid_values(cmath.exp(1j * self.d_w), lo, hi, self.M)
+        for (K, L1), (out_lo, out_hi) in zip(kernels, reversed(spans)):
+            start = out_lo - L1 - lo
+            values = _correlate(values[start : start + out_hi - out_lo + len(K)], K)
+            lo = out_lo
+        self._grid = (lo, lo + len(values) - 1, values)
 
     def _nodes(self, lo: int, hi: int) -> np.ndarray:
         self._ensure_grid(lo, hi)
-        glo, _, arrays = self._grid
-        return arrays[-1][lo - glo : hi - glo + 1]
+        glo, _, values = self._grid
+        return values[lo - glo : hi - glo + 1]
 
     def value(self, w: SectorPoint) -> complex:
         lam, Qh, W = _level(self.orders_w[-1], self.d_w, self.Qw, w,

@@ -104,3 +104,68 @@ def test_q_euler_sum_near_q_one_is_the_jackson_sum_of_the_closed_form(q, mode):
     ref = _jackson_q_laplace(lambda xi: q_euler_borel(xi, q), q, 0.1)
     S = qs.q_multisum(None, make_q_euler(q), 0.0, mode=mode)
     assert _rel(S(SectorPoint.from_complex(0.1)), ref) <= 1e-13
+
+
+@pytest.mark.parametrize("arg", [0.0, 2.0])
+@pytest.mark.parametrize("M", [1, 8])
+@pytest.mark.parametrize("Q", [1.01, 1.0303, 1.5])
+def test_step_ratio_eq_kernel_matches_the_mpmath_product(Q, M, arg):
+    # the kernel (Q-1)/M y / e_Q(Q y) is built from a few product factors at
+    # the window's low end and one cumulative product per residue class above
+    # it; 17 nodes spread over the whole window, the top included, are checked
+    # against e_Q(x) = prod_n (1 + (Q-1) Q^(-n-1) x) at 30 digits, taken to the
+    # first factor within 1e-32 of 1 (mp.qp does not converge this close to 1)
+    a, b = qs._eq_window(Q, M, arg)
+    y = np.exp(np.arange(a, b + 1) * (math.log(Q) / M)) * np.exp(1j * arg)
+    kernel = qs._eq_kernel(y, Q, M)
+    worst = 0.0
+    with mp.workdps(30):
+        Qm = mp.mpf(Q)
+        t = [(Qm - 1) / Qm]                     # t_n = (Q-1) Q^(-n-1)
+        for i in np.unique(np.linspace(0, len(y) - 1, 17).round().astype(int)):
+            x = Qm * mp.mpc(y[i].real, y[i].imag)
+            n = max(1, math.ceil(math.log(1e32 * (Q - 1.0) / Q * abs(Q * y[i])) / math.log(Q)))
+            while len(t) < n:
+                t.append(t[-1] / Qm)
+            eq = mp.mpf(1)
+            for tn in t[:n]:
+                eq *= 1 + tn * x
+            worst = max(worst, _rel(kernel[i], (Qm - 1) / M * x / Qm / eq))
+    assert worst <= 5e-13
+
+
+@pytest.fixture(scope="module")
+def phi_sum():
+    """(params, q-sum in direction 0) of 2phi0(3, 5; -; 1/q), built once per
+    (q, mode, FFT threshold)."""
+    from qborel import hypergeom as hg
+
+    cache = {}
+
+    def get(q, mode):
+        key = (q, mode, qs._FFT_MIN_KERNEL)
+        if key not in cache:
+            par = hg.PhiParams((3.0, 5.0), (), 1.0 / q)
+            cache[key] = par, qs.q_multisum(None, hg.rphi_operator(par), 0.0, mode=mode)
+        return cache[key]
+
+    return get
+
+
+@pytest.mark.parametrize("fft_min_kernel", [None, 1], ids=["default", "fft-everywhere"])
+@pytest.mark.parametrize("z", [0.15, 0.3, 0.1 * np.exp(0.5j)])
+@pytest.mark.parametrize("mode", ["discrete", "continuous"])
+@pytest.mark.parametrize("q", [1.3, 1.2, 1.15])
+def test_two_phi_zero_q_sum_over_a_wide_dynamic_range(phi_sum, q, mode, z, fft_min_kernel,
+                                                      monkeypatch):
+    # the level arrays of these sums climb 20-60 decades after a flat
+    # stretch; the tilted FFT blocks without their round-off check come out
+    # up to 4e6 relative off here.  fft-everywhere sends every level, however
+    # short its kernel, through the FFT blocks and their check
+    from qborel import hypergeom as hg
+
+    if fft_min_kernel is not None:
+        monkeypatch.setattr(qs, "_FFT_MIN_KERNEL", fft_min_kernel)
+    par, S = phi_sum(q, mode)
+    zp = SectorPoint.from_complex(complex(z))
+    assert _rel(S(zp), hg.qsum_closed_form(par, 0.0, zp)) <= 2e-10

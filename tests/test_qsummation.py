@@ -197,6 +197,19 @@ def test_q_continuation_eval_at_on_pole_spiral_raises():
         h.eval_at(spiral.base * q**3)
 
 
+@pytest.mark.parametrize("mode", ["discrete", "continuous"])
+def test_q_sum_with_a_large_anchor_radius_matches_the_closed_form(mode):
+    # at q = 1.1 the Borel transform's radius is so large that the anchor's
+    # tail check, top ** (N - 1), overflowed a float and the build raised
+    from qborel import hypergeom as hg
+
+    par = hg.PhiParams((3.0, 5.0), (), 1 / 1.1)
+    S = qs.q_multisum(None, hg.rphi_operator(par), 0.0, mode=mode)
+    for z in (0.15, 0.3):
+        ref = hg.qsum_closed_form(par, 0.0, SectorPoint.from_complex(z))
+        assert abs(S(SectorPoint.from_complex(z)) - ref) <= 2e-8 * abs(ref)
+
+
 # ---------------------------------------------------------------------------
 # the three q-Laplace kernels
 
@@ -518,3 +531,37 @@ def test_q_multisum_confluence_hypergeometric_family():
         assert S.residual(opq, z) < 1e-9
     assert all(a > b for a, b in zip(errs, errs[1:]))
     assert errs[-1] < 1e-2
+
+
+@pytest.mark.parametrize("q, mode", [(1.05, "continuous"), (1.1, "discrete")])
+def test_grown_q_grid_equals_a_fresh_build(q, mode):
+    # continuous q = 1.05 correlates its levels by FFT blocks, discrete
+    # q = 1.1 by direct dots; in both a grid grown by a second, wider request
+    # equals a fresh build over the wider range, and the values of the first,
+    # narrow grid are those of the wide one, bit for bit
+    grown, fresh = (qs.q_multisum(None, make_q_euler(q), 0.0, mode=mode).sections[0]
+                    for _ in range(2))
+    assert len(grown.orders_w) == 3
+    narrow = grown._nodes(-40, 40).copy()
+    grown._ensure_grid(-900, 700)
+    fresh._ensure_grid(-900, 700)
+    assert grown._grid[:2] == fresh._grid[:2]
+    assert np.array_equal(grown._grid[2], fresh._grid[2])
+    assert np.array_equal(grown._nodes(-40, 40), narrow)
+
+
+def test_fft_level_correlation_matches_the_direct_dots():
+    # a level array that climbs 60 decades, turns and then stays flat, against
+    # a continuous-mode kernel long enough for FFT blocks: every output is
+    # the direct dot's to 2e-13 (kept FFT outputs are checked to 1e-13, the
+    # rest are that dot), and the direct path is np.dot bit for bit
+    K, _ = qs._jackson_kernel(1.02 ** 3, 8)
+    n, B = len(K), qs._block_size(len(K))
+    assert B > 1
+    t = np.arange(5 * B + n - 1)
+    a = np.exp(np.minimum(t, 1.5 * n) * (60 * math.log(10) / (1.5 * n)) + 0.01j * t)
+    dots = np.array([np.dot(K, a[i : i + n]) for i in range(5 * B)])
+    got = qs._correlate(a, K)
+    assert np.max(np.abs(got - dots) / np.abs(dots)) <= 2e-13
+    rows = np.array([0, 1, 2, 7, 9, 10, 5 * B - 1])
+    assert np.array_equal(qs._direct_dots(a, K, rows), dots[rows])
