@@ -207,80 +207,111 @@ class FunctionHandle(RayHandle):
         return self._growth
 
 
+_NO_DENSE = (np.zeros(0), [])   # the dense store of a handle not yet continued
+
+
 class _OdeRayHandle(RayHandle):
     """A ray handle continued beyond its anchor x0 by the operator's ODE
     delta V = C(w) V + F(w) for V = (f, delta f, ..., delta^{m-1} f).
 
     Subclasses set op, direction, rtol, _m, _forcing, _lock, the anchor x0
-    with its vector _V0, and start with no segments and _x_hi = 0; every
-    ensure() past _x_hi adds a dense solve_ivp segment (lo, hi, sol).
+    with its vector _V0, and start with _dense = _NO_DENSE and _x_hi = 0;
+    every ensure() past _x_hi integrates one more dense solve_ivp segment.
+    _dense holds the DOP853 steps of all segments as one tuple
+    (breakpoints, interpolants), replaced whole under the lock, so a reader
+    without the lock always sees a matching pair.
     """
 
-    def _rhs_vector(self, x: float) -> np.ndarray:
-        w = x * cmath.exp(1j * self.direction)
+    def _rhs(self) -> Callable[[float, np.ndarray], list]:
+        """The ODE right side on the split state y = (Re V, Im V): the last
+        component of V' is (sum_j (-b_j/b_m) V_j + F/b_m)/x, the others are
+        V_{i+1}/x.  The b_j and F are low-degree, so plain-Python Horner on
+        coefficient tuples built here once beats any array call."""
         m = self._m
-        b = self.op.coefficients
-        lead = b[-1](w)
-        F = np.zeros(m, dtype=complex)
-        if self._forcing is not None:
-            F[m - 1] = self._forcing.eval(w) / lead
-        return F
+        phase = cmath.exp(1j * self.direction)
+        *low, lead = [tuple(p.coeffs[::-1].tolist()) for p in self.op.coefficients]
+        forcing = (() if self._forcing is None
+                   else tuple(self._forcing.coefficients[::-1].tolist()))
 
-    def _companion(self, x: float) -> np.ndarray:
-        w = x * cmath.exp(1j * self.direction)
-        m = self._m
-        b = self.op.coefficients
-        lead = b[-1](w)
-        C = np.zeros((m, m), dtype=complex)
-        for i in range(m - 1):
-            C[i, i + 1] = 1.0
-        for j in range(m):
-            bj = b[j](w) if j < len(b) else 0.0
-            C[m - 1, j] = -bj / lead
-        return C
+        def horner(cs, w):
+            acc = 0j
+            for c in cs:
+                acc = acc * w + c
+            return acc
 
-    def _ode_rhs(self, x, y):
-        V = y[: self._m] + 1j * y[self._m :]
-        dV = (self._companion(x) @ V + self._rhs_vector(x)) / x
-        return np.concatenate([dV.real, dV.imag])
+        def rhs(x, y):
+            x = float(x)
+            w = x * phase
+            b_m = horner(lead, w)
+            v = y.tolist()
+            acc = 0j
+            for j in range(m):
+                acc += -horner(low[j], w) / b_m * complex(v[j], v[m + j])
+            acc += horner(forcing, w) / b_m
+            inv_x = 1.0 / x
+            acc *= inv_x
+            return ([t * inv_x for t in v[1:m]] + [acc.real]
+                    + [t * inv_x for t in v[m + 1:]] + [acc.imag])
+
+        return rhs
 
     def _ensure_locked(self, x_max: float):
-        if x_max <= self._x_hi:
+        end = x_max * 1.0001
+        if x_max <= self._x_hi or end <= self._x0:   # the ODE runs forward from x0
             return
-        if not self._segments:
+        ts, interps = self._dense
+        if not interps:
             start, V0 = self._x0, self._V0
         else:
             start, V0 = self._x_hi, self._vector_at(self._x_hi)
         y0 = np.concatenate([V0.real, V0.imag])
         scale = max(np.max(np.abs(V0)), 1e-30)
-        sol = solve_ivp(self._ode_rhs, (start, x_max * 1.0001), y0, method="DOP853",
+        sol = solve_ivp(self._rhs(), (start, end), y0, method="DOP853",
                         rtol=self.rtol, atol=scale * 1e-16, dense_output=True)
         if not sol.success:
             raise GrowthError(
                 f"ODE continuation failed along arg={self.direction}: {sol.message}"
             )
-        self._segments.append((start, x_max * 1.0001, sol.sol))
-        self._x_hi = x_max * 1.0001
+        seg = sol.sol
+        self._dense = (np.concatenate([ts, seg.ts[1:] if interps else seg.ts]),
+                       interps + seg.interpolants)
+        self._x_hi = end
+
+    @staticmethod
+    def _steps(ts: np.ndarray, x) -> np.ndarray:
+        """Index of the DOP853 step that serves each point x in [ts[0], ts[-1]]:
+        at a breakpoint the lower-index step, as OdeSolution picks it."""
+        return np.maximum(np.searchsorted(ts, x, side="left") - 1, 0)
 
     def _vector_at(self, x: float) -> np.ndarray:
-        for lo, hi, dense in self._segments:
-            if lo <= x <= hi:
-                y = dense(x)
-                return y[: self._m] + 1j * y[self._m :]
-        raise ArgumentError(f"point {x} outside the continued range")
+        ts, interps = self._dense
+        if not interps or not ts[0] <= x <= ts[-1]:
+            raise ArgumentError(f"point {x} outside the continued range")
+        y = interps[self._steps(ts, x)](x)
+        return y[: self._m] + 1j * y[self._m :]
 
     def _segment_values(self, pts: np.ndarray) -> np.ndarray:
-        """f at the ray points pts from the dense segments (the first segment
-        that covers a point wins); points no segment covers go to eval_ray."""
+        """f at the ray points pts from the dense steps: the points are sorted
+        once, located with one searchsorted and each step's interpolant runs
+        once on its run of points; points outside the continued range go to
+        eval_ray."""
+        ts, interps = self._dense
         vals = np.empty(len(pts), dtype=complex)
-        left = np.ones(len(pts), dtype=bool)
-        for lo, hi, dense in self._segments:
-            mask = left & (pts >= lo) & (pts <= hi)
-            if np.any(mask):
-                y = dense(pts[mask])
-                vals[mask] = y[0] + 1j * y[self._m]
-                left &= ~mask
-        for j in np.flatnonzero(left):
+        order = np.argsort(pts)
+        xs = pts[order]
+        lo = hi = 0
+        if interps:
+            lo = np.searchsorted(xs, ts[0], side="left")
+            hi = np.searchsorted(xs, ts[-1], side="right")
+        if hi > lo:
+            inside = xs[lo:hi]
+            steps = self._steps(ts, inside)
+            cuts = np.flatnonzero(np.diff(steps)) + 1
+            y = np.concatenate(
+                [interps[steps[a]](inside[a:b]) for a, b in
+                 zip(np.r_[0, cuts], np.r_[cuts, len(inside)])], axis=1)
+            vals[order[lo:hi]] = y[0] + 1j * y[self._m]
+        for j in np.r_[order[:lo], order[hi:]]:
             vals[j] = self.eval_ray(float(pts[j]))
         return vals
 
@@ -302,7 +333,7 @@ class ContinuationHandle(_OdeRayHandle):
         self.radius = _cauchy_hadamard(series.coefficients)
         self._lead_roots = op.coefficients[-1].nonzero_roots()
         self._check_ray_clear()
-        self._segments: list = []  # list of OdeSolution
+        self._dense = _NO_DENSE
         self._x_hi = 0.0
         self._lock = threading.RLock()
         self._x0 = 0.5 * self.radius
@@ -780,7 +811,7 @@ class LaplaceStageHandle(_OdeRayHandle):
         budget = 50.0 + max(0.0, math.log(J))
         reach_cap = 0.9 * prev_dom / (budget ** (1.0 / self.lam))
         self._x0 = min(0.15 * x_dom, reach_cap, 1.0)
-        self._segments = []
+        self._dense = _NO_DENSE
         self._x_hi = 0.0
         self._lead_roots = op.coefficients[-1].nonzero_roots()
         self._check_ray_clear()

@@ -422,7 +422,7 @@ class QContinuation:
         x = base * steps[ts % M] * powers[ts // M - start // M]
         n_in = min(t_in - start + 1, len(x))
         vals = np.empty(len(x), dtype=complex)
-        vals[:n_in] = np.polynomial.polynomial.polyval(x[:n_in], self.series.coefficients)
+        vals[:n_in] = _octave_polyval(x[:n_in], self.series.coefficients)
         if n_in < len(x):
             if m == 0:
                 raise UnsupportedError("cannot continue with an order-0 operator")
@@ -459,6 +459,32 @@ class QContinuation:
                 acc -= rows[t - mM, i] * out[t - i * M]
             out[t] = acc / rows[t - mM, 0]
         return out
+
+
+def _octave_polyval(x: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """The polynomial at points x ordered by |x|.  In the octave
+    2^(e-1) <= |x| < 2^e it sums the terms up to the last one whose bound
+    |c_n| 2^(e n) reaches 2^-60 of the octave's largest bound (far inside the
+    disk a few terms of a long series suffice).  One Horner pass runs step n
+    on the suffix of points whose degree reaches n: the arithmetic of one
+    polyval per octave."""
+    e = np.frexp(np.abs(x))[1]
+    octaves = np.unique(e)
+    with np.errstate(divide="ignore"):
+        bound = np.log2(np.abs(coeffs)) + octaves[:, None] * np.arange(len(coeffs))
+    kept = bound >= bound.max(axis=1, keepdims=True) - 60.0
+    top = len(coeffs) - 1 - np.argmax(kept[:, ::-1], axis=1)
+    degree = np.maximum.accumulate(top[np.searchsorted(octaves, e)])
+    first = np.searchsorted(degree, np.arange(degree[-1] + 1)).tolist()
+    acc = np.zeros(len(x), dtype=complex)
+    s = None
+    for n in range(degree[-1], -1, -1):
+        if first[n] != s:
+            s = first[n]
+            a, xs = acc[s:], x[s:]
+        a *= xs
+        a += coeffs[n]
+    return acc
 
 
 def q_continuation(s: PowerSeries, q_op: LinearOperator, d: float) -> QContinuation:

@@ -1,11 +1,12 @@
 import cmath
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.integrate import quad
+from scipy.integrate import IntegrationWarning, quad
 
 from qborel import classical as cl
 from qborel.errors import (
@@ -182,6 +183,36 @@ def test_laplace_positivity():
     val = cl.laplace_along_ray(h, 1, 0.0, z)
     assert val.real > 0
     assert abs(val.imag) < 1e-12 * abs(val)
+
+
+def test_laplace_along_ray_samples_each_node_once(euler_op, monkeypatch):
+    # QUADPACK's real and imaginary passes share their nodes: complex_quad
+    # runs the integrand once per distinct node, and its value equals the
+    # plain two-pass quad bit for bit
+    nodes, plain_nodes = [], []
+    quad_fn = cl.complex_quad
+
+    def recording(fn, a, b, **kwargs):
+        def counted(s):
+            nodes.append(s)
+            return fn(s)
+
+        def plain(s):
+            plain_nodes.append(s)
+            return fn(s)
+
+        got = quad_fn(counted, a, b, **kwargs)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", IntegrationWarning)
+            ref, _ = quad(plain, a, b, limit=200, complex_func=True, **kwargs)
+        assert got == ref
+        return got
+
+    monkeypatch.setattr(cl, "complex_quad", recording)
+    h = _euler_borel_handle(euler_op, 0.3)
+    cl.laplace_along_ray(h, 1, 0.3, SectorPoint.from_polar(0.1, 0.4))
+    assert len(nodes) == len(set(nodes)) == len(set(plain_nodes)) > 0
+    assert len(plain_nodes) > len(nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -458,6 +489,119 @@ def test_classical_stokes_constant_near_pi(stokes_pair):
     z = SectorPoint.from_polar(0.2, math.pi)
     J = plus(z) - minus(z)
     assert abs(abs(J * cmath.exp(-1.0 / z.to_complex())) - 2 * math.pi) < 1e-11
+
+
+@pytest.fixture(scope="module")
+def euler_ode_sum():
+    """The Euler sum on the ray pi + pi/24 (rtol 1e-10) after one value,
+    built while keeping each ODE handle's solve_ivp segments (start, end,
+    OdeSolution) and the ray points at which the stage tables sample it."""
+    euler = LinearOperator("differential", "delta",
+                           (Polynomial([1.0]), Polynomial([0.0, 1.0])),
+                           None, PowerSeries([0.0, 1.0]))
+    segments, samples, building = {}, {}, []
+    ensure_locked, solve, batched = (cl._OdeRayHandle._ensure_locked, cl.solve_ivp,
+                                     cl._batched_ray_laplace)
+
+    def recording_ensure(self, x_max):
+        building.append(self)
+        try:
+            return ensure_locked(self, x_max)
+        finally:
+            building.pop()
+
+    def recording_solve(fun, t_span, *args, **kwargs):
+        sol = solve(fun, t_span, *args, **kwargs)
+        segments.setdefault(building[-1], []).append((*t_span, sol.sol))
+        return sol
+
+    def recording_batched(handle, lam, d, xs):
+        many = handle.eval_ray_many
+
+        def recording(pts):
+            samples.setdefault(handle, []).append(np.array(pts))
+            return many(pts)
+
+        handle.eval_ray_many = recording
+        try:
+            return batched(handle, lam, d, xs)
+        finally:
+            del handle.eval_ray_many
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cl._OdeRayHandle, "_ensure_locked", recording_ensure)
+        mp.setattr(cl, "solve_ivp", recording_solve)
+        mp.setattr(cl, "_batched_ray_laplace", recording_batched)
+        S = cl.multisum(None, euler, math.pi + math.pi / 24.0, rtol=1e-10)
+        S(SectorPoint.from_polar(0.2, math.pi))
+    return S, segments, samples
+
+
+def _bits(values: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(values, dtype=complex).view(np.int64)
+
+
+def test_dense_lookup_matches_per_segment_ode_solution(euler_ode_sum):
+    # the merged breakpoint store answers exactly as the segments' own
+    # OdeSolutions: at every table sample point, every breakpoint and both
+    # ends of every segment, with the first segment that covers a point
+    _, segments, samples = euler_ode_sum
+    # at a breakpoint the lower-index step, as in OdeSolution (the DOP853
+    # steps here agree there bit for bit, so only this pins the rule)
+    steps = cl._OdeRayHandle._steps(np.array([0.0, 1.0, 2.0]),
+                                    np.array([0.0, 0.5, 1.0, 1.5, 2.0]))
+    assert steps.tolist() == [0, 0, 0, 1, 1]
+    assert len(samples) == 6
+    for h, pts in samples.items():
+        m, segs = h._m, segments[h]
+        ts = h._dense[0]
+        ends = np.array([x for lo, hi, _ in segs for x in (lo, hi)])
+        assert ends[0] == ts[0] and ends[-1] == ts[-1] and len(segs) >= 2
+        table = np.concatenate(pts)
+        table = table[(table >= ts[0]) & (table <= ts[-1])]
+        assert len(table) > 100
+        xs = np.concatenate([table, ts, ends])
+        ref = np.empty(len(xs), dtype=complex)
+        left = np.ones(len(xs), dtype=bool)
+        for lo, hi, sol in segs:
+            sel = left & (xs >= lo) & (xs <= hi)
+            y = sol(xs[sel])
+            ref[sel] = y[0] + 1j * y[m]
+            left &= ~sel
+        assert not left.any()
+        assert np.array_equal(_bits(h._segment_values(xs)), _bits(ref))
+        for x in np.concatenate([ts, ends]):
+            sol = next(sol for lo, hi, sol in segs if lo <= x <= hi)
+            y = sol(x)
+            assert np.array_equal(_bits(cl._OdeRayHandle._vector_at(h, x)),
+                                  _bits(y[:m] + 1j * y[m:]))
+
+
+def test_ode_right_side_matches_companion_form(euler_ode_sum):
+    # (C(w) V + F(w))/x with C the companion matrix of b_0..b_m, from the
+    # operator's Polynomials: the split-state right side agrees within 4 ulp
+    # of the largest term of each component
+    _, segments, _ = euler_ode_sum
+    gen = np.random.default_rng(11)
+    for h in segments:
+        m, b = h._m, h.op.coefficients
+        rhs = h._rhs()
+        for _ in range(50):
+            x = h._x0 * (h._x_hi / h._x0) ** gen.uniform()
+            V = (gen.normal(size=m) + 1j * gen.normal(size=m)) * 10.0 ** gen.uniform(-3, 3, m)
+            w = x * cmath.exp(1j * h.direction)
+            C = np.zeros((m, m), dtype=complex)
+            C[np.arange(m - 1), np.arange(1, m)] = 1.0
+            C[m - 1] = [-b[j](w) / b[-1](w) for j in range(m)]
+            F = np.zeros(m, dtype=complex)
+            if h.op.rhs is not None:
+                F[m - 1] = h.op.rhs.eval(w) / b[-1](w)
+            ref = (C @ V + F) / x
+            scale = np.append(np.abs(V[1:]),
+                              max(np.max(np.abs(C[m - 1] * V)), abs(F[m - 1]))) / x
+            y = np.asarray(rhs(x, np.concatenate([V.real, V.imag])))
+            assert np.all(np.abs(y[:m] - ref.real) <= 4 * np.spacing(scale))
+            assert np.all(np.abs(y[m:] - ref.imag) <= 4 * np.spacing(scale))
 
 
 def test_batched_laplace_points_per_node_on_positive_axis(euler_op, monkeypatch):

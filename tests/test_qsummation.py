@@ -170,6 +170,23 @@ def test_q_continuation_grid_matches_closed_form():
         assert abs(h.eval_at(q**t) - want[t + 5]) <= 1e-14 * abs(want[t + 5])
 
 
+def test_in_disk_seeding_keeps_the_terms_above_2_to_the_minus_60(q_euler_op):
+    # per octave of |x| the seeding polyval stops at the last term whose
+    # bound reaches 2^-60 of the octave's largest: within 2 ulp of that term
+    # of the full polyval, on the continuation of a q = 1.05 section (207
+    # terms, nodes from 1e-40 to the anchor disk)
+    h = qs.q_multisum(None, q_euler_op, 0.0, mode="discrete").sections[0].cont
+    q, c = h.q, h.series.coefficients
+    base = h._anchor_disk / q**1000 * cmath.exp(0.3j)
+    x = base * np.array([q ** float(t) for t in range(991)])
+    assert abs(x[0]) < 1e-40
+    got = qs._octave_polyval(x, c)
+    full = np.polynomial.polynomial.polyval(x, c)
+    largest = np.max(np.abs(c) * np.abs(x)[:, None] ** np.arange(len(c)), axis=1)
+    assert np.all(np.abs(got - full) <= 2 * np.spacing(largest))
+    assert np.array_equal(h.grid_values(base, 0, 990), got)
+
+
 def test_q_continuation_walk_matches_series_order_two():
     # grid points between the anchor disk and 0.8 radius are walked by the
     # order-2 equation, yet still inside the series' disk of convergence
