@@ -177,18 +177,13 @@ def formal_borel(s: PowerSeries, k) -> PowerSeries:
 
 
 class RayHandle:
-    """Protocol: values of an analytic function along the ray arg = d."""
+    """Protocol: values of an analytic function along the ray arg = d.
+    Subclasses define eval_ray(x) and growth(k)."""
 
     direction: float
 
-    def eval_ray(self, x: float) -> complex:  # pragma: no cover - interface
-        raise NotImplementedError
-
     def eval_ray_many(self, xs) -> np.ndarray:
         return np.array([self.eval_ray(float(x)) for x in xs], dtype=complex)
-
-    def growth(self, k: float) -> tuple[float, float]:  # pragma: no cover
-        raise NotImplementedError
 
 
 class FunctionHandle(RayHandle):
@@ -340,6 +335,10 @@ class ContinuationHandle(_OdeRayHandle):
         self._series_limit = 0.8 * self.radius
         self._m = op.order
         self._forcing = op.rhs
+        # the series of delta^i f, i < m: coefficients n^i c_n
+        n = np.arange(len(series.coefficients))
+        self._delta_series = [PowerSeries(series.coefficients * n**i)
+                              for i in range(self._m)]
 
     @property
     def _V0(self) -> np.ndarray:
@@ -362,13 +361,7 @@ class ContinuationHandle(_OdeRayHandle):
     def _series_vector(self, x: float) -> np.ndarray:
         """(f, delta f, ..., delta^{m-1} f) at x e^{i d} from the series."""
         zeta = x * cmath.exp(1j * self.direction)
-        c = self.series.coefficients
-        n = np.arange(len(c))
-        out = np.empty(self._m, dtype=complex)
-        powers = zeta ** n
-        for i in range(self._m):
-            out[i] = np.sum(c * (n**i) * powers)
-        return out
+        return np.array([s.eval(zeta) for s in self._delta_series], dtype=complex)
 
     def ensure(self, x_max: float):
         if x_max <= self._x_hi:
@@ -404,12 +397,7 @@ class ContinuationHandle(_OdeRayHandle):
         out = np.empty(len(xs), dtype=complex)
         inner = xs <= self._series_limit
         if np.any(inner):
-            ts = xs[inner] * cmath.exp(1j * self.direction)
-            # Horner in chunks of 16384 points: its temporaries stay in cache
-            out[inner] = np.concatenate([
-                np.polynomial.polynomial.polyval(ts[i:i + 16384],
-                                                 self.series.coefficients)
-                for i in range(0, len(ts), 16384)])
+            out[inner] = self.series.eval_many(xs[inner] * cmath.exp(1j * self.direction))
         if not np.all(inner):
             out[~inner] = self._segment_values(xs[~inner])
         return out
@@ -822,7 +810,7 @@ class LaplaceStageHandle(_OdeRayHandle):
         # asymptotic regime from the first formal coefficients; the cutoff is
         # where the first dropped (Gevrey-divergent) term falls below 1e-14
         # of the function scale |c0| + |c1| x, not of the coefficient scale
-        self._asym = None
+        self._asym: Optional[PowerSeries] = None
         self._x_asym = 0.0
         if asym_seeds is not None and len(asym_seeds) >= 3:
             n_use = min(len(asym_seeds) - 1, 5)
@@ -837,9 +825,7 @@ class LaplaceStageHandle(_OdeRayHandle):
                         lo = mid
                     else:
                         hi = mid
-                phase = cmath.exp(1j * direction)
-                coefs = np.array(asym_seeds[:n_use], dtype=complex)
-                self._asym = (coefs, phase)
+                self._asym = PowerSeries(asym_seeds[:n_use])
                 self._x_asym = lo
         w0 = SectorPoint.from_polar(self._x0, direction)
         self._V0 = _delta_derivatives_from_moments(prev, self.lam, direction, w0, self._m)
@@ -872,14 +858,6 @@ class LaplaceStageHandle(_OdeRayHandle):
             with self._lock:
                 self._cache[x] = v
         return v
-
-    def _eval_asym(self, x: float) -> complex:
-        coefs, phase = self._asym
-        wv = x * phase
-        acc = 0.0 + 0.0j
-        for c in coefs[::-1]:
-            acc = acc * wv + c
-        return acc
 
     def prepare(self, x_hi: float):
         """Make the handle cheap to sample on (0, x_hi]: extend the ODE if the
@@ -923,7 +901,7 @@ class LaplaceStageHandle(_OdeRayHandle):
                 self.ensure(x)
             return complex(self._vector_at(x)[0])
         if self._asym is not None and x <= self._x_asym:
-            return self._eval_asym(x)
+            return self._asym.eval(x * cmath.exp(1j * self.direction))
         if self._interp is not None and self._interp.a <= x <= self._interp.b:
             return self._interp(x)
         return self._direct(x)
@@ -944,9 +922,7 @@ class LaplaceStageHandle(_OdeRayHandle):
         if self._asym is not None:
             sel = (~done) & (xs <= self._x_asym)
             if np.any(sel):
-                coefs, phase = self._asym
-                wv = xs[sel] * phase
-                out[sel] = np.polynomial.polynomial.polyval(wv, coefs)
+                out[sel] = self._asym.eval_many(xs[sel] * cmath.exp(1j * self.direction))
                 done |= sel
         if self._interp is not None:
             sel = (~done) & (xs >= self._interp.a) & (xs <= self._interp.b)

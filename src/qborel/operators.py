@@ -282,12 +282,6 @@ class CharPolynomial:
     roots: tuple[complex, ...]
     multiplicities: tuple[int, ...]
 
-    def __call__(self, x: complex) -> complex:
-        acc = 0j
-        for c in reversed(self.coefficients):
-            acc = acc * x + c
-        return acc
-
 
 def characteristic_polynomial(op: LinearOperator, slope) -> CharPolynomial:
     """Characteristic polynomial attached to an integer slope of the polygon

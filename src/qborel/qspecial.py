@@ -24,9 +24,8 @@ _Q_FLOOR = 1.001
 
 @dataclass(frozen=True)
 class QParameter:
-    """Real q > 1 with its reciprocal p; values below 1.001 are rejected
-    (the theta/e_q series then need O((q-1)^{-1/2}) terms -- use the limit
-    formulas instead)."""
+    """Real q > 1; values below 1.001 are rejected (the theta/e_q series
+    then need O((q-1)^{-1/2}) terms -- use the limit formulas instead)."""
 
     q: float
 
@@ -38,10 +37,6 @@ class QParameter:
                 f"q = {self.q} below the supported floor {_Q_FLOOR}; "
                 f"use the q -> 1 limit formulas"
             )
-
-    @property
-    def p(self) -> float:
-        return 1.0 / self.q
 
 
 def _as_q(q) -> float:

@@ -422,7 +422,7 @@ class QContinuation:
         x = base * steps[ts % M] * powers[ts // M - start // M]
         n_in = min(t_in - start + 1, len(x))
         vals = np.empty(len(x), dtype=complex)
-        vals[:n_in] = _octave_polyval(x[:n_in], self.series.coefficients)
+        vals[:n_in] = self.series.eval_many(x[:n_in])
         if n_in < len(x):
             if m == 0:
                 raise UnsupportedError("cannot continue with an order-0 operator")
@@ -459,32 +459,6 @@ class QContinuation:
                 acc -= rows[t - mM, i] * out[t - i * M]
             out[t] = acc / rows[t - mM, 0]
         return out
-
-
-def _octave_polyval(x: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-    """The polynomial at points x ordered by |x|.  In the octave
-    2^(e-1) <= |x| < 2^e it sums the terms up to the last one whose bound
-    |c_n| 2^(e n) reaches 2^-60 of the octave's largest bound (far inside the
-    disk a few terms of a long series suffice).  One Horner pass runs step n
-    on the suffix of points whose degree reaches n: the arithmetic of one
-    polyval per octave."""
-    e = np.frexp(np.abs(x))[1]
-    octaves = np.unique(e)
-    with np.errstate(divide="ignore"):
-        bound = np.log2(np.abs(coeffs)) + octaves[:, None] * np.arange(len(coeffs))
-    kept = bound >= bound.max(axis=1, keepdims=True) - 60.0
-    top = len(coeffs) - 1 - np.argmax(kept[:, ::-1], axis=1)
-    degree = np.maximum.accumulate(top[np.searchsorted(octaves, e)])
-    first = np.searchsorted(degree, np.arange(degree[-1] + 1)).tolist()
-    acc = np.zeros(len(x), dtype=complex)
-    s = None
-    for n in range(degree[-1], -1, -1):
-        if first[n] != s:
-            s = first[n]
-            a, xs = acc[s:], x[s:]
-        a *= xs
-        a += coeffs[n]
-    return acc
 
 
 def q_continuation(s: PowerSeries, q_op: LinearOperator, d: float) -> QContinuation:
@@ -543,12 +517,14 @@ def discrete_q_laplace(f, k, d: float, q: float, z,
     # growth gate: the sum converges when the e_{q^k} kernel outruns the
     # handle's fitted e_q-class growth, i.e. L |z|^k safely below q^k
     if isinstance(f, QContinuation):
-        # racing threads all use the fit stored first (setdefault is atomic)
-        L_fit = getattr(f, "_q_growth_fit", None)
+        # one fit per (q, k, d); racing threads all use the fit stored first
+        # (setdefault is atomic)
+        fits = vars(f).setdefault("_q_growth_fit", {})
+        L_fit = fits.get((q, lam, d))
         if L_fit is None:
             hi = max(4.0 * f.radius, 2.0)
-            L_fit = vars(f).setdefault(
-                "_q_growth_fit",
+            L_fit = fits.setdefault(
+                (q, lam, d),
                 _growth_fit_q(_ray_evaluator(f, d), q, lam, 0.05 * f.radius, hi))
         if L_fit * abs(Z) >= 0.98 * Q:
             raise GrowthError(

@@ -125,12 +125,6 @@ class SectorPoint:
         c = float(c)
         return SectorPoint(self.log_modulus * c, self.argument * c)
 
-    def scale(self, r: float) -> "SectorPoint":
-        """Multiply by a positive real (argument unchanged)."""
-        if r <= 0:
-            raise ArgumentError("scale factor must be positive")
-        return SectorPoint(self.log_modulus + math.log(r), self.argument)
-
     def complex_log(self) -> complex:
         return complex(self.log_modulus, self.argument)
 
@@ -205,11 +199,6 @@ class Polynomial:
         a[: len(other.coeffs)] += other.coeffs
         return Polynomial(a)
 
-    def __sub__(self, other):
-        if not isinstance(other, Polynomial):
-            other = Polynomial([other])
-        return self + (-1) * other
-
     def shift_argument(self, a: ComplexLike) -> "Polynomial":
         """p(x) -> p(x + a)."""
         result = Polynomial([])
@@ -268,10 +257,6 @@ class PowerSeries:
     def truncation_order(self) -> int:
         return len(self.coefficients)
 
-    def exponents(self) -> list[Fraction]:
-        nu = self.ram_index
-        return [Fraction(n, nu) for n in range(len(self.coefficients))]
-
     def coeff_at(self, exponent: Fraction) -> complex:
         """Coefficient of z^exponent (0 if outside the truncated support)."""
         idx = exponent * self.ram_index
@@ -298,20 +283,6 @@ class PowerSeries:
         out[::step] = self.coefficients
         return PowerSeries(out, new_nu)
 
-    def __add__(self, other):
-        if not isinstance(other, PowerSeries):
-            arr = self.coefficients.copy()
-            arr[0] += complex(other)
-            return PowerSeries(arr, self.ram_index)
-        a, b = self._common_ram(other)
-        n = min(len(a.coefficients), len(b.coefficients))
-        return PowerSeries(a.coefficients[:n] + b.coefficients[:n], a.ram_index)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self + (-1) * other
-
     def __mul__(self, other):
         if not isinstance(other, PowerSeries):
             return PowerSeries(self.coefficients * complex(other), self.ram_index)
@@ -322,25 +293,10 @@ class PowerSeries:
 
     __rmul__ = __mul__
 
-    def shift(self, steps: int) -> "PowerSeries":
-        """Multiply by t^steps (t the ramified variable), keeping the length."""
-        if steps < 0:
-            raise ArgumentError("shift steps must be nonnegative")
-        out = np.zeros(len(self.coefficients) + steps, dtype=complex)
-        out[steps:] = self.coefficients
-        return PowerSeries(out, self.ram_index)
-
     def termwise(self, weight: Callable[[int], complex]) -> "PowerSeries":
         """Multiply coefficient n (index in the ramified variable) by weight(n)."""
         w = np.array([weight(n) for n in range(len(self.coefficients))], dtype=complex)
         return PowerSeries(self.coefficients * w, self.ram_index)
-
-    def truncate(self, order: int) -> "PowerSeries":
-        if order < 1:
-            raise ArgumentError("truncation order must be >= 1")
-        if order >= len(self.coefficients):
-            return self
-        return PowerSeries(self.coefficients[:order], self.ram_index)
 
     # -- evaluation --------------------------------------------------------
 
@@ -355,12 +311,45 @@ class PowerSeries:
                 t = z
             else:
                 t = cmath.exp(cmath.log(z) / self.ram_index) if z != 0 else 0.0
-        if len(self.coefficients) > 24:
-            return complex(np.polynomial.polynomial.polyval(t, self.coefficients))
-        acc = 0.0 + 0.0j
-        for c in reversed(self.coefficients):
+        acc = 0j
+        for c in self.coefficients[::-1].tolist():
             acc = acc * t + c
         return acc
+
+    def eval_many(self, t) -> np.ndarray:
+        """The series at the 1-D array t of points of its own variable
+        z^(1/ram_index), in any order.  In the octave 2^(e-1) <= |t| < 2^e it
+        sums the terms up to the last one whose bound |c_n| 2^(e n) reaches
+        2^-60 of the octave's largest bound, or up to a lower octave's last
+        term if that is higher (far inside the disk a few terms of a long
+        series suffice).  The points are visited by |t|: one Horner pass runs
+        step n on the suffix of points whose degree reaches n, the arithmetic
+        of one polyval per octave.  A value depends on the set of points, not
+        on their order."""
+        t = np.asarray(t, dtype=complex)
+        if t.size == 0:
+            return np.zeros(0, dtype=complex)
+        order = np.argsort(np.abs(t))
+        x = t[order]
+        e = np.frexp(np.abs(x))[1]
+        c = self.coefficients
+        octaves = np.unique(e)
+        with np.errstate(divide="ignore"):
+            bound = np.log2(np.abs(c)) + octaves[:, None] * np.arange(len(c))
+        kept = bound >= bound.max(axis=1, keepdims=True) - 60.0
+        top = len(c) - 1 - np.argmax(kept[:, ::-1], axis=1)
+        degree = np.maximum.accumulate(top[np.searchsorted(octaves, e)])
+        first = np.searchsorted(degree, np.arange(degree[-1] + 1)).tolist()
+        acc = np.zeros(len(x), dtype=complex)
+        s = None
+        for n in range(degree[-1], -1, -1):
+            if first[n] != s:
+                s = first[n]
+                a, xs = acc[s:], x[s:]
+            a *= xs
+            a += c[n]
+        x[order] = acc   # back to the input order, in the sorted copy's buffer
+        return x
 
     # -- comparison --------------------------------------------------------
 

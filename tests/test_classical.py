@@ -577,6 +577,28 @@ def test_dense_lookup_matches_per_segment_ode_solution(euler_ode_sum):
                                   _bits(y[:m] + 1j * y[m:]))
 
 
+def test_series_samples_of_a_stage_table_keep_the_terms_above_2_to_the_minus_60(
+        euler_ode_sum):
+    # inside 0.8 of the radius eval_ray_many sums the Borel series by the
+    # octave rule of PowerSeries.eval_many: real and imaginary parts within
+    # 2 ulp of the largest term of the full polyval at every point a stage
+    # table samples there
+    _, _, samples = euler_ode_sum
+    handles = [h for h in samples if isinstance(h, cl.ContinuationHandle)]
+    assert handles
+    for h in handles:
+        xs = np.concatenate(samples[h])
+        xs = xs[xs <= h._series_limit]
+        assert len(xs) > 100
+        t = xs * cmath.exp(1j * h.direction)
+        c = h.series.coefficients
+        full = np.polynomial.polynomial.polyval(t, c)
+        largest = np.max(np.abs(c) * xs[:, None] ** np.arange(len(c)), axis=1)
+        diff = h.eval_ray_many(xs) - full
+        assert np.all(np.abs(diff.real) <= 2 * np.spacing(largest))
+        assert np.all(np.abs(diff.imag) <= 2 * np.spacing(largest))
+
+
 def test_ode_right_side_matches_companion_form(euler_ode_sum):
     # (C(w) V + F(w))/x with C the companion matrix of b_0..b_m, from the
     # operator's Polynomials: the split-state right side agrees within 4 ulp

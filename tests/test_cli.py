@@ -197,6 +197,19 @@ def test_hypergeom_command(capsys):
     assert "connection-infinity" in text
 
 
+def test_hypergeom_closed_form_matches_the_theta_pipeline(capsys):
+    # r > s + 1: the row compares qsum_closed_form with the theta q-sum of
+    # the q-Borel continuation of 2phi0(3, 5; -; p)
+    rc = main(["hypergeom", "--upper", "3,5", "--p", "0.8333333333333334",
+               "--z", "0.15,0"])
+    assert rc == 0
+    rows = [l.split(",") for l in capsys.readouterr().out.splitlines()
+            if l.startswith("closed-form-vs-pipeline")]
+    assert len(rows) == 1
+    assert rows[0][-1] == "ok"
+    assert float(rows[0][5]) <= 1e-12
+
+
 def test_stokes_command(opfiles, capsys):
     rc = main(["stokes", "--op", opfiles["qeuler"], "--direction",
                f"{math.pi}", f"--z=-0.2,0,{math.pi}", "--q-grid", "1.2",

@@ -169,3 +169,28 @@ def test_two_phi_zero_q_sum_over_a_wide_dynamic_range(phi_sum, q, mode, z, fft_m
     par, S = phi_sum(q, mode)
     zp = SectorPoint.from_complex(complex(z))
     assert _rel(S(zp), hg.qsum_closed_form(par, 0.0, zp)) <= 2e-10
+
+
+@pytest.mark.parametrize("upper, lower, p, z", [
+    ((0.3, 0.9), (0.5,), 0.5, 0.4),
+    ((0.2,), (), 0.7, 0.3),
+    ((0.3, 0.5), (0.6,), 0.8, -0.5),
+    ((0.4, 0.7, 0.2), (0.5, 0.9), 0.6, 0.35 + 0.2j),
+])
+def test_rphi_matches_mpmath_qhyper(upper, lower, p, z):
+    # rphi sums its truncated series with the scalar PowerSeries.eval
+    from qborel import hypergeom as hg
+
+    with mp.workdps(40):
+        ref = mp.qhyper(list(upper), list(lower), p, z)
+    assert _rel(hg.rphi(hg.PhiParams(upper, lower, p), z), ref) <= 1e-13
+
+
+@pytest.mark.parametrize("a, p", [(0.12, 0.5), (0.4, 0.9), (-0.3, 0.7)])
+@pytest.mark.parametrize("n", [None, 7])
+def test_pochhammer_matches_mpmath_qp(a, p, n):
+    from qborel.qspecial import pochhammer
+
+    with mp.workdps(40):
+        ref = mp.qp(a, p) if n is None else mp.qp(a, p, n)
+    assert _rel(pochhammer(a, p, n), ref) <= 1e-14

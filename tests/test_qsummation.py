@@ -171,7 +171,7 @@ def test_q_continuation_grid_matches_closed_form():
 
 
 def test_in_disk_seeding_keeps_the_terms_above_2_to_the_minus_60(q_euler_op):
-    # per octave of |x| the seeding polyval stops at the last term whose
+    # per octave of |x| the seeding eval_many stops at the last term whose
     # bound reaches 2^-60 of the octave's largest: within 2 ulp of that term
     # of the full polyval, on the continuation of a q = 1.05 section (207
     # terms, nodes from 1e-40 to the anchor disk)
@@ -180,7 +180,7 @@ def test_in_disk_seeding_keeps_the_terms_above_2_to_the_minus_60(q_euler_op):
     base = h._anchor_disk / q**1000 * cmath.exp(0.3j)
     x = base * np.array([q ** float(t) for t in range(991)])
     assert abs(x[0]) < 1e-40
-    got = qs._octave_polyval(x, c)
+    got = h.series.eval_many(x)
     full = np.polynomial.polynomial.polyval(x, c)
     largest = np.max(np.abs(c) * np.abs(x)[:, None] ** np.arange(len(c)), axis=1)
     assert np.all(np.abs(got - full) <= 2 * np.spacing(largest))
@@ -359,6 +359,23 @@ def test_continuous_vs_discrete_cross_method():
     a = qs.discrete_q_laplace(h, 1, 0.0, q, z)
     b = qs.continuous_q_laplace(h, 1, 0.0, q, z)
     assert abs(a - b) < 5e-3 * abs(a)
+
+
+def test_q_growth_gate_does_not_depend_on_earlier_orders():
+    # the handle keeps one growth fit per (q, k, d): the order-1 fit (L 1.508)
+    # must not gate a later order-2 transform, whose own fit is L 1.345
+    q = 1.1
+    op = make_q_euler(q)
+
+    def handle():
+        g = qs.q_borel(solve_series(op, 90), 1, q)
+        return qs.q_continuation(g, borel_plane_operator(op, 1), 0.0)
+
+    fresh = qs.discrete_q_laplace(handle(), 2, 0.0, q, 0.91)
+    assert fresh == pytest.approx(0.564484966016774, rel=1e-12)
+    h = handle()
+    qs.discrete_q_laplace(h, 1, 0.0, q, 0.5)
+    assert qs.discrete_q_laplace(h, 2, 0.0, q, 0.91) == fresh
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
+import cmath
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from qborel.errors import ArgumentError, DomainError, RangeError
 from qborel.series import (
@@ -184,3 +186,51 @@ def test_power_series_arithmetic_min_truncation():
     prod = a * b
     assert prod.truncation_order == 2
     assert prod.coeff_at(0) == 1 and prod.coeff_at(1) == 0
+
+
+# a 240-term series of radius 1, as long as the Borel transforms the
+# continuation handles sum
+_LONG = PowerSeries(np.exp(2j * np.pi * np.random.default_rng(5).random(240))
+                    / np.arange(1.0, 241.0))
+
+
+def _bits(values: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(values, dtype=complex).view(np.int64)
+
+
+@given(st.data())
+def test_eval_many_values_do_not_depend_on_the_order_of_the_points(data):
+    # points from 1e-30 to 0.8 of the radius, each with its conjugate and its
+    # negative (equal moduli): any permutation permutes the values bit for bit
+    polar = data.draw(st.lists(st.tuples(st.floats(-100.0, -0.33),
+                                         st.floats(-math.pi, math.pi)),
+                               min_size=1, max_size=30))
+    t = np.array([2.0**e * cmath.exp(1j * a) for e, a in polar])
+    t = np.concatenate([t, t.conj(), -t])
+    perm = np.array(data.draw(st.permutations(range(len(t)))))
+    assert np.array_equal(_bits(_LONG.eval_many(t[perm])), _bits(_LONG.eval_many(t)[perm]))
+
+
+def test_eval_many_keeps_the_terms_above_2_to_the_minus_60_of_the_scalar_sum():
+    # eval is a full Horner sum; eval_many cuts each octave of |t| below
+    # 2^-60 of its largest term bound, which moves real and imaginary parts
+    # by at most 2 ulp of the largest term
+    gen = np.random.default_rng(9)
+    t = 0.8 ** gen.uniform(1.0, 300.0, 500) * np.exp(2j * np.pi * gen.random(500))
+    full = np.array([_LONG.eval(x) for x in t])
+    largest = np.max(np.abs(_LONG.coefficients) * np.abs(t)[:, None] ** np.arange(240), axis=1)
+    diff = _LONG.eval_many(t) - full
+    assert np.all(np.abs(diff.real) <= 2 * np.spacing(largest))
+    assert np.all(np.abs(diff.imag) <= 2 * np.spacing(largest))
+    assert len(_LONG.eval_many(np.zeros(0))) == 0
+
+
+def test_scalar_eval_matches_a_40_digit_sum():
+    mpmath = pytest.importorskip("mpmath")
+    # the full Horner sum at 0.8 of the radius, where the terms fall slowest
+    with mpmath.mp.workdps(40):
+        t = mpmath.mpc(0.8 * math.cos(0.3), 0.8 * math.sin(0.3))
+        ref = complex(mpmath.polyval([mpmath.mpc(c) for c in _LONG.coefficients[::-1]], t))
+    got = _LONG.eval(complex(t))
+    scale = float(np.sum(np.abs(_LONG.coefficients) * 0.8 ** np.arange(240)))
+    assert abs(got - ref) <= 1e-15 * scale
