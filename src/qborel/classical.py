@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
@@ -209,13 +208,25 @@ class _OdeRayHandle(RayHandle):
     """A ray handle continued beyond its anchor x0 by the operator's ODE
     delta V = C(w) V + F(w) for V = (f, delta f, ..., delta^{m-1} f).
 
-    Subclasses set op, direction, rtol, _m, _forcing, _lock, the anchor x0
-    with its vector _V0, and start with _dense = _NO_DENSE and _x_hi = 0;
-    every ensure() past _x_hi integrates one more dense solve_ivp segment.
-    _dense holds the DOP853 steps of all segments as one tuple
-    (breakpoints, interpolants), replaced whole under the lock, so a reader
-    without the lock always sees a matching pair.
+    Subclasses set op, direction, rtol, _m, _forcing, the anchor x0 with its
+    vector _V0 and, if finite, the reach _reach of the continuation, and
+    start with _dense = _NO_DENSE.  The ODE runs on a fixed ladder of rungs
+    [x0 2^k, x0 2^(k+1)], the last one clipped to the reach: rung k is one
+    dense solve_ivp from the end vector of rung k - 1, with the last full step
+    of rung k - 1 as its first step, so every rung, and every value on it, is
+    a function of k alone, whatever order the points were asked in.  _dense
+    holds the DOP853 steps of all rungs as one tuple (breakpoints,
+    interpolants), replaced whole; ensure() returns the tuple that covers a
+    request and readers evaluate on that tuple.  Threads that extend at once
+    compute the same rungs, so whichever tuple is published last is right.
     """
+
+    _reach = math.inf
+
+    @property
+    def _x_hi(self) -> float:
+        ts = self._dense[0]
+        return float(ts[-1]) if len(ts) else 0.0
 
     def _rhs(self) -> Callable[[float, np.ndarray], list]:
         """The ODE right side on the split state y = (Re V, Im V): the last
@@ -250,27 +261,43 @@ class _OdeRayHandle(RayHandle):
 
         return rhs
 
-    def _ensure_locked(self, x_max: float):
-        end = x_max * 1.0001
-        if x_max <= self._x_hi or end <= self._x0:   # the ODE runs forward from x0
-            return
-        ts, interps = self._dense
-        if not interps:
-            start, V0 = self._x0, self._V0
-        else:
-            start, V0 = self._x_hi, self._vector_at(self._x_hi)
-        y0 = np.concatenate([V0.real, V0.imag])
-        scale = max(np.max(np.abs(V0)), 1e-30)
-        sol = solve_ivp(self._rhs(), (start, end), y0, method="DOP853",
-                        rtol=self.rtol, atol=scale * 1e-16, dense_output=True)
-        if not sol.success:
-            raise GrowthError(
-                f"ODE continuation failed along arg={self.direction}: {sol.message}"
+    def ensure(self, x_max: float) -> tuple:
+        """The published dense store, first extended by whole rungs until it
+        covers x_max."""
+        if x_max >= self._reach:
+            raise DomainError(
+                f"continuation along arg={self.direction} asked at x={x_max:.4g}, "
+                f"beyond its reach {self._reach:.4g}"
             )
-        seg = sol.sol
-        self._dense = (np.concatenate([ts, seg.ts[1:] if interps else seg.ts]),
-                       interps + seg.interpolants)
-        self._x_hi = end
+        dense = self._dense
+        ts, interps = dense
+        if self._m == 0 or x_max < self._x0 or (interps and x_max <= ts[-1]):
+            return dense   # the ODE runs forward from x0
+        rhs, m = self._rhs(), self._m
+        while not interps or ts[-1] < x_max:
+            if interps:
+                start = float(ts[-1])
+                y0 = interps[-1](start)
+                k = round(math.log2(start / self._x0)) + 1
+                # the last full step: the very last one is cut to end the rung
+                step = float(np.max(np.diff(ts[-3:])))
+            else:
+                start, k, step = self._x0, 1, None
+                y0 = np.concatenate([self._V0.real, self._V0.imag])
+            end = min(self._x0 * 2.0**k, self._reach)
+            scale = max(float(np.max(np.abs(y0[:m] + 1j * y0[m:]))), 1e-30)
+            sol = solve_ivp(rhs, (start, end), y0, method="DOP853", rtol=self.rtol,
+                            atol=scale * 1e-16, dense_output=True,
+                            first_step=None if step is None else min(step, end - start))
+            if not sol.success:
+                raise GrowthError(
+                    f"ODE continuation failed along arg={self.direction}: {sol.message}"
+                )
+            seg = sol.sol
+            ts = np.concatenate([ts, seg.ts[1:] if interps else seg.ts])
+            interps = interps + seg.interpolants
+        self._dense = dense = (ts, interps)
+        return dense
 
     @staticmethod
     def _steps(ts: np.ndarray, x) -> np.ndarray:
@@ -279,7 +306,7 @@ class _OdeRayHandle(RayHandle):
         return np.maximum(np.searchsorted(ts, x, side="left") - 1, 0)
 
     def _vector_at(self, x: float) -> np.ndarray:
-        ts, interps = self._dense
+        ts, interps = self.ensure(x)
         if not interps or not ts[0] <= x <= ts[-1]:
             raise ArgumentError(f"point {x} outside the continued range")
         y = interps[self._steps(ts, x)](x)
@@ -290,7 +317,7 @@ class _OdeRayHandle(RayHandle):
         once, located with one searchsorted and each step's interpolant runs
         once on its run of points; points outside the continued range go to
         eval_ray."""
-        ts, interps = self._dense
+        ts, interps = self.ensure(float(np.max(pts)))
         vals = np.empty(len(pts), dtype=complex)
         order = np.argsort(pts)
         xs = pts[order]
@@ -329,8 +356,6 @@ class ContinuationHandle(_OdeRayHandle):
         self._lead_roots = op.coefficients[-1].nonzero_roots()
         self._check_ray_clear()
         self._dense = _NO_DENSE
-        self._x_hi = 0.0
-        self._lock = threading.RLock()
         self._x0 = 0.5 * self.radius
         self._series_limit = 0.8 * self.radius
         self._m = op.order
@@ -363,37 +388,16 @@ class ContinuationHandle(_OdeRayHandle):
         zeta = x * cmath.exp(1j * self.direction)
         return np.array([s.eval(zeta) for s in self._delta_series], dtype=complex)
 
-    def ensure(self, x_max: float):
-        if x_max <= self._x_hi:
-            return
-        if self._m == 0:
-            return
-        with self._lock:
-            self._ensure_locked(x_max)
-
-    def _vector_at(self, x: float) -> np.ndarray:
-        if x <= self._series_limit:
-            return self._series_vector(x)
-        return super()._vector_at(x)
-
-    def prepare(self, x_hi: float):
-        self.ensure(x_hi * 1.0001)
-
     def eval_ray(self, x: float) -> complex:
         if x <= self._series_limit:
             zeta = x * cmath.exp(1j * self.direction)
             return self.series.eval(zeta)
-        if x > self._x_hi:
-            self.ensure(x)
         return complex(self._vector_at(x)[0])
 
     def eval_ray_many(self, xs) -> np.ndarray:
         xs = np.asarray(xs, dtype=float)
         if xs.size == 0:
             return np.zeros(0, dtype=complex)
-        top = float(np.max(xs))
-        if top > self._series_limit:
-            self.ensure(top)
         out = np.empty(len(xs), dtype=complex)
         inner = xs <= self._series_limit
         if np.any(inner):
@@ -403,16 +407,16 @@ class ContinuationHandle(_OdeRayHandle):
         return out
 
     def growth(self, k: float) -> tuple[float, float]:
-        # sweep far enough for the tail log-slope to settle; stop early if the
-        # values escape the safe float range (the fit then uses what exists)
-        target = max(self._x_hi, 16.0 * max(self.radius, 1e-3), 8.0)
-        x = max(4.0 * self.radius, self._series_limit * 1.5)
+        # climb the rungs up to the one that reaches max(16 r, 8), far enough
+        # for the tail log-slope to settle; stop early at a rung end whose
+        # value escapes the safe float range (the fit then ends there)
+        target = max(16.0 * max(self.radius, 1e-3), 8.0)
+        x = self._x0
         while x < target:
-            x = min(2.0 * x, target)
-            self.ensure(x)
+            x *= 2.0
             if abs(self.eval_ray(x)) > 1e200:
                 break
-        return _fit_growth(self.eval_ray, 0.3 * self.radius, self._x_hi, k)
+        return _fit_growth(self.eval_ray, 0.3 * self.radius, x, k)
 
 
 def _cauchy_hadamard(coeffs: np.ndarray, tail: int = 20) -> float:
@@ -475,12 +479,12 @@ def _prepare(handle: RayHandle, x_hi: float):
 
 
 def _cached_growth(handle: RayHandle, k: float) -> tuple[float, float]:
-    """The handle's growth(k), fitted once; racing threads all get the fit
-    that was stored first (dict.setdefault is atomic)."""
+    """The handle's growth(k), fitted once.  Each fit runs over a fixed range
+    of the ray, so threads that fit at once store the same (J, L)."""
     cache = vars(handle).setdefault("_growth_cache", {})
     fit = cache.get(k)
     if fit is None:
-        fit = cache.setdefault(k, handle.growth(k))
+        fit = cache[k] = handle.growth(k)
     return fit
 
 
@@ -799,14 +803,12 @@ class LaplaceStageHandle(_OdeRayHandle):
         budget = 50.0 + max(0.0, math.log(J))
         reach_cap = 0.9 * prev_dom / (budget ** (1.0 / self.lam))
         self._x0 = min(0.15 * x_dom, reach_cap, 1.0)
+        self._reach = 0.98 * x_dom
         self._dense = _NO_DENSE
-        self._x_hi = 0.0
         self._lead_roots = op.coefficients[-1].nonzero_roots()
         self._check_ray_clear()
         self._forcing = op.rhs
         self._interp: Optional[_ChebLogInterpolant] = None
-        self._cache: dict[float, complex] = {}
-        self._lock = threading.RLock()
         # asymptotic regime from the first formal coefficients; the cutoff is
         # where the first dropped (Gevrey-divergent) term falls below 1e-14
         # of the function scale |c0| + |c1| x, not of the coefficient scale
@@ -839,39 +841,20 @@ class LaplaceStageHandle(_OdeRayHandle):
                     f"stage ray arg={d} hits a singularity at {rho}"
                 )
 
-    def ensure(self, x_max: float):
-        if x_max <= self._x_hi:
-            return
-        if x_max >= self._x_dom * 0.98:
-            raise DomainError(
-                f"stage evaluation at x={x_max:.4g} outside the order-{self.lam} "
-                f"Laplace domain (limit {self._x_dom:.4g})"
-            )
-        with self._lock:
-            self._ensure_locked(x_max)
-
     def _direct(self, x: float) -> complex:
-        v = self._cache.get(x)
-        if v is None:
-            v = laplace_along_ray(self.prev, self.lam, self.direction,
-                                  SectorPoint.from_polar(x, self.direction))
-            with self._lock:
-                self._cache[x] = v
-        return v
+        return laplace_along_ray(self.prev, self.lam, self.direction,
+                                 SectorPoint.from_polar(x, self.direction))
 
     def prepare(self, x_hi: float):
         """Make the handle cheap to sample on (0, x_hi]: extend the ODE if the
         range exceeds the anchor, and build the sub-anchor interpolant once
-        over its full span (validated against direct quadrature)."""
+        over its full span (validated against direct quadrature).  Threads
+        that build it at once build the same table."""
         if x_hi > self._x0:
             self.ensure(x_hi)
-        with self._lock:
-            if self._interp is not None:
-                return
-            self._prepare_locked()
-
-    def _prepare_locked(self):
-        hi = self._x0 * 1.0001
+        if self._interp is not None:
+            return
+        hi = self._x0
         lo = max(self._x_asym * 0.8, hi * 1e-8, 1e-290)
         if lo >= hi:
             return
@@ -897,8 +880,6 @@ class LaplaceStageHandle(_OdeRayHandle):
 
     def eval_ray(self, x: float) -> complex:
         if x >= self._x0:
-            if x > self._x_hi:
-                self.ensure(x)
             return complex(self._vector_at(x)[0])
         if self._asym is not None and x <= self._x_asym:
             return self._asym.eval(x * cmath.exp(1j * self.direction))
@@ -912,11 +893,8 @@ class LaplaceStageHandle(_OdeRayHandle):
             return np.zeros(0, dtype=complex)
         out = np.empty(len(xs), dtype=complex)
         done = np.zeros(len(xs), dtype=bool)
-        top = float(np.max(xs))
-        if top >= self._x0:
-            if top > self._x_hi:
-                self.ensure(top)
-            sel = xs >= self._x0
+        sel = xs >= self._x0
+        if np.any(sel):
             out[sel] = self._segment_values(xs[sel])
             done |= sel
         if self._asym is not None:
@@ -934,8 +912,7 @@ class LaplaceStageHandle(_OdeRayHandle):
         return out
 
     def growth(self, k: float) -> tuple[float, float]:
-        self.ensure(max(self._x_hi, min(12.0 * self._x0, 0.9 * self._x_dom)))
-        return _fit_growth(self.eval_ray, self._x0, self._x_hi, k)
+        return _fit_growth(self.eval_ray, self._x0, min(12.0 * self._x0, 0.9 * self._x_dom), k)
 
 
 # ---------------------------------------------------------------------------

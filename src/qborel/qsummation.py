@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
@@ -517,15 +516,14 @@ def discrete_q_laplace(f, k, d: float, q: float, z,
     # growth gate: the sum converges when the e_{q^k} kernel outruns the
     # handle's fitted e_q-class growth, i.e. L |z|^k safely below q^k
     if isinstance(f, QContinuation):
-        # one fit per (q, k, d); racing threads all use the fit stored first
-        # (setdefault is atomic)
+        # one fit per (q, k, d) over a fixed range: threads that fit at once
+        # store the same fit
         fits = vars(f).setdefault("_q_growth_fit", {})
         L_fit = fits.get((q, lam, d))
         if L_fit is None:
             hi = max(4.0 * f.radius, 2.0)
-            L_fit = fits.setdefault(
-                (q, lam, d),
-                _growth_fit_q(_ray_evaluator(f, d), q, lam, 0.05 * f.radius, hi))
+            L_fit = fits[(q, lam, d)] = _growth_fit_q(
+                _ray_evaluator(f, d), q, lam, 0.05 * f.radius, hi)
         if L_fit * abs(Z) >= 0.98 * Q:
             raise GrowthError(
                 f"evaluation point outside the fitted growth domain: "
@@ -622,22 +620,23 @@ class _QSection:
         self.M = 1 if mode == "discrete" else 8
         self.cont = QContinuation(sec.g1, sec.stage_ops[0], d_w)
         self._grid: Optional[tuple[int, int, np.ndarray]] = None
-        self._lock = threading.RLock()
 
-    def _ensure_grid(self, lo: int, hi: int):
-        if self._grid is not None:
-            glo, ghi, _ = self._grid
-            if glo <= lo and ghi >= hi:
-                return
-        with self._lock:
-            self._ensure_grid_locked(lo, hi)
+    def _ensure_grid(self, lo: int, hi: int) -> tuple[int, int, np.ndarray]:
+        """The published grid (lo, hi, values) if it covers [lo, hi], else a
+        rebuilt one."""
+        grid = self._grid
+        if grid is not None and grid[0] <= lo and grid[1] >= hi:
+            return grid
+        return self._ensure_grid_locked(lo, hi)
 
-    def _ensure_grid_locked(self, lo: int, hi: int):
-        if self._grid is not None:
-            glo, ghi, _ = self._grid
-            if glo <= lo and ghi >= hi:
-                return
-            lo, hi = min(lo, glo), max(hi, ghi)
+    def _ensure_grid_locked(self, lo: int, hi: int) -> tuple[int, int, np.ndarray]:
+        """Build the top-level grid over [lo, hi] joined with the published
+        one, publish it and return it.  No lock is held: a grid's values do
+        not depend on its range, so threads that rebuild at once publish
+        agreeing grids, and each reader slices the grid it was returned."""
+        grid = self._grid
+        if grid is not None:
+            lo, hi = min(lo, grid[0]), max(hi, grid[1])
         kernels = [_jackson_kernel(self.Qw ** float(lam), self.M)
                    for lam in self.orders_w[:-1]]
         # node_{j+1}(t) = sum_dlt K(dlt) node_j(t + dlt): each level's t-range
@@ -655,11 +654,11 @@ class _QSection:
             start = out_lo - L1 - lo
             values = _correlate(values[start : start + out_hi - out_lo + len(K)], K)
             lo = out_lo
-        self._grid = (lo, lo + len(values) - 1, values)
+        self._grid = grid = (lo, lo + len(values) - 1, values)
+        return grid
 
     def _nodes(self, lo: int, hi: int) -> np.ndarray:
-        self._ensure_grid(lo, hi)
-        glo, _, values = self._grid
+        glo, _, values = self._ensure_grid(lo, hi)
         return values[lo - glo : hi - glo + 1]
 
     def value(self, w: SectorPoint) -> complex:
@@ -875,6 +874,9 @@ def validate_confluence_family(
     q_grid = tuple(sorted(q_grid, reverse=True))
     if any(q <= 1.0 for q in q_grid):
         raise ArgumentError("q-grid entries must exceed 1")
+    if len(set(q_grid)) < 2:
+        # (A1) reads a trend and (A3) fits a slope: one q shows neither
+        raise ArgumentError("validation needs at least 2 distinct q values")
     if z_samples is None:
         z_samples = [
             r * cmath.exp(1j * TWO_PI * k / 8)

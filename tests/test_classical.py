@@ -442,12 +442,12 @@ def stokes_pair():
                            (Polynomial([1.0]), Polynomial([0.0, 1.0])),
                            None, PowerSeries([0.0, 1.0]))
     tabulated, direct = {}, {}
-    prepare_locked = cl.LaplaceStageHandle._prepare_locked
-    direct_fn = cl.LaplaceStageHandle._direct
+    prepare, direct_fn = cl.LaplaceStageHandle.prepare, cl.LaplaceStageHandle._direct
 
-    def counting_prepare(self):
-        tabulated[id(self)] = tabulated.get(id(self), 0) + 1
-        return prepare_locked(self)
+    def counting_prepare(self, x_hi):
+        if self._interp is None:
+            tabulated[id(self)] = tabulated.get(id(self), 0) + 1
+        return prepare(self, x_hi)
 
     def counting_direct(self, x):
         direct[id(self)] = direct.get(id(self), 0) + 1
@@ -455,7 +455,7 @@ def stokes_pair():
 
     offset = math.pi / 24.0
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cl.LaplaceStageHandle, "_prepare_locked", counting_prepare)
+        mp.setattr(cl.LaplaceStageHandle, "prepare", counting_prepare)
         mp.setattr(cl.LaplaceStageHandle, "_direct", counting_direct)
         plus = cl.multisum(None, euler, math.pi + offset, rtol=1e-10)
         minus = cl.multisum(None, euler, math.pi - offset, rtol=1e-10)
@@ -500,13 +500,12 @@ def euler_ode_sum():
                            (Polynomial([1.0]), Polynomial([0.0, 1.0])),
                            None, PowerSeries([0.0, 1.0]))
     segments, samples, building = {}, {}, []
-    ensure_locked, solve, batched = (cl._OdeRayHandle._ensure_locked, cl.solve_ivp,
-                                     cl._batched_ray_laplace)
+    ensure, solve, batched = cl._OdeRayHandle.ensure, cl.solve_ivp, cl._batched_ray_laplace
 
     def recording_ensure(self, x_max):
         building.append(self)
         try:
-            return ensure_locked(self, x_max)
+            return ensure(self, x_max)
         finally:
             building.pop()
 
@@ -529,7 +528,7 @@ def euler_ode_sum():
             del handle.eval_ray_many
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cl._OdeRayHandle, "_ensure_locked", recording_ensure)
+        mp.setattr(cl._OdeRayHandle, "ensure", recording_ensure)
         mp.setattr(cl, "solve_ivp", recording_solve)
         mp.setattr(cl, "_batched_ray_laplace", recording_batched)
         S = cl.multisum(None, euler, math.pi + math.pi / 24.0, rtol=1e-10)
@@ -624,6 +623,36 @@ def test_ode_right_side_matches_companion_form(euler_ode_sum):
             y = np.asarray(rhs(x, np.concatenate([V.real, V.imag])))
             assert np.all(np.abs(y[:m] - ref.real) <= 4 * np.spacing(scale))
             assert np.all(np.abs(y[m:] - ref.imag) <= 4 * np.spacing(scale))
+
+
+def test_ode_rungs_do_not_depend_on_the_requests_that_built_them(euler_op):
+    # a continuation and a stage handle, each built twice and extended once
+    # to 40 or by the requests 1.2, 5, 40: the same rungs, the same
+    # breakpoints and the same values, bit for bit
+    sec = cl.summation_chain(euler_op).sections[0]
+
+    def continuation():
+        return cl.ContinuationHandle(sec.g1, sec.stage_ops[0], 0.0)
+
+    prev = continuation()
+
+    def stage():
+        return cl.LaplaceStageHandle(prev, sec.orders_w[0], 0.0, sec.stage_ops[1],
+                                     asym_seeds=sec.stage_seeds[1])
+
+    for make in (continuation, stage):
+        once, stepwise = make(), make()
+        dense = once.ensure(40.0)
+        for x in (1.2, 5.0, 40.0):
+            stepwise.ensure(x)
+        ts = dense[0]
+        # the last rung ends at the first x0 2^k at or past 40
+        assert ts[0] == once._x0 and 40.0 <= ts[-1] < 80.0
+        assert math.frexp(ts[-1] / ts[0])[0] == 0.5
+        assert np.array_equal(stepwise._dense[0], ts)
+        xs = np.geomspace(ts[0], ts[-1], 500)
+        assert np.array_equal(_bits(stepwise._segment_values(xs)),
+                              _bits(once._segment_values(xs)))
 
 
 def test_batched_laplace_points_per_node_on_positive_axis(euler_op, monkeypatch):

@@ -184,6 +184,14 @@ def test_validate_family_failure_exits_4(tmp_path, capsys):
     assert rc == 4
 
 
+def test_validate_refuses_a_one_value_grid(opfiles, capsys):
+    # one q gives no A1 trend and no A3 slope
+    rc = main(["validate", "--op", opfiles["qeuler"], "--q-grid", "1.5"])
+    assert rc == 2
+    assert ("error[argument]: validation needs at least 2 distinct q values"
+            in capsys.readouterr().err)
+
+
 def test_validate_pass(opfiles):
     rc = main(["validate", "--op", opfiles["qeuler"], "--q-grid", "1.5,1.2,1.1"])
     assert rc == 0
