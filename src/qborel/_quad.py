@@ -5,7 +5,6 @@ from __future__ import annotations
 import warnings
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
 
 
 def complex_quad(fn, a: float, b: float, epsabs: float, epsrel: float = 1e-12,
@@ -14,6 +13,8 @@ def complex_quad(fn, a: float, b: float, epsabs: float, epsrel: float = 1e-12,
 
     QUADPACK integrates the real and the imaginary part in two passes that
     mostly visit the same nodes; fn runs once per distinct node."""
+    from scipy.integrate import IntegrationWarning, quad
+
     values: dict[float, complex] = {}
 
     def once(x):

@@ -15,10 +15,9 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from ._quad import complex_quad, peak_scale
 from .errors import (
@@ -201,7 +200,41 @@ class FunctionHandle(RayHandle):
         return self._growth
 
 
-_NO_DENSE = (np.zeros(0), [])   # the dense store of a handle not yet continued
+def solve_ivp(*args, **kwargs):
+    """scipy.integrate.solve_ivp, imported on the first call: scipy.integrate
+    stays off the import path of qborel."""
+    from scipy.integrate import solve_ivp as scipy_solve_ivp
+    return scipy_solve_ivp(*args, **kwargs)
+
+
+class _DenseSteps(NamedTuple):
+    """The DOP853 steps of an ODE handle, stacked: step i runs from ts[i] over
+    h[i], starts at the state y_old[i] and has the dense-output coefficients
+    F[i] of scipy's Dop853DenseOutput (steps x 7 x state size)."""
+
+    ts: np.ndarray
+    h: np.ndarray
+    y_old: np.ndarray
+    F: np.ndarray
+
+    def at(self, x: np.ndarray, cols=slice(None)) -> np.ndarray:
+        """The state components cols at the points x in [ts[0], ts[-1]]
+        (points x components): Dop853DenseOutput's Horner on the step of
+        each point, as array operations, bit for bit."""
+        i = _OdeRayHandle._steps(self.ts, x)
+        u = ((x - self.ts[i]) / self.h[i])[:, None]
+        v = 1 - u
+        F = self.F[i][:, :, cols]
+        y = np.zeros((len(x), F.shape[2]))
+        for k in range(F.shape[1]):
+            y += F[:, -1 - k]
+            y *= v if k % 2 else u
+        y += self.y_old[i][:, cols]
+        return y
+
+
+# the dense store of a handle not yet continued
+_NO_DENSE = _DenseSteps(np.zeros(0), np.zeros(0), np.zeros((0, 0)), np.zeros((0, 7, 0)))
 
 
 class _OdeRayHandle(RayHandle):
@@ -215,17 +248,17 @@ class _OdeRayHandle(RayHandle):
     dense solve_ivp from the end vector of rung k - 1, with the last full step
     of rung k - 1 as its first step, so every rung, and every value on it, is
     a function of k alone, whatever order the points were asked in.  _dense
-    holds the DOP853 steps of all rungs as one tuple (breakpoints,
-    interpolants), replaced whole; ensure() returns the tuple that covers a
-    request and readers evaluate on that tuple.  Threads that extend at once
-    compute the same rungs, so whichever tuple is published last is right.
+    holds the DOP853 steps of all rungs as one _DenseSteps, replaced whole;
+    ensure() returns the store that covers a request and readers evaluate on
+    that store.  Threads that extend at once compute the same rungs, so
+    whichever store is published last is right.
     """
 
     _reach = math.inf
 
     @property
     def _x_hi(self) -> float:
-        ts = self._dense[0]
+        ts = self._dense.ts
         return float(ts[-1]) if len(ts) else 0.0
 
     def _rhs(self) -> Callable[[float, np.ndarray], list]:
@@ -261,7 +294,7 @@ class _OdeRayHandle(RayHandle):
 
         return rhs
 
-    def ensure(self, x_max: float) -> tuple:
+    def ensure(self, x_max: float) -> _DenseSteps:
         """The published dense store, first extended by whole rungs until it
         covers x_max."""
         if x_max >= self._reach:
@@ -270,17 +303,16 @@ class _OdeRayHandle(RayHandle):
                 f"beyond its reach {self._reach:.4g}"
             )
         dense = self._dense
-        ts, interps = dense
-        if self._m == 0 or x_max < self._x0 or (interps and x_max <= ts[-1]):
+        if self._m == 0 or x_max < self._x0 or (len(dense.h) and x_max <= dense.ts[-1]):
             return dense   # the ODE runs forward from x0
         rhs, m = self._rhs(), self._m
-        while not interps or ts[-1] < x_max:
-            if interps:
-                start = float(ts[-1])
-                y0 = interps[-1](start)
+        while not len(dense.h) or dense.ts[-1] < x_max:
+            if len(dense.h):
+                start = float(dense.ts[-1])
+                y0 = dense.at(dense.ts[-1:])[0]
                 k = round(math.log2(start / self._x0)) + 1
                 # the last full step: the very last one is cut to end the rung
-                step = float(np.max(np.diff(ts[-3:])))
+                step = float(np.max(dense.h[-2:]))
             else:
                 start, k, step = self._x0, 1, None
                 y0 = np.concatenate([self._V0.real, self._V0.imag])
@@ -294,9 +326,14 @@ class _OdeRayHandle(RayHandle):
                     f"ODE continuation failed along arg={self.direction}: {sol.message}"
                 )
             seg = sol.sol
-            ts = np.concatenate([ts, seg.ts[1:] if interps else seg.ts])
-            interps = interps + seg.interpolants
-        self._dense = dense = (ts, interps)
+            steps = seg.interpolants
+            # (the empty store's arrays take their state size here)
+            dense = _DenseSteps(
+                np.concatenate([dense.ts, seg.ts[1:] if len(dense.h) else seg.ts]),
+                np.concatenate([dense.h, [s.h for s in steps]]),
+                np.concatenate([dense.y_old.reshape(-1, 2 * m), [s.y_old for s in steps]]),
+                np.concatenate([dense.F.reshape(-1, 7, 2 * m), [s.F for s in steps]]))
+        self._dense = dense
         return dense
 
     @staticmethod
@@ -306,34 +343,23 @@ class _OdeRayHandle(RayHandle):
         return np.maximum(np.searchsorted(ts, x, side="left") - 1, 0)
 
     def _vector_at(self, x: float) -> np.ndarray:
-        ts, interps = self.ensure(x)
-        if not interps or not ts[0] <= x <= ts[-1]:
+        dense = self.ensure(x)
+        if not len(dense.h) or not dense.ts[0] <= x <= dense.ts[-1]:
             raise ArgumentError(f"point {x} outside the continued range")
-        y = interps[self._steps(ts, x)](x)
+        y = dense.at(np.array([x]))[0]
         return y[: self._m] + 1j * y[self._m :]
 
     def _segment_values(self, pts: np.ndarray) -> np.ndarray:
-        """f at the ray points pts from the dense steps: the points are sorted
-        once, located with one searchsorted and each step's interpolant runs
-        once on its run of points; points outside the continued range go to
-        eval_ray."""
-        ts, interps = self.ensure(float(np.max(pts)))
+        """f at the ray points pts from the dense steps, all at once; points
+        outside the continued range go to eval_ray."""
+        dense = self.ensure(float(np.max(pts)))
         vals = np.empty(len(pts), dtype=complex)
-        order = np.argsort(pts)
-        xs = pts[order]
-        lo = hi = 0
-        if interps:
-            lo = np.searchsorted(xs, ts[0], side="left")
-            hi = np.searchsorted(xs, ts[-1], side="right")
-        if hi > lo:
-            inside = xs[lo:hi]
-            steps = self._steps(ts, inside)
-            cuts = np.flatnonzero(np.diff(steps)) + 1
-            y = np.concatenate(
-                [interps[steps[a]](inside[a:b]) for a, b in
-                 zip(np.r_[0, cuts], np.r_[cuts, len(inside)])], axis=1)
-            vals[order[lo:hi]] = y[0] + 1j * y[self._m]
-        for j in np.r_[order[:lo], order[hi:]]:
+        inside = np.zeros(len(pts), dtype=bool)
+        if len(dense.h):
+            inside = (pts >= dense.ts[0]) & (pts <= dense.ts[-1])
+            y = dense.at(pts[inside], [0, self._m])
+            vals[inside] = y[:, 0] + 1j * y[:, 1]
+        for j in np.flatnonzero(~inside):
             vals[j] = self.eval_ray(float(pts[j]))
         return vals
 
@@ -635,31 +661,26 @@ class _ChebLogInterpolant:
         self.w = w
 
     def __call__(self, x: float) -> complex:
-        t = math.log(x)
-        diff = t - self.t
-        hit = np.where(np.abs(diff) < 1e-300)[0]
-        if len(hit):
-            return complex(self.vals[hit[0]])
-        c = self.w / diff
-        return complex(np.sum(c * self.vals) / np.sum(c))
+        return complex(self.eval_many(np.array([x]))[0])
 
     def eval_many(self, xs: np.ndarray) -> np.ndarray:
         # chunks of 256 rows bound the (points x nodes) work matrices and
-        # keep them in cache (fastest of 128..4096 rows for 333 nodes)
+        # keep them in cache (256 and 512 rows tie as fastest of 64..4096
+        # rows for 65 and 129 nodes; 4096 rows take twice as long)
         xs = np.asarray(xs, dtype=float)
         if len(xs) > 256:
             return np.concatenate([self.eval_many(xs[i:i + 256])
                                    for i in range(0, len(xs), 256)])
-        ts = np.log(xs)
-        diff = ts[:, None] - self.t[None, :]
+        diff = np.log(xs)[:, None] - self.t
         small = np.abs(diff) < 1e-300
-        diff = np.where(small, 1.0, diff)
-        C = self.w[None, :] / diff
-        vals = (C @ self.vals) / np.sum(C, axis=1)
-        exact_rows = np.any(small, axis=1)
-        if np.any(exact_rows):
-            idx = np.argmax(small[exact_rows], axis=1)
-            vals[exact_rows] = self.vals[idx]
+        exact_rows = small.any(axis=1)
+        hit = exact_rows.any()
+        if hit:
+            diff[small] = 1.0
+        C = self.w / diff
+        vals = (C @ self.vals) / C.sum(axis=1)
+        if hit:
+            vals[exact_rows] = self.vals[small[exact_rows].argmax(axis=1)]
         return vals
 
 
@@ -775,6 +796,25 @@ def _batched_ray_laplace(handle: RayHandle, lam: float, d: float,
                        f"batched Laplace tabulation (lambda = {lam}, direction = {d})")
 
 
+# A stage table is tabulated on nested Chebyshev grids of _CHEB_MIN_N,
+# 2 _CHEB_MIN_N, ... _CHEB_MAX_N intervals and kept at the first whose last
+# max(4, n/8) coefficients are all <= _CHEB_CHOP of the largest (Aurentz &
+# Trefethen, "Chopping a Chebyshev series", ACM TOMS 2017).
+_CHEB_MIN_N = 32
+_CHEB_MAX_N = 512
+_CHEB_CHOP = 1e-13
+
+
+def _cheb_coeffs(values: np.ndarray) -> np.ndarray:
+    """Chebyshev coefficients of the values at the n + 1 points cos(k pi/n),
+    k = 0..n, by one FFT of their mirror image (a DCT-I)."""
+    n = len(values) - 1
+    c = np.fft.fft(np.concatenate([values, values[-2:0:-1]]))[: n + 1] / n
+    c[0] /= 2.0
+    c[n] /= 2.0
+    return c
+
+
 class LaplaceStageHandle(_OdeRayHandle):
     """f = L_lam(prev) along the shared ray.
 
@@ -858,12 +898,28 @@ class LaplaceStageHandle(_OdeRayHandle):
         lo = max(self._x_asym * 0.8, hi * 1e-8, 1e-290)
         if lo >= hi:
             return
-        if self.rtol <= 1e-11:
-            n = int(56 + 15 * math.log(hi / lo))
-        else:
-            n = int(36 + 9 * math.log(hi / lo))
-        nodes = np.exp(_ChebLogInterpolant.log_nodes(lo, hi, n))
-        values = _batched_ray_laplace(self.prev, self.lam, self.direction, nodes)
+        # nested Chebyshev grids: each doubling tabulates only the new
+        # odd-index nodes; stop at the first grid whose series chops
+        n = _CHEB_MIN_N
+        values = _batched_ray_laplace(self.prev, self.lam, self.direction,
+                                      np.exp(_ChebLogInterpolant.log_nodes(lo, hi, n)))
+        while True:
+            coeffs = np.abs(_cheb_coeffs(values))
+            tail = float(np.max(coeffs[-max(4, n // 8):])) / float(np.max(coeffs))
+            if tail <= _CHEB_CHOP:
+                break
+            if n == _CHEB_MAX_N:
+                raise ValidationError(
+                    f"stage tabulation (lambda = {self.lam}, direction = "
+                    f"{self.direction}) does not chop at n = {n}: its last "
+                    f"{n // 8} Chebyshev coefficients reach {tail:.2e} of the "
+                    f"largest > {_CHEB_CHOP:.0e}"
+                )
+            odd = np.exp(_ChebLogInterpolant.log_nodes(lo, hi, 2 * n)[1::2])
+            merged = np.empty(2 * n + 1, dtype=complex)
+            merged[0::2] = values
+            merged[1::2] = _batched_ray_laplace(self.prev, self.lam, self.direction, odd)
+            values, n = merged, 2 * n
         interp = _ChebLogInterpolant(lo, hi, values)
         # validate the batched tabulation against adaptive quadrature
         for frac in (0.23, 0.52, 0.81):

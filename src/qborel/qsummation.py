@@ -17,7 +17,6 @@ from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy import fft as sp_fft
 
 from . import qspecial
 from .classical import (
@@ -182,6 +181,7 @@ def _block_size(n_kernel: int) -> int:
     changing climb more closely and waste fewer nodes in the round-out."""
     if n_kernel < _FFT_MIN_KERNEL:
         return 1
+    from scipy import fft as sp_fft
     return sp_fft.next_fast_len(n_kernel + n_kernel // 4) - n_kernel + 1
 
 
@@ -220,6 +220,7 @@ def _correlate(a: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     B = _block_size(n)
     if B == 1:
         return _direct_dots(a, kernel, np.arange(n_out))
+    from scipy import fft as sp_fft
     N = B + n - 1
     s = np.arange(N)
     s_mid = 0.5 * (N - 1)

@@ -484,6 +484,62 @@ def test_tabulation_makes_only_its_three_check_quadratures(stokes_pair):
         assert direct[key] == 3
 
 
+@pytest.fixture(scope="module")
+def euler_tables(stokes_pair):
+    """Every stage handle of the Euler sums at d = 0 (rtol 1e-11) and at
+    pi +/- pi/24 (rtol 1e-10), each with its table built."""
+    euler = LinearOperator("differential", "delta",
+                           (Polynomial([1.0]), Polynomial([0.0, 1.0])),
+                           None, PowerSeries([0.0, 1.0]))
+    handles = []
+    for S in (cl.multisum(None, euler, 0.0), *stokes_pair[:2]):
+        for sec in S.sections:
+            for h in sec.handles[1:]:
+                h.prepare(h._x0)
+                handles.append(h)
+    return handles
+
+
+def test_euler_stage_tables_chop_at_128_nodes_or_fewer(euler_tables):
+    assert len(euler_tables) == 18
+    for h in euler_tables:
+        n = len(h._interp.vals) - 1
+        assert n in (32, 64, 128)
+        coeffs = np.abs(cl._cheb_coeffs(h._interp.vals))
+        assert np.max(coeffs[-max(4, n // 8):]) <= 1e-13 * np.max(coeffs)
+
+
+def test_stage_tables_match_direct_quadrature_across_their_span(euler_tables):
+    # the built-in check covers 3 points; here 12 log-spaced ones
+    for h in euler_tables:
+        a, b = h._interp.a, h._interp.b
+        for x in a * (b / a) ** ((np.arange(12) + 0.5) / 12):
+            ref = cl.laplace_along_ray(h.prev, h.lam, h.direction,
+                                       SectorPoint.from_polar(x, h.direction))
+            assert abs(h._interp(x) - ref) <= 1e-10 * abs(ref)
+
+
+def test_rough_stage_table_raises_at_the_chop_cap(euler_op):
+    # a previous stage with pseudo-random relative noise 3e-11, below what
+    # the Gauss-Kronrod error estimate resolves, leaves a coefficient floor
+    # near 5e-13 of the largest: no grid up to 512 chops
+    sec = cl.summation_chain(euler_op).sections[0]
+
+    class Rough(cl.FunctionHandle):
+        noise = 0.0
+
+        def eval_ray_many(self, xs):
+            xs = np.asarray(xs, dtype=float)
+            return (1.0 + self.noise * np.sin(1e12 * xs)) / (1.0 + xs)
+
+    prev = Rough(lambda zeta: 1.0 / (1.0 + zeta), 0.0)
+    h = cl.LaplaceStageHandle(prev, sec.orders_w[0], 0.0, sec.stage_ops[1])
+    prev.noise = 3e-11
+    with pytest.raises(ValidationError, match=r"lambda = 1\.0, direction = 0\.0\) "
+                                              r"does not chop at n = 512"):
+        h.prepare(h._x0)
+
+
 def test_classical_stokes_constant_near_pi(stokes_pair):
     plus, minus = stokes_pair[:2]
     z = SectorPoint.from_polar(0.2, math.pi)
@@ -655,18 +711,24 @@ def test_ode_rungs_do_not_depend_on_the_requests_that_built_them(euler_op):
                               _bits(once._segment_values(xs)))
 
 
-def test_batched_laplace_points_per_node_on_positive_axis(euler_op, monkeypatch):
-    # the d = 0 Euler tabulations must stay as cheap as the fixed 14-panel,
-    # 24-point rule they replace: 14 * 24 + 1 integrand points per node
-    ratios = []
-    batched = cl._batched_ray_laplace
+def _count_tabulations(monkeypatch):
+    """Per stage table built by LaplaceStageHandle.prepare: its nodes and
+    the previous-stage points its batched Laplace calls sample, keyed by the
+    previous stage (each stage has its own)."""
+    tables = {}
+    prepare, batched = cl.LaplaceStageHandle.prepare, cl._batched_ray_laplace
 
-    def counting(handle, lam, d, xs):
-        seen = [0]
+    def counting_prepare(self, x_hi):
+        if self._interp is None:
+            tables.setdefault(self.prev, {"nodes": 0, "points": 0})
+        return prepare(self, x_hi)
+
+    def counting_batched(handle, lam, d, xs):
+        table = tables[handle]
         many = handle.eval_ray_many
 
         def counted(pts):
-            seen[0] += len(pts)
+            table["points"] += len(pts)
             return many(pts)
 
         handle.eval_ray_many = counted
@@ -674,13 +736,22 @@ def test_batched_laplace_points_per_node_on_positive_axis(euler_op, monkeypatch)
             return batched(handle, lam, d, xs)
         finally:
             del handle.eval_ray_many
-            ratios.append(seen[0] / len(xs))
+            table["nodes"] += len(xs)
 
-    monkeypatch.setattr(cl, "_batched_ray_laplace", counting)
+    monkeypatch.setattr(cl.LaplaceStageHandle, "prepare", counting_prepare)
+    monkeypatch.setattr(cl, "_batched_ray_laplace", counting_batched)
+    return tables
+
+
+def test_batched_laplace_points_per_node_on_positive_axis(euler_op, monkeypatch):
+    # the d = 0 Euler tabulations must stay as cheap as the fixed 14-panel,
+    # 24-point rule they replace: 14 * 24 + 1 integrand points per node of
+    # each table, over all its nested grids
+    tables = _count_tabulations(monkeypatch)
     S = cl.multisum(None, euler_op, 0.0)
     S(SectorPoint.from_complex(0.1))
-    assert len(ratios) == 6
-    assert max(ratios) <= 14 * 24 + 1
+    assert len(tables) == 6
+    assert max(t["points"] / t["nodes"] for t in tables.values()) <= 14 * 24 + 1
 
 
 def test_stage_ode_anchor_matches_direct_for_order_two():
@@ -725,10 +796,9 @@ def test_moment_panel_budget_raises(monkeypatch):
 def test_scalar_quadrature_only_checks_the_tabulations(euler_op, monkeypatch):
     # anchor moments and final-level values run the batched rule; QUADPACK
     # serves only the three check points of each stage tabulation
-    counts = {"quad": 0, "outside_direct": 0, "tables": 0}
+    counts = {"quad": 0, "outside_direct": 0}
     depth = [0]
     quad_fn, direct_fn = cl.complex_quad, cl.LaplaceStageHandle._direct
-    batched = cl._batched_ray_laplace
 
     def counting_quad(*args, **kwargs):
         counts["quad"] += 1
@@ -742,18 +812,14 @@ def test_scalar_quadrature_only_checks_the_tabulations(euler_op, monkeypatch):
         finally:
             depth[0] -= 1
 
-    def counting_batched(*args):
-        counts["tables"] += 1
-        return batched(*args)
-
+    tables = _count_tabulations(monkeypatch)
     monkeypatch.setattr(cl, "complex_quad", counting_quad)
     monkeypatch.setattr(cl.LaplaceStageHandle, "_direct", direct)
-    monkeypatch.setattr(cl, "_batched_ray_laplace", counting_batched)
     S = cl.multisum(None, euler_op, 0.0)
     for z in (0.1, 0.05, 0.3, 0.2 + 0.05j, 0.15 - 0.05j):
         S(SectorPoint.from_complex(z))
-    assert counts["tables"] == 6
-    assert counts["quad"] == 3 * counts["tables"]
+    assert len(tables) == 6
+    assert counts["quad"] == 3 * len(tables)
     assert counts["outside_direct"] == 0
 
 

@@ -1,9 +1,13 @@
 import cmath
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import qborel
 from qborel.cli import main
 
 
@@ -34,6 +38,19 @@ def opfiles(tmp_path):
         p.write_text(json.dumps(doc))
         paths[name] = str(p)
     return paths
+
+
+def test_import_leaves_scipy_integrate_and_fft_unloaded():
+    # solve_ivp, quad and scipy.fft are imported by the functions that use
+    # them, so a fresh `import qborel.cli` loads neither package
+    src = os.path.dirname(os.path.dirname(os.path.abspath(qborel.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    code = ("import sys, qborel.cli; print([m for m in ('scipy.integrate', "
+            "'scipy.fft') if m in sys.modules])")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "[]"
 
 
 def test_ladder_example41(opfiles, tmp_path, capsys):
