@@ -58,6 +58,7 @@ from .qsummation import (  # noqa: F401
     q_continuation,
     q_multisum,
     q_stokes_jump,
+    q_summation_chain,
     rz_borel,
     theta_q_laplace,
     validate_confluence_family,

@@ -176,9 +176,15 @@ def formal_borel(s: PowerSeries, k) -> PowerSeries:
 
 class RayHandle:
     """Protocol: values of an analytic function along the ray arg = d.
-    Subclasses define eval_ray(x) and growth(k)."""
+    Subclasses define eval_ray(x) and growth(k); a Laplace stage also sets
+    the reach _x_dom of its own Laplace domain and tabulates in prepare."""
 
     direction: float
+    _x_dom = math.inf
+    _quad_epsrel = 1e-11     # relative target of a quadrature of the handle
+
+    def prepare(self, x_hi: float):
+        """Announce the ray range (0, x_hi] an upcoming quadrature samples."""
 
     def eval_ray_many(self, xs) -> np.ndarray:
         return np.array([self.eval_ray(float(x)) for x in xs], dtype=complex)
@@ -255,11 +261,6 @@ class _OdeRayHandle(RayHandle):
     """
 
     _reach = math.inf
-
-    @property
-    def _x_hi(self) -> float:
-        ts = self._dense.ts
-        return float(ts[-1]) if len(ts) else 0.0
 
     def _rhs(self) -> Callable[[float, np.ndarray], list]:
         """The ODE right side on the split state y = (Re V, Im V): the last
@@ -497,13 +498,6 @@ def _fit_growth(eval_ray, x_lo: float, x_hi: float, k: float,
 # Laplace transform along a ray
 
 
-def _prepare(handle: RayHandle, x_hi: float):
-    """Announce the ray range an upcoming quadrature will sample."""
-    prep = getattr(handle, "prepare", None)
-    if prep is not None:
-        prep(x_hi)
-
-
 def _cached_growth(handle: RayHandle, k: float) -> tuple[float, float]:
     """The handle's growth(k), fitted once.  Each fit runs over a fixed range
     of the ray, so threads that fit at once store the same (J, L)."""
@@ -544,9 +538,9 @@ def _laplace_truncation(handle: RayHandle, lam: float, d: float, w: SectorPoint,
     # authoritative truncation: extend until the integrand has fallen below
     # 1e-16 of its peak (the fitted L only seeds the first guess); never
     # extend past the reach of the handle's own Laplace domain
-    reach = getattr(handle, "_x_dom", math.inf) * 0.96
+    reach = handle._x_dom * 0.96
     S = min(S, reach**lam)
-    _prepare(handle, S ** (1.0 / lam))
+    handle.prepare(S ** (1.0 / lam))
     scale0 = peak_scale(fn0, 0.0, S)
     grow_checks = 0
     while abs(fn0(S)) * S > 1e-16 * scale0:
@@ -558,7 +552,7 @@ def _laplace_truncation(handle: RayHandle, lam: float, d: float, w: SectorPoint,
                     f"too much mass (fitted growth L = {L:.3e})"
                 )
             break
-        _prepare(handle, nxt ** (1.0 / lam))
+        handle.prepare(nxt ** (1.0 / lam))
         if abs(fn0(nxt)) > abs(fn0(S)):
             grow_checks += 1
             if grow_checks >= 3:
@@ -592,7 +586,7 @@ def laplace_along_ray(handle: RayHandle, k, d: float, z) -> complex:
         )
     A, S, fn, scale = _laplace_truncation(handle, lam, d, w, 0)
     return A * complex_quad(fn, 0.0, S, epsabs=1e-14 * scale * S,
-                            epsrel=getattr(handle, "_quad_epsrel", 1e-11))
+                            epsrel=handle._quad_epsrel)
 
 
 def _moment_values(handle, lam, d, w, count) -> np.ndarray:
@@ -610,7 +604,7 @@ def _moment_values(handle, lam, d, w, count) -> np.ndarray:
         np.maximum(peak, np.abs(F * np.exp(-s * A)).reshape(count, -1).max(axis=1), out=peak)
         return F
 
-    epsrel = getattr(handle, "_quad_epsrel", 1e-11)
+    epsrel = handle._quad_epsrel
     I = _gk_laplace(sample, A, S * 1e-12, S,
                     lambda vals: np.maximum(epsrel * np.abs(vals), 1e-14 * S * peak),
                     f"Laplace moments (lambda = {lam}, direction = {d}, "
@@ -784,7 +778,7 @@ def _batched_ray_laplace(handle: RayHandle, lam: float, d: float,
             f"(L = {L:.3e}, max x = {x_top:.4g})"
         )
     U = (45.0 + max(0.0, math.log(J))) / margin
-    _prepare(handle, (U * x_top**lam) ** (1.0 / lam))
+    handle.prepare((U * x_top**lam) ** (1.0 / lam))
     inv_lam = 1.0 / lam
 
     def sample(u):
@@ -839,7 +833,7 @@ class LaplaceStageHandle(_OdeRayHandle):
         # the anchor's moment quadratures sample the previous stage out to
         # (e-folds / x0^lam)^(1/lam); budget the fitted J and stay within the
         # previous stage's own Laplace-domain reach
-        prev_dom = getattr(prev, "_x_dom", math.inf)
+        prev_dom = prev._x_dom
         budget = 50.0 + max(0.0, math.log(J))
         reach_cap = 0.9 * prev_dom / (budget ** (1.0 / self.lam))
         self._x0 = min(0.15 * x_dom, reach_cap, 1.0)
@@ -1174,20 +1168,15 @@ def _chain_directions(op: LinearOperator, beta: int,
     return DirectionSet(tuple(e[0] for e in entries), tuple(e[1] for e in entries))
 
 
-def _refuse_singular(dirs: DirectionSet, d: float):
-    if dirs.min_distance(d) < 1e-9:
-        raise SingularDirectionError(
-            f"direction d = {d} is singular "
-            f"(singular set mod 2pi: {[round(x, 6) for x in dirs.singular_directions]})"
-        )
-
-
-def _bracket_offset(dirs: DirectionSet, d: float, top_level: int) -> float:
+def _bracket_offset(dirs: DirectionSet, d: float, ladder: SummationLadder) -> Optional[float]:
     """Half-width of the bracket d +/- offset of a Stokes jump: pi/(8 k_r),
-    or half the gap to the nearest other singular direction if smaller."""
+    or half the gap to the nearest other singular direction if smaller;
+    None when d is not in dirs."""
+    if dirs.min_distance(d) > 1e-9:
+        return None
     gap = min((abs(_angdiff(x, d)) for x in dirs.singular_directions
                if abs(_angdiff(x, d)) > 1e-9), default=math.pi)
-    offset = min(math.pi / (8.0 * top_level), gap / 2.0)
+    offset = min(math.pi / (8.0 * ladder.top_level), gap / 2.0)
     if offset < 1e-8:
         raise BracketingError(f"no singularity-free bracket around d = {d}")
     return offset
@@ -1302,22 +1291,26 @@ class SummedFunction:
         return abs(total) / max(scale, 1e-300)
 
 
-def _convergent_sum(s: Optional[PowerSeries], op: LinearOperator, d: float,
-                    order: int) -> SummedFunction:
-    """The sum of a convergent formal solution: the series itself, on 0.999
-    of its estimated disk of convergence."""
-    series = s if s is not None else solve_series(op, order)
-    return SummedFunction(None, d, [], convergent_series=series,
-                          radius=0.999 * _cauchy_hadamard(series.coefficients))
+def _check_series(op: LinearOperator, s: Optional[PowerSeries]):
+    """A supplied series must satisfy the operator: it is pinned by the
+    operator, never a free input."""
+    if s is not None:
+        res = op_residual(op, s)
+        scale = max(np.max(np.abs(s.coefficients)), 1.0)
+        head = res.coefficients[: max(1, len(res.coefficients) - op.order - 1)]
+        if np.max(np.abs(head)) > 1e-8 * scale:
+            raise ArgumentError("supplied series does not satisfy the operator")
 
 
 @dataclass(frozen=True)
 class SummationChain:
-    """What every sum of one differential operator shares, whatever its
-    direction: its ladder, section chain and singular set (a convergent
-    operator has none of them).  sum(d) and lateral_pair(d) add only the
-    stage handles of their directions; a q-family passes the chain of its
-    limit operator to q_multisum and q_stokes_jump as ``limit``."""
+    """What every sum of one operator shares, whatever its direction: its
+    ladder, section chain and singular set (a convergent operator has none
+    of them).  sum(d) and lateral_pair(d) check a supplied series, refuse or
+    bracket the singular directions and add only the evaluators of their
+    directions, which _at gives: stage handles here, q-Laplace sections in a
+    QSummationChain.  A q-family passes the chain of its limit operator to
+    q_multisum and q_stokes_jump as ``limit``."""
 
     op: LinearOperator
     ladder: Optional[SummationLadder]
@@ -1327,33 +1320,41 @@ class SummationChain:
 
     def sum(self, d: float, s: Optional[PowerSeries] = None,
             rtol: float = 1e-11) -> SummedFunction:
-        """S^d(h); a singular d raises SingularDirectionError.  A supplied
-        series s is checked against the operator."""
-        if self.ladder is None:
-            return _convergent_sum(s, self.op, d, self.order)
-        _refuse_sub_unit(self.ladder)
-        _refuse_singular(self.directions, d)
-        return self._at(d, s, rtol)
+        """S^d(h); a singular d raises SingularDirectionError, a supplied
+        series s that does not satisfy the operator ArgumentError."""
+        _check_series(self.op, s)
+        if not self.sections:
+            # a convergent series is its own sum, on 0.999 of its estimated disk
+            series = s if s is not None else solve_series(self.op, self.order)
+            return SummedFunction(None, d, [], convergent_series=series,
+                                  radius=0.999 * _cauchy_hadamard(series.coefficients))
+        if self.directions.min_distance(d) < 1e-9:
+            raise SingularDirectionError(
+                f"direction d = {d} is singular (singular set mod 2pi: "
+                f"{[round(x, 6) for x in self.directions.singular_directions]})"
+            )
+        return self._at(d, rtol)
 
     def lateral_pair(self, d: float, s: Optional[PowerSeries] = None,
                      rtol: float = 1e-10) -> Optional[tuple[SummedFunction, SummedFunction]]:
         """(S^{d+o}, S^{d-o}) about a singular direction d, o from
-        _bracket_offset; None off the singular set, where they agree."""
-        if self.ladder is None or self.directions.min_distance(d) > 1e-9:
+        _bracket_offset; None off the singular set, where they agree.  A
+        divergent q chain built without limit raises ArgumentError."""
+        _check_series(self.op, s)
+        if self.sections and not self.directions.singular_directions:
+            raise ArgumentError("lateral sums bracket a singular direction and this "
+                                "chain has none: a q chain takes them from its limit")
+        offset = _bracket_offset(self.directions, d, self.ladder)
+        if offset is None:
             return None
-        offset = _bracket_offset(self.directions, d, self.ladder.top_level)
-        _refuse_sub_unit(self.ladder)
-        return self._at(d + offset, s, rtol), self._at(d - offset, s, rtol)
+        return self._at(d + offset, rtol), self._at(d - offset, rtol)
 
-    def _at(self, d: float, s: Optional[PowerSeries], rtol: float) -> SummedFunction:
-        op, ladder = self.op, self.ladder
-        if s is not None:
-            res = op_residual(op, s)
-            scale = max(np.max(np.abs(s.coefficients)), 1.0)
-            head = res.coefficients[: max(1, len(res.coefficients) - op.order - 1)]
-            if np.max(np.abs(head)) > 1e-8 * scale:
-                raise ArgumentError("supplied series does not satisfy the operator")
-        rays = tuple(_LeadingRay(a) for a in op.coefficients[-1].nonzero_roots().tolist())
+    def _at(self, d: float, rtol: float) -> SummedFunction:
+        """The sum along d, which is not singular: one _LaplaceSection per
+        section, the leading-root rays excluded."""
+        ladder = self.ladder
+        _refuse_sub_unit(ladder)
+        rays = tuple(_LeadingRay(a) for a in self.op.coefficients[-1].nonzero_roots().tolist())
         return SummedFunction(ladder, d, [_LaplaceSection(sec, ladder.beta * d, rtol)
                                           for sec in self.sections],
                               rays, math.pi / (2.0 * ladder.top_level))
@@ -1385,9 +1386,9 @@ def multisum(s: Optional[PowerSeries], op: LinearOperator, d: float,
     """Multisummation S^d of the formal solution of op along direction d.
 
     The series argument is optional (it is pinned by the operator and its
-    right-hand side / valuation data); when supplied it is cross-checked
-    against the operator's own solution.  Sums of one operator in several
-    directions should share one summation_chain(op).
+    right-hand side / valuation data); when supplied it is checked against
+    the operator, and one that does not satisfy it raises.  Sums of one
+    operator in several directions should share one summation_chain(op).
     """
     return summation_chain(op, k_r_choice, order).sum(d, s, rtol)
 

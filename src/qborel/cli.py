@@ -390,8 +390,7 @@ def cmd_stokes(args) -> ResultTable:
         # one q lateral pair per q: a failure to build it marks every row of
         # this q, a failure at z or q z only the row of z
         try:
-            pair = qs.q_lateral_pair(None, opq, d, mode=args.mode, limit=limit,
-                                     order=args.order)
+            pair = qs.q_summation_chain(opq, args.mode, limit, args.order).lateral_pair(d)
         except QBorelError as exc:
             for z in zs:
                 zc = z.to_complex()
@@ -404,7 +403,7 @@ def cmd_stokes(args) -> ResultTable:
                 Jq, Jq2 = cl._jumps(pair, [z, zq])
                 c = Jq / y_h(z)
                 c2 = Jq2 / y_h(zq)
-                invar = abs(c2 / c - 1.0)
+                invar = abs(c2 / c - 1.0) if c else 0.0
                 normalized.append(abs(c))
                 table.add(q, zc.real, zc.imag, Jq.real, Jq.imag, abs(c), invar, "ok")
             except QBorelError as exc:
@@ -442,7 +441,8 @@ def cmd_hypergeom(args) -> ResultTable:
                       rhs.imag, abs(lhs - rhs), "ok")
         else:
             cfv = hg.qsum_closed_form(params, d, z0)
-            pipe = _phi_pipeline_value(params, d, z0)
+            pipe = qs.q_multisum(hg.rphi(params, None, 80), hg.rphi_operator(params),
+                                 d, mode="theta")(z0)
             table.add("closed-form-vs-pipeline", cfv.real, cfv.imag, pipe.real,
                       pipe.imag, abs(cfv - pipe), "ok")
     if args.alphas:
@@ -467,17 +467,6 @@ def cmd_hypergeom(args) -> ResultTable:
                           target.imag, err, status)
                 prev = err
     return table
-
-
-def _phi_pipeline_value(params: hg.PhiParams, d: float, z: SectorPoint) -> complex:
-    from .operators import rz_borel_operator
-
-    qb = params.qb
-    ser = hg.rphi(params, None, 80)
-    op = hg.rphi_operator(params)
-    f = qs.rz_borel(ser, qb)
-    handle = qs.q_continuation(f, rz_borel_operator(op), d)
-    return qs.theta_q_laplace(handle, d, qb, z)
 
 
 def cmd_validate(args) -> ResultTable:

@@ -575,7 +575,8 @@ class Recurrence:
 
         Returns (phases, logmags) with a_n = phases[n] * exp(logmags[n]).
         Mirrors :meth:`solve`: at a resonant index with consistent data the
-        free coefficient is `leading` at the valuation and 0 elsewhere.
+        free coefficient is `leading` at the valuation and 0 elsewhere, and
+        an inconsistent right side raises :class:`ResonanceError`.
         """
         I = self.span
         phases = np.zeros(order, dtype=complex)
@@ -601,23 +602,27 @@ class Recurrence:
                     terms_phase.append(c / abs(c))
                     terms_log.append(math.log(abs(c)) + logmags[n - i])
             lead = row[0]
-            lead_scale = max(
-                sum(abs(c) for c in self.A[0].coeffs) * max(1.0, abs(self.x_value(n)))
-                ** (0 if self.var == "qn" else self.A[0].degree),
-                1e-300,
-            )
             if self.var == "qn":
                 lead_scale = max(sum(abs(c) for c in row), 1e-300)
+            else:
+                lead_scale = max(sum(abs(c) for c in self.A[0].coeffs)
+                                 * max(1.0, float(n)) ** self.A[0].degree, 1e-300)
             resonant = abs(lead) <= _LEAD_TOL * lead_scale
+            acc, m_star = 0.0, -math.inf
+            if terms_log:
+                m_star = max(terms_log)
+                acc = sum(p * math.exp(lg - m_star) for p, lg in zip(terms_phase, terms_log))
             if resonant:
+                # as in solve: the data are consistent when |acc| is at most
+                # 1e-10 max(1, largest a-term), in the row's scaled units
+                a_log = max(terms_log[1:] if r != 0.0 else terms_log, default=0.0)
+                if acc != 0 and math.log(abs(acc)) + m_star > math.log(1e-10) + max(a_log, 0.0):
+                    raise ResonanceError(f"recurrence leading factor vanishes at n={n} "
+                                         f"with inconsistent right side", n=n)
                 if n == valuation and leading != 0:
                     phases[n] = leading / abs(leading)
                     logmags[n] = math.log(abs(leading))
                 continue
-            if not terms_log:
-                continue
-            m_star = max(terms_log)
-            acc = sum(p * math.exp(lg - m_star) for p, lg in zip(terms_phase, terms_log))
             val = acc / lead
             if val == 0:
                 continue

@@ -20,17 +20,16 @@ import numpy as np
 
 from . import qspecial
 from .classical import (
+    DirectionSet,
     SectionPipeline,
     SummationChain,
     SummationLadder,
     SummedFunction,
     _angdiff,
-    _bracket_offset,
     _build_sections,
     _cauchy_hadamard,
-    _convergent_sum,
+    _check_series,
     _jumps,
-    _refuse_singular,
     _refuse_sub_unit,
     _summation_ladder,
     _truncate_overflow,
@@ -44,7 +43,7 @@ from .errors import (
     SpiralCollisionError,
     UnsupportedError,
 )
-from .operators import LinearOperator, newton_polygon
+from .operators import LinearOperator, newton_polygon, rz_borel_operator, solve_series
 from .series import (
     PowerSeries,
     SectorPoint,
@@ -669,13 +668,13 @@ class _QSection:
 
 
 class _ThetaSection:
-    """The theta-kernel q-Laplace of one continuation handle, the single
-    section (l = 0) of the theta-mode sum, in the variable w = z."""
+    """The theta-kernel q-Laplace of the continued g_1, the single section
+    (l = 0) of the theta-mode sum, in the variable w = z."""
 
     l = 0
 
-    def __init__(self, cont: QContinuation, d: float, q: float):
-        self.cont, self.d, self.q = cont, d, q
+    def __init__(self, sec: SectionPipeline, d: float, q: float):
+        self.cont, self.d, self.q = QContinuation(sec.g1, sec.stage_ops[0], d), d, q
 
     def value(self, w: SectorPoint) -> complex:
         return theta_q_laplace(self.cont, self.d, self.q, w)
@@ -692,7 +691,63 @@ def _final_pole_spirals(ladder: SummationLadder, d: float, q: float) -> tuple:
     return tuple(out)
 
 
-_LADDER_MODES = ("discrete", "continuous")
+@dataclass(frozen=True)
+class QSummationChain(SummationChain):
+    """The SummationChain of a q-difference operator in one mode."""
+
+    mode: str
+
+    def _at(self, d: float, rtol: float) -> SummedFunction:
+        q, ladder = self.op.q, self.ladder
+        if self.mode == "theta":
+            spiral = PoleSpiral((q - 1.0) * cmath.exp(1j * (d + math.pi)), q)
+            return SummedFunction(None, d, [_ThetaSection(sec, d, q) for sec in self.sections],
+                                  (spiral,))
+        return SummedFunction(ladder, d, [_QSection(sec, q**ladder.beta, ladder.beta * d, self.mode)
+                                          for sec in self.sections],
+                              _final_pole_spirals(ladder, d, q),
+                              math.pi / ladder.top_level + 1e-12)
+
+
+def q_summation_chain(op: LinearOperator, mode: str = "discrete",
+                      limit: Optional[SummationChain] = None, order: int = 240,
+                      s: Optional[PowerSeries] = None) -> QSummationChain:
+    """The QSummationChain of a q-difference operator, shared by its sums in
+    every direction and its lateral pairs.
+
+    mode 'discrete' runs the q-factorial section chain on the Jackson
+    kernel, 'continuous' on the appendix kernel; 'theta' is one section, the
+    theta-weight q-Borel transform of s (else of the operator's own series)
+    summed by the theta-kernel q-Laplace, and needs a sigma_q polygon whose
+    only positive slope is 1.  limit, the summation_chain of a family's
+    limit operator, gives the ladder its polygon and the chain its singular
+    directions (none without it).  s, if given, must satisfy op."""
+    if op.kind != "q_difference":
+        raise ArgumentError("q_multisum needs a q-difference operator")
+    if mode not in ("discrete", "continuous", "theta"):
+        raise ArgumentError(f"unknown q-summation mode {mode!r}")
+    _check_series(op, s)
+    sop = op.to_sigma_basis()
+    if newton_polygon(sop).is_convergent_only():
+        return QSummationChain(op, None, (), DirectionSet((), ()), order, mode)
+    ladder = _summation_ladder(op, None if limit is None else limit.op)
+    if mode == "theta":
+        if newton_polygon(sop).positive_slopes() != (Fraction(1),):
+            raise UnsupportedError(
+                "theta-kernel summation applies to sigma_q polygons whose only "
+                "positive slope is 1"
+            )
+        if s is None:
+            with np.errstate(over="ignore", invalid="ignore"):
+                s = solve_series(op, order)
+            s = PowerSeries(_truncate_overflow(s.coefficients, 0), 1)
+        sections = (SectionPipeline(0, (Fraction(1),), [rz_borel_operator(op)],
+                                    rz_borel(s, sop.q), []),)
+    else:
+        _refuse_sub_unit(ladder)
+        sections = tuple(_build_sections(sop, ladder, order, "qfact"))
+    directions = DirectionSet((), ()) if limit is None else limit.directions
+    return QSummationChain(op, ladder, sections, directions, order, mode)
 
 
 def q_multisum(
@@ -703,71 +758,12 @@ def q_multisum(
     limit: Optional[SummationChain] = None,
     order: int = 240,
 ) -> SummedFunction:
-    """q-Borel/q-Laplace multisummation S_q^{[d]} of the formal solution.
-
-    mode 'discrete' runs the Jackson-kernel ladder, 'continuous' the
-    appendix kernel; 'theta' runs the single-level slope-1 summation
-    (theta-weight Borel + theta-kernel Laplace) and requires the sigma_q
-    polygon to have {1} as its positive slopes.  Evaluation within 1e-6
-    relative distance of a recorded pole spiral raises.  limit, the
-    summation_chain of a family's limit operator, gives the ladder modes
-    their polygon and singular directions.
+    """q-Borel/q-Laplace multisummation S_q^{[d]} of the formal solution,
+    from q_summation_chain (modes and limit as there).  A singular direction
+    of limit and a supplied series that does not satisfy op raise, and so
+    does evaluation within 1e-6 relative distance of a recorded pole spiral.
     """
-    if op.kind != "q_difference":
-        raise ArgumentError("q_multisum needs a q-difference operator")
-    sop = op.to_sigma_basis()
-    if newton_polygon(sop).is_convergent_only():
-        return _convergent_sum(s, op, d, order)
-    if limit is not None and mode in _LADDER_MODES:
-        _refuse_singular(limit.directions, d)
-    return _q_sums(s, op, sop, mode, limit, order)(d)
-
-
-def _q_sums(s, op, sop, mode, limit, order) -> Callable[[float], SummedFunction]:
-    """d -> S_q^{[d]}(h); the series, ladder and section chain are built once
-    and shared by the sums in every direction."""
-    if mode == "theta":
-        return _theta_sums(s, op, sop, order)
-    if mode not in _LADDER_MODES:
-        raise ArgumentError(f"unknown q-summation mode {mode!r}")
-    ladder = _summation_ladder(op, None if limit is None else limit.op)
-    _refuse_sub_unit(ladder)
-    q, beta = sop.q, ladder.beta
-    sections = _build_sections(sop, ladder, order, "qfact")
-
-    def at(d: float) -> SummedFunction:
-        return SummedFunction(ladder, d, [_QSection(sec, q**beta, beta * d, mode) for sec in sections],
-                              _final_pole_spirals(ladder, d, q), math.pi / ladder.top_level + 1e-12)
-
-    return at
-
-
-def _theta_sums(s, op, sop, order) -> Callable[[float], SummedFunction]:
-    """Single-level slope-1 summation: theta-weight q-Borel then the
-    theta-kernel q-Laplace (valid when the only positive slope is 1)."""
-    from .operators import rz_borel_operator, solve_series
-
-    if newton_polygon(sop).positive_slopes() != (Fraction(1),):
-        raise UnsupportedError(
-            "theta-kernel summation applies to sigma_q polygons whose only "
-            "positive slope is 1"
-        )
-    q = sop.q
-    if s is not None:
-        series = s
-    else:
-        with np.errstate(over="ignore", invalid="ignore"):
-            series = solve_series(op, order)
-        series = PowerSeries(_truncate_overflow(series.coefficients, 0), 1)
-    fhat = rz_borel(series, q)
-    bop = rz_borel_operator(op)
-
-    def at(d: float) -> SummedFunction:
-        spiral = PoleSpiral((q - 1.0) * cmath.exp(1j * (d + math.pi)), q)
-        return SummedFunction(None, d, [_ThetaSection(QContinuation(fhat, bop, d), d, q)],
-                              (spiral,))
-
-    return at
+    return q_summation_chain(op, mode, limit, order, s).sum(d, s)
 
 
 # ---------------------------------------------------------------------------
@@ -798,30 +794,6 @@ def first_order_homogeneous_solution(op: LinearOperator):
     return y_h
 
 
-def q_lateral_pair(
-    s: Optional[PowerSeries],
-    op: LinearOperator,
-    d_singular: float,
-    mode: str = "discrete",
-    limit: Optional[SummationChain] = None,
-    order: int = 240,
-) -> Optional[tuple[SummedFunction, SummedFunction]]:
-    """(S_q^{[d+o]}(h), S_q^{[d-o]}(h)) about a singular direction d of the
-    limit operator, from one q section chain; None for a convergent operator.
-    The bracket o comes from the singular set of the limit chain
-    (summation_chain of the limit operator), else it is pi/24."""
-    sop = op.to_sigma_basis()
-    if newton_polygon(sop).is_convergent_only():
-        return None
-    if limit is not None:
-        offset = _bracket_offset(limit.directions, d_singular,
-                                 _summation_ladder(op, limit.op).top_level)
-    else:
-        offset = math.pi / 24.0
-    lateral = _q_sums(s, op, sop, mode, limit, order)
-    return lateral(d_singular + offset), lateral(d_singular - offset)
-
-
 def q_stokes_jump(
     s: Optional[PowerSeries],
     op: LinearOperator,
@@ -835,8 +807,9 @@ def q_stokes_jump(
     the limit operator, one per point z of zs (ask for z and q z together);
     each solves the homogeneous q-equation, and its normalized form (divided
     by a nonvanishing homogeneous solution) is sigma_q-invariant.  One
-    q_lateral_pair serves all points."""
-    return _jumps(q_lateral_pair(s, op, d_singular, mode, limit, order), zs)
+    lateral pair of the q_summation_chain serves all points; the jumps are 0
+    off the singular set of limit, and a divergent operator needs limit."""
+    return _jumps(q_summation_chain(op, mode, limit, order, s).lateral_pair(d_singular, s), zs)
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from qborel import classical as cl
 from qborel.errors import (
     ArgumentError,
     DomainError,
+    ResonanceError,
     SingularDirectionError,
     ValidationError,
 )
@@ -355,6 +356,33 @@ def test_stokes_jump_builds_one_section_chain(euler_op, monkeypatch):
     assert abs(abs(J * cmath.exp(-1.0 / z.to_complex())) - 2 * math.pi) < 1e-9
 
 
+def test_multisum_checks_a_supplied_series_for_every_operator(euler_op):
+    # delta y + y = z is convergent (y = z/2): a supplied series is checked
+    # against it as against the divergent Euler operator, and the operator's
+    # own series passes the check
+    half = LinearOperator("differential", "delta", (Polynomial([1.0]), Polynomial([1.0])),
+                          None, PowerSeries([0.0, 1.0]))
+    junk = PowerSeries(np.ones(40))
+    for op in (half, euler_op):
+        with pytest.raises(ArgumentError, match="does not satisfy the operator"):
+            cl.multisum(junk, op, 0.0)
+        with pytest.raises(ArgumentError, match="does not satisfy the operator"):
+            cl.stokes_jump(junk, op, math.pi, [-0.2])
+    z = SectorPoint.from_complex(0.05)
+    S = cl.multisum(solve_series(half, 40), half, 0.0)
+    assert S(z) == pytest.approx(0.025, rel=1e-14)
+
+
+def test_multisum_raises_at_a_resonant_recurrence_row():
+    # -2 y + delta y + z delta^2 y = z^2 has no power-series solution: the
+    # section seeds hit the inconsistent resonant row n = 2
+    op = LinearOperator("differential", "delta",
+                        (Polynomial([-2.0]), Polynomial([1.0]), Polynomial([0.0, 1.0])),
+                        None, PowerSeries([0.0, 0.0, 1.0]))
+    with pytest.raises(ResonanceError):
+        cl.multisum(None, op, 0.0)
+
+
 def test_multisum_fractional_slope_unsupported():
     # y - z (delta+1)^2 y = 1 has the single slope 1/2: the ladder's
     # section-variable orders drop below 1 and evaluation is declined
@@ -664,7 +692,7 @@ def test_ode_right_side_matches_companion_form(euler_ode_sum):
         m, b = h._m, h.op.coefficients
         rhs = h._rhs()
         for _ in range(50):
-            x = h._x0 * (h._x_hi / h._x0) ** gen.uniform()
+            x = h._x0 * (h._dense.ts[-1] / h._x0) ** gen.uniform()
             V = (gen.normal(size=m) + 1j * gen.normal(size=m)) * 10.0 ** gen.uniform(-3, 3, m)
             w = x * cmath.exp(1j * h.direction)
             C = np.zeros((m, m), dtype=complex)

@@ -249,6 +249,31 @@ def test_stokes_command(opfiles, capsys):
     assert float(qrow.split(",")[6]) < 1e-6  # sigma_q-invariance residual
 
 
+def test_stokes_off_the_singular_set_writes_zero_q_jumps(opfiles, capsys):
+    # d = 0.5 is not a singular direction of the Euler limit: no lateral
+    # pair, so every jump and every invariance residual is exactly 0
+    rc = main(["stokes", "--op", opfiles["qeuler"], "--direction", "0.5",
+               "--z", "0.2,0.1", "--q-grid", "1.3,1.2"])
+    assert rc == 0
+    rows = [l.split(",") for l in capsys.readouterr().out.splitlines()
+            if l.startswith(("1.3", "1.2"))]
+    assert len(rows) == 2
+    for row in rows:
+        assert row[3:] == ["0.0", "0.0", "0.0", "0.0", "ok"]
+
+
+def test_resonant_operator_exits_3(tmp_path, capsys):
+    # -2 y + delta y + z delta^2 y = z^2: inconsistent resonant row n = 2
+    doc = {"kind": "differential", "basis": "delta",
+           "coefficients": [[[-2.0, 0.0]], [[1.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]],
+           "rhs": [[0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]}
+    path = tmp_path / "resonant.json"
+    path.write_text(json.dumps(doc))
+    rc = main(["sum", "--op", str(path), "--direction", "0", "--z", "0.1,0"])
+    assert rc == 3
+    assert "error[resonance]" in capsys.readouterr().err
+
+
 def test_stokes_point_outside_the_classical_sector_gives_an_error_row(opfiles, capsys):
     rc = main(["stokes", "--op", opfiles["qeuler"], "--direction", f"{math.pi}",
                f"--z=-0.2,0,{math.pi}", "--z=0.2,0", "--q-grid", "1.2"])

@@ -197,6 +197,23 @@ def test_solve_series_resonance_error():
     assert err.value.n == 1
 
 
+def test_solve_logspace_raises_where_solve_raises():
+    # -2 y + delta y + z delta^2 y = z^2: (n - 2) a_n + (n - 1)^2 a_(n-1)
+    # = [n = 2] has a_1 = 0, so the resonant n = 2 row reads 0 = 1
+    op = LinearOperator("differential", "delta",
+                        (Polynomial([-2.0]), Polynomial([1.0]), Polynomial([0.0, 1.0])),
+                        None, PowerSeries([0.0, 0.0, 1.0]))
+    rec = Recurrence.from_operator(op)
+    for solve in (rec.solve, rec.solve_logspace):
+        with pytest.raises(ResonanceError) as err:
+            solve(6)
+        assert err.value.n == 2
+    # consistent data at a resonant row still leave the coefficient free
+    free = LinearOperator("differential", "delta", (Polynomial([-1.0]), Polynomial([1.0])))
+    phases, logmags = Recurrence.from_operator(free).solve_logspace(6, valuation=1)
+    assert np.allclose(phases * np.exp(logmags), [0, 1, 0, 0, 0, 0])
+
+
 def test_random_operator_solve_residual():
     count = 0
     for _ in range(30):

@@ -11,6 +11,7 @@ from scipy.special import exp1
 from qborel import classical as cl
 from qborel import qsummation as qs
 from qborel.errors import (
+    ArgumentError,
     BracketingError,
     GrowthError,
     PoleError,
@@ -451,8 +452,64 @@ def test_q_multisum_slope_zero_passthrough():
 
 
 def test_q_multisum_singular_direction(q_euler_op, euler_op):
-    with pytest.raises(SingularDirectionError):
-        qs.q_multisum(None, q_euler_op, math.pi, limit=cl.summation_chain(euler_op))
+    # every mode refuses the limit's singular directions
+    limit = cl.summation_chain(euler_op)
+    for mode in ("discrete", "continuous", "theta"):
+        with pytest.raises(SingularDirectionError):
+            qs.q_multisum(None, q_euler_op, math.pi, mode=mode, limit=limit)
+
+
+def test_q_multisum_checks_a_supplied_series_in_every_mode(q_euler_op):
+    junk = PowerSeries(np.ones(40))
+    for mode in ("discrete", "continuous", "theta"):
+        with pytest.raises(ArgumentError, match="does not satisfy the operator"):
+            qs.q_multisum(junk, q_euler_op, 0.0, mode=mode)
+    # the theta chain is built from the series: it is checked there too
+    with pytest.raises(ArgumentError, match="does not satisfy the operator"):
+        qs.q_summation_chain(q_euler_op, "theta", s=junk)
+    # sigma_q y = (1 + z) y has a convergent solution
+    convergent = LinearOperator("q_difference", "sigma_q",
+                                (Polynomial([-1.0, -1.0]), Polynomial([1.0])), 1.3)
+    with pytest.raises(ArgumentError, match="does not satisfy the operator"):
+        qs.q_multisum(junk, convergent, 0.0, order=80)
+    # an unknown mode is refused before the convergent branch
+    with pytest.raises(ArgumentError, match="unknown q-summation mode"):
+        qs.q_multisum(None, convergent, 0.0, mode="jackson", order=80)
+
+
+def test_q_summation_chain_builds_one_section_chain(euler_op, monkeypatch):
+    # sums on both sides of the positive axis and the lateral pair about pi
+    # share the chain's ladder and sections
+    built = []
+    build = qs._build_sections
+
+    def counting(op, *args, **kwargs):
+        built.append(op.kind)
+        return build(op, *args, **kwargs)
+
+    limit = cl.summation_chain(euler_op)
+    monkeypatch.setattr(qs, "_build_sections", counting)
+    chain = qs.q_summation_chain(make_q_euler(1.2), limit=limit)
+    z = SectorPoint.from_polar(0.1, 0.0)
+    up, down = chain.sum(0.1)(z), chain.sum(-0.1)(z)
+    plus, minus = chain.lateral_pair(math.pi)
+    assert built == ["q_difference"]
+    assert abs(up - down) < 1e-12 * abs(up)
+    assert plus.direction > math.pi > minus.direction
+
+
+def test_q_stokes_jump_is_zero_off_the_singular_set(euler_op):
+    limit = cl.summation_chain(euler_op)
+    z = SectorPoint.from_polar(0.2, 0.5)
+    for mode in ("discrete", "continuous", "theta"):
+        chain = qs.q_summation_chain(make_q_euler(1.2), mode, limit)
+        assert chain.lateral_pair(0.5) is None
+        assert qs.q_stokes_jump(None, make_q_euler(1.2), 0.5, [z], mode, limit) == [0j]
+
+
+def test_divergent_q_stokes_jump_needs_limit(q_euler_op):
+    with pytest.raises(ArgumentError, match="takes them from its limit"):
+        qs.q_stokes_jump(None, q_euler_op, math.pi, [-0.2])
 
 
 def test_q_stokes_jump_builds_two_section_chains(euler_op, monkeypatch):

@@ -1,0 +1,121 @@
+"""Compare the CLI of two source trees, command by command.
+
+    python tools/cli_drift.py BASE_SRC HEAD_SRC
+
+BASE_SRC and HEAD_SRC are the ``src`` directories of two checkouts.  The
+script writes its own operator files to a temporary directory, runs every
+command below once on each tree (``python -m qborel.cli`` with that tree on
+PYTHONPATH) and prints, per command, whether the CSV on stdout, the stderr
+text or the exit code differs.  It exits non-zero only when a command of the
+head tree exits outside the CLI's contract {0, 2, 3, 4}; a difference is
+reported, not judged.
+"""
+
+from __future__ import annotations
+
+import difflib
+import json
+import math
+import os
+import subprocess
+import sys
+import tempfile
+
+PI = repr(math.pi)
+
+OPERATORS = {
+    "euler": {"kind": "differential", "basis": "delta",
+              "coefficients": [[[1.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]],
+              "rhs": [[0.0, 0.0], [1.0, 0.0]]},
+    "qeuler": {"kind": "q_difference", "basis": "delta_q", "q": 1.05,
+               "coefficients": [[[1.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]],
+               "rhs": [[0.0, 0.0], [1.0, 0.0]]},
+    # -2 y + delta y + z delta^2 y = z^2: the coefficient recurrence
+    # (n - 2) a_n + (n - 1)^2 a_(n-1) = [n = 2] is resonant at n = 2
+    "resonant": {"kind": "differential", "basis": "delta",
+                 "coefficients": [[[-2.0, 0.0]], [[1.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]],
+                 "rhs": [[0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]},
+}
+
+MODES = ("discrete", "continuous", "theta")
+Z0 = ["--z", "0.1,0", "--z", "0.2,0.05"]
+Z_PI = [f"--z=-0.2,0,{PI}", f"--z=-0.25,0,{PI}"]
+
+
+def commands(ops: dict[str, str]) -> list[tuple[str, list[str]]]:
+    """(name, argv) of every compared command."""
+    out = [("sum", ["sum", "--op", ops["euler"], "--direction", "0"] + Z0)]
+    for mode in MODES:
+        for limit in (False, True):
+            out.append((f"qsum-{mode}" + ("-limit" if limit else ""),
+                        ["qsum", "--op", ops["qeuler"], "--direction", "0", "--mode", mode]
+                        + Z0 + (["--limit-op", ops["euler"]] if limit else [])))
+    out.append(("qsum-discrete-at-pi",
+                ["qsum", "--op", ops["qeuler"], "--direction", PI, "--mode", "discrete"] + Z_PI))
+    out.append(("qsum-theta-limit-at-pi",
+                ["qsum", "--op", ops["qeuler"], "--direction", PI, "--mode", "theta",
+                 "--limit-op", ops["euler"]] + Z_PI))
+    for mode in MODES:
+        out.append((f"confluence-{mode}",
+                    ["confluence", "--op", ops["qeuler"], "--direction", "0", "--z", "0.1,0",
+                     "--q-grid", "1.5,1.3,1.2", "--mode", mode]))
+    for mode in MODES:
+        out.append((f"stokes-{mode}",
+                    ["stokes", "--op", ops["qeuler"], "--direction", PI, "--q-grid", "1.3,1.2",
+                     "--mode", mode] + Z_PI))
+    out.append(("stokes-no-q-grid", ["stokes", "--op", ops["qeuler"], "--direction", PI] + Z_PI))
+    out.append(("stokes-off-singular",
+                ["stokes", "--op", ops["qeuler"], "--direction", "0.5", "--z", "0.2,0.1",
+                 "--q-grid", "1.3,1.2"]))
+    out.append(("hypergeom", ["hypergeom", "--upper", "3,5", "--p", "0.8333333333333334",
+                              "--z", "0.15,0"]))
+    out.append(("validate", ["validate", "--op", ops["qeuler"], "--q-grid", "1.5,1.2,1.1"]))
+    out.append(("sum-resonant", ["sum", "--op", ops["resonant"], "--direction", "0",
+                                 "--z", "0.1,0"]))
+    return out
+
+
+def run(src: str, argv: list[str]) -> tuple[str, str, int]:
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    proc = subprocess.run([sys.executable, "-m", "qborel.cli"] + argv, env=env,
+                          capture_output=True, text=True, timeout=600)
+    return proc.stdout, proc.stderr, proc.returncode
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 2:
+        print(__doc__, file=sys.stderr)
+        return 2
+    base_src, head_src = argv
+    broken = []
+    with tempfile.TemporaryDirectory() as tmp:
+        ops = {}
+        for name, doc in OPERATORS.items():
+            ops[name] = os.path.join(tmp, f"{name}.json")
+            with open(ops[name], "w") as fh:
+                json.dump(doc, fh)
+        for name, cmd in commands(ops):
+            base, head = run(base_src, cmd), run(head_src, cmd)
+            diffs = [what for what, a, b in zip(("csv", "stderr", "exit"), base, head) if a != b]
+            print(f"{name}: " + (f"differs in {', '.join(diffs)}" if diffs else "identical")
+                  + f" (exit {base[2]} -> {head[2]})")
+            if "csv" in diffs:
+                for line in difflib.unified_diff(base[0].splitlines(), head[0].splitlines(),
+                                                 lineterm="", n=0):
+                    if not line.startswith(("---", "+++", "@@")):
+                        print(f"    csv {line}")
+            if "stderr" in diffs:
+                # the last line names the error; a traceback above it
+                # differs between trees by its paths alone
+                for side, text in (("-", base[1]), ("+", head[1])):
+                    print(f"    stderr {side}{(text.splitlines() or [''])[-1]}")
+            if head[2] not in (0, 2, 3, 4):
+                broken.append(name)
+    if broken:
+        print(f"head exits outside {{0, 2, 3, 4}}: {', '.join(broken)}", file=sys.stderr)
+        return 1
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
