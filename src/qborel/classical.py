@@ -1292,8 +1292,7 @@ class SummedFunction:
 
 
 def _check_series(op: LinearOperator, s: Optional[PowerSeries]):
-    """A supplied series must satisfy the operator: it is pinned by the
-    operator, never a free input."""
+    """Raise ArgumentError if a supplied series s does not satisfy op."""
     if s is not None:
         res = op_residual(op, s)
         scale = max(np.max(np.abs(s.coefficients)), 1.0)
@@ -1306,17 +1305,18 @@ def _check_series(op: LinearOperator, s: Optional[PowerSeries]):
 class SummationChain:
     """What every sum of one operator shares, whatever its direction: its
     ladder, section chain and singular set (a convergent operator has none
-    of them).  sum(d) and lateral_pair(d) check a supplied series, refuse or
-    bracket the singular directions and add only the evaluators of their
-    directions, which _at gives: stage handles here, q-Laplace sections in a
-    QSummationChain.  A q-family passes the chain of its limit operator to
-    q_multisum and q_stokes_jump as ``limit``."""
+    of them and sums series, a checked supplied series, else its own).
+    sum(d) and lateral_pair(d) check a supplied series, refuse or bracket
+    the singular directions and add only the evaluators of their directions
+    from _at: stage handles here, q-Laplace sections in a QSummationChain.
+    A q-family passes the chain of its limit operator as ``limit``."""
 
     op: LinearOperator
     ladder: Optional[SummationLadder]
     sections: tuple[SectionPipeline, ...]
     directions: DirectionSet
     order: int
+    series: Optional[PowerSeries] = None
 
     def sum(self, d: float, s: Optional[PowerSeries] = None,
             rtol: float = 1e-11) -> SummedFunction:
@@ -1325,7 +1325,7 @@ class SummationChain:
         _check_series(self.op, s)
         if not self.sections:
             # a convergent series is its own sum, on 0.999 of its estimated disk
-            series = s if s is not None else solve_series(self.op, self.order)
+            series = s or self.series or solve_series(self.op, self.order)
             return SummedFunction(None, d, [], convergent_series=series,
                                   radius=0.999 * _cauchy_hadamard(series.coefficients))
         if self.directions.min_distance(d) < 1e-9:

@@ -373,11 +373,11 @@ def cmd_stokes(args) -> ResultTable:
         return table
     # classical jump and its normalized modulus |J e^{-1/z}|-style constant;
     # a point the lateral pair cannot evaluate gives an error row
-    pair = limit.lateral_pair(d)
+    classical_pair = limit.lateral_pair(d)
     for z in zs:
         zc = z.to_complex()
         try:
-            J = cl._jumps(pair, [z])[0]
+            J = cl._jumps(classical_pair, [z])[0]
             row = (J.real, J.imag, abs(J * cmath.exp(-1.0 / zc)), 0.0, "ok")
         except QBorelError as exc:
             row = ("", "", "", "", f"{exc.code}-error")
@@ -409,7 +409,9 @@ def cmd_stokes(args) -> ResultTable:
             except QBorelError as exc:
                 table.add(q, zc.real, zc.imag, "", "", "", "", f"{exc.code}-error")
     classical = [row[5] for row in table.rows if row[0] == "classical" and row[-1] == "ok"]
-    if grid and normalized and classical:
+    if classical_pair is None:
+        table.metadata["verdict"] = "no-stokes-phenomenon"
+    elif grid and normalized and classical:
         target = classical[0]
         gaps = [abs(v - target) for v in normalized]
         table.metadata["verdict"] = (

@@ -602,11 +602,13 @@ class Recurrence:
                     terms_phase.append(c / abs(c))
                     terms_log.append(math.log(abs(c)) + logmags[n - i])
             lead = row[0]
+            lead_scale = max(
+                sum(abs(c) for c in self.A[0].coeffs) * max(1.0, abs(self.x_value(n)))
+                ** (0 if self.var == "qn" else self.A[0].degree),
+                1e-300,
+            )
             if self.var == "qn":
                 lead_scale = max(sum(abs(c) for c in row), 1e-300)
-            else:
-                lead_scale = max(sum(abs(c) for c in self.A[0].coeffs)
-                                 * max(1.0, float(n)) ** self.A[0].degree, 1e-300)
             resonant = abs(lead) <= _LEAD_TOL * lead_scale
             acc, m_star = 0.0, -math.inf
             if terms_log:

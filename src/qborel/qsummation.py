@@ -695,7 +695,7 @@ def _final_pole_spirals(ladder: SummationLadder, d: float, q: float) -> tuple:
 class QSummationChain(SummationChain):
     """The SummationChain of a q-difference operator in one mode."""
 
-    mode: str
+    mode: str = "discrete"
 
     def _at(self, d: float, rtol: float) -> SummedFunction:
         q, ladder = self.op.q, self.ladder
@@ -713,15 +713,13 @@ def q_summation_chain(op: LinearOperator, mode: str = "discrete",
                       limit: Optional[SummationChain] = None, order: int = 240,
                       s: Optional[PowerSeries] = None) -> QSummationChain:
     """The QSummationChain of a q-difference operator, shared by its sums in
-    every direction and its lateral pairs.
-
-    mode 'discrete' runs the q-factorial section chain on the Jackson
-    kernel, 'continuous' on the appendix kernel; 'theta' is one section, the
-    theta-weight q-Borel transform of s (else of the operator's own series)
-    summed by the theta-kernel q-Laplace, and needs a sigma_q polygon whose
-    only positive slope is 1.  limit, the summation_chain of a family's
-    limit operator, gives the ladder its polygon and the chain its singular
-    directions (none without it).  s, if given, must satisfy op."""
+    every direction and its lateral pairs.  mode 'discrete' and 'continuous'
+    run the q-factorial section chain on the Jackson and appendix kernels;
+    'theta' is one section, the theta-weight q-Borel transform of s (else of
+    the operator's own series) summed by the theta-kernel q-Laplace, for a
+    sigma_q polygon whose only positive slope is 1.  limit, the
+    summation_chain of a family's limit operator, gives the ladder its
+    polygon and the chain its singular directions (none without it)."""
     if op.kind != "q_difference":
         raise ArgumentError("q_multisum needs a q-difference operator")
     if mode not in ("discrete", "continuous", "theta"):
@@ -729,14 +727,12 @@ def q_summation_chain(op: LinearOperator, mode: str = "discrete",
     _check_series(op, s)
     sop = op.to_sigma_basis()
     if newton_polygon(sop).is_convergent_only():
-        return QSummationChain(op, None, (), DirectionSet((), ()), order, mode)
+        return QSummationChain(op, None, (), DirectionSet((), ()), order, s, mode)
     ladder = _summation_ladder(op, None if limit is None else limit.op)
     if mode == "theta":
         if newton_polygon(sop).positive_slopes() != (Fraction(1),):
-            raise UnsupportedError(
-                "theta-kernel summation applies to sigma_q polygons whose only "
-                "positive slope is 1"
-            )
+            raise UnsupportedError("theta-kernel summation applies to sigma_q polygons "
+                                   "whose only positive slope is 1")
         if s is None:
             with np.errstate(over="ignore", invalid="ignore"):
                 s = solve_series(op, order)
@@ -747,7 +743,7 @@ def q_summation_chain(op: LinearOperator, mode: str = "discrete",
         _refuse_sub_unit(ladder)
         sections = tuple(_build_sections(sop, ladder, order, "qfact"))
     directions = DirectionSet((), ()) if limit is None else limit.directions
-    return QSummationChain(op, ladder, sections, directions, order, mode)
+    return QSummationChain(op, ladder, sections, directions, order, mode=mode)
 
 
 def q_multisum(
@@ -758,12 +754,11 @@ def q_multisum(
     limit: Optional[SummationChain] = None,
     order: int = 240,
 ) -> SummedFunction:
-    """q-Borel/q-Laplace multisummation S_q^{[d]} of the formal solution,
-    from q_summation_chain (modes and limit as there).  A singular direction
-    of limit and a supplied series that does not satisfy op raise, and so
-    does evaluation within 1e-6 relative distance of a recorded pole spiral.
-    """
-    return q_summation_chain(op, mode, limit, order, s).sum(d, s)
+    """q-Borel/q-Laplace multisummation S_q^{[d]} of the formal solution, from
+    q_summation_chain (arguments as there; a supplied s must satisfy op).  A
+    singular d of limit raises, and so does evaluation within 1e-6 relative
+    distance of a recorded pole spiral."""
+    return q_summation_chain(op, mode, limit, order, s).sum(d)
 
 
 # ---------------------------------------------------------------------------
@@ -809,7 +804,7 @@ def q_stokes_jump(
     by a nonvanishing homogeneous solution) is sigma_q-invariant.  One
     lateral pair of the q_summation_chain serves all points; the jumps are 0
     off the singular set of limit, and a divergent operator needs limit."""
-    return _jumps(q_summation_chain(op, mode, limit, order, s).lateral_pair(d_singular, s), zs)
+    return _jumps(q_summation_chain(op, mode, limit, order, s).lateral_pair(d_singular), zs)
 
 
 # ---------------------------------------------------------------------------

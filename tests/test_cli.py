@@ -255,11 +255,12 @@ def test_stokes_off_the_singular_set_writes_zero_q_jumps(opfiles, capsys):
     rc = main(["stokes", "--op", opfiles["qeuler"], "--direction", "0.5",
                "--z", "0.2,0.1", "--q-grid", "1.3,1.2"])
     assert rc == 0
-    rows = [l.split(",") for l in capsys.readouterr().out.splitlines()
-            if l.startswith(("1.3", "1.2"))]
+    out = capsys.readouterr().out
+    rows = [l.split(",") for l in out.splitlines() if l.startswith(("1.3", "1.2"))]
     assert len(rows) == 2
     for row in rows:
         assert row[3:] == ["0.0", "0.0", "0.0", "0.0", "ok"]
+    assert "verdict: no-stokes-phenomenon" in out
 
 
 def test_resonant_operator_exits_3(tmp_path, capsys):

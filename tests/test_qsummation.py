@@ -477,6 +477,29 @@ def test_q_multisum_checks_a_supplied_series_in_every_mode(q_euler_op):
         qs.q_multisum(None, convergent, 0.0, mode="jackson", order=80)
 
 
+def test_q_entry_points_check_a_supplied_series_once(euler_op, monkeypatch):
+    checked = []
+    check = cl._check_series
+
+    def counting(op, s):
+        checked.append(s is not None)
+        return check(op, s)
+
+    monkeypatch.setattr(cl, "_check_series", counting)
+    monkeypatch.setattr(qs, "_check_series", counting)
+    op = make_q_euler(1.2)
+    s = solve_series(op, 60)
+    qs.q_multisum(s, op, 0.0, mode="theta")
+    qs.q_stokes_jump(s, op, math.pi, [SectorPoint.from_polar(0.2, math.pi)],
+                     mode="theta", limit=cl.summation_chain(euler_op))
+    assert checked.count(True) == 2
+    # a convergent chain sums the supplied series, not its own
+    convergent = LinearOperator("q_difference", "sigma_q",
+                                (Polynomial([-1.0, -1.0]), Polynomial([1.0])), 1.3)
+    short = solve_series(convergent, 30)
+    assert qs.q_multisum(short, convergent, 0.0).convergent_series is short
+
+
 def test_q_summation_chain_builds_one_section_chain(euler_op, monkeypatch):
     # sums on both sides of the positive axis and the lateral pair about pi
     # share the chain's ladder and sections
