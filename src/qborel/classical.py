@@ -397,7 +397,7 @@ class ContinuationHandle(_OdeRayHandle):
         """The ODE's initial vector at the anchor, from the series."""
         return self._series_vector(self._x0)
 
-    def _check_ray_clear(self, x_max: float = np.inf):
+    def _check_ray_clear(self):
         d = self.direction
         for rho in self._lead_roots:
             ang = _angdiff(cmath.phase(rho), d)

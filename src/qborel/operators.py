@@ -23,7 +23,7 @@ from .errors import (
     UnsupportedError,
     ValidationError,
 )
-from .series import Polynomial, PowerSeries, gamma
+from .series import Polynomial, PowerSeries, gamma, q_factorial
 
 Kind = Literal["differential", "q_difference"]
 Basis = Literal["delta", "delta_q", "sigma_q"]
@@ -457,10 +457,10 @@ class Recurrence:
         var = "n" if op.kind == "differential" else "qn"
         return cls(A, var, op.q if op.kind == "q_difference" else None, rhs)
 
-    def to_operator(self, q: Optional[float] = None) -> LinearOperator:
+    def to_operator(self) -> LinearOperator:
         """Convert back to operator form (delta basis / sigma_q basis)."""
         if self.var == "qn":
-            q = q if q is not None else self.qstep
+            q = self.qstep
             max_order = max((Ai.degree for Ai in self.A if not Ai.is_zero), default=0)
             coeffs = [Polynomial([]) for _ in range(max_order + 1)]
             for i, Ai in enumerate(self.A):
@@ -569,7 +569,6 @@ class Recurrence:
         order: int,
         valuation: int = 0,
         leading: complex = 1.0,
-        seed_log=None,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Solve forward in (phase, log-magnitude) form; immune to overflow.
 
@@ -581,14 +580,7 @@ class Recurrence:
         I = self.span
         phases = np.zeros(order, dtype=complex)
         logmags = np.full(order, -np.inf)
-        start = 0
-        if seed_log is not None:
-            ph, lm = seed_log
-            ns = min(len(ph), order)
-            phases[:ns] = ph[:ns]
-            logmags[:ns] = lm[:ns]
-            start = ns
-        for n in range(start, order):
+        for n in range(order):
             row, log_scale = self.scaled_row(n)
             terms_phase = []
             terms_log = []
@@ -688,17 +680,16 @@ def reweight_recurrence(
     rec: Recurrence,
     k: Fraction,
     weight: Literal["gamma", "qfact", "rz"],
-    q: Optional[float] = None,
-    inverse: bool = False,
 ) -> Recurrence:
-    """Recurrence for b_n = a_n / W(n) given one for a_n (or back, inverse=True).
+    """Recurrence for b_n = a_n / W(n) given one for a_n.
 
-    W(n) = Gamma(1 + n/k), [n/k]_{q^k}! or q^{n(n-1)/2}; the cleared weight
-    ratios are polynomial in the recurrence variable provided every shift is
-    a multiple of k.
+    W(n) = Gamma(1 + n/k), [n/k]_{q^k}! or q^{n(n-1)/2}, q the recurrence's
+    qstep; the cleared weight ratios are polynomial in the recurrence
+    variable provided every shift is a multiple of k.
     """
     k = Fraction(k)
     I = rec.span
+    q = rec.qstep
     shifts = [i for i, Ai in enumerate(rec.A) if not Ai.is_zero]
     if weight != "rz":
         for i in shifts:
@@ -714,67 +705,37 @@ def reweight_recurrence(
             continue
         if weight == "rz":
             # W(n) = q^{n(n-1)/2}: ratio is a monomial in x = q^n
-            if inverse:
-                expo_x, expo_c = i, Fraction(i - i * i, 2)
-            else:
-                expo_x, expo_c = I - i, Fraction(
-                    i * i + i - I * I - I, 2
-                )
-            qq = q if q is not None else rec.qstep
-            mono = [0.0] * expo_x + [qq ** float(expo_c)]
+            expo_x, expo_c = I - i, Fraction(i * i + i - I * I - I, 2)
+            mono = [0.0] * expo_x + [q ** float(expo_c)]
             newA.append(Ai * Polynomial(mono))
             continue
-        if inverse:
-            j_count = int(Fraction(i) / k)
-            offset = Fraction(-i)
-        else:
-            j_count = int(Fraction(I - i) / k)
-            offset = Fraction(-I)
+        j_count = int(Fraction(I - i) / k)
         if weight == "gamma":
-            ratio = _ratio_polynomial_gamma(k, j_count, offset)
+            ratio = _ratio_polynomial_gamma(k, j_count, Fraction(-I))
         else:
-            qq = q if q is not None else rec.qstep
-            ratio = _ratio_polynomial_qfact(k, j_count, offset, qq)
+            ratio = _ratio_polynomial_qfact(k, j_count, Fraction(-I), q)
         newA.append(Ai * ratio)
     new_rhs: dict[int, complex] = {}
     for n, c in rec.rhs.items():
         if weight == "gamma":
-            if inverse:
-                new_rhs[n] = c * complex(gamma(1.0 + n / float(k)))
-            else:
-                arg = 1.0 + float(Fraction(n - I) / k)
-                if arg <= 0 and arg == round(arg):
-                    # cleared row is weakened to 0 = 0 below the span; the
-                    # Borel coefficients still satisfy it
-                    new_rhs[n] = 0.0
-                else:
-                    new_rhs[n] = c / complex(gamma(arg))
-        elif weight == "qfact":
-            qq = q if q is not None else rec.qstep
-            Q = qq ** float(k)
-            m = Fraction(n - I) / k
-            if inverse:
-                new_rhs[n] = c * _qfact_general(Fraction(n) / k, Q)
-            elif m < 0:
+            arg = 1.0 + float(Fraction(n - I) / k)
+            if arg <= 0 and arg == round(arg):
+                # cleared row is weakened to 0 = 0 below the span; the
+                # Borel coefficients still satisfy it
                 new_rhs[n] = 0.0
             else:
-                new_rhs[n] = c / _qfact_general(m, Q)
-        else:
-            qq = q if q is not None else rec.qstep
-            if inverse:
-                new_rhs[n] = c * qq ** (n * (n - 1) / 2.0)
+                new_rhs[n] = c / complex(gamma(arg))
+        elif weight == "qfact":
+            m = Fraction(n - I) / k
+            if m < 0:
+                new_rhs[n] = 0.0
+            elif m.denominator != 1:
+                raise UnsupportedError(f"q-factorial index {m} is not an integer")
             else:
-                new_rhs[n] = c / qq ** ((n - I) * (n - I - 1) / 2.0)
+                new_rhs[n] = c / q_factorial(int(m), q ** float(k))
+        else:
+            new_rhs[n] = c / q ** ((n - I) * (n - I - 1) / 2.0)
     return Recurrence(newA, rec.var, rec.qstep, new_rhs, rec.n_min)
-
-
-def _qfact_general(m: Fraction, Q: float) -> float:
-    if m.denominator != 1 or m < 0:
-        raise UnsupportedError(f"q-factorial index {m} is not a nonnegative integer")
-    value = 1.0
-    for l in range(1, int(m) + 1):
-        value *= (Q**l - 1.0) / (Q - 1.0)
-    return value
 
 
 def borel_plane_operator(op: LinearOperator, k) -> LinearOperator:
@@ -785,12 +746,8 @@ def borel_plane_operator(op: LinearOperator, k) -> LinearOperator:
     q-difference: division by [n/k]_{q^k}!  (the level-k plane carries the
     rescaled parameter q^k; see the ladder construction).
     """
-    rec = Recurrence.from_operator(op)
-    if op.kind == "differential":
-        new = reweight_recurrence(rec, Fraction(k), "gamma")
-        return new.to_operator()
-    new = reweight_recurrence(rec, Fraction(k), "qfact", q=op.q)
-    return new.to_operator(q=op.q)
+    weight = "gamma" if op.kind == "differential" else "qfact"
+    return reweight_recurrence(Recurrence.from_operator(op), Fraction(k), weight).to_operator()
 
 
 def rz_borel_operator(op: LinearOperator) -> LinearOperator:
@@ -798,9 +755,7 @@ def rz_borel_operator(op: LinearOperator) -> LinearOperator:
     (division of coefficient n by q^{n(n-1)/2})."""
     if op.kind != "q_difference":
         raise ArgumentError("rz_borel_operator applies to q-difference operators")
-    rec = Recurrence.from_operator(op)
-    new = reweight_recurrence(rec, Fraction(1), "rz", q=op.q)
-    return new.to_operator(q=op.q)
+    return reweight_recurrence(Recurrence.from_operator(op), Fraction(1), "rz").to_operator()
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ import numpy as np
 from . import qspecial
 from .classical import (
     DirectionSet,
+    RayHandle,
     SectionPipeline,
     SummationChain,
     SummationLadder,
@@ -37,7 +38,6 @@ from .classical import (
 from .errors import (
     ArgumentError,
     DomainError,
-    GrowthError,
     PoleError,
     RangeError,
     SpiralCollisionError,
@@ -261,20 +261,6 @@ def _window_sum(values: np.ndarray, kernel: np.ndarray) -> complex:
     return total
 
 
-def _eq_laplace(nodes: Callable[[int, int], np.ndarray], lam: float, d: float,
-                Q: float, W: complex, M: int) -> complex:
-    """The kernel-window sum of an order-lam q-Laplace at W = w^lam:
-    (Q-1)/M sum_t xi_t F_t / (W e_Q(Q xi_t / W)) over xi_t = Q^(t/M) e^{i lam d},
-    with nodes(lo, hi) the values F_t for t in [lo, hi].  M = 1 is the Jackson
-    sum, M = 8 the log-trapezoid rule of the continuous q-Laplace."""
-    lnQ = math.log(Q)
-    u = M * math.log(abs(W)) / lnQ
-    a, b = _eq_window(Q, M, lam * d - cmath.phase(W))
-    lo, hi = math.floor(u) + a, math.ceil(u) + b
-    xi = np.exp(np.arange(lo, hi + 1) * (lnQ / M)) * cmath.exp(1j * lam * d)
-    return _window_sum(nodes(lo, hi), _eq_kernel(xi / W, Q, M))
-
-
 # ---------------------------------------------------------------------------
 # Jackson integral (public op)
 
@@ -330,11 +316,13 @@ class PoleSpiral:
         node = self.base * self.ratio**t
         return abs(z - node) / abs(node)
 
-    def _refuse(self, z: SectorPoint):
-        zc = z.to_complex()
+    def _refuse(self, z, what: str = "z"):
+        """Raise PoleError if z (a SectorPoint or complex) lies within 1e-6
+        of the spiral."""
+        zc = z.to_complex() if isinstance(z, SectorPoint) else z
         if self.distance_rel(zc) < 1e-6:
             raise PoleError(
-                f"z = {zc:.6g} lies within 1e-6 of the pole spiral "
+                f"{what} = {zc:.6g} lies within 1e-6 of the pole spiral "
                 f"(base {self.base:.6g}, ratio {self.ratio:.6g})"
             )
 
@@ -469,116 +457,34 @@ def q_continuation(s: PowerSeries, q_op: LinearOperator, d: float) -> QContinuat
 # q-Laplace transforms (pointwise forms)
 
 
-def _growth_fit_q(handle_eval, q: float, k: float, x_lo: float, x_hi: float,
-                  samples: int = 40) -> float:
-    """L with |f(x e^{id})| <= J e_{q^k}(L x^k) on the sampled ray, for some J."""
-    Q = q**k
-    xs = np.geomspace(x_lo, x_hi, samples)
-    vals = np.maximum([abs(handle_eval(x)) for x in xs], 1e-300)
-    logs = np.log(vals)
-    # consecutive ratios: |f(q x)/f(x)| ~ 1 + (Q-1) L x^k for the e_Q class;
-    # only the tail half is read (small-x transients inflate the ratio)
-    L = 0.0
-    for i in range(len(xs) // 2, len(xs) - 1):
-        ratio = math.exp(
-            (logs[i + 1] - logs[i]) / (math.log(xs[i + 1] / xs[i]) / math.log(q))
-        )
-        est = (ratio - 1.0) / ((Q - 1.0) * xs[i] ** k)
-        L = max(L, est)
-    return max(L, 0.0)
-
-
-def _level(k, d: float, q: float, z, spiral_tol: float) -> tuple[float, float, complex]:
-    """lam = k, Q = q^k and Z = z^k of an order-k q-Laplace in direction d;
-    Z within spiral_tol of the pole spiral (Q-1) Q^Z e^{i(kd+pi)} raises."""
+def _level(k, d: float, q: float, z, M: int) -> tuple[int, int, np.ndarray]:
+    """Node range [lo, hi] and kernel of an order-k q-Laplace in direction d
+    at z, on the nodes q^(t/M) e^{id}: the kernel-window sum is
+    (Q-1)/M sum_t xi_t F_t / (Z e_Q(Q xi_t / Z)) over xi_t = Q^(t/M) e^{i k d},
+    Q = q^k and Z = z^k.  M = 1 is the Jackson sum, M = 8 the log-trapezoid
+    rule of the continuous q-Laplace.  Z within 1e-6 of the pole spiral
+    (Q-1) Q^Z e^{i(kd+pi)} raises."""
     lam = float(Fraction(k))
     Q = q**lam
     Z = cmath.exp(lam * as_sector_point(z).complex_log())
-    spiral = PoleSpiral((Q - 1.0) * cmath.exp(1j * (lam * d + math.pi)), Q)
-    if spiral.distance_rel(Z) < spiral_tol:
-        raise PoleError(
-            f"z^k = {Z:.6g} lies within {spiral_tol} of the level-{lam} pole "
-            f"spiral (base {spiral.base:.6g}, ratio {spiral.ratio:.6g})"
-        )
-    return lam, Q, Z
+    PoleSpiral((Q - 1.0) * cmath.exp(1j * (lam * d + math.pi)), Q)._refuse(Z, "z^k")
+    lnQ = math.log(Q)
+    u = M * math.log(abs(Z)) / lnQ
+    a, b = _eq_window(Q, M, lam * d - cmath.phase(Z))
+    lo, hi = math.floor(u) + a, math.ceil(u) + b
+    xi = np.exp(np.arange(lo, hi + 1) * (lnQ / M)) * cmath.exp(1j * lam * d)
+    return lo, hi, _eq_kernel(xi / Z, Q, M)
 
 
-def discrete_q_laplace(f, k, d: float, q: float, z,
-                       spiral_tol: float = 1e-6) -> complex:
-    """Jackson-sum q-Laplace of order k in direction d, evaluated at z.
-
-    Nodes are q^l e^{id} in the plane of f, xi = (q^l e^{id})^k in the
-    conjugate variable, where the kernel is built from e_{q^k}.  Poles of the
-    result lie on the q-spiral (q^k - 1)[k d + pi] of z^k (checked before
-    summing).
-    """
-    lam, Q, Z = _level(k, d, q, z, spiral_tol)
-    # growth gate: the sum converges when the e_{q^k} kernel outruns the
-    # handle's fitted e_q-class growth, i.e. L |z|^k safely below q^k
-    if isinstance(f, QContinuation):
-        # one fit per (q, k, d) over a fixed range: threads that fit at once
-        # store the same fit
-        fits = vars(f).setdefault("_q_growth_fit", {})
-        L_fit = fits.get((q, lam, d))
-        if L_fit is None:
-            hi = max(4.0 * f.radius, 2.0)
-            L_fit = fits[(q, lam, d)] = _growth_fit_q(
-                _ray_evaluator(f, d), q, lam, 0.05 * f.radius, hi)
-        if L_fit * abs(Z) >= 0.98 * Q:
-            raise GrowthError(
-                f"evaluation point outside the fitted growth domain: "
-                f"L |z|^k = {L_fit * abs(Z):.3e} vs q^k = {Q:.3e}"
-            )
-    return _eq_laplace(lambda lo, hi: _ray_values(f, d, 1.0, q, lo, hi, 1), lam, d, Q, Z, 1)
-
-
-def continuous_q_laplace(f, k, d: float, q: float, z,
-                         spiral_tol: float = 1e-6) -> complex:
-    """Continuous q-Laplace of order k:
-    (q^k-1)/log(q^k) * int_0^{inf e^{ikd}} rho_{1/k}f(xi) / (Z e_{q^k}(q^k xi/Z)) dxi,
-    by the trapezoid rule in log xi with 8 nodes per q^k-step.
-    """
-    lam, Q, Z = _level(k, d, q, z, spiral_tol)
-    return _eq_laplace(lambda lo, hi: _ray_values(f, d, 1.0, q, lo, hi, 8), lam, d, Q, Z, 8)
-
-
-def _ray_evaluator(f, d: float):
-    """Normalize handle-like inputs to a function of the ray radius."""
-    if isinstance(f, QContinuation):
-        phase = cmath.exp(1j * d)
-        return lambda x: f.eval_at(x * phase)
-    eval_ray = getattr(f, "eval_ray", None)
-    if eval_ray is not None:
-        return eval_ray
-    if callable(f):
-        phase = cmath.exp(1j * d)
-        return lambda x: f(x * phase)
-    raise ArgumentError("expected a continuation handle or callable")
-
-
-def _ray_values(f, d: float, r0: float, q: float, lo: int, hi: int, M: int) -> np.ndarray:
-    """f at the ray nodes r0 q^(t/M) e^{id}, t in [lo, hi]: one walk for a
-    continuation handle of the same q, else one evaluation per node."""
-    if isinstance(f, QContinuation) and f.q == q:
-        return f.grid_values(r0 * cmath.exp(1j * d), lo, hi, M)
-    eval_ray = _ray_evaluator(f, d)
-    return np.array([eval_ray(r0 * q ** (t / M)) for t in range(lo, hi + 1)], dtype=complex)
-
-
-def theta_q_laplace(f, d: float, q: float, z, spiral_tol: float = 1e-6) -> complex:
-    """Theta-kernel q-Laplace (order 1):
-    sum_n f(q^n (q-1) e^{id}) / Theta_q(x_n), x_n = q^{n+1} (q-1) e^{id} / z.
-
-    Theta_q(q x) = x Theta_q(x), so the kernel has the step ratio 1/x_n: it
-    is kept 92 e-folds down on both sides of its peak and built from one
-    theta value there."""
-    zp = as_sector_point(z)
-    zc = zp.to_complex()
-    spiral = PoleSpiral((q - 1.0) * cmath.exp(1j * (d + math.pi)), q)
-    if spiral.distance_rel(zc) < spiral_tol:
-        raise PoleError(
-            f"z = {zc} lies within {spiral_tol} of the pole spiral (q-1)[d+pi]"
-        )
+def _theta_window(d: float, q: float, z) -> tuple[int, int, np.ndarray]:
+    """Node range [lo, hi] and kernel 1/Theta_q(x_n), x_n = q^(n+1) (q-1) e^{id} / z,
+    of the theta-kernel q-Laplace in direction d at z, on the nodes
+    q^n (q-1) e^{id}.  Theta_q(q x) = x Theta_q(x), so the kernel has the step
+    ratio 1/x_n: it is kept 92 e-folds down on both sides of its peak and
+    built from one theta value there.  z within 1e-6 of the pole spiral
+    (q-1)[d+pi] raises."""
+    zc = as_sector_point(z).to_complex()
+    PoleSpiral((q - 1.0) * cmath.exp(1j * (d + math.pi)), q)._refuse(zc)
     x0 = q * (q - 1.0) * cmath.exp(1j * d) / zc
     lnq, ln_x0 = math.log(q), math.log(abs(x0))
     lo, peak, hi = _window(lambda n: -(ln_x0 + n * lnq), 92.0, 92.0)
@@ -588,6 +494,47 @@ def theta_q_laplace(f, d: float, q: float, z, spiral_tol: float = 1e-6) -> compl
     kernel[p] = 1.0 / qspecial.theta(x[p], q)
     kernel[p + 1 :] = kernel[p] * np.cumprod(1.0 / x[p:-1])
     kernel[:p] = kernel[p] * np.cumprod(x[:p][::-1])[::-1]
+    return lo, hi, kernel
+
+
+def _ray_values(f, d: float, r0: float, q: float, lo: int, hi: int, M: int) -> np.ndarray:
+    """f at the ray nodes r0 q^(t/M) e^{id}, t in [lo, hi]: one walk for a
+    q-continuation of the transform's q, one eval_ray_many call for a
+    RayHandle (which evaluates along its own direction)."""
+    if isinstance(f, QContinuation) and f.q == q:
+        return f.grid_values(r0 * cmath.exp(1j * d), lo, hi, M)
+    if isinstance(f, RayHandle):
+        return f.eval_ray_many(np.array([r0 * q ** (t / M) for t in range(lo, hi + 1)]))
+    raise ArgumentError("q-Laplace transforms take a RayHandle or a q-continuation "
+                        "of their own q")
+
+
+def discrete_q_laplace(f, k, d: float, q: float, z) -> complex:
+    """Jackson-sum q-Laplace of order k in direction d, evaluated at z.
+
+    Nodes are q^l e^{id} in the plane of f, xi = (q^l e^{id})^k in the
+    conjugate variable, where the kernel is built from e_{q^k}.  Poles of the
+    result lie on the q-spiral (q^k - 1)[k d + pi] of z^k (checked before
+    summing); growth that outruns the kernel raises RangeError at the
+    window's edge.
+    """
+    lo, hi, kernel = _level(k, d, q, z, 1)
+    return _window_sum(_ray_values(f, d, 1.0, q, lo, hi, 1), kernel)
+
+
+def continuous_q_laplace(f, k, d: float, q: float, z) -> complex:
+    """Continuous q-Laplace of order k:
+    (q^k-1)/log(q^k) * int_0^{inf e^{ikd}} rho_{1/k}f(xi) / (Z e_{q^k}(q^k xi/Z)) dxi,
+    by the trapezoid rule in log xi with 8 nodes per q^k-step.
+    """
+    lo, hi, kernel = _level(k, d, q, z, 8)
+    return _window_sum(_ray_values(f, d, 1.0, q, lo, hi, 8), kernel)
+
+
+def theta_q_laplace(f, d: float, q: float, z) -> complex:
+    """Theta-kernel q-Laplace (order 1):
+    sum_n f(q^n (q-1) e^{id}) / Theta_q(x_n), x_n = q^{n+1} (q-1) e^{id} / z."""
+    lo, hi, kernel = _theta_window(d, q, z)
     return _window_sum(_ray_values(f, d, q - 1.0, q, lo, hi, 1), kernel)
 
 
@@ -603,7 +550,9 @@ class _QSection:
     _correlate, and the last is the kernel-window sum of value().  M = 1
     gives the Jackson (discrete) summation exactly; M >= 8 gives the
     continuous summation to spectral accuracy (trapezoid rule in log
-    coordinates, with the integrand analytic in a strip).
+    coordinates, with the integrand analytic in a strip).  A theta section
+    (mode 'theta', one level, M = 1) has the grid (q-1) q^t e^{id} and sums
+    it with the theta kernel.
 
     Only the top level's values are kept.  Each level's range is rounded out
     to whole blocks of its correlation, aligned to the absolute index t, so a
@@ -617,7 +566,8 @@ class _QSection:
         self.Qw = Qw
         self.d_w = d_w
         self.mode = mode
-        self.M = 1 if mode == "discrete" else 8
+        self.M = 8 if mode == "continuous" else 1
+        self.base = (Qw - 1.0 if mode == "theta" else 1.0) * cmath.exp(1j * d_w)
         self.cont = QContinuation(sec.g1, sec.stage_ops[0], d_w)
         self._grid: Optional[tuple[int, int, np.ndarray]] = None
 
@@ -649,7 +599,7 @@ class _QSection:
             lo, hi = lo - L1, hi + len(K) - 1 - L1
         if hi - lo > 400000:
             raise RangeError("q-Laplace node grid exceeded the size cap")
-        values = self.cont.grid_values(cmath.exp(1j * self.d_w), lo, hi, self.M)
+        values = self.cont.grid_values(self.base, lo, hi, self.M)
         for (K, L1), (out_lo, out_hi) in zip(kernels, reversed(spans)):
             start = out_lo - L1 - lo
             values = _correlate(values[start : start + out_hi - out_lo + len(K)], K)
@@ -662,22 +612,11 @@ class _QSection:
         return values[lo - glo : hi - glo + 1]
 
     def value(self, w: SectorPoint) -> complex:
-        lam, Qh, W = _level(self.orders_w[-1], self.d_w, self.Qw, w,
-                            1e-6 if self.mode == "discrete" else 0.0)
-        return _eq_laplace(self._nodes, lam, self.d_w, Qh, W, self.M)
-
-
-class _ThetaSection:
-    """The theta-kernel q-Laplace of the continued g_1, the single section
-    (l = 0) of the theta-mode sum, in the variable w = z."""
-
-    l = 0
-
-    def __init__(self, sec: SectionPipeline, d: float, q: float):
-        self.cont, self.d, self.q = QContinuation(sec.g1, sec.stage_ops[0], d), d, q
-
-    def value(self, w: SectorPoint) -> complex:
-        return theta_q_laplace(self.cont, self.d, self.q, w)
+        if self.mode == "theta":
+            lo, hi, kernel = _theta_window(self.d_w, self.Qw, w)
+        else:
+            lo, hi, kernel = _level(self.orders_w[-1], self.d_w, self.Qw, w, self.M)
+        return _window_sum(self._nodes(lo, hi), kernel)
 
 
 def _final_pole_spirals(ladder: SummationLadder, d: float, q: float) -> tuple:
@@ -701,7 +640,7 @@ class QSummationChain(SummationChain):
         q, ladder = self.op.q, self.ladder
         if self.mode == "theta":
             spiral = PoleSpiral((q - 1.0) * cmath.exp(1j * (d + math.pi)), q)
-            return SummedFunction(None, d, [_ThetaSection(sec, d, q) for sec in self.sections],
+            return SummedFunction(None, d, [_QSection(sec, q, d, "theta") for sec in self.sections],
                                   (spiral,))
         return SummedFunction(ladder, d, [_QSection(sec, q**ladder.beta, ladder.beta * d, self.mode)
                                           for sec in self.sections],

@@ -235,6 +235,25 @@ def test_hypergeom_closed_form_matches_the_theta_pipeline(capsys):
     assert float(rows[0][5]) <= 1e-12
 
 
+@pytest.mark.parametrize("argv, status", [
+    # r = s + 3: the theta pipeline does not apply (and rphi(params, None, 80)
+    # overflows at n = 57)
+    (["--upper", "0.2,0.7,3", "--p", "0.8", "--z", "0.15,0", "--direction", "0.5"],
+     "unsupported-error"),
+    # r = s + 2 on the pipeline's pole spiral (q - 1) q^Z e^{i pi}, q = 1.2
+    (["--upper", "3,5", "--p", "0.8333333333333334", f"--z=-0.2,0,{math.pi}"],
+     "pole-spiral-error"),
+])
+def test_hypergeom_pipeline_error_is_a_row(capsys, argv, status):
+    rc = main(["hypergeom"] + argv)
+    assert rc == 0
+    rows = [l.split(",") for l in capsys.readouterr().out.splitlines()
+            if l.startswith("closed-form-vs-pipeline")]
+    assert len(rows) == 1
+    assert rows[0][3:] == ["", "", "", status]
+    assert all(math.isfinite(float(v)) for v in rows[0][1:3])
+
+
 def test_stokes_command(opfiles, capsys):
     rc = main(["stokes", "--op", opfiles["qeuler"], "--direction",
                f"{math.pi}", f"--z=-0.2,0,{math.pi}", "--q-grid", "1.2",

@@ -261,6 +261,16 @@ def test_discrete_q_laplace_pole_spiral():
     z = SectorPoint.from_complex(-(q - 1.0), argument=math.pi)
     with pytest.raises(PoleError):
         qs.discrete_q_laplace(one, 1, 0.0, q, z)
+    # every transform checks its spiral: |z| = 0.3 and 0.39 at arg pi are
+    # nodes of (q-1) q^Z e^{i pi}, where an unchecked continuous sum reads
+    # -126.0+53.1i
+    transforms = (lambda z: qs.discrete_q_laplace(one, 1, 0.0, q, z),
+                  lambda z: qs.continuous_q_laplace(one, 1, 0.0, q, z),
+                  lambda z: qs.theta_q_laplace(one, 0.0, q, z))
+    for transform in transforms:
+        for r in (0.3, 0.39):
+            with pytest.raises(PoleError):
+                transform(SectorPoint.from_polar(r, math.pi))
 
 
 def test_pole_bookkeeping_random_points():
@@ -363,8 +373,8 @@ def test_continuous_vs_discrete_cross_method():
 
 
 def test_q_growth_gate_does_not_depend_on_earlier_orders():
-    # the handle keeps one growth fit per (q, k, d): the order-1 fit (L 1.508)
-    # must not gate a later order-2 transform, whose own fit is L 1.345
+    # an order-1 transform on a handle must not change a later order-2
+    # transform on the same handle
     q = 1.1
     op = make_q_euler(q)
 
@@ -377,6 +387,48 @@ def test_q_growth_gate_does_not_depend_on_earlier_orders():
     h = handle()
     qs.discrete_q_laplace(h, 1, 0.0, q, 0.5)
     assert qs.discrete_q_laplace(h, 2, 0.0, q, 0.91) == fresh
+
+
+def test_discrete_q_laplace_far_out_matches_the_theta_sum():
+    # the window sum's edge check is the only growth guard: at q = 1.05 the
+    # Jackson sum of the q-Euler Borel continuation at z = 1, 2 and 5, where
+    # L |z| of a fitted growth bound (L 1.58) exceeds q, agrees with the
+    # theta-kernel sum
+    q = 1.05
+    op = make_q_euler(q)
+    s = solve_series(op, 100)
+    h1 = qs.q_continuation(qs.q_borel(s, 1, q), borel_plane_operator(op, 1), 0.0)
+    h2 = qs.q_continuation(qs.rz_borel(s, q), rz_borel_operator(op), 0.0)
+    for z in (1.0, 2.0, 5.0):
+        a = qs.discrete_q_laplace(h1, 1, 0.0, q, z)
+        b = qs.theta_q_laplace(h2, 0.0, q, z)
+        assert abs(a - b) <= 1e-12 * abs(b)
+
+
+def test_theta_q_sum_reads_the_section_grid(q_euler_op):
+    # the theta q-sum is theta_q_laplace of its section's continuation, bit
+    # for bit, whatever order the points are asked in
+    q, d = q_euler_op.q, 0.3
+    sec = qs.q_summation_chain(q_euler_op, "theta").sections[0]
+    h = qs.q_continuation(sec.g1, sec.stage_ops[0], d)
+    S = qs.q_multisum(None, q_euler_op, d, mode="theta")
+    zs = [SectorPoint.from_polar(r, d + a) for r, a in
+          ((0.05, 0.0), (0.3, 0.1), (0.1, -0.2), (0.2, 0.05), (0.4, 0.0))]
+    for i in rng.permutation(len(zs)):
+        assert S(zs[i]) == qs.theta_q_laplace(h, d, q, zs[i])
+
+
+def test_q_laplace_refuses_other_node_sources():
+    q = 1.2
+    op = make_q_euler(1.1)
+    h = qs.q_continuation(qs.q_borel(solve_series(op, 90), 1, 1.1),
+                          borel_plane_operator(op, 1), 0.0)
+    for f in (lambda zeta: 1.0, h):
+        for transform in (lambda: qs.discrete_q_laplace(f, 1, 0.0, q, 0.2),
+                          lambda: qs.continuous_q_laplace(f, 1, 0.0, q, 0.2),
+                          lambda: qs.theta_q_laplace(f, 0.0, q, 0.2)):
+            with pytest.raises(ArgumentError):
+                transform()
 
 
 # ---------------------------------------------------------------------------

@@ -69,6 +69,12 @@ def commands(ops: dict[str, str]) -> list[tuple[str, list[str]]]:
                  "--q-grid", "1.3,1.2"]))
     out.append(("hypergeom", ["hypergeom", "--upper", "3,5", "--p", "0.8333333333333334",
                               "--z", "0.15,0"]))
+    out.append(("hypergeom-r3", ["hypergeom", "--upper", "0.2,0.7,3", "--p", "0.8",
+                                 "--z", "0.15,0", "--direction", "0.5"]))
+    # the later points ask a wider window of the cached theta grid
+    out.append(("qsum-theta-regrow", ["qsum", "--op", ops["qeuler"], "--direction", "0",
+                                      "--mode", "theta", "--z", "0.3,0", "--z", "0.05,0",
+                                      "--z", "0.2,0.1"]))
     out.append(("validate", ["validate", "--op", ops["qeuler"], "--q-grid", "1.5,1.2,1.1"]))
     out.append(("sum-resonant", ["sum", "--op", ops["resonant"], "--direction", "0",
                                  "--z", "0.1,0"]))
