@@ -206,169 +206,181 @@ class FunctionHandle(RayHandle):
         return self._growth
 
 
-def solve_ivp(*args, **kwargs):
-    """scipy.integrate.solve_ivp, imported on the first call: scipy.integrate
-    stays off the import path of qborel."""
-    from scipy.integrate import solve_ivp as scipy_solve_ivp
-    return scipy_solve_ivp(*args, **kwargs)
+# A Taylor step keeps the terms of each component of V until the last two
+# bound its tail below 2^-56 of its largest term; a step that needs more
+# than _TAYLOR_TERMS terms raises ValidationError.
+_TAYLOR_TERMS = 160
 
 
-class _DenseSteps(NamedTuple):
-    """The DOP853 steps of an ODE handle, stacked: step i runs from ts[i] over
-    h[i], starts at the state y_old[i] and has the dense-output coefficients
-    F[i] of scipy's Dop853DenseOutput (steps x 7 x state size)."""
-
-    ts: np.ndarray
-    h: np.ndarray
-    y_old: np.ndarray
-    F: np.ndarray
-
-    def at(self, x: np.ndarray, cols=slice(None)) -> np.ndarray:
-        """The state components cols at the points x in [ts[0], ts[-1]]
-        (points x components): Dop853DenseOutput's Horner on the step of
-        each point, as array operations, bit for bit."""
-        i = _OdeRayHandle._steps(self.ts, x)
-        u = ((x - self.ts[i]) / self.h[i])[:, None]
-        v = 1 - u
-        F = self.F[i][:, :, cols]
-        y = np.zeros((len(x), F.shape[2]))
-        for k in range(F.shape[1]):
-            y += F[:, -1 - k]
-            y *= v if k % 2 else u
-        y += self.y_old[i][:, cols]
-        return y
+def _shifted(coeffs: list, w: complex, s: complex) -> list:
+    """Coefficients in t of the polynomial sum_k coeffs[k] u^k at u = w + s t."""
+    a = list(coeffs)
+    for i in range(len(a) - 1):          # Ruffini-Horner shift by w
+        for k in range(len(a) - 2, i - 1, -1):
+            a[k] += w * a[k + 1]
+    return [c * s**k for k, c in enumerate(a)]
 
 
-# the dense store of a handle not yet continued
-_NO_DENSE = _DenseSteps(np.zeros(0), np.zeros(0), np.zeros((0, 0)), np.zeros((0, 7, 0)))
+class _TaylorSteps(NamedTuple):
+    """The Taylor steps of an ODE handle.  Step i is centred at cs[i], has
+    length hs[i] and serves [los[i], cs[i] + hs[i]/2], the points nearer to
+    its centre than to the others', in t = (x - cs[i])/hs[i].  rows[i] and
+    column i of C (zero-padded above) hold its coefficients of f in t,
+    highest first; V is the vector at the end of the last step and grid
+    holds los, cs and hs as an array."""
+
+    los: tuple
+    cs: tuple
+    hs: tuple
+    rows: tuple
+    V: tuple
+    grid: np.ndarray
+    C: np.ndarray
+
+
+_NO_STEPS = _TaylorSteps((), (), (), (), (), np.zeros((3, 0)), np.zeros((0, 0), complex))
 
 
 class _OdeRayHandle(RayHandle):
     """A ray handle continued beyond its anchor x0 by the operator's ODE
     delta V = C(w) V + F(w) for V = (f, delta f, ..., delta^{m-1} f).
 
-    Subclasses set op, direction, rtol, _m, _forcing, the anchor x0 with its
-    vector _V0 and, if finite, the reach _reach of the continuation, and
-    start with _dense = _NO_DENSE.  The ODE runs on a fixed ladder of rungs
-    [x0 2^k, x0 2^(k+1)], the last one clipped to the reach: rung k is one
-    dense solve_ivp from the end vector of rung k - 1, with the last full step
-    of rung k - 1 as its first step, so every rung, and every value on it, is
-    a function of k alone, whatever order the points were asked in.  _dense
-    holds the DOP853 steps of all rungs as one _DenseSteps, replaced whole;
-    ensure() returns the store that covers a request and readers evaluate on
-    that store.  Threads that extend at once compute the same rungs, so
-    whichever store is published last is right.
+    Subclasses set op, direction, _m, _lead_roots, the anchor x0 with its
+    vector _V0 and, if finite, the reach _reach of the continuation.  The
+    ODE runs in Taylor steps: at a point c of the ray the operator gives a
+    recurrence for the Taylor coefficients of V in t = (x - c)/h (van der
+    Hoeven, "Fast evaluation of holonomic functions", TCS 1999), with h = R/3
+    for the distance R from c e^{id} to the nearest singular point (0 or a
+    root of the leading coefficient), and each step's end vector seeds the
+    next.  The steps run from x0 and each depends only on its start, so a
+    value never depends on the order the points were asked in.  _steps
+    holds all steps as one _TaylorSteps, replaced whole; ensure() returns
+    the steps that serve a request and readers evaluate on those.  Threads
+    that extend at once compute the same steps, so whichever store is
+    published last is right.
     """
 
     _reach = math.inf
+    _steps = _NO_STEPS
 
-    def _rhs(self) -> Callable[[float, np.ndarray], list]:
-        """The ODE right side on the split state y = (Re V, Im V): the last
-        component of V' is (sum_j (-b_j/b_m) V_j + F/b_m)/x, the others are
-        V_{i+1}/x.  The b_j and F are low-degree, so plain-Python Horner on
-        coefficient tuples built here once beats any array call."""
+    def _taylor_step(self, c: float, V: tuple) -> tuple[float, list]:
+        """The step from c: its length h and the coefficients of V in
+        t = (x - c)/h, from the coefficients b_j and the forcing F of the
+        operator.  In t, delta = (c/h + t) d/dt, so for n >= 0
+        (c/h)(n + 1) V_{i,n+1} = V_{i+1,n} - n V_{i,n} for i < m - 1, with
+        U = delta V_{m-1} = (F - sum_{j<m} b_j V_j)/b_m in place of V_m."""
         m = self._m
         phase = cmath.exp(1j * self.direction)
-        *low, lead = [tuple(p.coeffs[::-1].tolist()) for p in self.op.coefficients]
-        forcing = (() if self._forcing is None
-                   else tuple(self._forcing.coefficients[::-1].tolist()))
+        w = c * phase
+        R = min([c] + [abs(w - rho) for rho in self._lead_roots])
+        h = R / 3.0
+        b = [_shifted(p.coeffs.tolist(), w, h * phase) for p in self.op.coefficients]
+        F = [] if self.op.rhs is None else _shifted(self.op.rhs.coefficients.tolist(), w, h * phase)
+        v = [[x] + [0j] * (_TAYLOR_TERMS - 1) for x in V]
+        u = [0j] * _TAYLOR_TERMS
+        top = [abs(x) for x in V]
+        last = top[:]
+        # the nonzero terms of sum_{j<m} b_j V_j + (b_m - b_m(0)) U: (power, coefficient, series)
+        terms = [(k, a, vj) for bj, vj in zip(b, v) for k, a in enumerate(bj) if a]
+        terms += [(k, a, u) for k, a in enumerate(b[m]) if k and a]
+        for n in range(_TAYLOR_TERMS - 1):
+            acc = F[n] if n < len(F) else 0j
+            for k, a, series in terms:
+                if k <= n:
+                    acc -= a * series[n - k]
+            u[n] = acc / b[m][0]
+            den = c / h * (n + 1)
+            done = True
+            for i, vi in enumerate(v):
+                vi[n + 1] = x = ((v[i + 1][n] if i + 1 < m else u[n]) - n * vi[n]) / den
+                ax = abs(x)
+                if ax > top[i]:
+                    top[i] = ax
+                if ax + last[i] / 3.0 > 2.0**-56 * top[i]:
+                    done = False
+                last[i] = ax
+            if done:
+                return h, [vi[:n + 2] for vi in v]
+        raise ValidationError(
+            f"Taylor step along arg={self.direction} at x={c:.6g} (distance "
+            f"R = {R:.4g} to the nearest singular point) does not bound its "
+            f"tail by 2^-56 of its largest term within {_TAYLOR_TERMS} terms"
+        )
 
-        def horner(cs, w):
-            acc = 0j
-            for c in cs:
-                acc = acc * w + c
-            return acc
-
-        def rhs(x, y):
-            x = float(x)
-            w = x * phase
-            b_m = horner(lead, w)
-            v = y.tolist()
-            acc = 0j
-            for j in range(m):
-                acc += -horner(low[j], w) / b_m * complex(v[j], v[m + j])
-            acc += horner(forcing, w) / b_m
-            inv_x = 1.0 / x
-            acc *= inv_x
-            return ([t * inv_x for t in v[1:m]] + [acc.real]
-                    + [t * inv_x for t in v[m + 1:]] + [acc.imag])
-
-        return rhs
-
-    def ensure(self, x_max: float) -> _DenseSteps:
-        """The published dense store, first extended by whole rungs until it
-        covers x_max."""
+    def ensure(self, x_max: float) -> _TaylorSteps:
+        """The published steps, first extended until they serve x_max."""
         if x_max >= self._reach:
             raise DomainError(
                 f"continuation along arg={self.direction} asked at x={x_max:.4g}, "
                 f"beyond its reach {self._reach:.4g}"
             )
-        dense = self._dense
-        if self._m == 0 or x_max < self._x0 or (len(dense.h) and x_max <= dense.ts[-1]):
-            return dense   # the ODE runs forward from x0
-        rhs, m = self._rhs(), self._m
-        while not len(dense.h) or dense.ts[-1] < x_max:
-            if len(dense.h):
-                start = float(dense.ts[-1])
-                y0 = dense.at(dense.ts[-1:])[0]
-                k = round(math.log2(start / self._x0)) + 1
-                # the last full step: the very last one is cut to end the rung
-                step = float(np.max(dense.h[-2:]))
-            else:
-                start, k, step = self._x0, 1, None
-                y0 = np.concatenate([self._V0.real, self._V0.imag])
-            end = min(self._x0 * 2.0**k, self._reach)
-            scale = max(float(np.max(np.abs(y0[:m] + 1j * y0[m:]))), 1e-30)
-            sol = solve_ivp(rhs, (start, end), y0, method="DOP853", rtol=self.rtol,
-                            atol=scale * 1e-16, dense_output=True,
-                            first_step=None if step is None else min(step, end - start))
-            if not sol.success:
-                raise GrowthError(
-                    f"ODE continuation failed along arg={self.direction}: {sol.message}"
-                )
-            seg = sol.sol
-            steps = seg.interpolants
-            # (the empty store's arrays take their state size here)
-            dense = _DenseSteps(
-                np.concatenate([dense.ts, seg.ts[1:] if len(dense.h) else seg.ts]),
-                np.concatenate([dense.h, [s.h for s in steps]]),
-                np.concatenate([dense.y_old.reshape(-1, 2 * m), [s.y_old for s in steps]]),
-                np.concatenate([dense.F.reshape(-1, 7, 2 * m), [s.F for s in steps]]))
-        self._dense = dense
-        return dense
+        steps = self._steps
+        if x_max < self._x0 or (steps.cs and x_max <= steps.cs[-1] + 0.5 * steps.hs[-1]):
+            return steps   # the ODE runs forward from x0
+        if self._m == 0:
+            raise ArgumentError("an order-0 operator has no ODE to continue along")
+        los, cs, hs, rows = (list(part) for part in steps[:4])
+        c, V = (cs[-1] + hs[-1], steps.V) if cs else (self._x0, tuple(self._V0.tolist()))
+        while not cs or cs[-1] + 0.5 * hs[-1] < x_max:
+            h, v = self._taylor_step(c, V)
+            ends = [sum(reversed(vi), 0j) for vi in v]     # the Horners at t = 1
+            if not all(map(cmath.isfinite, ends)):
+                raise GrowthError(f"ODE continuation along arg={self.direction} "
+                                  f"overflows in the step from x={c:.6g}")
+            # the step serves |t| <= r: forward to t = 1/2, back to the middle
+            # of the previous step (at most 3/4, as R shrinks by at most the
+            # previous step's length); keep the terms above 2^-58 of the
+            # largest there, so the cut ones sum to less than 2^-56 of it
+            back = 0.5 * hs[-1] if cs else 0.0
+            r = max(0.5, back / h)
+            terms = [abs(coef) * r**n for n, coef in enumerate(v[0])]
+            cut = 2.0**-58 * max(terms)
+            keep = 1 + max(n for n, term in enumerate(terms) if term >= cut)
+            los.append(c - back)
+            cs.append(c)
+            hs.append(h)
+            rows.append(tuple(reversed(v[0][:keep])))
+            c, V = c + h, tuple(ends)
+        C = np.zeros((max(map(len, rows)), len(rows)), dtype=complex)
+        for i, row in enumerate(rows):
+            C[len(C) - len(row):, i] = row
+        steps = _TaylorSteps(tuple(los), tuple(cs), tuple(hs), tuple(rows), V,
+                             np.array([los, cs, hs]), C)
+        self._steps = steps
+        return steps
 
-    @staticmethod
-    def _steps(ts: np.ndarray, x) -> np.ndarray:
-        """Index of the DOP853 step that serves each point x in [ts[0], ts[-1]]:
-        at a breakpoint the lower-index step, as OdeSolution picks it."""
-        return np.maximum(np.searchsorted(ts, x, side="left") - 1, 0)
-
-    def _vector_at(self, x: float) -> np.ndarray:
-        dense = self.ensure(x)
-        if not len(dense.h) or not dense.ts[0] <= x <= dense.ts[-1]:
+    def _stepped_value(self, x: float) -> complex:
+        """f at the ray point x >= x0 by a Horner on the step that serves it."""
+        import bisect
+        steps = self.ensure(x)
+        i = bisect.bisect_right(steps.los, x) - 1
+        if i < 0:
             raise ArgumentError(f"point {x} outside the continued range")
-        y = dense.at(np.array([x]))[0]
-        return y[: self._m] + 1j * y[self._m :]
+        t = (x - steps.cs[i]) / steps.hs[i]
+        acc = 0j
+        for coef in steps.rows[i]:
+            acc = acc * t + coef
+        return acc
 
     def _segment_values(self, pts: np.ndarray) -> np.ndarray:
-        """f at the ray points pts from the dense steps, all at once; points
-        outside the continued range go to eval_ray."""
-        dense = self.ensure(float(np.max(pts)))
-        vals = np.empty(len(pts), dtype=complex)
-        inside = np.zeros(len(pts), dtype=bool)
-        if len(dense.h):
-            inside = (pts >= dense.ts[0]) & (pts <= dense.ts[-1])
-            y = dense.at(pts[inside], [0, self._m])
-            vals[inside] = y[:, 0] + 1j * y[:, 1]
-        for j in np.flatnonzero(~inside):
-            vals[j] = self.eval_ray(float(pts[j]))
-        return vals
+        """f at the ray points pts >= x0, all at once: _stepped_value's
+        Horner as array operations, bit for bit."""
+        steps = self.ensure(float(np.max(pts)))
+        los, cs, hs = steps.grid
+        i = np.searchsorted(los, pts, side="right") - 1
+        # complex t multiplies as Python's complex * float does
+        t = ((pts - cs[i]) / hs[i]).astype(complex)
+        y = steps.C[0][i]
+        for row in steps.C[1:]:
+            y *= t
+            y += row[i]
+        return y
 
 
 class ContinuationHandle(_OdeRayHandle):
     """Analytic continuation of a convergent series along a ray: direct series
-    inside 0.8x the empirical radius, numerical integration of the defining
-    ODE beyond, initialized from the series at 0.5x the radius."""
+    inside 0.8x the empirical radius, Taylor steps of the defining ODE
+    beyond, initialized from the series at 0.5x the radius."""
 
     def __init__(self, series: PowerSeries, op: LinearOperator, direction: float,
                  rtol: float = 1e-12):
@@ -377,25 +389,22 @@ class ContinuationHandle(_OdeRayHandle):
         self.series = series
         self.op = op
         self.direction = direction
-        self.rtol = rtol
         self._quad_epsrel = max(1e-11, rtol)
         self.radius = _cauchy_hadamard(series.coefficients)
-        self._lead_roots = op.coefficients[-1].nonzero_roots()
+        self._lead_roots = op.coefficients[-1].nonzero_roots().tolist()
         self._check_ray_clear()
-        self._dense = _NO_DENSE
         self._x0 = 0.5 * self.radius
         self._series_limit = 0.8 * self.radius
         self._m = op.order
-        self._forcing = op.rhs
-        # the series of delta^i f, i < m: coefficients n^i c_n
-        n = np.arange(len(series.coefficients))
-        self._delta_series = [PowerSeries(series.coefficients * n**i)
-                              for i in range(self._m)]
 
     @property
     def _V0(self) -> np.ndarray:
-        """The ODE's initial vector at the anchor, from the series."""
-        return self._series_vector(self._x0)
+        """(f, delta f, ..., delta^{m-1} f) at the anchor from the series:
+        delta^i f has the coefficients n^i c_n."""
+        zeta = self._x0 * cmath.exp(1j * self.direction)
+        c = self.series.coefficients
+        n = np.arange(len(c))
+        return np.array([PowerSeries(c * n**i).eval(zeta) for i in range(self._m)])
 
     def _check_ray_clear(self):
         d = self.direction
@@ -408,18 +417,11 @@ class ContinuationHandle(_OdeRayHandle):
                     f"Borel-plane operator at {rho}"
                 )
 
-    # -- series-side values --------------------------------------------------
-
-    def _series_vector(self, x: float) -> np.ndarray:
-        """(f, delta f, ..., delta^{m-1} f) at x e^{i d} from the series."""
-        zeta = x * cmath.exp(1j * self.direction)
-        return np.array([s.eval(zeta) for s in self._delta_series], dtype=complex)
-
     def eval_ray(self, x: float) -> complex:
         if x <= self._series_limit:
             zeta = x * cmath.exp(1j * self.direction)
             return self.series.eval(zeta)
-        return complex(self._vector_at(x)[0])
+        return self._stepped_value(x)
 
     def eval_ray_many(self, xs) -> np.ndarray:
         xs = np.asarray(xs, dtype=float)
@@ -434,9 +436,9 @@ class ContinuationHandle(_OdeRayHandle):
         return out
 
     def growth(self, k: float) -> tuple[float, float]:
-        # climb the rungs up to the one that reaches max(16 r, 8), far enough
-        # for the tail log-slope to settle; stop early at a rung end whose
-        # value escapes the safe float range (the fit then ends there)
+        # double x from x0 until it reaches max(16 r, 8), far enough for the
+        # tail log-slope to settle; stop early at a point whose value escapes
+        # the safe float range (the fit then ends there)
         target = max(16.0 * max(self.radius, 1e-3), 8.0)
         x = self._x0
         while x < target:
@@ -824,7 +826,6 @@ class LaplaceStageHandle(_OdeRayHandle):
         self.lam = float(lam)
         self.direction = direction
         self.op = op
-        self.rtol = rtol
         self._quad_epsrel = max(1e-11, rtol)
         self._m = op.order
         J, L = _cached_growth(prev, self.lam)
@@ -838,10 +839,8 @@ class LaplaceStageHandle(_OdeRayHandle):
         reach_cap = 0.9 * prev_dom / (budget ** (1.0 / self.lam))
         self._x0 = min(0.15 * x_dom, reach_cap, 1.0)
         self._reach = 0.98 * x_dom
-        self._dense = _NO_DENSE
-        self._lead_roots = op.coefficients[-1].nonzero_roots()
+        self._lead_roots = op.coefficients[-1].nonzero_roots().tolist()
         self._check_ray_clear()
-        self._forcing = op.rhs
         self._interp: Optional[_ChebLogInterpolant] = None
         # asymptotic regime from the first formal coefficients; the cutoff is
         # where the first dropped (Gevrey-divergent) term falls below 1e-14
@@ -930,7 +929,7 @@ class LaplaceStageHandle(_OdeRayHandle):
 
     def eval_ray(self, x: float) -> complex:
         if x >= self._x0:
-            return complex(self._vector_at(x)[0])
+            return self._stepped_value(x)
         if self._asym is not None and x <= self._x_asym:
             return self._asym.eval(x * cmath.exp(1j * self.direction))
         if self._interp is not None and self._interp.a <= x <= self._interp.b:

@@ -296,8 +296,8 @@ def cmd_qsum(args) -> ResultTable:
         zc = z.to_complex()
         try:
             val = S(z)
-            resid = S.residual(op, z) if S.ladder is not None else 0.0
-            table.add(zc.real, zc.imag, z.argument, val.real, val.imag, resid, "ok")
+            table.add(zc.real, zc.imag, z.argument, val.real, val.imag,
+                      S.residual(op, z), "ok")
         except QBorelError as exc:
             table.add(zc.real, zc.imag, z.argument, "", "", "", f"{exc.code}-error")
     return table

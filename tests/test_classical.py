@@ -578,25 +578,13 @@ def test_classical_stokes_constant_near_pi(stokes_pair):
 @pytest.fixture(scope="module")
 def euler_ode_sum():
     """The Euler sum on the ray pi + pi/24 (rtol 1e-10) after one value,
-    built while keeping each ODE handle's solve_ivp segments (start, end,
-    OdeSolution) and the ray points at which the stage tables sample it."""
+    built while keeping the ray points at which the stage tables sample
+    each handle."""
     euler = LinearOperator("differential", "delta",
                            (Polynomial([1.0]), Polynomial([0.0, 1.0])),
                            None, PowerSeries([0.0, 1.0]))
-    segments, samples, building = {}, {}, []
-    ensure, solve, batched = cl._OdeRayHandle.ensure, cl.solve_ivp, cl._batched_ray_laplace
-
-    def recording_ensure(self, x_max):
-        building.append(self)
-        try:
-            return ensure(self, x_max)
-        finally:
-            building.pop()
-
-    def recording_solve(fun, t_span, *args, **kwargs):
-        sol = solve(fun, t_span, *args, **kwargs)
-        segments.setdefault(building[-1], []).append((*t_span, sol.sol))
-        return sol
+    samples = {}
+    batched = cl._batched_ray_laplace
 
     def recording_batched(handle, lam, d, xs):
         many = handle.eval_ray_many
@@ -612,52 +600,40 @@ def euler_ode_sum():
             del handle.eval_ray_many
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cl._OdeRayHandle, "ensure", recording_ensure)
-        mp.setattr(cl, "solve_ivp", recording_solve)
         mp.setattr(cl, "_batched_ray_laplace", recording_batched)
         S = cl.multisum(None, euler, math.pi + math.pi / 24.0, rtol=1e-10)
         S(SectorPoint.from_polar(0.2, math.pi))
-    return S, segments, samples
+    return S, samples
 
 
 def _bits(values: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(values, dtype=complex).view(np.int64)
 
 
-def test_dense_lookup_matches_per_segment_ode_solution(euler_ode_sum):
-    # the merged breakpoint store answers exactly as the segments' own
-    # OdeSolutions: at every table sample point, every breakpoint and both
-    # ends of every segment, with the first segment that covers a point
-    _, segments, samples = euler_ode_sum
-    # at a breakpoint the lower-index step, as in OdeSolution (the DOP853
-    # steps here agree there bit for bit, so only this pins the rule)
-    steps = cl._OdeRayHandle._steps(np.array([0.0, 1.0, 2.0]),
-                                    np.array([0.0, 0.5, 1.0, 1.5, 2.0]))
-    assert steps.tolist() == [0, 0, 0, 1, 1]
+def test_scalar_and_array_step_values_agree_to_2_ulp_of_the_largest_term(euler_ode_sum):
+    # eval_ray's plain-Python Horner and eval_ray_many's array Horner on the
+    # same Taylor step: real and imaginary parts within 2 ulp of the largest
+    # term, at every table sample point in the continued range and at every
+    # step's centre and the two ends of the range it serves
+    _, samples = euler_ode_sum
     assert len(samples) == 6
     for h, pts in samples.items():
-        m, segs = h._m, segments[h]
-        ts = h._dense[0]
-        ends = np.array([x for lo, hi, _ in segs for x in (lo, hi)])
-        assert ends[0] == ts[0] and ends[-1] == ts[-1] and len(segs) >= 2
+        steps = h._steps
+        los, cs, hs = steps.grid
+        assert len(cs) >= 5
         table = np.concatenate(pts)
-        table = table[(table >= ts[0]) & (table <= ts[-1])]
+        table = table[table >= h._x0]
         assert len(table) > 100
-        xs = np.concatenate([table, ts, ends])
-        ref = np.empty(len(xs), dtype=complex)
-        left = np.ones(len(xs), dtype=bool)
-        for lo, hi, sol in segs:
-            sel = left & (xs >= lo) & (xs <= hi)
-            y = sol(xs[sel])
-            ref[sel] = y[0] + 1j * y[m]
-            left &= ~sel
-        assert not left.any()
-        assert np.array_equal(_bits(h._segment_values(xs)), _bits(ref))
-        for x in np.concatenate([ts, ends]):
-            sol = next(sol for lo, hi, sol in segs if lo <= x <= hi)
-            y = sol(x)
-            assert np.array_equal(_bits(cl._OdeRayHandle._vector_at(h, x)),
-                                  _bits(y[:m] + 1j * y[m:]))
+        xs = np.concatenate([table, los, cs, cs + 0.5 * hs])
+        many = h._segment_values(xs)
+        for x, y in zip(xs, many):
+            i = np.searchsorted(los, x, side="right") - 1
+            t = (x - cs[i]) / hs[i]
+            row = np.array(steps.rows[i])
+            largest = np.max(np.abs(row) * abs(t) ** np.arange(len(row) - 1, -1, -1))
+            diff = h._stepped_value(float(x)) - y
+            assert abs(diff.real) <= 2 * np.spacing(largest)
+            assert abs(diff.imag) <= 2 * np.spacing(largest)
 
 
 def test_series_samples_of_a_stage_table_keep_the_terms_above_2_to_the_minus_60(
@@ -666,7 +642,7 @@ def test_series_samples_of_a_stage_table_keep_the_terms_above_2_to_the_minus_60(
     # octave rule of PowerSeries.eval_many: real and imaginary parts within
     # 2 ulp of the largest term of the full polyval at every point a stage
     # table samples there
-    _, _, samples = euler_ode_sum
+    _, samples = euler_ode_sum
     handles = [h for h in samples if isinstance(h, cl.ContinuationHandle)]
     assert handles
     for h in handles:
@@ -682,37 +658,60 @@ def test_series_samples_of_a_stage_table_keep_the_terms_above_2_to_the_minus_60(
         assert np.all(np.abs(diff.imag) <= 2 * np.spacing(largest))
 
 
-def test_ode_right_side_matches_companion_form(euler_ode_sum):
-    # (C(w) V + F(w))/x with C the companion matrix of b_0..b_m, from the
-    # operator's Polynomials: the split-state right side agrees within 4 ulp
-    # of the largest term of each component
-    _, segments, _ = euler_ode_sum
-    gen = np.random.default_rng(11)
-    for h in segments:
-        m, b = h._m, h.op.coefficients
-        rhs = h._rhs()
-        for _ in range(50):
-            x = h._x0 * (h._dense.ts[-1] / h._x0) ** gen.uniform()
-            V = (gen.normal(size=m) + 1j * gen.normal(size=m)) * 10.0 ** gen.uniform(-3, 3, m)
-            w = x * cmath.exp(1j * h.direction)
-            C = np.zeros((m, m), dtype=complex)
-            C[np.arange(m - 1), np.arange(1, m)] = 1.0
-            C[m - 1] = [-b[j](w) / b[-1](w) for j in range(m)]
-            F = np.zeros(m, dtype=complex)
-            if h.op.rhs is not None:
-                F[m - 1] = h.op.rhs.eval(w) / b[-1](w)
-            ref = (C @ V + F) / x
-            scale = np.append(np.abs(V[1:]),
-                              max(np.max(np.abs(C[m - 1] * V)), abs(F[m - 1]))) / x
-            y = np.asarray(rhs(x, np.concatenate([V.real, V.imag])))
-            assert np.all(np.abs(y[:m] - ref.real) <= 4 * np.spacing(scale))
-            assert np.all(np.abs(y[m:] - ref.imag) <= 4 * np.spacing(scale))
+@pytest.mark.parametrize("d", [0.0, 0.7])
+def test_taylor_steps_reproduce_closed_forms(d):
+    # (1 + zeta) delta f + zeta f = 0 is solved by 1/(1 + zeta) and
+    # (1 + zeta) delta f = zeta by log(1 + zeta), the Euler Borel transform:
+    # one step's recurrence gives their Taylor coefficients in
+    # t = (x - c)/h, (-s)^n/(1 + w)^(n+1) and (-1)^(n+1) (s/(1 + w))^n/n for
+    # w = c e^{id}, s = h e^{id}, and its end vector their values at c + h;
+    # the steps from x0 = 0.5 out to 40 keep the values within 4e-15
+    zeta = Polynomial([0.0, 1.0])
+    cases = [(LinearOperator("differential", "delta", (zeta, Polynomial([1.0, 1.0]))),
+              PowerSeries((-1.0) ** np.arange(60)),
+              lambda n, w, s: (-s) ** n / (1 + w) ** (n + 1) if n else 1 / (1 + w)),
+             (LinearOperator("differential", "delta", (Polynomial([]), Polynomial([1.0, 1.0])),
+                             None, PowerSeries([0.0, 1.0])),
+              PowerSeries([0.0] + [(-1.0) ** (n + 1) / n for n in range(1, 60)]),
+              lambda n, w, s: (-1) ** (n + 1) * (s / (1 + w)) ** n / n if n
+              else cmath.log(1 + w))]
+    for op, series, coeff in cases:
+        h = cl.ContinuationHandle(series, op, d)
+        for c in (0.4, 2.0, 30.0):
+            w = c * cmath.exp(1j * d)
+            step, (v,) = h._taylor_step(c, (coeff(0, w, 0.0),))
+            # R = min(c, |w + 1|): h = R/3 keeps the terms below 3^-n
+            assert step == pytest.approx(min(c, abs(w + 1)) / 3, rel=1e-15)
+            s = step * cmath.exp(1j * d)
+            exact = np.array([coeff(n, w, s) for n in range(len(v))])
+            assert np.all(np.abs(np.array(v) - exact) <= 1e-15 * abs(exact[0] or exact[1]))
+            end = coeff(0, w + s, 0.0)
+            assert abs(sum(reversed(v)) - end) <= 1e-15 * abs(end)
+        steps = h.ensure(40.0)
+        xs = np.geomspace(h._x0, steps.cs[-1] + 0.5 * steps.hs[-1], 400)
+        exact = np.array([coeff(0, x * cmath.exp(1j * d), 0.0) for x in xs])
+        assert np.max(np.abs(h._segment_values(xs) - exact) / np.abs(exact)) < 4e-15
+
+
+def test_taylor_step_refuses_a_tail_it_cannot_bound(euler_op, monkeypatch):
+    # with 12 terms a step cannot bound its tail by 2^-56 of its largest
+    # term: it raises, naming the ray, the step's start and R, and the sum
+    # passes the refusal on
+    sec = cl.summation_chain(euler_op).sections[0]
+    h = cl.ContinuationHandle(sec.g1, sec.stage_ops[0], 0.0)
+    monkeypatch.setattr(cl, "_TAYLOR_TERMS", 12)
+    # the Borel singularity lies on the opposite ray, so R is the distance to 0
+    with pytest.raises(ValidationError, match=rf"arg=0\.0 at x={h._x0:.6g} "
+                                              rf"\(distance R = {h._x0:.4g} "):
+        h.eval_ray(1.0)
+    with pytest.raises(ValidationError, match="within 12 terms"):
+        cl.multisum(None, euler_op, 0.0)(SectorPoint.from_complex(0.1))
 
 
 def test_ode_rungs_do_not_depend_on_the_requests_that_built_them(euler_op):
     # a continuation and a stage handle, each built twice and extended once
-    # to 40 or by the requests 1.2, 5, 40: the same rungs, the same
-    # breakpoints and the same values, bit for bit
+    # to 40 or by the requests 1.2, 5, 40: the same Taylor steps and the
+    # same values, bit for bit
     sec = cl.summation_chain(euler_op).sections[0]
 
     def continuation():
@@ -726,15 +725,11 @@ def test_ode_rungs_do_not_depend_on_the_requests_that_built_them(euler_op):
 
     for make in (continuation, stage):
         once, stepwise = make(), make()
-        dense = once.ensure(40.0)
+        steps = once.ensure(40.0)
         for x in (1.2, 5.0, 40.0):
             stepwise.ensure(x)
-        ts = dense[0]
-        # the last rung ends at the first x0 2^k at or past 40
-        assert ts[0] == once._x0 and 40.0 <= ts[-1] < 80.0
-        assert math.frexp(ts[-1] / ts[0])[0] == 0.5
-        assert np.array_equal(stepwise._dense[0], ts)
-        xs = np.geomspace(ts[0], ts[-1], 500)
+        assert stepwise._steps.cs == steps.cs
+        xs = np.geomspace(steps.cs[0], steps.cs[-1] + 0.5 * steps.hs[-1], 500)
         assert np.array_equal(_bits(stepwise._segment_values(xs)),
                               _bits(once._segment_values(xs)))
 

@@ -1,4 +1,5 @@
 import cmath
+import importlib.util
 import json
 import math
 import os
@@ -120,6 +121,24 @@ def test_qsum_theta_mode_pole(opfiles, capsys):
                f"--z={-(1.05 - 1.0)},0,{math.pi}", "--mode", "theta"])
     assert rc == 0
     assert "pole-spiral-error" in capsys.readouterr().out
+
+
+def test_qsum_theta_rows_report_the_computed_residual(opfiles, tmp_path):
+    # the theta sum has no ladder; its rows carry S.residual like the others
+    out = tmp_path / "theta.csv"
+    zs = [0.3, 0.05, 0.2 + 0.1j]
+    rc = main(["qsum", "--op", opfiles["qeuler"], "--direction", "0", "--mode", "theta",
+               "--out", str(out)] + [f"--z={z.real},{z.imag}" for z in zs])
+    assert rc == 0
+    rows = [line.split(",") for line in out.read_text().splitlines()
+            if line.endswith(",ok")]
+    assert len(rows) == 3
+    op = qborel.parse_operator(json.dumps(QEULER))
+    S = qborel.q_multisum(None, op, 0.0, mode="theta")
+    for z, row in zip(zs, rows):
+        expected = S.residual(op, qborel.SectorPoint.from_complex(z))
+        assert float(row[5]) == expected
+        assert 0.0 < expected <= 1e-12
 
 
 def test_confluence_table_and_determinism(opfiles, tmp_path):
@@ -395,3 +414,20 @@ def test_confluence_builds_one_limit_chain(opfiles, capsys, built_chains):
     assert len(built_chains) == 1 + len(grid)
     assert built_chains[0] == "differential"
     assert "# verdict: monotone" in capsys.readouterr().out
+
+
+def test_cli_drift_names_the_numeric_cell_that_moved_most():
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                        "tools", "cli_drift.py")
+    spec = importlib.util.spec_from_file_location("cli_drift", path)
+    drift = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(drift)
+    base = ("# command: stokes\n# classical: 0.5\nz_re,jump_re,status\n"
+            "0.1,-2.0,ok\n0.2,4.0,ok\n0.3,,domain-error\n")
+    head = ("# command: stokes\n# classical: 0.5000000001\nz_re,jump_re,status\n"
+            "0.1,-2.000002,ok\n0.2,4.0,ok\n0.3,,pole-error\n")
+    rel, cell, a, b = drift.largest_change(base, head)
+    assert (cell, a, b) == ("row 1, jump_re", "-2.0", "-2.000002")
+    assert rel == pytest.approx(2e-6 / 2.000002, rel=1e-9)
+    assert drift.largest_change(base, base)[0] == 0.0
+    assert drift.largest_change("a,b\nx,y\n", "a,b\nx,z\n") is None

@@ -1,15 +1,16 @@
-"""Checks against 30-digit mpmath values and closed forms, which share no
-code with qborel."""
+"""Checks against 30-digit mpmath values, closed forms and scipy's DOP853,
+which share no code with qborel."""
 
 import math
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 from qborel import classical as cl
 from qborel import qsummation as qs
 from qborel.operators import LinearOperator
-from qborel.series import Polynomial, SectorPoint, gamma
+from qborel.series import Polynomial, PowerSeries, SectorPoint, gamma
 
 from conftest import make_q_euler, q_euler_borel
 
@@ -49,14 +50,18 @@ def test_euler_sum_near_the_singular_direction(euler_op, d):
     assert _rel(S(z), ref) < 1e-10
 
 
+# acceptance criterion 7: z delta^2 y + (1 + (a1 + a2) z) delta y + a1 a2 z y = 0
+A1, A2 = 0.3, 0.9
+TWO_F_ZERO = LinearOperator("differential", "delta",
+                            (Polynomial([0, A1 * A2]), Polynomial([1.0, A1 + A2]),
+                             Polynomial([0, 1.0])))
+EULER = LinearOperator("differential", "delta", (Polynomial([1.0]), Polynomial([0.0, 1.0])),
+                       None, PowerSeries([0.0, 1.0]))
+
+
 @pytest.fixture(scope="module")
 def two_f_zero_sum():
-    # acceptance criterion 7: z delta^2 y + (1 + (a1 + a2) z) delta y + a1 a2 z y = 0
-    a1, a2 = 0.3, 0.9
-    op = LinearOperator("differential", "delta",
-                        (Polynomial([0, a1 * a2]), Polynomial([1.0, a1 + a2]),
-                         Polynomial([0, 1.0])))
-    return a1, a2, cl.multisum(None, op, 0.0)
+    return A1, A2, cl.multisum(None, TWO_F_ZERO, 0.0)
 
 
 @pytest.mark.parametrize("z", [2.0, 0.5, 1 + 0.5j, 3 - 1j])
@@ -80,6 +85,54 @@ def test_euler_sum_at_the_sector_edge(euler_op, arg):
         ref = mp.exp(w) * mp.e1(w)
     S = cl.summation_chain(euler_op).sum(0.0)
     assert _rel(S(z), ref) < 1e-11
+
+
+def _dop853_continuation(h, x_end: float):
+    """f along the ray of an ODE handle from its anchor vector to x_end, by
+    scipy's DOP853 at rtol 1e-13 on the companion system of h.op: delta
+    V_i = V_(i+1), b_m delta V_(m-1) = F - sum_(j<m) b_j V_j, delta = x d/dx
+    on the ray.  Only the coefficient arrays of the operator are read."""
+    op, m, phase = h.op, h.op.order, np.exp(1j * h.direction)
+    b = [np.append(p.coeffs, 0.0) for p in op.coefficients]
+    F = np.zeros(1) if op.rhs is None else op.rhs.coefficients
+    polyval = np.polynomial.polynomial.polyval
+
+    def rhs(x, y):
+        V = y[:m] + 1j * y[m:]
+        w = x * phase
+        last = (polyval(w, F) - sum(polyval(w, b[j]) * V[j] for j in range(m))) / polyval(w, b[m])
+        dV = np.append(V[1:], last) / x
+        return np.concatenate([dV.real, dV.imag])
+
+    V0 = np.asarray(h._V0)
+    sol = solve_ivp(rhs, (h._x0, x_end), np.concatenate([V0.real, V0.imag]), method="DOP853",
+                    rtol=1e-13, atol=1e-16 * np.max(np.abs(V0)), dense_output=True)
+    assert sol.success
+    return lambda xs: sol.sol(xs)[0] + 1j * sol.sol(xs)[m]
+
+
+@pytest.mark.parametrize("op, d, zs, rtol", [
+    (EULER, 0.0, [0.05, 0.2, 0.2 * np.exp(0.4j)], 1e-11),
+    (EULER, math.pi + math.pi / 24, [-0.2, -0.25], 1e-10),
+    (EULER, math.pi - math.pi / 24, [-0.2, -0.25], 1e-10),
+    (TWO_F_ZERO, 0.0, [2.0, 3 - 1j], 1e-11),
+], ids=["euler-0", "euler-pi+", "euler-pi-", "2F0"])
+def test_every_continued_handle_matches_a_dop853_reference(op, d, zs, rtol):
+    # each Taylor-stepped handle of the sum, after the sum's values at zs,
+    # against DOP853 at rtol 1e-13 from the same anchor vector, at 200
+    # log-spaced points from its anchor to the end of its continued range
+    S = cl.summation_chain(op).sum(d, rtol=rtol)
+    for z in zs:     # each z at its argument nearest to d
+        S(SectorPoint.from_polar(abs(z), d + np.angle(z * np.exp(-1j * d))))
+    handles = [h for sec in S.sections for h in sec.handles]
+    assert len(handles) == 9
+    for h in handles:
+        steps = h._steps
+        x_end = steps.cs[-1] + 0.5 * steps.hs[-1]
+        assert x_end > 10.0 * h._x0
+        xs = np.geomspace(h._x0, x_end, 200)
+        ref = _dop853_continuation(h, x_end)(xs)
+        assert np.max(np.abs(h.eval_ray_many(xs) - ref) / np.abs(ref)) < 1e-12
 
 
 def _jackson_q_laplace(g, q: float, z: float) -> float:

@@ -8,7 +8,8 @@ command below once on each tree (``python -m qborel.cli`` with that tree on
 PYTHONPATH) and prints, per command, whether the CSV on stdout, the stderr
 text or the exit code differs.  It exits non-zero only when a command of the
 head tree exits outside the CLI's contract {0, 2, 3, 4}; a difference is
-reported, not judged.
+reported, not judged.  For a CSV that differs it also prints the largest
+relative change over the numeric cells both trees wrote, and names that cell.
 """
 
 from __future__ import annotations
@@ -81,6 +82,42 @@ def commands(ops: dict[str, str]) -> list[tuple[str, list[str]]]:
     return out
 
 
+def _cells(csv_text: str) -> dict[str, str]:
+    """The cells of a CLI CSV by name: "# key" for a metadata line, and
+    "row i, column" for a data cell (rows counted from 1 below the header)."""
+    cells, header, row = {}, None, 0
+    for line in csv_text.splitlines():
+        if line.startswith("# "):
+            key, _, value = line[2:].partition(": ")
+            cells[f"# {key}"] = value
+        elif header is None:
+            header = line.split(",")
+        elif line:
+            row += 1
+            for name, value in zip(header, line.split(",")):
+                cells[f"row {row}, {name}"] = value
+    return cells
+
+
+def largest_change(base: str, head: str) -> tuple[float, str, str, str] | None:
+    """(relative change, cell, base value, head value) of the numeric cell
+    of two CSVs that moved most, |a - b|/max(|a|, |b|); None when no finite
+    numeric cell of one is finite and numeric in the other."""
+    worst = None
+    head_cells = _cells(head)
+    for name, a in _cells(base).items():
+        try:
+            x, y = float(a), float(head_cells[name])
+        except (KeyError, ValueError):
+            continue
+        if not (math.isfinite(x) and math.isfinite(y)):
+            continue
+        rel = abs(x - y) / max(abs(x), abs(y)) if x != y else 0.0
+        if worst is None or rel > worst[0]:
+            worst = (rel, name, a, head_cells[name])
+    return worst
+
+
 def run(src: str, argv: list[str]) -> tuple[str, str, int]:
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
     proc = subprocess.run([sys.executable, "-m", "qborel.cli"] + argv, env=env,
@@ -106,6 +143,10 @@ def main(argv: list[str]) -> int:
             print(f"{name}: " + (f"differs in {', '.join(diffs)}" if diffs else "identical")
                   + f" (exit {base[2]} -> {head[2]})")
             if "csv" in diffs:
+                worst = largest_change(base[0], head[0])
+                if worst is not None:
+                    print(f"    largest relative change {worst[0]:.2e} at {worst[1]} "
+                          f"({worst[2]} -> {worst[3]})")
                 for line in difflib.unified_diff(base[0].splitlines(), head[0].splitlines(),
                                                  lineterm="", n=0):
                     if not line.startswith(("---", "+++", "@@")):
