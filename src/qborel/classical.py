@@ -539,7 +539,9 @@ def _laplace_truncation(handle: RayHandle, lam: float, d: float, w: SectorPoint,
 
     # authoritative truncation: extend until the integrand has fallen below
     # 1e-16 of its peak (the fitted L only seeds the first guess); never
-    # extend past the reach of the handle's own Laplace domain
+    # extend past the reach of the handle's own Laplace domain.  The loop
+    # ends by itself: past s Re A ~ 745, e^(-s A) underflows to 0, and fn0
+    # is 0 or nan
     reach = handle._x_dom * 0.96
     S = min(S, reach**lam)
     handle.prepare(S ** (1.0 / lam))
@@ -563,11 +565,6 @@ def _laplace_truncation(handle: RayHandle, lam: float, d: float, w: SectorPoint,
                     f"(fitted growth L = {L:.3e}, Re A = {A.real:.3e})"
                 )
         S = nxt
-        if S > 1e7 * (42.0 / A.real):
-            raise DomainError(
-                f"Laplace truncation not reached; integrand decays too slowly "
-                f"(fitted growth L = {L:.3e})"
-            )
     return A, S, fn0, scale0
 
 
@@ -1083,9 +1080,14 @@ def _build_sections(
             "operators whose coefficient recurrence has span 1 "
             "(polynomial coefficients of z-degree <= 1)"
         )
+    sec_recs = [section_recurrence(rec, beta, l) for l in range(beta)]
+    n_seeds = [max(sec_rec.n_min + sec_rec.span + 2, 8) for sec_rec in sec_recs]
+    # section coefficients s_n = a_{l + n beta}, n < n_seed, in log form, all
+    # sliced from one master solve (each a_n depends on earlier ones only)
+    phases, logmags = rec.solve_logspace(
+        max(l + beta * (n_seed - 1) + 1 for l, n_seed in enumerate(n_seeds)))
     sections = []
-    for l in range(beta):
-        sec_rec = section_recurrence(rec, beta, l)
+    for l, (sec_rec, n_seed) in enumerate(zip(sec_recs, n_seeds)):
         # chain of stage recurrences: stage j annihilates
         # g_j = B_{lam_j} ... B_{lam_s} (section); build from the top down,
         # then restore the inhomogeneous rows each stage's solution satisfies
@@ -1095,12 +1097,10 @@ def _build_sections(
             cur = reweight_recurrence(cur, orders_w[j], weight)
             cur.rhs = {}
             recs[j] = cur
-        n_seed = max(sec_rec.n_min + sec_rec.span + 2, 8)
-        # section coefficients s_n = a_{l + n beta}, n < n_seed, in log form
-        phases, logmags = rec.solve_logspace(l + beta * (n_seed - 1) + 1)
+        stop = l + beta * (n_seed - 1) + 1
         all_seeds = []
         for j, rec_j in enumerate(recs):
-            seeds_j = _stage_seeds(phases[l::beta], logmags[l::beta],
+            seeds_j = _stage_seeds(phases[l:stop:beta], logmags[l:stop:beta],
                                    lambda n: log_weight(n, j))
             _attach_stage_rhs(rec_j, seeds_j)
             all_seeds.append(seeds_j)
@@ -1321,7 +1321,7 @@ class SummationChain:
             rtol: float = 1e-11) -> SummedFunction:
         """S^d(h); a singular d raises SingularDirectionError, a supplied
         series s that does not satisfy the operator ArgumentError."""
-        _check_series(self.op, s)
+        self._check(s)
         if not self.sections:
             # a convergent series is its own sum, on 0.999 of its estimated disk
             series = s or self.series or solve_series(self.op, self.order)
@@ -1339,7 +1339,7 @@ class SummationChain:
         """(S^{d+o}, S^{d-o}) about a singular direction d, o from
         _bracket_offset; None off the singular set, where they agree.  A
         divergent q chain built without limit raises ArgumentError."""
-        _check_series(self.op, s)
+        self._check(s)
         if self.sections and not self.directions.singular_directions:
             raise ArgumentError("lateral sums bracket a singular direction and this "
                                 "chain has none: a q chain takes them from its limit")
@@ -1347,6 +1347,16 @@ class SummationChain:
         if offset is None:
             return None
         return self._at(d + offset, rtol), self._at(d - offset, rtol)
+
+    def _check(self, s: Optional[PowerSeries]):
+        """Refuse a supplied series s that does not satisfy the operator,
+        and sections that hold the zero series: for a homogeneous operator
+        they mean that valuation 0 is not an admissible leading index, and
+        solve_series raises its ArgumentError."""
+        _check_series(self.op, s)
+        if (self.sections and self.op.rhs is None
+                and not any(sec.g1.coefficients.any() for sec in self.sections)):
+            solve_series(self.op, 1)
 
     def _at(self, d: float, rtol: float) -> SummedFunction:
         """The sum along d, which is not singular: one _LaplaceSection per

@@ -398,32 +398,50 @@ class Recurrence:
     def span(self) -> int:
         return len(self.A) - 1
 
-    def x_value(self, n: int) -> complex:
-        if self.var == "n":
-            return float(n)
-        return self.qstep**n
+    @property
+    def degree(self) -> int:
+        """D, the largest degree of the A_i in x (the operator's order)."""
+        return max((Ai.degree for Ai in self.A if not Ai.is_zero), default=0)
 
     def coeff_row(self, n: int) -> np.ndarray:
-        x = self.x_value(n)
+        x = float(n) if self.var == "n" else self.qstep**n
         return np.array([Ai(x) for Ai in self.A], dtype=complex)
 
-    def scaled_row(self, n: int) -> tuple[np.ndarray, float]:
-        """Row values scaled by x^-D (D the max degree); overflow-safe for the
-        geometric variable.  Returns (row, log of the scale factor)."""
+    def _rows(self, start: int, stop: int) -> tuple[np.ndarray, list, list]:
+        """Rows n = start..stop-1 of the relation, all evaluated at once with
+        D = self.degree: (rows, log_scales, scales).  rows[n - start, i] is
+        A_i(x_n)/x_n^D and log_scales holds D log x_n; in n, D is taken as 0,
+        as those rows stay finite unscaled.  scales holds the resonance
+        scale sum_j |c_j| x_n^(j-D) of A_0 = sum_j c_j x^j, at least 1e-300:
+        both solvers call row n resonant when |A_0(x_n)|/x_n^D is at most
+        _LEAD_TOL of it."""
+        ns = range(start, stop)
+        A0 = self.A[0].coeffs
+        # the powers in the scale are Python's: numpy's vectorized power may
+        # differ from them in the last bit
         if self.var == "n":
-            return self.coeff_row(n), 0.0
-        D = max((Ai.degree for Ai in self.A if not Ai.is_zero), default=0)
-        lnx = n * math.log(self.qstep)
-        xinv = math.exp(-min(lnx, 700.0)) if lnx > 0 else 1.0
-        row = np.zeros(len(self.A), dtype=complex)
-        for i, Ai in enumerate(self.A):
-            acc = 0.0 + 0.0j
-            for j in range(0, D + 1):
-                c = Ai.coeffs[j] if j <= Ai.degree else 0.0
-                acc = acc * xinv + c
-            # acc = sum_j c_j x^(j - D)
-            row[i] = acc
-        return row, D * lnx
+            t = np.arange(start, stop, dtype=float)
+            horner = [Ai.coeffs[::-1] for Ai in self.A]
+            log_scales = [0.0] * len(ns)
+            powers = [np.array([float(n) ** j for n in ns]) for j in range(len(A0))]
+        else:
+            # Horner in t = 1/x_n over c_0..c_D: sum_j c_j x_n^(j - D)
+            D = self.degree
+            log_x = [n * math.log(self.qstep) for n in ns]
+            xinv = [math.exp(-min(v, 700.0)) if v > 0 else 1.0 for v in log_x]
+            t = np.array(xinv)
+            horner = [[Ai.coeffs[j] if j <= Ai.degree else 0.0 for j in range(D + 1)]
+                      for Ai in self.A]
+            log_scales = [D * v for v in log_x]
+            powers = [np.array([v ** (D - j) for v in xinv]) for j in range(len(A0))]
+        rows = np.zeros((len(ns), len(self.A)), dtype=complex)
+        for i, coeffs in enumerate(horner):
+            for c in coeffs:
+                rows[:, i] = rows[:, i] * t + c
+        scale = np.zeros(len(ns))
+        for c, p in zip(A0, powers):
+            scale = scale + abs(c) * p
+        return rows, log_scales, np.maximum(scale, 1e-300).tolist()
 
     @classmethod
     def from_operator(cls, op: LinearOperator) -> "Recurrence":
@@ -459,34 +477,19 @@ class Recurrence:
 
     def to_operator(self) -> LinearOperator:
         """Convert back to operator form (delta basis / sigma_q basis)."""
-        if self.var == "qn":
-            q = self.qstep
-            max_order = max((Ai.degree for Ai in self.A if not Ai.is_zero), default=0)
-            coeffs = [Polynomial([]) for _ in range(max_order + 1)]
-            for i, Ai in enumerate(self.A):
-                if Ai.is_zero:
-                    continue
-                scaled = Ai.scale_argument(q**i)  # A_i(q^i sigma)
-                for j, c in enumerate(scaled.coeffs):
-                    if c == 0:
-                        continue
-                    mono = [0.0] * i + [c]
-                    coeffs[j] = coeffs[j] + Polynomial(mono)
-            rhs = self._rhs_series()
-            return LinearOperator("q_difference", "sigma_q", tuple(coeffs), q, rhs)
-        max_order = max((Ai.degree for Ai in self.A if not Ai.is_zero), default=0)
-        coeffs = [Polynomial([]) for _ in range(max_order + 1)]
+        coeffs = [Polynomial([]) for _ in range(self.degree + 1)]
         for i, Ai in enumerate(self.A):
             if Ai.is_zero:
                 continue
-            shifted = Ai.shift_argument(i)  # A_i(delta + i)
-            for j, c in enumerate(shifted.coeffs):
-                if c == 0:
-                    continue
-                mono = [0.0] * i + [c]
-                coeffs[j] = coeffs[j] + Polynomial(mono)
-        rhs = self._rhs_series()
-        return LinearOperator("differential", "delta", tuple(coeffs), None, rhs)
+            # A_i(delta + i), or A_i(q^i sigma)
+            moved = Ai.shift_argument(i) if self.var == "n" else Ai.scale_argument(self.qstep**i)
+            for j, c in enumerate(moved.coeffs):
+                if c != 0:
+                    coeffs[j] = coeffs[j] + Polynomial([0.0] * i + [c])
+        if self.var == "n":
+            return LinearOperator("differential", "delta", tuple(coeffs), None, self._rhs_series())
+        return LinearOperator("q_difference", "sigma_q", tuple(coeffs), self.qstep,
+                              self._rhs_series())
 
     def _rhs_series(self) -> Optional[PowerSeries]:
         if not self.rhs:
@@ -520,8 +523,9 @@ class Recurrence:
             ns = min(len(seed), order)
             out[:ns] = np.asarray(seed, dtype=complex)[:ns]
             start = ns
+        rows, log_scales, scales = self._rows(start, order)
         for n in range(start, order):
-            row, log_scale = self.scaled_row(n)
+            row, log_scale, scale = rows[n - start], log_scales[n - start], scales[n - start]
             r = complex(self.rhs.get(n, 0.0))
             if r != 0.0 and log_scale != 0.0:
                 r *= math.exp(-log_scale)
@@ -530,17 +534,6 @@ class Recurrence:
                 if n - i >= 0:
                     acc -= row[i] * out[n - i]
             lead = row[0]
-            if self.var == "n":
-                scale = sum(
-                    abs(c) * float(n) ** j for j, c in enumerate(self.A[0].coeffs)
-                )
-            else:
-                D = max((Ai.degree for Ai in self.A if not Ai.is_zero), default=0)
-                xinv = math.exp(-min(n * math.log(self.qstep), 700.0)) if n > 0 else 1.0
-                scale = sum(
-                    abs(c) * xinv ** (D - j) for j, c in enumerate(self.A[0].coeffs)
-                )
-            scale = max(scale, 1e-300)
             if abs(lead) <= _LEAD_TOL * scale:
                 residual_scale = max(
                     (abs(row[i]) * abs(out[n - i]) for i in range(1, I + 1) if n - i >= 0),
@@ -580,8 +573,9 @@ class Recurrence:
         I = self.span
         phases = np.zeros(order, dtype=complex)
         logmags = np.full(order, -np.inf)
+        rows, log_scales, scales = self._rows(0, order)
         for n in range(order):
-            row, log_scale = self.scaled_row(n)
+            row, log_scale = rows[n], log_scales[n]
             terms_phase = []
             terms_log = []
             r = self.rhs.get(n, 0.0)
@@ -594,14 +588,7 @@ class Recurrence:
                     terms_phase.append(c / abs(c))
                     terms_log.append(math.log(abs(c)) + logmags[n - i])
             lead = row[0]
-            lead_scale = max(
-                sum(abs(c) for c in self.A[0].coeffs) * max(1.0, abs(self.x_value(n)))
-                ** (0 if self.var == "qn" else self.A[0].degree),
-                1e-300,
-            )
-            if self.var == "qn":
-                lead_scale = max(sum(abs(c) for c in row), 1e-300)
-            resonant = abs(lead) <= _LEAD_TOL * lead_scale
+            resonant = abs(lead) <= _LEAD_TOL * scales[n]
             acc, m_star = 0.0, -math.inf
             if terms_log:
                 m_star = max(terms_log)

@@ -15,7 +15,6 @@ from fractions import Fraction
 from typing import Callable, Sequence, Union
 
 import numpy as np
-from scipy import special
 
 from .errors import ArgumentError, DomainError, RangeError
 
@@ -68,7 +67,10 @@ def q_factorial(n: int, q: float) -> float:
 def gamma(z: ComplexLike) -> complex:
     """Complex Gamma function (scipy.special.gamma; real arguments take its
     real path).  Poles at the non-positive integers raise
-    :class:`DomainError`."""
+    :class:`DomainError`.  scipy.special is imported here, on first use, so
+    that importing the package does not load it."""
+    from scipy import special
+
     z = complex(z)
     if z.imag == 0.0 and z.real == round(z.real) and z.real <= 0.0:
         raise DomainError(f"gamma pole at z = {int(z.real)}")

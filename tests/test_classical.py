@@ -18,6 +18,7 @@ from qborel.errors import (
 )
 from qborel.operators import (
     LinearOperator,
+    Recurrence,
     borel_plane_operator,
     newton_polygon,
     solve_series,
@@ -176,6 +177,23 @@ def test_laplace_domain_errors():
     grower = cl.FunctionHandle(lambda z: cmath.exp(3.0 * z), 0.0, growth=(1.0, 3.0))
     with pytest.raises(DomainError):
         cl.laplace_along_ray(grower, 1, 0.0, SectorPoint.from_complex(0.5))
+
+
+def test_laplace_refuses_an_integrand_that_grows_along_the_ray():
+    # stated growth L = 0 while |f| = e^(20 x): at z = 0.1 the integrand
+    # e^(20 s) e^(-10 s) grows at each of the truncation's three extensions
+    understated = cl.FunctionHandle(lambda zeta: cmath.exp(20.0 * zeta), 0.0)
+    with pytest.raises(DomainError, match="integrand does not decay along the ray"):
+        cl.laplace_along_ray(understated, 1, 0.0, SectorPoint.from_complex(0.1))
+
+
+def test_laplace_refuses_a_tail_beyond_the_handle_reach():
+    # a reach of 0.5 cuts e^(-10 s) at s = 0.48, where it is still 8e-3 of
+    # its peak: the next extension would leave the handle's domain
+    short = cl.FunctionHandle(lambda zeta: 1.0 + 0j, 0.0)
+    short._x_dom = 0.5
+    with pytest.raises(DomainError, match="tail beyond the previous stage's reach"):
+        cl.laplace_along_ray(short, 1, 0.0, SectorPoint.from_complex(0.1))
 
 
 def test_laplace_positivity():
@@ -428,6 +446,39 @@ def test_stage_seeds_match_weighted_section_coefficients(euler_op, weight):
                                   for mi, kt in zip(m[j:], ladder.kappa_tilde[j:]))
                 want = a[sec.l + n * ladder.beta] / w
                 assert abs(got - want) <= 1e-12 * abs(want), (sec.l, j, n)
+
+
+@pytest.mark.parametrize("weight", ["gamma", "qfact"])
+def test_build_sections_solves_the_master_recurrence_once(euler_op, weight, monkeypatch):
+    # the beta = 3 sections slice one log-form master solve; a shorter solve
+    # is a prefix of a longer one, bit for bit
+    op = euler_op if weight == "gamma" else make_q_euler(1.05)
+    rec = Recurrence.from_operator(op)
+    head, whole = rec.solve_logspace(10), rec.solve_logspace(30)
+    assert all(np.array_equal(a, b[:10]) for a, b in zip(head, whole))
+    calls = []
+    solve_logspace = Recurrence.solve_logspace
+    monkeypatch.setattr(Recurrence, "solve_logspace",
+                        lambda self, *a, **k: calls.append(a) or solve_logspace(self, *a, **k))
+    ladder = cl.build_ladder(newton_polygon(euler_op), [0, 1, 1])
+    assert ladder.beta == 3
+    assert len(cl._build_sections(op, ladder, order=60, weight=weight)) == 3
+    assert len(calls) == 1
+
+
+def test_zero_series_operator_refuses_sum_and_lateral_pair(euler_homogenized):
+    # z delta^2 y + delta y - y = 0: (n - 1) a_n + (n - 1)^2 a_(n-1) = 0
+    # forces a_0 = 0, so the chain at valuation 0 holds the zero series
+    with pytest.raises(ArgumentError, match="valuation 0 is not an admissible") as plain:
+        solve_series(euler_homogenized, 10)
+    chain = cl.summation_chain(euler_homogenized)
+    for refuse in (lambda: chain.sum(0.0), lambda: chain.lateral_pair(math.pi),
+                   lambda: chain.lateral_pair(0.5)):
+        with pytest.raises(ArgumentError) as err:
+            refuse()
+        assert str(err.value) == str(plain.value)
+    assert cl.singular_directions(euler_homogenized).singular_directions == pytest.approx(
+        (math.pi / 3, math.pi, 5 * math.pi / 3))
 
 
 def test_truncate_overflow_cuts_past_the_seed_floor():

@@ -26,6 +26,10 @@ QEULER = {"kind": "q_difference", "basis": "delta_q", "q": 1.05,
           "coefficients": [[[1.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]],
           "rhs": [[0.0, 0.0], [1.0, 0.0]]}
 
+# z delta^2 y + delta y - y = 0: no series of valuation 0 solves it
+ZERO_SERIES = {"kind": "differential", "basis": "delta",
+               "coefficients": [[[-1.0, 0.0]], [[1.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]}
+
 SIGMA_MINUS_TWO = {"kind": "q_difference", "basis": "sigma_q", "q": 2.0,
                    "coefficients": [[[-2.0, 0.0]], [[1.0, 0.0]]]}
 
@@ -34,7 +38,8 @@ SIGMA_MINUS_TWO = {"kind": "q_difference", "basis": "sigma_q", "q": 2.0,
 def opfiles(tmp_path):
     paths = {}
     for name, doc in (("euler", EULER), ("ex41", EXAMPLE41),
-                      ("qeuler", QEULER), ("sigma2", SIGMA_MINUS_TWO)):
+                      ("qeuler", QEULER), ("sigma2", SIGMA_MINUS_TWO),
+                      ("zero", ZERO_SERIES)):
         p = tmp_path / f"{name}.json"
         p.write_text(json.dumps(doc))
         paths[name] = str(p)
@@ -42,13 +47,13 @@ def opfiles(tmp_path):
 
 
 def test_import_leaves_scipy_integrate_and_fft_unloaded():
-    # solve_ivp, quad and scipy.fft are imported by the functions that use
-    # them, so a fresh `import qborel.cli` loads neither package
+    # quad, scipy.fft and scipy.special are imported by the functions that
+    # use them, so a fresh `import qborel.cli` loads none of these packages
     src = os.path.dirname(os.path.dirname(os.path.abspath(qborel.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     code = ("import sys, qborel.cli; print([m for m in ('scipy.integrate', "
-            "'scipy.fft') if m in sys.modules])")
+            "'scipy.fft', 'scipy.special') if m in sys.modules])")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=120)
     assert out.stdout.strip() == "[]"
@@ -96,6 +101,15 @@ def test_sum_rows_and_domain_error_row(opfiles, capsys):
     good = [l for l in lines if l.endswith(",ok")][0]
     residual = float(good.split(",")[5])
     assert residual < 1e-5
+
+
+def test_sum_of_the_zero_series_operator_is_an_argument_error(opfiles, capsys):
+    # ArgumentError is a ConfigError: exit 2, as for the other argument errors
+    rc = main(["sum", "--op", opfiles["zero"], "--direction", "0", "--z", "0.1,0"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error[argument]: valuation 0 is not an admissible")
+    assert "Traceback" not in err
 
 
 def test_qsum_and_pole_row(opfiles, capsys):
@@ -252,6 +266,25 @@ def test_hypergeom_closed_form_matches_the_theta_pipeline(capsys):
     assert len(rows) == 1
     assert rows[0][-1] == "ok"
     assert float(rows[0][5]) <= 1e-12
+
+
+def test_hypergeom_classical_limit_grid(capsys):
+    # the README example: the closed-form q-sums of 2phi0(p^0.3, p^0.9; -; p)
+    # at z (1 - p)^(-1) approach the Borel sum of 2F0(0.3, 0.9; -) at z = 2
+    # about linearly in 1 - p
+    grid = (0.7, 0.8, 0.9, 0.95, 0.99)
+    rc = main(["hypergeom", "--upper", "3,5", "--p", "0.8333333333333334", "--z", "0.15,0",
+               "--alphas", "0.3,0.9", "--p-grid", ",".join(map(str, grid)), "--z", "2.0,0"])
+    assert rc == 0
+    rows = [l.split(",") for l in capsys.readouterr().out.splitlines()
+            if l.startswith(("classical-limit-rhs", "limit-grid-p="))]
+    target, *limits = rows
+    assert target[0] == "classical-limit-rhs" and target[-1] == "ok"
+    assert [r[0] for r in limits] == [f"limit-grid-p={p}" for p in grid]
+    assert all(r[-1] == "ok" and r[3] == target[1] for r in limits)
+    errors = [float(r[5]) for r in limits]
+    assert all(a > b for a, b in zip(errors, errors[1:]))
+    assert all(0.02 * (1 - p) < e < 0.03 * (1 - p) for p, e in zip(grid, errors))
 
 
 @pytest.mark.parametrize("argv, status", [

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qborel.errors import (
     ArgumentError,
@@ -20,6 +21,8 @@ from qborel.operators import (
     newton_polygon,
     parse_operator,
     residual,
+    reweight_recurrence,
+    section_recurrence,
     serialize_operator,
     solve_series,
 )
@@ -212,6 +215,92 @@ def test_solve_logspace_raises_where_solve_raises():
     free = LinearOperator("differential", "delta", (Polynomial([-1.0]), Polynomial([1.0])))
     phases, logmags = Recurrence.from_operator(free).solve_logspace(6, valuation=1)
     assert np.allclose(phases * np.exp(logmags), [0, 1, 0, 0, 0, 0])
+
+
+def _row_by_loop(rec, n):
+    """Row n one index at a time, the loop the row table replaced:
+    (A_i(x_n)/x_n^D, D log x_n, resonance scale); D = 0 in n."""
+    if rec.var == "n":
+        row = np.array([Ai(float(n)) for Ai in rec.A], dtype=complex)
+        scale = sum(abs(c) * float(n) ** j for j, c in enumerate(rec.A[0].coeffs))
+        return row, 0.0, max(scale, 1e-300)
+    D = max((Ai.degree for Ai in rec.A if not Ai.is_zero), default=0)
+    lnx = n * math.log(rec.qstep)
+    xinv = math.exp(-min(lnx, 700.0)) if lnx > 0 else 1.0
+    row = np.zeros(len(rec.A), dtype=complex)
+    for i, Ai in enumerate(rec.A):
+        acc = 0.0 + 0.0j
+        for j in range(D + 1):
+            acc = acc * xinv + (Ai.coeffs[j] if j <= Ai.degree else 0.0)
+        row[i] = acc
+    scale = sum(abs(c) * xinv ** (D - j) for j, c in enumerate(rec.A[0].coeffs))
+    return row, D * lnx, max(scale, 1e-300)
+
+
+@pytest.mark.parametrize("q", [None, 1.05, 1.5])
+def test_row_table_matches_the_row_loop_bit_for_bit(q, euler_op, example41_op):
+    # the master, section and stage recurrences of the Euler chain (beta = 3,
+    # three levels of w-order 1), and the span-3 Example 4.1
+    rec = Recurrence.from_operator(make_q_euler(q) if q else euler_op)
+    recs = [rec, Recurrence.from_operator(example41_op)] if q is None else [rec]
+    weight = "qfact" if q else "gamma"
+    for l in range(3):
+        cur = section_recurrence(rec, 3, l)
+        recs.append(cur)
+        for _ in range(3):
+            cur = reweight_recurrence(cur, Fraction(1), weight)
+            recs.append(cur)
+    if q:
+        recs.append(reweight_recurrence(rec, Fraction(1), "rz"))
+    for r in recs:
+        rows, log_scales, scales = r._rows(3, 240)
+        for n in range(3, 240):
+            row, log_scale, scale = _row_by_loop(r, n)
+            assert np.array_equal(rows[n - 3].view(float), row.view(float)), n
+            assert (log_scales[n - 3], scales[n - 3]) == (log_scale, scale), n
+
+
+_sizes = st.floats(0.5, 4.0)
+_complex = st.builds(lambda r, t: r * complex(math.cos(t), math.sin(t)),
+                     _sizes, st.floats(0.0, 2 * math.pi))
+
+
+@settings(max_examples=150, deadline=None)
+@given(var=st.sampled_from(["n", "qn"]), q=st.floats(1.1, 1.8), order=st.integers(2, 16),
+       resonant=st.one_of(st.none(), st.integers(0, 15)),
+       nudge=st.sampled_from([0.0, 1e-14, 1e-13, 1e-12, 1e-11]), root=_complex, c0=_complex,
+       extra=st.one_of(st.none(), _complex), a1=st.lists(_complex, min_size=1, max_size=3),
+       rhs=st.one_of(st.none(), _complex), valuation=st.integers(0, 15), leading=_complex)
+def test_solve_and_solve_logspace_share_one_resonance_rule(
+        var, q, order, resonant, nudge, root, c0, extra, a1, rhs, valuation, leading):
+    # span 1: A_0(x) a_n + A_1(x) a_(n-1) = [n = 0] rhs.  A_0 has a root at
+    # x_k (1 + nudge), x_k = k or q^k, when resonant = k, else a generic
+    # one, and maybe a second generic factor; the nudges put A_0(x_k) about
+    # the resonance threshold.  With a right side at n = 0 only, no row sums
+    # two terms, so no cancellation tells the two arithmetics apart
+    if resonant is not None:
+        root = (float(resonant) if var == "n" else q**resonant) * (1.0 + nudge)
+    A0 = Polynomial([-c0 * root, c0])
+    if extra is not None:
+        A0 = A0 * Polynomial([-extra, 1.0])
+    rec = Recurrence([A0, Polynomial(a1)], var, q if var == "qn" else None,
+                     {} if rhs is None else {0: rhs})
+    outcomes = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for solve in (rec.solve, rec.solve_logspace):
+            try:
+                outcomes.append(solve(order, valuation=valuation, leading=leading))
+            except ResonanceError as err:
+                outcomes.append(err.n)
+        plain, logform = outcomes
+        assert type(plain) is type(logform)
+        if isinstance(plain, int):
+            assert plain == logform
+            return
+        a = plain[0]
+        b = logform[0] * np.exp(logform[1])
+    both = np.isfinite(a) & np.isfinite(b)
+    assert np.all(np.abs(a - b)[both] <= 1e-12 * np.maximum(np.abs(a), np.abs(b))[both])
 
 
 def test_random_operator_solve_residual():

@@ -529,6 +529,21 @@ def test_q_multisum_checks_a_supplied_series_in_every_mode(q_euler_op):
         qs.q_multisum(None, convergent, 0.0, mode="jackson", order=80)
 
 
+def test_zero_series_q_operator_refuses_to_sum(euler_homogenized):
+    # z delta_q^2 y + delta_q y - y = 0 at q = 1.05, the q-analogue of the
+    # homogenized Euler equation: its recurrence forces a_0 = 0 as well
+    op = LinearOperator("q_difference", "delta_q", euler_homogenized.coefficients, 1.05)
+    limit = cl.summation_chain(euler_homogenized)
+    for mode in ("discrete", "continuous"):
+        chain = qs.q_summation_chain(op, mode, limit)
+        for refuse in (lambda: chain.sum(0.0), lambda: chain.lateral_pair(math.pi)):
+            with pytest.raises(ArgumentError, match="valuation 0 is not an admissible"):
+                refuse()
+    # the theta chain solves the series as it is built
+    with pytest.raises(ArgumentError, match="valuation 0 is not an admissible"):
+        qs.q_summation_chain(op, "theta", limit)
+
+
 def test_q_entry_points_check_a_supplied_series_once(euler_op, monkeypatch):
     checked = []
     check = cl._check_series

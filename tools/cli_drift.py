@@ -72,6 +72,10 @@ def commands(ops: dict[str, str]) -> list[tuple[str, list[str]]]:
                               "--z", "0.15,0"]))
     out.append(("hypergeom-r3", ["hypergeom", "--upper", "0.2,0.7,3", "--p", "0.8",
                                  "--z", "0.15,0", "--direction", "0.5"]))
+    # the README example: the classical-limit row and its p-grid
+    out.append(("hypergeom-limit", ["hypergeom", "--upper", "3,5", "--p", "0.8333333333333334",
+                                    "--z", "0.15,0", "--alphas", "0.3,0.9",
+                                    "--p-grid", "0.7,0.8,0.9,0.95,0.99", "--z", "2.0,0"]))
     # the later points ask a wider window of the cached theta grid
     out.append(("qsum-theta-regrow", ["qsum", "--op", ops["qeuler"], "--direction", "0",
                                       "--mode", "theta", "--z", "0.3,0", "--z", "0.05,0",
