@@ -4,8 +4,6 @@ from __future__ import annotations
 
 import warnings
 
-import numpy as np
-
 
 def complex_quad(fn, a: float, b: float, epsabs: float, epsrel: float = 1e-12,
                  limit: int = 200) -> complex:
@@ -29,9 +27,3 @@ def complex_quad(fn, a: float, b: float, epsabs: float, epsrel: float = 1e-12,
                       complex_func=True)
     return complex(val)
 
-
-def peak_scale(fn, a: float, b: float, samples: int = 12) -> float:
-    """Coarse estimate of max|fn| on [a, b] (for absolute-tolerance scaling)."""
-    ts = np.linspace(a, b, samples + 1)[1:]
-    vals = [abs(fn(t)) for t in ts]
-    return max(max(vals), 1e-300)

@@ -15,11 +15,12 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from ._quad import complex_quad, peak_scale
+from ._quad import complex_quad
 from .errors import (
     ArgumentError,
     BracketingError,
@@ -176,15 +177,19 @@ def formal_borel(s: PowerSeries, k) -> PowerSeries:
 
 class RayHandle:
     """Protocol: values of an analytic function along the ray arg = d.
-    Subclasses define eval_ray(x) and growth(k); a Laplace stage also sets
-    the reach _x_dom of its own Laplace domain and tabulates in prepare."""
+    Subclasses define eval_ray(x) and growth(), the constants (J, L) of an
+    order-1 bound |f| <= J exp(L x); a Laplace stage also sets the reach
+    _x_dom of its own Laplace domain."""
 
     direction: float
     _x_dom = math.inf
     _quad_epsrel = 1e-11     # relative target of a quadrature of the handle
 
-    def prepare(self, x_hi: float):
-        """Announce the ray range (0, x_hi] an upcoming quadrature samples."""
+    @cached_property
+    def fit(self) -> tuple[float, float]:
+        """growth(), fitted once.  Each fit runs over a fixed range of the
+        ray, so threads that fit at once find the same (J, L)."""
+        return self.growth()
 
     def eval_ray_many(self, xs) -> np.ndarray:
         return np.array([self.eval_ray(float(x)) for x in xs], dtype=complex)
@@ -202,7 +207,7 @@ class FunctionHandle(RayHandle):
     def eval_ray(self, x: float) -> complex:
         return self.fn(x * cmath.exp(1j * self.direction))
 
-    def growth(self, k: float) -> tuple[float, float]:
+    def growth(self) -> tuple[float, float]:
         return self._growth
 
 
@@ -435,7 +440,7 @@ class ContinuationHandle(_OdeRayHandle):
             out[~inner] = self._segment_values(xs[~inner])
         return out
 
-    def growth(self, k: float) -> tuple[float, float]:
+    def growth(self) -> tuple[float, float]:
         # double x from x0 until it reaches max(16 r, 8), far enough for the
         # tail log-slope to settle; stop early at a point whose value escapes
         # the safe float range (the fit then ends there)
@@ -445,7 +450,7 @@ class ContinuationHandle(_OdeRayHandle):
             x *= 2.0
             if abs(self.eval_ray(x)) > 1e200:
                 break
-        return _fit_growth(self.eval_ray, 0.3 * self.radius, x, k)
+        return _fit_growth(self.eval_ray, 0.3 * self.radius, x)
 
 
 def _cauchy_hadamard(coeffs: np.ndarray, tail: int = 20) -> float:
@@ -461,38 +466,37 @@ def _angdiff(a: float, b: float) -> float:
     return (a - b + math.pi) % TWO_PI - math.pi
 
 
-def _fit_growth(eval_ray, x_lo: float, x_hi: float, k: float,
+def _fit_growth(eval_ray, x_lo: float, x_hi: float,
                 samples: int = 48) -> tuple[float, float]:
-    """Constants (J, L) with |f(x e^{id})| <= J exp(L x^k) on the sampled ray.
+    """Constants (J, L) with |f(x e^{id})| <= J exp(L x) on the sampled ray.
 
-    Least squares on log|f| ~ c0 + alpha*log x + L*x^k separates algebraic
-    from order-k exponential growth, so power-law stage functions get L ~ 0
+    Least squares on log|f| ~ c0 + alpha*log x + L*x separates algebraic
+    from exponential growth, so power-law stage functions get L ~ 0
     instead of a spurious finite-range slope.
     """
     xs = np.geomspace(max(x_lo, 1e-9), x_hi, samples)
     vals = np.array([abs(eval_ray(x)) for x in xs])
     vals = np.maximum(vals, 1e-300)
     logs = np.log(vals)
-    t = xs**k
     # fit the tail half only: transients (and near-misses of off-ray
     # singularities) at small x must not inflate L
     half = len(xs) // 2
-    M = np.column_stack([np.ones_like(xs), np.log(xs), t])
+    M = np.column_stack([np.ones_like(xs), np.log(xs), xs])
     sol, *_ = np.linalg.lstsq(M[half:], logs[half:], rcond=None)
     L = max(float(sol[2]), 0.0)
     resid = logs - M @ sol
     # escape check: a persistent, growing tail misfit means the growth order
-    # exceeds k and no (J, L) bound of this class exists
+    # exceeds 1 and no (J, L) bound of this class exists
     q = len(xs) // 4
     if q >= 2:
         tail_r = resid[-q:]
         if np.all(np.diff(tail_r) > 0) and tail_r[-1] > 3.0:
             raise GrowthError(
-                f"growth fit failed: order-{k} exponential bound does not stabilize"
+                "growth fit failed: order-1 exponential bound does not stabilize"
             )
     if L > 0:
         L *= 1.05
-    J = float(np.max(vals * np.exp(-L * t))) * 1.2
+    J = float(np.max(vals * np.exp(-L * xs))) * 1.2
     return max(J, 1e-300), L
 
 
@@ -500,42 +504,31 @@ def _fit_growth(eval_ray, x_lo: float, x_hi: float, k: float,
 # Laplace transform along a ray
 
 
-def _cached_growth(handle: RayHandle, k: float) -> tuple[float, float]:
-    """The handle's growth(k), fitted once.  Each fit runs over a fixed range
-    of the ray, so threads that fit at once store the same (J, L)."""
-    cache = vars(handle).setdefault("_growth_cache", {})
-    fit = cache.get(k)
-    if fit is None:
-        fit = cache[k] = handle.growth(k)
-    return fit
-
-
-def _laplace_truncation(handle: RayHandle, lam: float, d: float, w: SectorPoint,
+def _laplace_truncation(handle: RayHandle, d: float, w: SectorPoint,
                         t_max: int) -> tuple[complex, float, Callable[[float], complex], float]:
-    """A = (e^{id}/w)^lam on the surface of the logarithm and the truncation
-    point S of I_t = int_0^S f((s^{1/lam}) e^{id}) s^t exp(-s A) ds, t <= t_max,
-    with the t_max integrand and its coarse peak modulus on (0, S]."""
-    A = cmath.exp(lam * (1j * d - w.complex_log()))
-    J, L = _cached_growth(handle, lam)
+    """A = e^{id}/w on the surface of the logarithm and the truncation point
+    S of I_t = int_0^S f(s e^{id}) s^t exp(-s A) ds, t <= t_max, with the
+    t_max integrand and its coarse peak modulus on (0, S]."""
+    A = cmath.exp(1j * d - w.complex_log())
+    J, L = handle.fit
     margin = 1.05
     if A.real <= 0:
         raise DomainError(
-            f"evaluation point arg={w.argument} outside the order-{lam} Laplace "
-            f"sector around d={d}"
+            f"evaluation point arg={w.argument} outside the Laplace sector "
+            f"around d={d}"
         )
     if A.real <= L * margin:
         raise DomainError(
-            f"Laplace integrability violated: Re(e^(i d)/w)^k = {A.real:.3e} "
+            f"Laplace integrability violated: Re(e^(i d)/w) = {A.real:.3e} "
             f"must exceed the fitted growth rate L = {L:.3e}"
         )
     decay = A.real - L
     S = (42.0 + max(0.0, math.log(J))) / decay
-    inv_lam = 1.0 / lam
 
     def fn0(s):
         if s <= 0.0:
             return 0.0j
-        return handle.eval_ray(s**inv_lam) * s**t_max * cmath.exp(-s * A)
+        return handle.eval_ray(s) * s**t_max * cmath.exp(-s * A)
 
     # authoritative truncation: extend until the integrand has fallen below
     # 1e-16 of its peak (the fitted L only seeds the first guess); never
@@ -543,20 +536,20 @@ def _laplace_truncation(handle: RayHandle, lam: float, d: float, w: SectorPoint,
     # ends by itself: past s Re A ~ 745, e^(-s A) underflows to 0, and fn0
     # is 0 or nan
     reach = handle._x_dom * 0.96
-    S = min(S, reach**lam)
-    handle.prepare(S ** (1.0 / lam))
-    scale0 = peak_scale(fn0, 0.0, S)
+    S = min(S, reach)
+    peaks = np.linspace(0.0, S, 13)[1:]
+    scale0 = max(float(np.max(np.abs(handle.eval_ray_many(peaks) * peaks**t_max
+                                      * np.exp(-peaks * A)))), 1e-300)
     grow_checks = 0
     while abs(fn0(S)) * S > 1e-16 * scale0:
         nxt = 1.5 * S
-        if nxt > reach**lam:
+        if nxt > reach:
             if abs(fn0(S)) * S > 1e-9 * scale0:
                 raise DomainError(
                     f"Laplace tail beyond the previous stage's reach carries "
                     f"too much mass (fitted growth L = {L:.3e})"
                 )
             break
-        handle.prepare(nxt ** (1.0 / lam))
         if abs(fn0(nxt)) > abs(fn0(S)):
             grow_checks += 1
             if grow_checks >= 3:
@@ -569,64 +562,63 @@ def _laplace_truncation(handle: RayHandle, lam: float, d: float, w: SectorPoint,
 
 
 def laplace_along_ray(handle: RayHandle, k, d: float, z) -> complex:
-    """Order-k Laplace transform of the continued function, evaluated at z,
-    by scalar adaptive quadrature (QUADPACK): the reference that the batched
-    rule of the stage tables is checked against.
+    """Laplace transform of the continued function, evaluated at z, by
+    scalar adaptive quadrature (QUADPACK): the reference that the batched
+    rule of the stage tables is checked against.  Every ladder level is
+    order 1 in its section variable, so k = 1 is the only order taken.
 
-    Requires arg z within pi/(2k) of d and |z|^k below 1/L for the handle's
+    Requires arg z within pi/2 of d and |z| below 1/L for the handle's
     fitted growth constants (J, L).
     """
-    lam = float(Fraction(k))
+    if Fraction(k) != 1:
+        raise UnsupportedError(f"Laplace transforms along a ray are of order 1, not {k}")
     w = as_sector_point(z)
-    if abs(lam * (w.argument - d)) >= math.pi / 2:
+    if abs(w.argument - d) >= math.pi / 2:
         raise DomainError(
-            f"arg z = {w.argument:.6f} outside (d - pi/(2k), d + pi/(2k)) "
-            f"for d = {d:.6f}, k = {lam}"
+            f"arg z = {w.argument:.6f} outside (d - pi/2, d + pi/2) for d = {d:.6f}"
         )
-    A, S, fn, scale = _laplace_truncation(handle, lam, d, w, 0)
+    A, S, fn, scale = _laplace_truncation(handle, d, w, 0)
     return A * complex_quad(fn, 0.0, S, epsabs=1e-14 * scale * S,
                             epsrel=handle._quad_epsrel)
 
 
-def _moment_values(handle, lam, d, w, count) -> np.ndarray:
-    """N_t(w^lam) = A e^{i lam d t} I_t for t = 0..count-1, all from one
-    batched rule: each moment's error target is max(epsrel |I_t|,
-    1e-14 peak_t S), with peak_t the largest |integrand| sampled."""
-    A, S, _, _ = _laplace_truncation(handle, lam, d, w, count - 1)
-    inv_lam = 1.0 / lam
+def _moment_values(handle, d, w, count) -> np.ndarray:
+    """N_t(w) = A e^{i d t} I_t for t = 0..count-1, all from one batched
+    rule: each moment's error target is max(epsrel |I_t|, 1e-14 peak_t S),
+    with peak_t the largest |integrand| sampled."""
+    A, S, _, _ = _laplace_truncation(handle, d, w, count - 1)
     ts = np.arange(count)
     peak = np.zeros(count)
 
     def sample(s):
         powers = s[None] ** ts.reshape((-1,) + (1,) * s.ndim)
-        F = handle.eval_ray_many(s.ravel() ** inv_lam).reshape(s.shape) * powers
+        F = handle.eval_ray_many(s.ravel()).reshape(s.shape) * powers
         np.maximum(peak, np.abs(F * np.exp(-s * A)).reshape(count, -1).max(axis=1), out=peak)
         return F
 
     epsrel = handle._quad_epsrel
     I = _gk_laplace(sample, A, S * 1e-12, S,
                     lambda vals: np.maximum(epsrel * np.abs(vals), 1e-14 * S * peak),
-                    f"Laplace moments (lambda = {lam}, direction = {d}, "
-                    f"arg w = {w.argument:.6g})")
-    return A * np.exp(1j * lam * d * ts) * I
+                    f"Laplace moments (direction = {d}, arg w = {w.argument:.6g})")
+    return A * np.exp(1j * d * ts) * I
 
 
-def _delta_derivatives_from_moments(handle, lam, d, w: SectorPoint, m: int) -> np.ndarray:
-    """(f, delta f, ..., delta^{m-1} f)(w) for f = L_lam(handle).
+def _delta_derivatives_from_moments(handle, d, w: SectorPoint, m: int) -> np.ndarray:
+    """(f, delta f, ..., delta^{m-1} f)(w) for f = L(handle).
 
     Uses delta_W N_t = W^{-1} N_{t+1} - N_t exactly; no finite differences.
     """
-    N = _moment_values(handle, lam, d, w, m)
-    # delta^i f = sum_t c[i][t] * w^{-lam t} * N_t(w^lam)
+    N = _moment_values(handle, d, w, m)
+    # delta^i f = sum_t c[i][t] * w^{-t} * N_t(w)
     coeffs: list[dict[int, complex]] = [{0: 1.0 + 0j}]
     for i in range(1, m):
         prev = coeffs[-1]
         nxt: dict[int, complex] = {}
         for t, c in prev.items():
-            nxt[t + 1] = nxt.get(t + 1, 0.0) + c * lam
-            nxt[t] = nxt.get(t, 0.0) - c * lam * (t + 1)
+            nxt[t + 1] = nxt.get(t + 1, 0.0) + c
+            nxt[t] = nxt.get(t, 0.0) - c * (t + 1)
         coeffs.append(nxt)
-    wpow = lambda t: cmath.exp(-lam * t * w.complex_log())
+    wpow = lambda t: cmath.exp(-t * w.complex_log())
     out = np.zeros(m, dtype=complex)
     for i, table in enumerate(coeffs):
         out[i] = sum(c * wpow(t) * N[t] for t, c in table.items())
@@ -758,35 +750,32 @@ def _gk_laplace(sample: Callable[[np.ndarray], np.ndarray], A: complex,
     return K.sum(axis=1) + sample(np.asarray(0.5 * s_lo)) * s_lo
 
 
-def _batched_ray_laplace(handle: RayHandle, lam: float, d: float,
-                         xs: np.ndarray) -> np.ndarray:
-    """L_lam(handle) at the on-ray points x_i e^{id}, all at once.
+def _batched_ray_laplace(handle: RayHandle, d: float, xs: np.ndarray) -> np.ndarray:
+    """L(handle) at the on-ray points x_i e^{id}, all at once.
 
-    On the ray A_i = x_i^(-lam) is real, so substituting s = u x_i^lam gives
-    value_i = int_0^U f(x_i u^(1/lam)) e^-u du with a shared u-grid: one
-    vectorized evaluation of the previous stage covers every node.  The
-    error target is _GK_TOL max_i |value_i| for every node.
+    On the ray A_i = 1/x_i is real, so substituting s = u x_i gives
+    value_i = int_0^U f(x_i u) e^-u du with a shared u-grid: one vectorized
+    evaluation of the previous stage covers every node.  The error target
+    is _GK_TOL max_i |value_i| for every node.
     """
     xs = np.asarray(xs, dtype=float)
-    J, L = _cached_growth(handle, lam)
+    J, L = handle.fit
     x_top = float(np.max(xs))
-    margin = 1.0 - L * x_top**lam
+    margin = 1.0 - L * x_top
     if margin <= 0.05:
         raise DomainError(
             f"batched Laplace tabulation reaches the growth-domain edge "
             f"(L = {L:.3e}, max x = {x_top:.4g})"
         )
     U = (45.0 + max(0.0, math.log(J))) / margin
-    handle.prepare((U * x_top**lam) ** (1.0 / lam))
-    inv_lam = 1.0 / lam
 
     def sample(u):
-        pts = np.multiply.outer(xs, u ** inv_lam)
+        pts = np.multiply.outer(xs, u)
         return handle.eval_ray_many(pts.ravel()).reshape(pts.shape)
 
     return _gk_laplace(sample, 1.0, U * 1e-12, U,
                        lambda I: np.full(len(I), _GK_TOL * float(np.max(np.abs(I)))),
-                       f"batched Laplace tabulation (lambda = {lam}, direction = {d})")
+                       f"batched Laplace tabulation (direction = {d})")
 
 
 # A stage table is tabulated on nested Chebyshev grids of _CHEB_MIN_N,
@@ -809,58 +798,59 @@ def _cheb_coeffs(values: np.ndarray) -> np.ndarray:
 
 
 class LaplaceStageHandle(_OdeRayHandle):
-    """f = L_lam(prev) along the shared ray.
+    """f = L(prev) along the shared ray.
 
     Three regimes: the truncated (Gevrey-)asymptotic expansion at tiny x, a
-    Chebyshev-in-log interpolant of direct quadratures below the ODE anchor,
-    and the stage ODE (moment-initialized, no finite differences) beyond.
+    Chebyshev-in-log interpolant of batched quadratures below the ODE
+    anchor, and the stage ODE (moment-initialized, no finite differences)
+    beyond.  The table reaches into the asymptotic range when the seeds give
+    one; without one, a read below the table raises DomainError.
     """
 
-    def __init__(self, prev: RayHandle, lam: Fraction, direction: float,
-                 op: LinearOperator, asym_seeds: Optional[np.ndarray] = None,
-                 rtol: float = 1e-12):
+    def __init__(self, prev: RayHandle, direction: float, op: LinearOperator,
+                 asym_seeds: Optional[np.ndarray] = None, rtol: float = 1e-12):
         self.prev = prev
-        self.lam = float(lam)
         self.direction = direction
         self.op = op
         self._quad_epsrel = max(1e-11, rtol)
         self._m = op.order
-        J, L = _cached_growth(prev, self.lam)
-        x_dom = (1.0 / L) ** (1.0 / self.lam) if L > 0 else 1e8
+        J, L = prev.fit
+        x_dom = 1.0 / L if L > 0 else 1e8
         self._x_dom = x_dom
         # the anchor's moment quadratures sample the previous stage out to
-        # (e-folds / x0^lam)^(1/lam); budget the fitted J and stay within the
-        # previous stage's own Laplace-domain reach
-        prev_dom = prev._x_dom
+        # e-folds / x0; budget the fitted J and stay within the previous
+        # stage's own Laplace-domain reach
         budget = 50.0 + max(0.0, math.log(J))
-        reach_cap = 0.9 * prev_dom / (budget ** (1.0 / self.lam))
-        self._x0 = min(0.15 * x_dom, reach_cap, 1.0)
+        self._x0 = min(0.15 * x_dom, 0.9 * prev._x_dom / budget, 1.0)
         self._reach = 0.98 * x_dom
         self._lead_roots = op.coefficients[-1].nonzero_roots().tolist()
         self._check_ray_clear()
-        self._interp: Optional[_ChebLogInterpolant] = None
-        # asymptotic regime from the first formal coefficients; the cutoff is
-        # where the first dropped (Gevrey-divergent) term falls below 1e-14
-        # of the function scale |c0| + |c1| x, not of the coefficient scale
+        # asymptotic regime from the formal coefficients c_i, leading zeros
+        # included: with m the first nonzero index, keep the terms below the
+        # first nonzero c_n with n >= max(5, m + 4); the cutoff is where that
+        # dropped (Gevrey-divergent) term falls below 1e-14 of the function
+        # scale sum_{i <= max(m, 1)} |c_i| x^i (c0 + c1 x unless the seeds
+        # start with zeros), not of the coefficient scale.  Seeds with no such
+        # c_n give no regime, and the table then starts at 1e-8 x0
         self._asym: Optional[PowerSeries] = None
         self._x_asym = 0.0
-        if asym_seeds is not None and len(asym_seeds) >= 3:
-            n_use = min(len(asym_seeds) - 1, 5)
-            c_next = abs(asym_seeds[n_use])
-            c0 = abs(asym_seeds[0])
-            c1 = abs(asym_seeds[1]) if len(asym_seeds) > 1 else 0.0
-            if c_next > 0 and (c0 > 0 or c1 > 0):
-                lo, hi = 1e-280, 0.5 * self._x0
-                for _ in range(200):
-                    mid = math.sqrt(lo * hi)
-                    if 3.0 * c_next * mid**n_use <= 1e-14 * (c0 + c1 * mid):
-                        lo = mid
-                    else:
-                        hi = mid
-                self._asym = PowerSeries(asym_seeds[:n_use])
-                self._x_asym = lo
+        c = np.abs(asym_seeds) if asym_seeds is not None else np.zeros(0)
+        nz = np.flatnonzero(c)
+        dropped = nz[nz >= max(5, nz[0] + 4)] if len(nz) else nz
+        if len(dropped):
+            n_use, lead = int(dropped[0]), c[:max(int(nz[0]), 1) + 1].tolist()
+            lo, hi = 1e-280, 0.5 * self._x0
+            for _ in range(200):
+                mid = math.sqrt(lo * hi)
+                scale = sum(ci * mid**i for i, ci in enumerate(lead))
+                if 3.0 * c[n_use] * mid**n_use <= 1e-14 * scale:
+                    lo = mid
+                else:
+                    hi = mid
+            self._asym = PowerSeries(asym_seeds[:n_use])
+            self._x_asym = lo
         w0 = SectorPoint.from_polar(self._x0, direction)
-        self._V0 = _delta_derivatives_from_moments(prev, self.lam, direction, w0, self._m)
+        self._V0 = _delta_derivatives_from_moments(prev, direction, w0, self._m)
 
     def _check_ray_clear(self):
         d = self.direction
@@ -872,26 +862,20 @@ class LaplaceStageHandle(_OdeRayHandle):
                 )
 
     def _direct(self, x: float) -> complex:
-        return laplace_along_ray(self.prev, self.lam, self.direction,
+        return laplace_along_ray(self.prev, 1, self.direction,
                                  SectorPoint.from_polar(x, self.direction))
 
-    def prepare(self, x_hi: float):
-        """Make the handle cheap to sample on (0, x_hi]: extend the ODE if the
-        range exceeds the anchor, and build the sub-anchor interpolant once
-        over its full span (validated against direct quadrature).  Threads
-        that build it at once build the same table."""
-        if x_hi > self._x0:
-            self.ensure(x_hi)
-        if self._interp is not None:
-            return
+    @cached_property
+    def _interp(self) -> _ChebLogInterpolant:
+        """The sub-anchor table, built on the first read that needs it over
+        its full span and checked against direct quadrature.  Threads that
+        build it at once build the same table."""
         hi = self._x0
-        lo = max(self._x_asym * 0.8, hi * 1e-8, 1e-290)
-        if lo >= hi:
-            return
+        lo = 0.8 * self._x_asym if self._asym is not None else 1e-8 * hi
         # nested Chebyshev grids: each doubling tabulates only the new
         # odd-index nodes; stop at the first grid whose series chops
         n = _CHEB_MIN_N
-        values = _batched_ray_laplace(self.prev, self.lam, self.direction,
+        values = _batched_ray_laplace(self.prev, self.direction,
                                       np.exp(_ChebLogInterpolant.log_nodes(lo, hi, n)))
         while True:
             coeffs = np.abs(_cheb_coeffs(values))
@@ -900,65 +884,64 @@ class LaplaceStageHandle(_OdeRayHandle):
                 break
             if n == _CHEB_MAX_N:
                 raise ValidationError(
-                    f"stage tabulation (lambda = {self.lam}, direction = "
-                    f"{self.direction}) does not chop at n = {n}: its last "
-                    f"{n // 8} Chebyshev coefficients reach {tail:.2e} of the "
-                    f"largest > {_CHEB_CHOP:.0e}"
+                    f"stage tabulation (direction = {self.direction}) does not "
+                    f"chop at n = {n}: its last {n // 8} Chebyshev coefficients "
+                    f"reach {tail:.2e} of the largest > {_CHEB_CHOP:.0e}"
                 )
             odd = np.exp(_ChebLogInterpolant.log_nodes(lo, hi, 2 * n)[1::2])
             merged = np.empty(2 * n + 1, dtype=complex)
             merged[0::2] = values
-            merged[1::2] = _batched_ray_laplace(self.prev, self.lam, self.direction, odd)
+            merged[1::2] = _batched_ray_laplace(self.prev, self.direction, odd)
             values, n = merged, 2 * n
         interp = _ChebLogInterpolant(lo, hi, values)
-        # validate the batched tabulation against adaptive quadrature
+        # check the batched tabulation against adaptive quadrature
         for frac in (0.23, 0.52, 0.81):
             x = lo * (hi / lo) ** frac
             ref = self._direct(x)
             rel = abs(interp(x) - ref) / max(abs(ref), 1e-300)
             if rel > 1e-8:
                 raise ValidationError(
-                    f"stage tabulation (lambda = {self.lam}, direction = "
-                    f"{self.direction}) disagrees with direct quadrature at "
-                    f"x = {x:.6g}: relative error {rel:.2e} > 1e-8"
+                    f"stage tabulation (direction = {self.direction}) disagrees "
+                    f"with direct quadrature at x = {x:.6g}: relative error "
+                    f"{rel:.2e} > 1e-8"
                 )
-        self._interp = interp
+        return interp
+
+    def _table(self, x_min: float) -> _ChebLogInterpolant:
+        """The table, for reads at x_min and above; a read below it (only a
+        stage with no asymptotic range has one) raises DomainError."""
+        interp = self._interp
+        if x_min < interp.a:
+            raise DomainError(
+                f"stage along arg={self.direction} read at x = {x_min:.4g}, "
+                f"below its table [{interp.a:.4g}, {interp.b:.4g}]; its seeds "
+                f"give it no asymptotic range"
+            )
+        return interp
 
     def eval_ray(self, x: float) -> complex:
         if x >= self._x0:
             return self._stepped_value(x)
         if self._asym is not None and x <= self._x_asym:
             return self._asym.eval(x * cmath.exp(1j * self.direction))
-        if self._interp is not None and self._interp.a <= x <= self._interp.b:
-            return self._interp(x)
-        return self._direct(x)
+        return self._table(x)(x)
 
     def eval_ray_many(self, xs) -> np.ndarray:
         xs = np.asarray(xs, dtype=float)
-        if xs.size == 0:
-            return np.zeros(0, dtype=complex)
         out = np.empty(len(xs), dtype=complex)
-        done = np.zeros(len(xs), dtype=bool)
-        sel = xs >= self._x0
-        if np.any(sel):
-            out[sel] = self._segment_values(xs[sel])
-            done |= sel
-        if self._asym is not None:
-            sel = (~done) & (xs <= self._x_asym)
-            if np.any(sel):
-                out[sel] = self._asym.eval_many(xs[sel] * cmath.exp(1j * self.direction))
-                done |= sel
-        if self._interp is not None:
-            sel = (~done) & (xs >= self._interp.a) & (xs <= self._interp.b)
-            if np.any(sel):
-                out[sel] = self._interp.eval_many(xs[sel])
-                done |= sel
-        for j in np.where(~done)[0]:
-            out[j] = self.eval_ray(float(xs[j]))
+        top = xs >= self._x0
+        asym = ~top & (xs <= self._x_asym) if self._asym is not None else np.zeros_like(top)
+        table = ~(top | asym)
+        if np.any(top):
+            out[top] = self._segment_values(xs[top])
+        if np.any(asym):
+            out[asym] = self._asym.eval_many(xs[asym] * cmath.exp(1j * self.direction))
+        if np.any(table):
+            out[table] = self._table(float(xs[table].min())).eval_many(xs[table])
         return out
 
-    def growth(self, k: float) -> tuple[float, float]:
-        return _fit_growth(self.eval_ray, self._x0, min(12.0 * self._x0, 0.9 * self._x_dom), k)
+    def growth(self) -> tuple[float, float]:
+        return _fit_growth(self.eval_ray, self._x0, min(12.0 * self._x0, 0.9 * self._x_dom))
 
 
 # ---------------------------------------------------------------------------
@@ -984,18 +967,16 @@ class _LaplaceSection:
 
     def __init__(self, sec: SectionPipeline, d_w: float, rtol: float):
         self.l = sec.l
-        self.lam = sec.orders_w[-1]
         self.d_w = d_w
         handles: list[RayHandle] = [ContinuationHandle(sec.g1, sec.stage_ops[0], d_w, rtol=rtol)]
         for j in range(1, len(sec.orders_w)):
-            handles.append(LaplaceStageHandle(
-                handles[-1], sec.orders_w[j - 1], d_w, sec.stage_ops[j],
-                asym_seeds=sec.stage_seeds[j], rtol=rtol))
+            handles.append(LaplaceStageHandle(handles[-1], d_w, sec.stage_ops[j],
+                                              asym_seeds=sec.stage_seeds[j], rtol=rtol))
         self.handles = handles
 
     def value(self, w: SectorPoint) -> complex:
         # SummedFunction.domain_check keeps w inside the final level's sector
-        return complex(_moment_values(self.handles[-1], float(self.lam), self.d_w, w, 1)[0])
+        return complex(_moment_values(self.handles[-1], self.d_w, w, 1)[0])
 
 
 def _stage_seeds(phases: np.ndarray, logmags: np.ndarray,

@@ -265,13 +265,10 @@ def cmd_sum(args) -> ResultTable:
         zc = z.to_complex()
         try:
             val = S(z)
-            resid = S.residual(op, z) if S.ladder is not None else 0.0
-            fits = [cl._cached_growth(sec.handles[-1], float(S.ladder.w_orders()[-1]))
-                    for sec in S.sections]
-            J = max((f[0] for f in fits), default=0.0)
-            L = max((f[1] for f in fits), default=0.0)
+            fits = [sec.handles[-1].fit for sec in S.sections]
+            J, L = (max(col) for col in zip(*fits)) if fits else ("", "")
             table.add(zc.real, zc.imag, z.argument, val.real, val.imag,
-                      resid, J, L, "ok")
+                      S.residual(op, z), J, L, "ok")
         except QBorelError as exc:
             table.add(zc.real, zc.imag, z.argument, "", "", "", "", "",
                       f"{exc.code}-error")

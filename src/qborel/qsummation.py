@@ -426,7 +426,7 @@ class QContinuation:
         m, n = self._m, len(bases)
         rows = np.empty((n, m + 1), dtype=complex)   # b_m, b_(m-1), ..., b_0
         for i, b in enumerate(self.op.coefficients[::-1]):
-            rows[:, i] = np.polynomial.polynomial.polyval(bases, b.coeffs)
+            rows[:, i] = 0.0 if b.is_zero else np.polynomial.polynomial.polyval(bases, b.coeffs)
         rhs = np.zeros(n, dtype=complex)
         if self.op.rhs is not None:
             rhs[:] = np.polynomial.polynomial.polyval(bases, self.op.rhs.coefficients)
@@ -587,8 +587,10 @@ class _QSection:
         grid = self._grid
         if grid is not None:
             lo, hi = min(lo, grid[0]), max(hi, grid[1])
-        kernels = [_jackson_kernel(self.Qw ** float(lam), self.M)
-                   for lam in self.orders_w[:-1]]
+        # every level is order 1 in w (sub-unit ladders are refused), so
+        # one kernel serves them all
+        levels = len(self.orders_w) - 1
+        kernels = [_jackson_kernel(self.Qw, self.M)] * levels if levels else []
         # node_{j+1}(t) = sum_dlt K(dlt) node_j(t + dlt): each level's t-range
         # is whole blocks of its correlation, counted from t = 0, top level first
         spans = []
@@ -615,7 +617,7 @@ class _QSection:
         if self.mode == "theta":
             lo, hi, kernel = _theta_window(self.d_w, self.Qw, w)
         else:
-            lo, hi, kernel = _level(self.orders_w[-1], self.d_w, self.Qw, w, self.M)
+            lo, hi, kernel = _level(1, self.d_w, self.Qw, w, self.M)
         return _window_sum(self._nodes(lo, hi), kernel)
 
 

@@ -2,6 +2,7 @@ import cmath
 import math
 import warnings
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from qborel.errors import (
     DomainError,
     ResonanceError,
     SingularDirectionError,
+    UnsupportedError,
     ValidationError,
 )
 from qborel.operators import (
@@ -194,6 +196,16 @@ def test_laplace_refuses_a_tail_beyond_the_handle_reach():
     short._x_dom = 0.5
     with pytest.raises(DomainError, match="tail beyond the previous stage's reach"):
         cl.laplace_along_ray(short, 1, 0.0, SectorPoint.from_complex(0.1))
+
+
+def test_laplace_along_ray_takes_order_one_only():
+    # every ladder level is order 1 in its section variable
+    one = cl.FunctionHandle(lambda zeta: 1.0 + 0j, 0.0)
+    z = SectorPoint.from_complex(0.3)
+    for k in (2, Fraction(1, 2), 1.5):
+        with pytest.raises(UnsupportedError, match="order 1"):
+            cl.laplace_along_ray(one, k, 0.0, z)
+    assert cl.laplace_along_ray(one, Fraction(1), 0.0, z) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_laplace_positivity():
@@ -507,6 +519,16 @@ def test_truncate_overflow_drops_non_finite_entries_below_the_floor(bad):
 # stage tabulation (adaptive batched Gauss-Kronrod, validated, no fallback)
 
 
+def _replace_table(mp, build):
+    """Make build(handle) the cached sub-anchor table of LaplaceStageHandle
+    under the MonkeyPatch mp; return the builder it replaces."""
+    table = cached_property(build)
+    table.__set_name__(cl.LaplaceStageHandle, "_interp")
+    original = cl.LaplaceStageHandle._interp.func
+    mp.setattr(cl.LaplaceStageHandle, "_interp", table)
+    return original
+
+
 def _check_points(handle):
     """The three points at which a stage validates its tabulation."""
     lo, hi = handle._interp.a, handle._interp.b
@@ -521,12 +543,11 @@ def stokes_pair():
                            (Polynomial([1.0]), Polynomial([0.0, 1.0])),
                            None, PowerSeries([0.0, 1.0]))
     tabulated, direct = {}, {}
-    prepare, direct_fn = cl.LaplaceStageHandle.prepare, cl.LaplaceStageHandle._direct
+    direct_fn = cl.LaplaceStageHandle._direct
 
-    def counting_prepare(self, x_hi):
-        if self._interp is None:
-            tabulated[id(self)] = tabulated.get(id(self), 0) + 1
-        return prepare(self, x_hi)
+    def counting_table(self):
+        tabulated[id(self)] = tabulated.get(id(self), 0) + 1
+        return table_fn(self)
 
     def counting_direct(self, x):
         direct[id(self)] = direct.get(id(self), 0) + 1
@@ -534,7 +555,7 @@ def stokes_pair():
 
     offset = math.pi / 24.0
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cl.LaplaceStageHandle, "prepare", counting_prepare)
+        table_fn = _replace_table(mp, counting_table)
         mp.setattr(cl.LaplaceStageHandle, "_direct", counting_direct)
         plus = cl.multisum(None, euler, math.pi + offset, rtol=1e-10)
         minus = cl.multisum(None, euler, math.pi - offset, rtol=1e-10)
@@ -545,11 +566,10 @@ def test_batched_laplace_matches_adaptive_quadrature_near_stokes_ray(stokes_pair
     plus = stokes_pair[0]
     for sec in plus.sections:
         for h in sec.handles[1:]:
-            h.prepare(h._x0)
             xs = _check_points(h)
-            got = cl._batched_ray_laplace(h.prev, h.lam, h.direction, xs)
+            got = cl._batched_ray_laplace(h.prev, h.direction, xs)
             for x, g in zip(xs, got):
-                ref = cl.laplace_along_ray(h.prev, h.lam, h.direction,
+                ref = cl.laplace_along_ray(h.prev, 1, h.direction,
                                            SectorPoint.from_polar(x, h.direction))
                 assert abs(g - ref) < 1e-11 * abs(ref)
 
@@ -566,16 +586,14 @@ def test_tabulation_makes_only_its_three_check_quadratures(stokes_pair):
 @pytest.fixture(scope="module")
 def euler_tables(stokes_pair):
     """Every stage handle of the Euler sums at d = 0 (rtol 1e-11) and at
-    pi +/- pi/24 (rtol 1e-10), each with its table built."""
+    pi +/- pi/24 (rtol 1e-10); each builds its table on first use."""
     euler = LinearOperator("differential", "delta",
                            (Polynomial([1.0]), Polynomial([0.0, 1.0])),
                            None, PowerSeries([0.0, 1.0]))
     handles = []
     for S in (cl.multisum(None, euler, 0.0), *stokes_pair[:2]):
         for sec in S.sections:
-            for h in sec.handles[1:]:
-                h.prepare(h._x0)
-                handles.append(h)
+            handles.extend(sec.handles[1:])
     return handles
 
 
@@ -593,7 +611,7 @@ def test_stage_tables_match_direct_quadrature_across_their_span(euler_tables):
     for h in euler_tables:
         a, b = h._interp.a, h._interp.b
         for x in a * (b / a) ** ((np.arange(12) + 0.5) / 12):
-            ref = cl.laplace_along_ray(h.prev, h.lam, h.direction,
+            ref = cl.laplace_along_ray(h.prev, 1, h.direction,
                                        SectorPoint.from_polar(x, h.direction))
             assert abs(h._interp(x) - ref) <= 1e-10 * abs(ref)
 
@@ -612,11 +630,78 @@ def test_rough_stage_table_raises_at_the_chop_cap(euler_op):
             return (1.0 + self.noise * np.sin(1e12 * xs)) / (1.0 + xs)
 
     prev = Rough(lambda zeta: 1.0 / (1.0 + zeta), 0.0)
-    h = cl.LaplaceStageHandle(prev, sec.orders_w[0], 0.0, sec.stage_ops[1])
+    h = cl.LaplaceStageHandle(prev, 0.0, sec.stage_ops[1])
     prev.noise = 3e-11
-    with pytest.raises(ValidationError, match=r"lambda = 1\.0, direction = 0\.0\) "
-                                              r"does not chop at n = 512"):
-        h.prepare(h._x0)
+    with pytest.raises(ValidationError, match=r"\(direction = 0\.0\) does not chop "
+                                              r"at n = 512"):
+        h.eval_ray(0.5 * h._x0)
+
+
+def test_stage_without_asymptotic_seeds_refuses_a_read_below_its_table(euler_op):
+    # the table spans [1e-8 x0, x0]; below it, with no asymptotic range,
+    # a read raises where it once ran one scalar quadrature per point
+    sec = cl.summation_chain(euler_op).sections[0]
+    prev = cl.ContinuationHandle(sec.g1, sec.stage_ops[0], 0.0)
+    h = cl.LaplaceStageHandle(prev, 0.0, sec.stage_ops[1])
+    x = 1e-10 * h._x0
+    with pytest.raises(DomainError, match=r"arg=0\.0 read at x = .* below its table"):
+        h.eval_ray(x)
+    with pytest.raises(DomainError, match="below its table"):
+        h.eval_ray_many(np.array([0.5 * h._x0, x]))
+    # the table itself reads as before
+    assert h._interp.a == pytest.approx(1e-8 * h._x0)
+    assert h.eval_ray(1e-3 * h._x0) == h._interp(1e-3 * h._x0)
+
+
+_EPS = 1e-5
+
+
+@pytest.mark.parametrize("prev_fn, coefficients, rhs, seeds", [
+    # f(s) = s^2 e^-s, L f = 2x^2/(1 + x)^3: seeds 0, 0, 2, -6, 12, ...
+    # start with two zeros, so c0 + c1 x alone gives no cutoff
+    (lambda s: s * s * cmath.exp(-s), ([-2.0, 1.0], [1.0, 1.0]), None,
+     [0.0, 0.0] + [(-1) ** n * (n + 1) * (n + 2) for n in range(6)]),
+    # f(s) = 1/(1 + s/eps), L f = sum (-1)^n n! (x/eps)^n: the cutoff falls
+    # below 1e-8 x0, where the table once started
+    (lambda s: 1.0 / (1.0 + s / _EPS), ([1.0, 1.0 / _EPS], [0.0, 1.0 / _EPS]), [1.0],
+     [(-1) ** n * math.factorial(n) / _EPS**n for n in range(8)]),
+])
+def test_stage_reads_below_its_table_from_its_asymptotic_range(prev_fn, coefficients,
+                                                               rhs, seeds):
+    # the anchor moments and batched rules of a next stage read down to
+    # about 1e-12 of their span: the asymptotic range and the table must
+    # leave no gap between them
+    op = LinearOperator("differential", "delta",
+                        tuple(Polynomial(c) for c in coefficients), None,
+                        PowerSeries(rhs) if rhs else None)
+    prev = cl.FunctionHandle(prev_fn, 0.0)
+    h = cl.LaplaceStageHandle(prev, 0.0, op, asym_seeds=np.array(seeds, dtype=complex))
+    assert h._asym is not None
+    assert h._interp.a == 0.8 * h._x_asym
+    xs = h._x0 * np.geomspace(1e-13, 0.99, 40)
+    many = h.eval_ray_many(xs)
+    for x, v in zip(xs, many):
+        ref = cl.laplace_along_ray(prev, 1, 0.0, SectorPoint.from_complex(x))
+        assert abs(h.eval_ray(x) - ref) < 1e-10 * abs(ref)
+        assert abs(v - ref) < 1e-10 * abs(ref)
+
+
+def test_growth_is_fitted_once_per_handle(euler_op, monkeypatch):
+    # fit caches growth(): over many values and the stage tables, anchors and
+    # final levels that read it, each handle fits once
+    fits = {}
+    for cls in (cl.ContinuationHandle, cl.LaplaceStageHandle):
+        def counting(self, growth=cls.growth):
+            fits[self] = fits.get(self, 0) + 1
+            return growth(self)
+        monkeypatch.setattr(cls, "growth", counting)
+    S = cl.multisum(None, euler_op, 0.0)
+    for z in (0.1, 0.05, 0.3, 0.2 + 0.05j, 0.15 - 0.05j, 0.02):
+        S(SectorPoint.from_complex(z))
+    handles = [h for sec in S.sections for h in sec.handles]
+    assert len(handles) == 9
+    assert fits == {h: 1 for h in handles}
+    assert all(h.fit is h.fit for h in handles)
 
 
 def test_classical_stokes_constant_near_pi(stokes_pair):
@@ -637,7 +722,7 @@ def euler_ode_sum():
     samples = {}
     batched = cl._batched_ray_laplace
 
-    def recording_batched(handle, lam, d, xs):
+    def recording_batched(handle, d, xs):
         many = handle.eval_ray_many
 
         def recording(pts):
@@ -646,7 +731,7 @@ def euler_ode_sum():
 
         handle.eval_ray_many = recording
         try:
-            return batched(handle, lam, d, xs)
+            return batched(handle, d, xs)
         finally:
             del handle.eval_ray_many
 
@@ -771,7 +856,7 @@ def test_ode_rungs_do_not_depend_on_the_requests_that_built_them(euler_op):
     prev = continuation()
 
     def stage():
-        return cl.LaplaceStageHandle(prev, sec.orders_w[0], 0.0, sec.stage_ops[1],
+        return cl.LaplaceStageHandle(prev, 0.0, sec.stage_ops[1],
                                      asym_seeds=sec.stage_seeds[1])
 
     for make in (continuation, stage):
@@ -786,18 +871,17 @@ def test_ode_rungs_do_not_depend_on_the_requests_that_built_them(euler_op):
 
 
 def _count_tabulations(monkeypatch):
-    """Per stage table built by LaplaceStageHandle.prepare: its nodes and
+    """Per stage table built by LaplaceStageHandle._interp: its nodes and
     the previous-stage points its batched Laplace calls sample, keyed by the
     previous stage (each stage has its own)."""
     tables = {}
-    prepare, batched = cl.LaplaceStageHandle.prepare, cl._batched_ray_laplace
+    batched = cl._batched_ray_laplace
 
-    def counting_prepare(self, x_hi):
-        if self._interp is None:
-            tables.setdefault(self.prev, {"nodes": 0, "points": 0})
-        return prepare(self, x_hi)
+    def counting_table(self):
+        tables.setdefault(self.prev, {"nodes": 0, "points": 0})
+        return table_fn(self)
 
-    def counting_batched(handle, lam, d, xs):
+    def counting_batched(handle, d, xs):
         table = tables[handle]
         many = handle.eval_ray_many
 
@@ -807,12 +891,12 @@ def _count_tabulations(monkeypatch):
 
         handle.eval_ray_many = counted
         try:
-            return batched(handle, lam, d, xs)
+            return batched(handle, d, xs)
         finally:
             del handle.eval_ray_many
             table["nodes"] += len(xs)
 
-    monkeypatch.setattr(cl.LaplaceStageHandle, "prepare", counting_prepare)
+    table_fn = _replace_table(monkeypatch, counting_table)
     monkeypatch.setattr(cl, "_batched_ray_laplace", counting_batched)
     return tables
 
@@ -864,7 +948,7 @@ def test_moment_panel_budget_raises(monkeypatch):
     monkeypatch.setattr(cl, "_GK_MAX_PANELS", 14)
     one = cl.FunctionHandle(lambda zeta: 1.0 + 0j, 0.0)
     with pytest.raises(ValidationError, match="Laplace moments .* 14 panels"):
-        cl._moment_values(one, 1.0, 0.0, SectorPoint.from_polar(1.0, 1.5), 1)
+        cl._moment_values(one, 0.0, SectorPoint.from_polar(1.0, 1.5), 1)
 
 
 def test_scalar_quadrature_only_checks_the_tabulations(euler_op, monkeypatch):
@@ -907,7 +991,7 @@ def test_batched_moments_of_one(log_modulus, arg):
     # (kappa_4 = 3e8 at |arg A| = pi/2 - 0.02); measured worst 7e-15 kappa_t
     A = cmath.rect(math.exp(log_modulus), arg)
     one = cl.FunctionHandle(lambda zeta: 1.0 + 0j, 0.0)
-    N = cl._moment_values(one, 1.0, 0.0, SectorPoint.from_complex(1.0 / A), 5)
+    N = cl._moment_values(one, 0.0, SectorPoint.from_complex(1.0 / A), 5)
     for t in range(5):
         ref = math.factorial(t) / A**t
         kappa = (abs(A) / A.real) ** (t + 1)

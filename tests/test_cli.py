@@ -30,6 +30,17 @@ QEULER = {"kind": "q_difference", "basis": "delta_q", "q": 1.05,
 ZERO_SERIES = {"kind": "differential", "basis": "delta",
                "coefficients": [[[-1.0, 0.0]], [[1.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]}
 
+# z sigma_q^2 y + sigma_q y - y = 0: the rz-Borel operator of its theta
+# chain has the zero polynomial as its coefficient b_0
+SIGMA_ZERO_COEFFICIENT = {"kind": "q_difference", "basis": "sigma_q", "q": 1.05,
+                          "coefficients": [[[-1.0, 0.0]], [[1.0, 0.0]],
+                                           [[0.0, 0.0], [1.0, 0.0]]]}
+
+# (1 - z) delta y + y = z: a convergent series, summed without sections
+CONVERGENT = {"kind": "differential", "basis": "delta",
+              "coefficients": [[[1.0, 0.0]], [[1.0, 0.0], [-1.0, 0.0]]],
+              "rhs": [[0.0, 0.0], [1.0, 0.0]]}
+
 SIGMA_MINUS_TWO = {"kind": "q_difference", "basis": "sigma_q", "q": 2.0,
                    "coefficients": [[[-2.0, 0.0]], [[1.0, 0.0]]]}
 
@@ -39,7 +50,8 @@ def opfiles(tmp_path):
     paths = {}
     for name, doc in (("euler", EULER), ("ex41", EXAMPLE41),
                       ("qeuler", QEULER), ("sigma2", SIGMA_MINUS_TWO),
-                      ("zero", ZERO_SERIES)):
+                      ("zero", ZERO_SERIES), ("sigma_zero", SIGMA_ZERO_COEFFICIENT),
+                      ("convergent", CONVERGENT)):
         p = tmp_path / f"{name}.json"
         p.write_text(json.dumps(doc))
         paths[name] = str(p)
@@ -112,6 +124,26 @@ def test_sum_of_the_zero_series_operator_is_an_argument_error(opfiles, capsys):
     assert "Traceback" not in err
 
 
+def test_sum_of_a_convergent_operator_reports_its_residual_and_no_growth(opfiles, tmp_path):
+    # the convergent sum has no sections and fits no growth: its rows carry
+    # the computed residual and empty growth cells
+    out = tmp_path / "sum.csv"
+    zs = [0.1, 0.3 + 0.1j]
+    rc = main(["sum", "--op", opfiles["convergent"], "--direction", "0",
+               "--out", str(out)] + [f"--z={z.real},{z.imag}" for z in zs])
+    assert rc == 0
+    rows = [line.split(",") for line in out.read_text().splitlines()
+            if line.endswith(",ok")]
+    assert len(rows) == 2
+    op = qborel.parse_operator(json.dumps(CONVERGENT))
+    S = qborel.multisum(None, op, 0.0)
+    for z, row in zip(zs, rows):
+        expected = S.residual(op, qborel.SectorPoint.from_complex(z))
+        assert float(row[5]) == expected
+        assert 0.0 < expected <= 1e-10
+        assert row[6:8] == ["", ""]
+
+
 def test_qsum_and_pole_row(opfiles, capsys):
     q = 1.05
     # point on the recorded level-k_r pole spiral: |z| = (q^3-1)^(1/3),
@@ -153,6 +185,21 @@ def test_qsum_theta_rows_report_the_computed_residual(opfiles, tmp_path):
         expected = S.residual(op, qborel.SectorPoint.from_complex(z))
         assert float(row[5]) == expected
         assert 0.0 < expected <= 1e-12
+
+
+def test_qsum_theta_with_a_zero_borel_coefficient(opfiles, capsys):
+    # the theta chain's continuation gives a zero coefficient a zero row;
+    # the value agrees with the discrete sum
+    rows = {}
+    for mode in ("theta", "discrete"):
+        rc = main(["qsum", "--op", opfiles["sigma_zero"], "--direction", "0",
+                   "--mode", mode, "--z", "0.1,0"])
+        assert rc == 0
+        rows[mode] = capsys.readouterr().out.splitlines()[-1].split(",")
+        assert rows[mode][-1] == "ok"
+    theta, discrete = (float(rows[m][3]) for m in ("theta", "discrete"))
+    assert theta == pytest.approx(discrete, rel=1e-13)
+    assert theta == pytest.approx(0.154426587178559, rel=1e-13)
 
 
 def test_confluence_table_and_determinism(opfiles, tmp_path):

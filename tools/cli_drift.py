@@ -36,6 +36,14 @@ OPERATORS = {
     "resonant": {"kind": "differential", "basis": "delta",
                  "coefficients": [[[-2.0, 0.0]], [[1.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]],
                  "rhs": [[0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]},
+    # z sigma_q^2 y + sigma_q y - y = 0: the rz-Borel operator of its
+    # theta chain has the zero polynomial as its coefficient b_0
+    "sigma_zero": {"kind": "q_difference", "basis": "sigma_q", "q": 1.05,
+                   "coefficients": [[[-1.0, 0.0]], [[1.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]},
+    # (1 - z) delta y + y = z: a convergent series, summed without sections
+    "convergent": {"kind": "differential", "basis": "delta",
+                   "coefficients": [[[1.0, 0.0]], [[1.0, 0.0], [-1.0, 0.0]]],
+                   "rhs": [[0.0, 0.0], [1.0, 0.0]]},
 }
 
 MODES = ("discrete", "continuous", "theta")
@@ -83,6 +91,11 @@ def commands(ops: dict[str, str]) -> list[tuple[str, list[str]]]:
     out.append(("validate", ["validate", "--op", ops["qeuler"], "--q-grid", "1.5,1.2,1.1"]))
     out.append(("sum-resonant", ["sum", "--op", ops["resonant"], "--direction", "0",
                                  "--z", "0.1,0"]))
+    out.append(("qsum-theta-sigma-zero-coefficient",
+                ["qsum", "--op", ops["sigma_zero"], "--direction", "0", "--mode", "theta",
+                 "--z", "0.1,0"]))
+    out.append(("sum-convergent", ["sum", "--op", ops["convergent"], "--direction", "0",
+                                   "--z", "0.1,0", "--z", "0.3,0.1"]))
     return out
 
 
