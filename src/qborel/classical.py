@@ -20,7 +20,6 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from ._quad import complex_quad
 from .errors import (
     ArgumentError,
     BracketingError,
@@ -562,10 +561,14 @@ def _laplace_truncation(handle: RayHandle, d: float, w: SectorPoint,
 
 
 def laplace_along_ray(handle: RayHandle, k, d: float, z) -> complex:
-    """Laplace transform of the continued function, evaluated at z, by
-    scalar adaptive quadrature (QUADPACK): the reference that the batched
-    rule of the stage tables is checked against.  Every ladder level is
-    order 1 in its section variable, so k = 1 is the only order taken.
+    """Laplace transform of the continued function, evaluated at z, by the
+    reference rule that checks the stage tables (``_reference_laplace``):
+    adaptive G7/K15 Gauss-Kronrod panels in linear s on [0, S], S the
+    truncation point, to max(1e-14 peak S, _quad_epsrel |value|).  It
+    shares no rule with the batched G10/K21-in-log-s tabulation, and raises
+    ValidationError past 256 panels or at a non-finite sample.  Every ladder
+    level is order 1 in its section variable, so k = 1 is the only order
+    taken.
 
     Requires arg z within pi/2 of d and |z| below 1/L for the handle's
     fitted growth constants (J, L).
@@ -577,9 +580,91 @@ def laplace_along_ray(handle: RayHandle, k, d: float, z) -> complex:
         raise DomainError(
             f"arg z = {w.argument:.6f} outside (d - pi/2, d + pi/2) for d = {d:.6f}"
         )
-    A, S, fn, scale = _laplace_truncation(handle, d, w, 0)
-    return A * complex_quad(fn, 0.0, S, epsabs=1e-14 * scale * S,
-                            epsrel=handle._quad_epsrel)
+    return complex(_reference_laplace(handle, d, [w])[0])
+
+
+# Gauss-Kronrod G7/K15 pair (QUADPACK qk15; Piessens et al., 1983) of the
+# reference rule: the nonnegative Kronrod abscissae, largest first; the
+# odd-indexed ones are the Gauss abscissae.  The rule is mirrored about 0.
+_GK15_X = (
+    0.991455371120812639206854697526329, 0.949107912342758524526189684047851,
+    0.864864423359769072789712788640926, 0.741531185599394439863864773280788,
+    0.586087235467691130294144845693013, 0.405845151377397166906606412076961,
+    0.207784955007898467600689403773245, 0.0,
+)
+_GK15_WK = (
+    0.022935322010529224963732008058970, 0.063092092629978553290700663189204,
+    0.104790010322250183839876322541518, 0.140653259715525918745189590510238,
+    0.169004726639267902826583426598550, 0.190350578064785409913256402421014,
+    0.204432940075298892414161999234649, 0.209482141084727828012999174891714,
+)
+_GK15_WG = (
+    0.129484966168869693270611432679082, 0.279705391489276667901467771423780,
+    0.381830050505118944950369775488975, 0.417959183673469387755102040816327,
+)
+_REF_X = np.concatenate([_GK15_X, np.negative(_GK15_X[-2::-1])])
+_REF_WK = np.concatenate([_GK15_WK, _GK15_WK[-2::-1]])
+_REF_WG = np.zeros(15)
+_REF_WG[1::2] = np.concatenate([_GK15_WG, _GK15_WG[-2::-1]])
+_REF_PANELS = 8          # starting panels in u = s/S_i
+_REF_MAX_PANELS = 256    # 32 times the starting panels
+
+
+def _reference_laplace(handle: RayHandle, d: float, ws: Sequence[SectorPoint]) -> np.ndarray:
+    """L(handle)(w_i) = A_i int_0^{S_i} f(s e^{id}) exp(-s A_i) ds for every
+    sector point w_i at once, A_i and S_i from _laplace_truncation.
+
+    The integrals run in linear s, on panels of u = s/S_i in [0, 1] that all
+    points share, with the G7/K15 pair: each round samples every new node
+    of every point by one eval_ray_many, and bisects every panel on which
+    some point's |K - G| exceeds its share (1/panels) of that point's target
+    max(1e-14 peak_i S_i, _quad_epsrel |I_i|), peak_i being the truncation's
+    peak modulus.  Past _REF_MAX_PANELS panels, or at a non-finite integrand
+    value or sum, it raises ValidationError.
+    """
+    A, S, _, peak = zip(*(_laplace_truncation(handle, d, w, 0) for w in ws))
+    A, S = np.array(A)[:, None, None], np.array(S)
+    floor = 1e-14 * np.array(peak) * S
+    epsrel = handle._quad_epsrel
+
+    def panels(lo: np.ndarray, hi: np.ndarray):
+        """Kronrod sums and Kronrod-Gauss differences (points x panels)."""
+        half = 0.5 * (hi - lo)
+        s = S[:, None, None] * ((0.5 * (lo + hi))[:, None] + half[:, None] * _REF_X)
+        fv = handle.eval_ray_many(s.ravel()).reshape(s.shape) * np.exp(-s * A)
+        fv *= S[:, None, None] * half[:, None]
+        K = fv @ _REF_WK
+        return K, np.abs(K - fv @ _REF_WG)
+
+    edges = np.linspace(0.0, 1.0, _REF_PANELS + 1)
+    lo, hi = edges[:-1], edges[1:]
+    K, err = panels(lo, hi)
+    while True:
+        I = K.sum(axis=1)
+        if not np.all(np.isfinite(I)):     # a non-finite sample lands here too
+            raise ValidationError(
+                f"reference Laplace quadrature (direction = {d}) sampled a "
+                f"non-finite integrand value or sum"
+            )
+        tol = (np.maximum(floor, epsrel * np.abs(I)) / len(lo))[:, None]
+        bad = np.any(err > tol, axis=0)
+        if not np.any(bad):
+            return A[:, 0, 0] * I
+        if len(lo) + int(np.count_nonzero(bad)) > _REF_MAX_PANELS:
+            raise ValidationError(
+                f"reference Laplace quadrature (direction = {d}) did not reach "
+                f"its error target within {_REF_MAX_PANELS} panels (largest "
+                f"panel error {float(np.max(err / tol)):.2e} times its share)"
+            )
+        mid = 0.5 * (lo[bad] + hi[bad])
+        new_lo = np.concatenate([lo[bad], mid])
+        new_hi = np.concatenate([mid, hi[bad]])
+        K_new, err_new = panels(new_lo, new_hi)
+        keep = ~bad
+        lo = np.concatenate([lo[keep], new_lo])
+        hi = np.concatenate([hi[keep], new_hi])
+        K = np.concatenate([K[:, keep], K_new], axis=1)
+        err = np.concatenate([err[:, keep], err_new], axis=1)
 
 
 def _moment_values(handle, d, w, count) -> np.ndarray:
@@ -861,14 +946,15 @@ class LaplaceStageHandle(_OdeRayHandle):
                     f"stage ray arg={d} hits a singularity at {rho}"
                 )
 
-    def _direct(self, x: float) -> complex:
-        return laplace_along_ray(self.prev, 1, self.direction,
-                                 SectorPoint.from_polar(x, self.direction))
+    def _direct(self, xs: np.ndarray) -> np.ndarray:
+        """L(prev) at the on-ray points xs by the reference rule."""
+        return _reference_laplace(self.prev, self.direction,
+                                  [SectorPoint.from_polar(x, self.direction) for x in xs])
 
     @cached_property
     def _interp(self) -> _ChebLogInterpolant:
         """The sub-anchor table, built on the first read that needs it over
-        its full span and checked against direct quadrature.  Threads that
+        its full span and checked against the reference rule.  Threads that
         build it at once build the same table."""
         hi = self._x0
         lo = 0.8 * self._x_asym if self._asym is not None else 1e-8 * hi
@@ -894,15 +980,15 @@ class LaplaceStageHandle(_OdeRayHandle):
             merged[1::2] = _batched_ray_laplace(self.prev, self.direction, odd)
             values, n = merged, 2 * n
         interp = _ChebLogInterpolant(lo, hi, values)
-        # check the batched tabulation against adaptive quadrature
-        for frac in (0.23, 0.52, 0.81):
-            x = lo * (hi / lo) ** frac
-            ref = self._direct(x)
-            rel = abs(interp(x) - ref) / max(abs(ref), 1e-300)
-            if rel > 1e-8:
+        # check the batched tabulation against the reference rule; a
+        # non-finite reference fails the check
+        xs = lo * (hi / lo) ** np.array([0.23, 0.52, 0.81])
+        for x, got, ref in zip(xs, interp.eval_many(xs), self._direct(xs)):
+            rel = abs(got - ref) / max(abs(ref), 1e-300)
+            if not rel <= 1e-8:
                 raise ValidationError(
                     f"stage tabulation (direction = {self.direction}) disagrees "
-                    f"with direct quadrature at x = {x:.6g}: relative error "
+                    f"with its reference quadrature at x = {x:.6g}: relative error "
                     f"{rel:.2e} > 1e-8"
                 )
         return interp

@@ -1,13 +1,12 @@
 import cmath
 import math
-import warnings
 from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.integrate import IntegrationWarning, quad
+from scipy.integrate import quad
 
 from qborel import classical as cl
 from qborel.errors import (
@@ -216,34 +215,51 @@ def test_laplace_positivity():
     assert abs(val.imag) < 1e-12 * abs(val)
 
 
-def test_laplace_along_ray_samples_each_node_once(euler_op, monkeypatch):
-    # QUADPACK's real and imaginary passes share their nodes: complex_quad
-    # runs the integrand once per distinct node, and its value equals the
-    # plain two-pass quad bit for bit
-    nodes, plain_nodes = [], []
-    quad_fn = cl.complex_quad
-
-    def recording(fn, a, b, **kwargs):
-        def counted(s):
-            nodes.append(s)
-            return fn(s)
-
-        def plain(s):
-            plain_nodes.append(s)
-            return fn(s)
-
-        got = quad_fn(counted, a, b, **kwargs)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", IntegrationWarning)
-            ref, _ = quad(plain, a, b, limit=200, complex_func=True, **kwargs)
-        assert got == ref
-        return got
-
-    monkeypatch.setattr(cl, "complex_quad", recording)
+def test_laplace_along_ray_samples_each_node_once(euler_op):
+    # one reference rule per value: after the truncation's 12-point peak
+    # scan, each round samples its new G7/K15 panels by one eval_ray_many,
+    # and no node is sampled twice; the value matches scipy's QUADPACK
     h = _euler_borel_handle(euler_op, 0.3)
-    cl.laplace_along_ray(h, 1, 0.3, SectorPoint.from_polar(0.1, 0.4))
-    assert len(nodes) == len(set(nodes)) == len(set(plain_nodes)) > 0
-    assert len(plain_nodes) > len(nodes)
+    calls, many = [], h.eval_ray_many
+
+    def recording(xs):
+        calls.append(np.array(xs, dtype=float))
+        return many(xs)
+
+    h.eval_ray_many = recording
+    z = SectorPoint.from_polar(0.1, 0.4)
+    got = cl.laplace_along_ray(h, 1, 0.3, z)
+    assert len(calls[0]) == 12
+    rounds = calls[1:]
+    assert len(rounds) > 1 and all(len(r) % 15 == 0 for r in rounds)
+    nodes = np.concatenate(rounds)
+    assert len(np.unique(nodes)) == len(nodes)
+    A, S, fn, _ = cl._laplace_truncation(h, 0.3, z, 0)
+    del h.eval_ray_many
+    ref, _ = quad(fn, 0.0, S, epsabs=0.0, epsrel=1e-13, limit=200, complex_func=True)
+    assert abs(got - A * ref) <= 1e-12 * abs(A * ref)
+
+
+def test_laplace_along_ray_raises_on_a_non_finite_sample():
+    # the NaN lies between the truncation's peak-scan nodes (S = 4.2, nodes
+    # every 0.35) and inside the first G7/K15 panel [0, 0.525]
+    hole = cl.FunctionHandle(
+        lambda zeta: complex(math.nan) if 0.41 < zeta.real < 0.47 else 1.0 + 0j, 0.0)
+    with pytest.raises(ValidationError, match="non-finite integrand value"):
+        cl.laplace_along_ray(hole, 1, 0.0, SectorPoint.from_complex(0.1))
+
+
+def test_laplace_along_ray_panel_budget_raises(monkeypatch):
+    # 1/(1 + zeta) on the ray pi + 0.02 passes 0.02 from its pole: the rule
+    # bisects its 8 starting panels, and with no room to do so it raises
+    d = math.pi + 0.02
+    near_pole = cl.FunctionHandle(lambda zeta: 1.0 / (1.0 + zeta), d)
+    z = SectorPoint.from_polar(0.5, d)
+    value = cl.laplace_along_ray(near_pole, 1, d, z)
+    monkeypatch.setattr(cl, "_REF_MAX_PANELS", 8)
+    with pytest.raises(ValidationError, match="reference Laplace quadrature .* within 8 panels"):
+        cl.laplace_along_ray(near_pole, 1, d, z)
+    assert np.isfinite(value)
 
 
 # ---------------------------------------------------------------------------
@@ -538,7 +554,7 @@ def _check_points(handle):
 @pytest.fixture(scope="module")
 def stokes_pair():
     """Euler sums on the rays pi +/- pi/24 (rtol 1e-10), built while counting
-    each stage handle's tabulations and direct quadratures."""
+    each stage handle's tabulations and the points of its reference checks."""
     euler = LinearOperator("differential", "delta",
                            (Polynomial([1.0]), Polynomial([0.0, 1.0])),
                            None, PowerSeries([0.0, 1.0]))
@@ -549,9 +565,9 @@ def stokes_pair():
         tabulated[id(self)] = tabulated.get(id(self), 0) + 1
         return table_fn(self)
 
-    def counting_direct(self, x):
-        direct[id(self)] = direct.get(id(self), 0) + 1
-        return direct_fn(self, x)
+    def counting_direct(self, xs):
+        direct.setdefault(id(self), []).append(len(xs))
+        return direct_fn(self, xs)
 
     offset = math.pi / 24.0
     with pytest.MonkeyPatch.context() as mp:
@@ -575,12 +591,13 @@ def test_batched_laplace_matches_adaptive_quadrature_near_stokes_ray(stokes_pair
 
 
 def test_tabulation_makes_only_its_three_check_quadratures(stokes_pair):
+    # one reference check per table, covering its three points at once
     _, _, tabulated, direct = stokes_pair
     assert len(tabulated) == 6
     assert set(direct) == set(tabulated)
     for key, n_tab in tabulated.items():
         assert n_tab == 1
-        assert direct[key] == 3
+        assert direct[key] == [3]
 
 
 @pytest.fixture(scope="module")
@@ -923,7 +940,7 @@ def test_stage_ode_anchor_matches_direct_for_order_two():
     for sec in S.sections:
         for h in sec.handles[1:]:
             x = h._x0 * (1.0 + 5e-5)
-            ref = h._direct(x)
+            (ref,) = h._direct([x])
             assert abs(h.eval_ray(x) - ref) < 1e-10 * abs(ref)
 
 
@@ -933,6 +950,75 @@ def test_tabulation_check_failure_raises(euler_op, monkeypatch):
                         lambda *args: batched(*args) * (1.0 + 1e-6))
     with pytest.raises(ValidationError, match="relative error"):
         cl.multisum(None, euler_op, 0.0)
+
+
+def test_tabulation_check_fails_on_a_non_finite_reference(euler_op, monkeypatch):
+    # a NaN reference makes the relative error NaN, which fails the check
+    monkeypatch.setattr(cl.LaplaceStageHandle, "_direct",
+                        lambda self, xs: np.full(np.shape(xs), complex(np.nan)))
+    with pytest.raises(ValidationError, match="relative error nan"):
+        cl.multisum(None, euler_op, 0.0)
+
+
+def _mutate_batched(change):
+    """The tabulation's batched values pass through change(values, xs)."""
+    def mutate(mp):
+        batched = cl._batched_ray_laplace
+        mp.setattr(cl, "_batched_ray_laplace",
+                   lambda handle, d, xs: change(batched(handle, d, xs), np.asarray(xs)))
+    return mutate
+
+
+def _shifted_nodes(mp):
+    """Each table value is tabulated at x (1 + 1e-6) and stored for x."""
+    batched = cl._batched_ray_laplace
+    mp.setattr(cl, "_batched_ray_laplace",
+               lambda handle, d, xs: batched(handle, d, np.asarray(xs) * (1.0 + 1e-6)))
+
+
+def _stretched_interpolant(mp):
+    """The interpolant reads its values as if they sat on the nodes of
+    [a, b (1 + 1e-6)]."""
+    init = cl._ChebLogInterpolant.__init__
+    mp.setattr(cl._ChebLogInterpolant, "__init__",
+               lambda self, a, b, values: init(self, a, b * (1.0 + 1e-6), values))
+
+
+def _noisy_previous_stage(mp):
+    """The batched rule reads the previous stage with relative noise 1e-6."""
+    batched = cl._batched_ray_laplace
+
+    def noisy(handle, d, xs):
+        many = handle.eval_ray_many
+        handle.eval_ray_many = lambda pts: many(pts) * (1.0 + 1e-6 * np.sin(1e9 * pts))
+        try:
+            return batched(handle, d, xs)
+        finally:
+            del handle.eval_ray_many
+
+    mp.setattr(cl, "_batched_ray_laplace", noisy)
+
+
+_CHECK = r"disagrees with .* quadrature at x = .*: relative error"
+_CHOP = r"does not chop at n = 512"
+_BUDGET = r"batched Laplace tabulation .* within 448 panels"
+
+
+@pytest.mark.parametrize("mutate, d, guard", [
+    (_shifted_nodes, 0.0, _CHECK),
+    (_stretched_interpolant, 0.0, _CHECK),
+    (_mutate_batched(lambda v, xs: v.conj()), math.pi + math.pi / 24, _CHECK),
+    (_mutate_batched(lambda v, xs: v * (1.0 + 1e-10 * np.sin(1e12 * xs))), 0.0, _CHOP),
+    (_noisy_previous_stage, 0.0, _BUDGET),
+], ids=["shifted-nodes", "stretched-interpolant", "conjugated-values", "noisy-values",
+        "noisy-previous-stage"])
+def test_tabulation_mutations_raise_at_their_guard(euler_op, monkeypatch, mutate, d, guard):
+    # a table is built by the batched rule (panel budget), chopped, then
+    # checked at three points, so a row caught by the check (the first
+    # three: each leaves a smooth, chopping table) passed the other guards
+    mutate(monkeypatch)
+    with pytest.raises(ValidationError, match=guard):
+        cl.multisum(None, euler_op, d)
 
 
 def test_tabulation_panel_budget_raises(euler_op, monkeypatch):
@@ -951,34 +1037,32 @@ def test_moment_panel_budget_raises(monkeypatch):
         cl._moment_values(one, 0.0, SectorPoint.from_polar(1.0, 1.5), 1)
 
 
-def test_scalar_quadrature_only_checks_the_tabulations(euler_op, monkeypatch):
-    # anchor moments and final-level values run the batched rule; QUADPACK
-    # serves only the three check points of each stage tabulation
-    counts = {"quad": 0, "outside_direct": 0}
-    depth = [0]
-    quad_fn, direct_fn = cl.complex_quad, cl.LaplaceStageHandle._direct
+def test_reference_quadrature_only_checks_the_tabulations(euler_op, monkeypatch):
+    # anchor moments and final-level values run the batched rule; the
+    # reference rule runs once per stage tabulation, on its three check
+    # points, and from nowhere but the check
+    calls, depth = [], [0]
+    reference_fn, direct_fn = cl._reference_laplace, cl.LaplaceStageHandle._direct
 
-    def counting_quad(*args, **kwargs):
-        counts["quad"] += 1
-        counts["outside_direct"] += depth[0] == 0
-        return quad_fn(*args, **kwargs)
+    def counting_reference(handle, d, ws):
+        calls.append((len(ws), depth[0]))      # points, open _direct calls
+        return reference_fn(handle, d, ws)
 
-    def direct(self, x):
+    def direct(self, xs):
         depth[0] += 1
         try:
-            return direct_fn(self, x)
+            return direct_fn(self, xs)
         finally:
             depth[0] -= 1
 
     tables = _count_tabulations(monkeypatch)
-    monkeypatch.setattr(cl, "complex_quad", counting_quad)
+    monkeypatch.setattr(cl, "_reference_laplace", counting_reference)
     monkeypatch.setattr(cl.LaplaceStageHandle, "_direct", direct)
     S = cl.multisum(None, euler_op, 0.0)
     for z in (0.1, 0.05, 0.3, 0.2 + 0.05j, 0.15 - 0.05j):
         S(SectorPoint.from_complex(z))
     assert len(tables) == 6
-    assert counts["quad"] == 3 * len(tables)
-    assert counts["outside_direct"] == 0
+    assert calls == [(3, 1)] * len(tables)
 
 
 @settings(max_examples=40, deadline=None)

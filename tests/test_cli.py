@@ -58,17 +58,39 @@ def opfiles(tmp_path):
     return paths
 
 
-def test_import_leaves_scipy_integrate_and_fft_unloaded():
-    # quad, scipy.fft and scipy.special are imported by the functions that
-    # use them, so a fresh `import qborel.cli` loads none of these packages
+def _run_fresh(code: str) -> str:
+    """Standard output of `python -c code` in a fresh process on this tree."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(qborel.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    code = ("import sys, qborel.cli; print([m for m in ('scipy.integrate', "
-            "'scipy.fft', 'scipy.special') if m in sys.modules])")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=120)
-    assert out.stdout.strip() == "[]"
+    return out.stdout.strip()
+
+
+def test_import_leaves_scipy_integrate_and_fft_unloaded():
+    # scipy.fft and scipy.special are imported by the functions that use
+    # them, so a fresh `import qborel.cli` loads none of these packages
+    code = ("import sys, qborel.cli; print([m for m in ('scipy.integrate', "
+            "'scipy.fft', 'scipy.special') if m in sys.modules])")
+    assert _run_fresh(code) == "[]"
+
+
+def test_stokes_jump_leaves_scipy_integrate_unloaded():
+    # no module of the package imports scipy.integrate: building and
+    # evaluating the Euler Stokes jump at pi, stage-table checks included,
+    # leaves it unloaded
+    code = ("import math, sys\n"
+            "from qborel import classical as cl\n"
+            "from qborel.operators import LinearOperator\n"
+            "from qborel.series import Polynomial, PowerSeries, SectorPoint\n"
+            "op = LinearOperator('differential', 'delta', (Polynomial([1.0]), "
+            "Polynomial([0.0, 1.0])), None, PowerSeries([0.0, 1.0]))\n"
+            "(J,) = cl.stokes_jump(None, op, math.pi, [SectorPoint.from_polar(0.2, math.pi)])\n"
+            "print(abs(abs(J) - 2 * math.pi * math.exp(-5.0)) < 1e-9, "
+            "'scipy.integrate' in sys.modules)")
+    # |J| = 2 pi e^(1/z) at z = -0.2
+    assert _run_fresh(code) == "True False"
 
 
 def test_ladder_example41(opfiles, tmp_path, capsys):

@@ -1,11 +1,12 @@
-"""Checks against 30-digit mpmath values, closed forms and scipy's DOP853,
-which share no code with qborel."""
+"""Checks against 30-digit mpmath values, closed forms and scipy's DOP853
+and QUADPACK, which share no code with qborel."""
 
+import cmath
 import math
 
 import numpy as np
 import pytest
-from scipy.integrate import solve_ivp
+from scipy.integrate import quad, solve_ivp
 
 from qborel import classical as cl
 from qborel import qsummation as qs
@@ -133,6 +134,66 @@ def test_every_continued_handle_matches_a_dop853_reference(op, d, zs, rtol):
         xs = np.geomspace(h._x0, x_end, 200)
         ref = _dop853_continuation(h, x_end)(xs)
         assert np.max(np.abs(h.eval_ray_many(xs) - ref) / np.abs(ref)) < 1e-12
+
+
+_RAYS = [0.0, 0.4, math.pi + math.pi / 24, math.pi - math.pi / 24,
+         math.pi + 0.02, math.pi - 0.02]
+
+
+@pytest.mark.parametrize("d", _RAYS)
+def test_laplace_along_ray_near_a_pole_matches_mpmath_and_quadpack(d):
+    # f = 1/(1 + zeta): on d = pi +/- 0.02 the ray passes 0.02 from the pole
+    # at zeta = -1; L f(w) = A int_0^inf e^(-s A)/(1 + s e^(id)) ds, A = e^(id)/w
+    h = cl.FunctionHandle(lambda zeta: 1.0 / (1.0 + zeta), d)
+    e = cmath.exp(1j * d)
+    for r, off in ((0.1, 0.0), (0.5, 0.6), (2.0, -1.2)):
+        got = cl.laplace_along_ray(h, 1, d, SectorPoint.from_polar(r, d + off))
+        with mp.workdps(30):
+            A = mp.exp(mp.mpc(0, -off)) / r
+            E = mp.exp(mp.mpc(0, d))
+            ref = A * mp.quad(lambda s: mp.exp(-s * A) / (1 + s * E),
+                              [0, 0.5, 1, 1.5, 4, mp.inf])
+        assert _rel(got, ref) <= 1e-12
+        a = complex(A)
+        val, _ = quad(lambda s: cmath.exp(-s * a) / (1.0 + s * e), 0.0, 50.0 / a.real + 2.0,
+                      points=[max(-math.cos(d), 0.5)], epsabs=1e-13 * abs(got / a),
+                      epsrel=1e-12, limit=400, complex_func=True)
+        assert abs(got - a * val) <= 1e-12 * abs(got)
+
+
+@pytest.mark.parametrize("op, d, rtol", [
+    (EULER, 0.0, 1e-11),
+    (EULER, math.pi + math.pi / 24, 1e-10),
+    (EULER, math.pi - math.pi / 24, 1e-10),
+    (EULER, math.pi + 0.02, 1e-10),
+    (TWO_F_ZERO, 0.0, 1e-11),
+    (TWO_F_ZERO, 0.4, 1e-11),
+], ids=["euler-0", "euler-pi+", "euler-pi-", "euler-pi+0.02", "2F0-0", "2F0-0.4"])
+def test_stage_table_checks_match_mpmath_and_quadpack(op, d, rtol):
+    # the reference values of each stage's table check, L(prev)(x) =
+    # (1/x) int_0^S prev(s) e^(-s/x) ds on the ray, against mpmath's
+    # tanh-sinh at 30 digits and QUADPACK over the same [0, S].  On the
+    # Euler ray pi + 0.02 the ray of a first stage passes 7e-4 from the
+    # singular point -1/27 of its Borel operator, so tanh-sinh splits
+    # [0, S] where the ray comes nearest to each such point
+    S = cl.summation_chain(op).sum(d, rtol=rtol)
+    handles = [h for sec in S.sections for h in sec.handles[1:]]
+    assert len(handles) == 6
+    for h in handles:
+        lo, hi = h._interp.a, h._interp.b
+        xs = lo * (hi / lo) ** np.array([0.23, 0.52, 0.81])
+        nearest = [(rho * cmath.exp(-1j * d)).real for rho in h.prev._lead_roots]
+        for x, got in zip(xs, h._direct(xs)):
+            _, upper, fn, _ = cl._laplace_truncation(h.prev, d, SectorPoint.from_polar(x, d), 0)
+            cuts = sorted(p for p in (*nearest, 0.5, 1.0, 1.5) if 0.0 < p < upper)
+            with mp.workdps(30):
+                ref, err = mp.quad(lambda s: complex(h.prev.eval_ray(float(s))) * mp.exp(-s / x),
+                                   [0, *cuts, upper], maxdegree=8, error=True)
+            assert err <= 1e-14 * abs(ref)
+            assert _rel(got, ref / x) <= 1e-12
+            val, _ = quad(fn, 0.0, upper, points=cuts or None, epsabs=0.0, epsrel=1e-12,
+                          limit=200, complex_func=True)
+            assert abs(got - val / x) <= 1e-12 * abs(got)
 
 
 def _jackson_q_laplace(g, q: float, z: float) -> float:
