@@ -15,7 +15,6 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -25,6 +24,7 @@ from .errors import (
     BracketingError,
     DomainError,
     GrowthError,
+    RangeError,
     SingularDirectionError,
     UnsupportedError,
     ValidationError,
@@ -175,20 +175,12 @@ def formal_borel(s: PowerSeries, k) -> PowerSeries:
 
 
 class RayHandle:
-    """Protocol: values of an analytic function along the ray arg = d.
-    Subclasses define eval_ray(x) and growth(), the constants (J, L) of an
-    order-1 bound |f| <= J exp(L x); a Laplace stage also sets the reach
-    _x_dom of its own Laplace domain."""
+    """Protocol: values of an analytic function along the ray arg = d, one
+    at a time (eval_ray(x)) or at an array of ray coordinates
+    (eval_ray_many(xs))."""
 
     direction: float
-    _x_dom = math.inf
     _quad_epsrel = 1e-11     # relative target of a quadrature of the handle
-
-    @cached_property
-    def fit(self) -> tuple[float, float]:
-        """growth(), fitted once.  Each fit runs over a fixed range of the
-        ray, so threads that fit at once find the same (J, L)."""
-        return self.growth()
 
     def eval_ray_many(self, xs) -> np.ndarray:
         return np.array([self.eval_ray(float(x)) for x in xs], dtype=complex)
@@ -197,17 +189,12 @@ class RayHandle:
 class FunctionHandle(RayHandle):
     """Wrap an explicit function of the ray coordinate (tests, polynomials)."""
 
-    def __init__(self, fn: Callable[[complex], complex], direction: float,
-                 growth: tuple[float, float] = (1.0, 0.0)):
+    def __init__(self, fn: Callable[[complex], complex], direction: float):
         self.fn = fn
         self.direction = direction
-        self._growth = growth
 
     def eval_ray(self, x: float) -> complex:
         return self.fn(x * cmath.exp(1j * self.direction))
-
-    def growth(self) -> tuple[float, float]:
-        return self._growth
 
 
 # A Taylor step keeps the terms of each component of V until the last two
@@ -226,7 +213,7 @@ def _shifted(coeffs: list, w: complex, s: complex) -> list:
 
 
 class _TaylorSteps(NamedTuple):
-    """The Taylor steps of an ODE handle.  Step i is centred at cs[i], has
+    """The Taylor steps of a continuation.  Step i is centred at cs[i], has
     length hs[i] and serves [los[i], cs[i] + hs[i]/2], the points nearer to
     its centre than to the others', in t = (x - cs[i])/hs[i].  rows[i] and
     column i of C (zero-padded above) hold its coefficients of f in t,
@@ -245,27 +232,56 @@ class _TaylorSteps(NamedTuple):
 _NO_STEPS = _TaylorSteps((), (), (), (), (), np.zeros((3, 0)), np.zeros((0, 0), complex))
 
 
-class _OdeRayHandle(RayHandle):
-    """A ray handle continued beyond its anchor x0 by the operator's ODE
-    delta V = C(w) V + F(w) for V = (f, delta f, ..., delta^{m-1} f).
+class ContinuationHandle(RayHandle):
+    """Analytic continuation of a convergent series along a ray: the series
+    inside 0.8x its empirical radius, and beyond x0 = 0.5x the radius the
+    operator's ODE delta V = C(w) V + F(w), V = (f, ..., delta^{m-1} f),
+    from the vector _V0 the series gives at x0, in Taylor steps: at a point
+    c of the ray the operator gives a recurrence for the Taylor coefficients
+    of V in t = (x - c)/h (van der Hoeven, TCS 1999), h = R/3 for the
+    distance R from c e^{id} to the nearest singular point (0 or a root of
+    the leading coefficient), and each step's end vector seeds the next.
+    Each step depends only on its start, so a value never depends on the
+    order the points were asked in.  _steps holds all steps as one
+    _TaylorSteps, replaced whole, so threads that extend at once need no
+    lock; ensure() returns the steps that serve a request."""
 
-    Subclasses set op, direction, _m, _lead_roots, the anchor x0 with its
-    vector _V0 and, if finite, the reach _reach of the continuation.  The
-    ODE runs in Taylor steps: at a point c of the ray the operator gives a
-    recurrence for the Taylor coefficients of V in t = (x - c)/h (van der
-    Hoeven, "Fast evaluation of holonomic functions", TCS 1999), with h = R/3
-    for the distance R from c e^{id} to the nearest singular point (0 or a
-    root of the leading coefficient), and each step's end vector seeds the
-    next.  The steps run from x0 and each depends only on its start, so a
-    value never depends on the order the points were asked in.  _steps
-    holds all steps as one _TaylorSteps, replaced whole; ensure() returns
-    the steps that serve a request and readers evaluate on those.  Threads
-    that extend at once compute the same steps, so whichever store is
-    published last is right.
-    """
-
-    _reach = math.inf
     _steps = _NO_STEPS
+
+    def __init__(self, series: PowerSeries, op: LinearOperator, direction: float,
+                 rtol: float = 1e-12):
+        if series.ram_index != 1:
+            raise ArgumentError("continuation works on unramified series")
+        self.series = series
+        self.op = op
+        self.direction = direction
+        self._quad_epsrel = max(1e-11, rtol)
+        self.radius = _cauchy_hadamard(series.coefficients)
+        self._lead_roots = op.coefficients[-1].nonzero_roots().tolist()
+        self._check_ray_clear()
+        self._x0 = 0.5 * self.radius
+        self._series_limit = 0.8 * self.radius
+        self._m = op.order
+
+    @property
+    def _V0(self) -> np.ndarray:
+        """(f, delta f, ..., delta^{m-1} f) at the anchor from the series:
+        delta^i f has the coefficients n^i c_n."""
+        zeta = self._x0 * cmath.exp(1j * self.direction)
+        c = self.series.coefficients
+        n = np.arange(len(c))
+        return np.array([PowerSeries(c * n**i).eval(zeta) for i in range(self._m)])
+
+    def _check_ray_clear(self):
+        d = self.direction
+        for rho in self._lead_roots:
+            ang = _angdiff(cmath.phase(rho), d)
+            dist = abs(rho) * abs(math.sin(ang)) if abs(ang) < math.pi / 2 else abs(rho)
+            if abs(ang) < 1e-9 or dist < 1e-12 * max(abs(rho), 1.0):
+                raise SingularDirectionError(
+                    f"continuation ray arg={d} hits a singularity of the "
+                    f"Borel-plane operator at {rho}"
+                )
 
     def _taylor_step(self, c: float, V: tuple) -> tuple[float, list]:
         """The step from c: its length h and the coefficients of V in
@@ -313,11 +329,6 @@ class _OdeRayHandle(RayHandle):
 
     def ensure(self, x_max: float) -> _TaylorSteps:
         """The published steps, first extended until they serve x_max."""
-        if x_max >= self._reach:
-            raise DomainError(
-                f"continuation along arg={self.direction} asked at x={x_max:.4g}, "
-                f"beyond its reach {self._reach:.4g}"
-            )
         steps = self._steps
         if x_max < self._x0 or (steps.cs and x_max <= steps.cs[-1] + 0.5 * steps.hs[-1]):
             return steps   # the ODE runs forward from x0
@@ -380,47 +391,6 @@ class _OdeRayHandle(RayHandle):
             y += row[i]
         return y
 
-
-class ContinuationHandle(_OdeRayHandle):
-    """Analytic continuation of a convergent series along a ray: direct series
-    inside 0.8x the empirical radius, Taylor steps of the defining ODE
-    beyond, initialized from the series at 0.5x the radius."""
-
-    def __init__(self, series: PowerSeries, op: LinearOperator, direction: float,
-                 rtol: float = 1e-12):
-        if series.ram_index != 1:
-            raise ArgumentError("continuation works on unramified series")
-        self.series = series
-        self.op = op
-        self.direction = direction
-        self._quad_epsrel = max(1e-11, rtol)
-        self.radius = _cauchy_hadamard(series.coefficients)
-        self._lead_roots = op.coefficients[-1].nonzero_roots().tolist()
-        self._check_ray_clear()
-        self._x0 = 0.5 * self.radius
-        self._series_limit = 0.8 * self.radius
-        self._m = op.order
-
-    @property
-    def _V0(self) -> np.ndarray:
-        """(f, delta f, ..., delta^{m-1} f) at the anchor from the series:
-        delta^i f has the coefficients n^i c_n."""
-        zeta = self._x0 * cmath.exp(1j * self.direction)
-        c = self.series.coefficients
-        n = np.arange(len(c))
-        return np.array([PowerSeries(c * n**i).eval(zeta) for i in range(self._m)])
-
-    def _check_ray_clear(self):
-        d = self.direction
-        for rho in self._lead_roots:
-            ang = _angdiff(cmath.phase(rho), d)
-            dist = abs(rho) * abs(math.sin(ang)) if abs(ang) < math.pi / 2 else abs(rho)
-            if abs(ang) < 1e-9 or dist < 1e-12 * max(abs(rho), 1.0):
-                raise SingularDirectionError(
-                    f"continuation ray arg={d} hits a singularity of the "
-                    f"Borel-plane operator at {rho}"
-                )
-
     def eval_ray(self, x: float) -> complex:
         if x <= self._series_limit:
             zeta = x * cmath.exp(1j * self.direction)
@@ -439,18 +409,6 @@ class ContinuationHandle(_OdeRayHandle):
             out[~inner] = self._segment_values(xs[~inner])
         return out
 
-    def growth(self) -> tuple[float, float]:
-        # double x from x0 until it reaches max(16 r, 8), far enough for the
-        # tail log-slope to settle; stop early at a point whose value escapes
-        # the safe float range (the fit then ends there)
-        target = max(16.0 * max(self.radius, 1e-3), 8.0)
-        x = self._x0
-        while x < target:
-            x *= 2.0
-            if abs(self.eval_ray(x)) > 1e200:
-                break
-        return _fit_growth(self.eval_ray, 0.3 * self.radius, x)
-
 
 def _cauchy_hadamard(coeffs: np.ndarray, tail: int = 20) -> float:
     nz = [(n, abs(c)) for n, c in enumerate(coeffs) if abs(c) > 0]
@@ -465,114 +423,56 @@ def _angdiff(a: float, b: float) -> float:
     return (a - b + math.pi) % TWO_PI - math.pi
 
 
-def _fit_growth(eval_ray, x_lo: float, x_hi: float,
-                samples: int = 48) -> tuple[float, float]:
-    """Constants (J, L) with |f(x e^{id})| <= J exp(L x) on the sampled ray.
-
-    Least squares on log|f| ~ c0 + alpha*log x + L*x separates algebraic
-    from exponential growth, so power-law stage functions get L ~ 0
-    instead of a spurious finite-range slope.
-    """
-    xs = np.geomspace(max(x_lo, 1e-9), x_hi, samples)
-    vals = np.array([abs(eval_ray(x)) for x in xs])
-    vals = np.maximum(vals, 1e-300)
-    logs = np.log(vals)
-    # fit the tail half only: transients (and near-misses of off-ray
-    # singularities) at small x must not inflate L
-    half = len(xs) // 2
-    M = np.column_stack([np.ones_like(xs), np.log(xs), xs])
-    sol, *_ = np.linalg.lstsq(M[half:], logs[half:], rcond=None)
-    L = max(float(sol[2]), 0.0)
-    resid = logs - M @ sol
-    # escape check: a persistent, growing tail misfit means the growth order
-    # exceeds 1 and no (J, L) bound of this class exists
-    q = len(xs) // 4
-    if q >= 2:
-        tail_r = resid[-q:]
-        if np.all(np.diff(tail_r) > 0) and tail_r[-1] > 3.0:
-            raise GrowthError(
-                "growth fit failed: order-1 exponential bound does not stabilize"
-            )
-    if L > 0:
-        L *= 1.05
-    J = float(np.max(vals * np.exp(-L * xs))) * 1.2
-    return max(J, 1e-300), L
-
-
 # ---------------------------------------------------------------------------
 # Laplace transform along a ray
 
 
-def _laplace_truncation(handle: RayHandle, d: float, w: SectorPoint,
-                        t_max: int) -> tuple[complex, float, Callable[[float], complex], float]:
+def _laplace_truncation(handle: RayHandle, d: float,
+                        w: SectorPoint) -> tuple[complex, float, Callable[[float], complex], float]:
     """A = e^{id}/w on the surface of the logarithm and the truncation point
-    S of I_t = int_0^S f(s e^{id}) s^t exp(-s A) ds, t <= t_max, with the
-    t_max integrand and its coarse peak modulus on (0, S]."""
+    S of int_0^S f(s e^{id}) exp(-s A) ds, with the integrand and its coarse
+    peak modulus on (0, S]."""
     A = cmath.exp(1j * d - w.complex_log())
-    J, L = handle.fit
-    margin = 1.05
     if A.real <= 0:
         raise DomainError(
             f"evaluation point arg={w.argument} outside the Laplace sector "
             f"around d={d}"
         )
-    if A.real <= L * margin:
-        raise DomainError(
-            f"Laplace integrability violated: Re(e^(i d)/w) = {A.real:.3e} "
-            f"must exceed the fitted growth rate L = {L:.3e}"
-        )
-    decay = A.real - L
-    S = (42.0 + max(0.0, math.log(J))) / decay
+    S = 42.0 / A.real
 
     def fn0(s):
         if s <= 0.0:
             return 0.0j
-        return handle.eval_ray(s) * s**t_max * cmath.exp(-s * A)
+        return handle.eval_ray(s) * cmath.exp(-s * A)
 
-    # authoritative truncation: extend until the integrand has fallen below
-    # 1e-16 of its peak (the fitted L only seeds the first guess); never
-    # extend past the reach of the handle's own Laplace domain.  The loop
-    # ends by itself: past s Re A ~ 745, e^(-s A) underflows to 0, and fn0
-    # is 0 or nan
-    reach = handle._x_dom * 0.96
-    S = min(S, reach)
+    # extend until the integrand has fallen below 1e-16 of its peak.  The
+    # loop ends by itself: past s Re A ~ 745, e^(-s A) underflows to 0, and
+    # fn0 is 0 or nan
     peaks = np.linspace(0.0, S, 13)[1:]
-    scale0 = max(float(np.max(np.abs(handle.eval_ray_many(peaks) * peaks**t_max
-                                      * np.exp(-peaks * A)))), 1e-300)
+    scale0 = max(float(np.max(np.abs(handle.eval_ray_many(peaks) * np.exp(-peaks * A)))),
+                 1e-300)
     grow_checks = 0
     while abs(fn0(S)) * S > 1e-16 * scale0:
         nxt = 1.5 * S
-        if nxt > reach:
-            if abs(fn0(S)) * S > 1e-9 * scale0:
-                raise DomainError(
-                    f"Laplace tail beyond the previous stage's reach carries "
-                    f"too much mass (fitted growth L = {L:.3e})"
-                )
-            break
         if abs(fn0(nxt)) > abs(fn0(S)):
             grow_checks += 1
             if grow_checks >= 3:
                 raise DomainError(
                     f"Laplace integrand does not decay along the ray "
-                    f"(fitted growth L = {L:.3e}, Re A = {A.real:.3e})"
+                    f"(Re A = {A.real:.3e})"
                 )
         S = nxt
     return A, S, fn0, scale0
 
 
 def laplace_along_ray(handle: RayHandle, k, d: float, z) -> complex:
-    """Laplace transform of the continued function, evaluated at z, by the
-    reference rule that checks the stage tables (``_reference_laplace``):
-    adaptive G7/K15 Gauss-Kronrod panels in linear s on [0, S], S the
-    truncation point, to max(1e-14 peak S, _quad_epsrel |value|).  It
-    shares no rule with the batched G10/K21-in-log-s tabulation, and raises
-    ValidationError past 256 panels or at a non-finite sample.  Every ladder
-    level is order 1 in its section variable, so k = 1 is the only order
-    taken.
-
-    Requires arg z within pi/2 of d and |z| below 1/L for the handle's
-    fitted growth constants (J, L).
-    """
+    """Laplace transform of the continued function at z, arg z within pi/2
+    of d, by the reference rule that checks the first level of every
+    classical sum (_reference_laplace, adaptive G7/K15 panels in linear s,
+    sharing no rule with the log grids' trapezoid sums).  It raises
+    ValidationError past 256 panels or at a non-finite sample, and
+    DomainError on an integrand that does not decay.  Every ladder level is
+    order 1 in its section variable, so k = 1 is the only order taken."""
     if Fraction(k) != 1:
         raise UnsupportedError(f"Laplace transforms along a ray are of order 1, not {k}")
     w = as_sector_point(z)
@@ -606,8 +506,10 @@ _REF_X = np.concatenate([_GK15_X, np.negative(_GK15_X[-2::-1])])
 _REF_WK = np.concatenate([_GK15_WK, _GK15_WK[-2::-1]])
 _REF_WG = np.zeros(15)
 _REF_WG[1::2] = np.concatenate([_GK15_WG, _GK15_WG[-2::-1]])
-_REF_PANELS = 8          # starting panels in u = s/S_i
-_REF_MAX_PANELS = 256    # 32 times the starting panels
+# The starting panels in u = s/S_i are graded toward u = 0, where e^(-s A)
+# falls fastest: [0, 2^-16], then the octaves [2^-k, 2^(1-k)] up to [1/2, 1].
+_REF_EDGES = np.concatenate([[0.0], 2.0 ** np.arange(-16, 1)])
+_REF_MAX_PANELS = 256
 
 
 def _reference_laplace(handle: RayHandle, d: float, ws: Sequence[SectorPoint]) -> np.ndarray:
@@ -615,14 +517,14 @@ def _reference_laplace(handle: RayHandle, d: float, ws: Sequence[SectorPoint]) -
     sector point w_i at once, A_i and S_i from _laplace_truncation.
 
     The integrals run in linear s, on panels of u = s/S_i in [0, 1] that all
-    points share, with the G7/K15 pair: each round samples every new node
-    of every point by one eval_ray_many, and bisects every panel on which
-    some point's |K - G| exceeds its share (1/panels) of that point's target
-    max(1e-14 peak_i S_i, _quad_epsrel |I_i|), peak_i being the truncation's
-    peak modulus.  Past _REF_MAX_PANELS panels, or at a non-finite integrand
-    value or sum, it raises ValidationError.
+    points share, from _REF_EDGES, with the G7/K15 pair: each round samples
+    every new node of every point by one eval_ray_many, and bisects every
+    panel on which some point's |K - G| exceeds its share (1/panels) of that
+    point's target max(1e-14 peak_i S_i, _quad_epsrel |I_i|), peak_i being
+    the truncation's peak modulus.  Past _REF_MAX_PANELS panels, or at a
+    non-finite integrand value or sum, it raises ValidationError.
     """
-    A, S, _, peak = zip(*(_laplace_truncation(handle, d, w, 0) for w in ws))
+    A, S, _, peak = zip(*(_laplace_truncation(handle, d, w) for w in ws))
     A, S = np.array(A)[:, None, None], np.array(S)
     floor = 1e-14 * np.array(peak) * S
     epsrel = handle._quad_epsrel
@@ -636,8 +538,7 @@ def _reference_laplace(handle: RayHandle, d: float, ws: Sequence[SectorPoint]) -
         K = fv @ _REF_WK
         return K, np.abs(K - fv @ _REF_WG)
 
-    edges = np.linspace(0.0, 1.0, _REF_PANELS + 1)
-    lo, hi = edges[:-1], edges[1:]
+    lo, hi = _REF_EDGES[:-1], _REF_EDGES[1:]
     K, err = panels(lo, hi)
     while True:
         I = K.sum(axis=1)
@@ -667,367 +568,327 @@ def _reference_laplace(handle: RayHandle, d: float, ws: Sequence[SectorPoint]) -
         err = np.concatenate([err[:, keep], err_new], axis=1)
 
 
-def _moment_values(handle, d, w, count) -> np.ndarray:
-    """N_t(w) = A e^{i d t} I_t for t = 0..count-1, all from one batched
-    rule: each moment's error target is max(epsrel |I_t|, 1e-14 peak_t S),
-    with peak_t the largest |integrand| sampled."""
-    A, S, _, _ = _laplace_truncation(handle, d, w, count - 1)
-    ts = np.arange(count)
-    peak = np.zeros(count)
-
-    def sample(s):
-        powers = s[None] ** ts.reshape((-1,) + (1,) * s.ndim)
-        F = handle.eval_ray_many(s.ravel()).reshape(s.shape) * powers
-        np.maximum(peak, np.abs(F * np.exp(-s * A)).reshape(count, -1).max(axis=1), out=peak)
-        return F
-
-    epsrel = handle._quad_epsrel
-    I = _gk_laplace(sample, A, S * 1e-12, S,
-                    lambda vals: np.maximum(epsrel * np.abs(vals), 1e-14 * S * peak),
-                    f"Laplace moments (direction = {d}, arg w = {w.argument:.6g})")
-    return A * np.exp(1j * d * ts) * I
+# ---------------------------------------------------------------------------
+# Log-uniform node grids, shared by the classical and the q pipeline
 
 
-def _delta_derivatives_from_moments(handle, d, w: SectorPoint, m: int) -> np.ndarray:
-    """(f, delta f, ..., delta^{m-1} f)(w) for f = L(handle).
+# Kernels shorter than this are correlated by direct dots only: below it an
+# FFT block costs more than the dots it replaces.
+_FFT_MIN_KERNEL = 2048
+# An FFT output is kept when its round-off estimate is below this share of its
+# modulus; the others are recomputed by the direct dot.
+_FFT_RTOL = 1e-13
+# No grid holds more nodes than this.
+_GRID_CAP = 400000
 
-    Uses delta_W N_t = W^{-1} N_{t+1} - N_t exactly; no finite differences.
-    """
-    N = _moment_values(handle, d, w, m)
-    # delta^i f = sum_t c[i][t] * w^{-t} * N_t(w)
-    coeffs: list[dict[int, complex]] = [{0: 1.0 + 0j}]
-    for i in range(1, m):
-        prev = coeffs[-1]
-        nxt: dict[int, complex] = {}
-        for t, c in prev.items():
-            nxt[t + 1] = nxt.get(t + 1, 0.0) + c
-            nxt[t] = nxt.get(t, 0.0) - c * (t + 1)
-        coeffs.append(nxt)
-    wpow = lambda t: cmath.exp(-t * w.complex_log())
-    out = np.zeros(m, dtype=complex)
-    for i, table in enumerate(coeffs):
-        out[i] = sum(c * wpow(t) * N[t] for t, c in table.items())
+
+def _block_size(n_kernel: int) -> int:
+    """Outputs per FFT block of a level correlation with an n_kernel-node
+    kernel, about n_kernel/4 (the FFT length B + n_kernel - 1 is a fast
+    length); 1 for a kernel correlated by direct dots.  Short blocks follow a
+    changing climb more closely and waste fewer nodes in the round-out."""
+    if n_kernel < _FFT_MIN_KERNEL:
+        return 1
+    from scipy import fft as sp_fft
+    return sp_fft.next_fast_len(n_kernel + n_kernel // 4) - n_kernel + 1
+
+
+def _direct_dots(a: np.ndarray, kernel: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """b_i = sum_k kernel_k a_(i+k) for the sorted output rows i, one dot per
+    row, taken by np.correlate over each run of consecutive rows (the same
+    dot product as np.dot(kernel, a[i:i + len(kernel)]), bit for bit)."""
+    n = len(kernel)
+    conj = np.conj(kernel)          # np.correlate conjugates its second argument
+    cuts = np.flatnonzero(np.diff(rows) != 1) + 1
+    out = np.empty(len(rows), dtype=complex)
+    for start, stop in zip(np.concatenate(([0], cuts)), np.concatenate((cuts, [len(rows)]))):
+        i0, i1 = rows[start], rows[stop - 1] + 1
+        out[start:stop] = np.correlate(a[i0 : i1 + n - 1], conj, "valid")
     return out
 
 
-class _ChebLogInterpolant:
-    """Barycentric Chebyshev interpolant in log x on [a, b] (analytic data)
-    of the values at the n + 1 points ``log_nodes(a, b, n)``."""
+def _correlate(a: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    """The level correlation b_i = sum_k kernel_k a_(i+k) over the 'valid'
+    range, whose length must be a whole number of _block_size blocks.
 
-    @staticmethod
-    def log_nodes(a: float, b: float, n: int) -> np.ndarray:
-        ta, tb = math.log(a), math.log(b)
-        return 0.5 * (ta + tb) + 0.5 * (tb - ta) * np.cos(np.arange(n + 1) * math.pi / n)
-
-    def __init__(self, a: float, b: float, values):
-        self.a, self.b = a, b
-        self.vals = np.asarray(values, dtype=complex)
-        n = len(self.vals) - 1
-        self.t = self.log_nodes(a, b, n)
-        w = np.ones(n + 1)
-        w[1::2] = -1.0
-        w[0] *= 0.5
-        w[-1] *= 0.5
-        self.w = w
-
-    def __call__(self, x: float) -> complex:
-        return complex(self.eval_many(np.array([x]))[0])
-
-    def eval_many(self, xs: np.ndarray) -> np.ndarray:
-        # chunks of 256 rows bound the (points x nodes) work matrices and
-        # keep them in cache (256 and 512 rows tie as fastest of 64..4096
-        # rows for 65 and 129 nodes; 4096 rows take twice as long)
-        xs = np.asarray(xs, dtype=float)
-        if len(xs) > 256:
-            return np.concatenate([self.eval_many(xs[i:i + 256])
-                                   for i in range(0, len(xs), 256)])
-        diff = np.log(xs)[:, None] - self.t
-        small = np.abs(diff) < 1e-300
-        exact_rows = small.any(axis=1)
-        hit = exact_rows.any()
-        if hit:
-            diff[small] = 1.0
-        C = self.w / diff
-        vals = (C @ self.vals) / C.sum(axis=1)
-        if hit:
-            vals[exact_rows] = self.vals[small[exact_rows].argmax(axis=1)]
-        return vals
-
-
-# Gauss-Kronrod G10/K21 pair (QUADPACK qk21; Piessens et al., 1983): the
-# nonnegative Kronrod abscissae, largest first; the odd-indexed ones are the
-# Gauss abscissae.  The rule is mirrored about 0 below.
-_GK21_X = (
-    0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
-    0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
-    0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
-    0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
-    0.294392862701460198131126603103866, 0.148874338981631210884826001129720,
-    0.0,
-)
-_GK21_WK = (
-    0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
-    0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
-    0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
-    0.123491976262065851077958109831074, 0.134709217311473325928054001771707,
-    0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
-    0.149445554002916905664936468389821,
-)
-_GK21_WG = (
-    0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
-    0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
-    0.295524224714752870173892994651338,
-)
-_GK_X = np.concatenate([_GK21_X, np.negative(_GK21_X[-2::-1])])
-_GK_WK = np.concatenate([_GK21_WK, _GK21_WK[-2::-1]])
-_GK_WG = np.zeros(21)
-_GK_WG[1::2] = np.concatenate([_GK21_WG, _GK21_WG[::-1]])
-_GK_TOL = 1e-10          # global error target, relative to max_i |I_i|
-_GK_MAX_PANELS = 448     # 32 times the 14 starting panels
+    Each block of B outputs is one FFT of its own N = B + len(kernel) - 1
+    inputs, so an output depends only on the block it lies in, never on how
+    far the arrays reach.  The block is tilted first, a(s) e^(-g s) and
+    K(k) e^(g k), with g the least-squares slope of log|a| over the block
+    (quantized so that g s is exact; powers of 2 scale both to unit size),
+    which flattens a geometric climb.  The FFT round-off of the block's
+    outputs is estimated as 40 sqrt(log2 N) eps |a'|_2 |K'|_2 / sqrt(N), a'
+    and K' the tilted block and kernel (about 4 times their rms error);
+    every output whose estimate exceeds _FFT_RTOL of its modulus, or that is
+    not finite, is recomputed by the direct dot, and so is every output of a
+    block holding a non-finite input.  Kernels shorter than _FFT_MIN_KERNEL
+    take the direct dot for every output."""
+    n = len(kernel)
+    n_out = len(a) - n + 1
+    B = _block_size(n)
+    if B == 1:
+        return _direct_dots(a, kernel, np.arange(n_out))
+    from scipy import fft as sp_fft
+    N = B + n - 1
+    s = np.arange(N)
+    s_mid = 0.5 * (N - 1)
+    g_cap = 300.0 / N               # keeps e^(+-g s) within e^300 over a block
+    rms4 = 40.0 * math.sqrt(math.log2(N)) * np.finfo(float).eps / math.sqrt(N)
+    out = np.empty(n_out, dtype=complex)
+    for j in range(0, n_out, B):
+        seg = a[j : j + N]
+        mag = np.log(np.maximum(np.abs(seg), 1e-300))
+        mean = float(np.mean(mag))
+        bad = np.arange(B)
+        if math.isfinite(mean):
+            g = float(np.dot(s - s_mid, mag)) / (N * (N * N - 1.0) / 12.0)
+            g = round(max(-g_cap, min(g_cap, g)) * 65536.0) / 65536.0
+            e_a = round((mean - g * s_mid) / math.log(2.0))
+            a_t = seg * np.ldexp(np.exp(-g * s), -e_a)
+            k_t = kernel * np.exp(g * s[:n])
+            e_k = round(math.log2(float(np.max(np.abs(k_t)))))
+            k_t *= 2.0 ** -e_k
+            c = sp_fft.ifft(sp_fft.fft(a_t) * sp_fft.fft(k_t[::-1], N))[n - 1 :]
+            err = rms4 * float(np.linalg.norm(a_t)) * float(np.linalg.norm(k_t))
+            out[j : j + B] = c * np.ldexp(np.exp(g * s[:B]), e_a + e_k)
+            bad = np.flatnonzero(~(err <= _FFT_RTOL * np.abs(c)) | ~np.isfinite(out[j : j + B]))
+        if len(bad):
+            out[j + bad] = _direct_dots(a, kernel, j + bad)
+    return out
 
 
-def _gk_laplace(sample: Callable[[np.ndarray], np.ndarray], A: complex,
-                s_lo: float, s_hi: float,
-                target: Callable[[np.ndarray], np.ndarray], what: str) -> np.ndarray:
-    """int_0^s_hi F(s) exp(-s A) ds for a vector F of integrands, all on one
-    set of panels: sample(s) maps an array s to F(s), of shape (n,) + s.shape.
-
-    The integral runs in v = log s with G10/K21 panels on [s_lo, s_hi], plus
-    F(s_lo/2) s_lo for (0, s_lo).  Each round bisects every panel on which
-    some entry's Kronrod-Gauss difference exceeds its share (1/panels) of
-    that entry's target(current integrals), and samples the new panels in
-    one call; past _GK_MAX_PANELS panels it raises ValidationError.
-    """
-    def panels(lo: np.ndarray, hi: np.ndarray):
-        """Kronrod sums and Kronrod-Gauss differences (entries x panels)."""
-        half = 0.5 * (hi - lo)
-        s = np.exp((0.5 * (lo + hi))[:, None] + half[:, None] * _GK_X[None, :])
-        fv = sample(s)
-        jac = half[:, None] * s * np.exp(-s * A)
-        K = np.einsum("npk,pk->np", fv, jac * _GK_WK)
-        G = np.einsum("npk,pk->np", fv, jac * _GK_WG)
-        return K, np.abs(K - G)
-
-    edges = np.linspace(math.log(s_lo), math.log(s_hi), 15)
-    lo, hi = edges[:-1], edges[1:]
-    K, err = panels(lo, hi)
-    while True:
-        tol = (target(K.sum(axis=1)) / len(lo))[:, None]
-        bad = np.any(err > tol, axis=0)
-        if not np.any(bad):
-            break
-        if len(lo) + int(np.count_nonzero(bad)) > _GK_MAX_PANELS:
-            raise ValidationError(
-                f"{what} did not reach its error target within {_GK_MAX_PANELS} "
-                f"panels (largest panel error {float(np.max(err / tol)):.2e} "
-                f"times its share of the target)"
-            )
-        mid = 0.5 * (lo[bad] + hi[bad])
-        new_lo = np.concatenate([lo[bad], mid])
-        new_hi = np.concatenate([mid, hi[bad]])
-        K_new, err_new = panels(new_lo, new_hi)
-        keep = ~bad
-        lo = np.concatenate([lo[keep], new_lo])
-        hi = np.concatenate([hi[keep], new_hi])
-        K = np.concatenate([K[:, keep], K_new], axis=1)
-        err = np.concatenate([err[:, keep], err_new], axis=1)
-    # left-end correction: the integrand tends to F(0+) like a constant
-    return K.sum(axis=1) + sample(np.asarray(0.5 * s_lo)) * s_lo
-
-
-def _batched_ray_laplace(handle: RayHandle, d: float, xs: np.ndarray) -> np.ndarray:
-    """L(handle) at the on-ray points x_i e^{id}, all at once.
-
-    On the ray A_i = 1/x_i is real, so substituting s = u x_i gives
-    value_i = int_0^U f(x_i u) e^-u du with a shared u-grid: one vectorized
-    evaluation of the previous stage covers every node.  The error target
-    is _GK_TOL max_i |value_i| for every node.
-    """
-    xs = np.asarray(xs, dtype=float)
-    J, L = handle.fit
-    x_top = float(np.max(xs))
-    margin = 1.0 - L * x_top
-    if margin <= 0.05:
-        raise DomainError(
-            f"batched Laplace tabulation reaches the growth-domain edge "
-            f"(L = {L:.3e}, max x = {x_top:.4g})"
+def _window_sum(values: np.ndarray, kernel: np.ndarray) -> complex:
+    """sum values * kernel over a kernel window; an edge term above 1e-12 of
+    the total means the window is too narrow for the values' growth."""
+    terms = values * kernel
+    total = complex(np.sum(terms))
+    edge = max(abs(terms[0]), abs(terms[-1]))
+    if not edge <= 1e-12 * max(abs(total), 1e-300):
+        raise RangeError(
+            "Laplace node window too narrow (edge terms not negligible)"
         )
-    U = (45.0 + max(0.0, math.log(J))) / margin
-
-    def sample(u):
-        pts = np.multiply.outer(xs, u)
-        return handle.eval_ray_many(pts.ravel()).reshape(pts.shape)
-
-    return _gk_laplace(sample, 1.0, U * 1e-12, U,
-                       lambda I: np.full(len(I), _GK_TOL * float(np.max(np.abs(I)))),
-                       f"batched Laplace tabulation (direction = {d})")
+    return total
 
 
-# A stage table is tabulated on nested Chebyshev grids of _CHEB_MIN_N,
-# 2 _CHEB_MIN_N, ... _CHEB_MAX_N intervals and kept at the first whose last
-# max(4, n/8) coefficients are all <= _CHEB_CHOP of the largest (Aurentz &
-# Trefethen, "Chopping a Chebyshev series", ACM TOMS 2017).
-_CHEB_MIN_N = 32
-_CHEB_MAX_N = 512
-_CHEB_CHOP = 1e-13
+class _LogGrid:
+    """The last level of a section's ladder at the nodes t = lo..hi of a
+    log-uniform grid x_t = e^{ht} x_0, for both pipelines, each with its own
+    node source, step and kernel (a q section has one grid, a classical
+    section one per step).  Every level below the last is a correlation
+    (_correlate) with one kernel (K, L1), K[j] weighing node t + j - L1 in
+    level value t.  Each level's range is rounded out to whole blocks of its
+    correlation, aligned to the absolute index t, so a value never depends
+    on the range the grid was grown to.  The grid (lo, hi, values) is
+    published whole and no lock is held: threads that grow it at once
+    publish agreeing grids.  A subclass grows it in _ensure_grid_locked, by
+    _grow with its node source, kernel and number of levels."""
+
+    _grid: Optional[tuple[int, int, np.ndarray]] = None
+
+    def _nodes(self, lo: int, hi: int) -> np.ndarray:
+        grid = self._grid
+        if grid is None or grid[0] > lo or grid[1] < hi:
+            grid = self._ensure_grid_locked(lo, hi)
+        return grid[2][lo - grid[0] : hi - grid[0] + 1]
+
+    def _grow(self, lo: int, hi: int, samples: Callable[[int, int], np.ndarray],
+              kernel: Optional[tuple[np.ndarray, int]], levels: int,
+              check: Optional[Callable] = None) -> tuple[int, int, np.ndarray]:
+        """Build the grid over [lo, hi] and the published range from the node
+        values samples(lo, hi), publish it and return it.  check(level, lo,
+        inputs, outputs) sees the outputs of each level that this request
+        reads, from t = lo on, with their inputs."""
+        need = (lo, hi)
+        if self._grid is not None:
+            lo, hi = min(lo, self._grid[0]), max(hi, self._grid[1])
+        spans = []       # (lo, hi, needed range) of each level, top level first
+        if levels:
+            K, L1 = kernel
+            n, B = len(K), _block_size(len(K))
+            for _ in range(levels):
+                lo, hi = lo - lo % B, hi - hi % B + B - 1
+                spans.append((lo, hi, need))
+                lo, hi = lo - L1, hi + n - 1 - L1
+                need = (need[0] - L1, need[1] + n - 1 - L1)
+        if hi - lo > _GRID_CAP:
+            raise RangeError("Laplace node grid exceeded the size cap")
+        values = samples(lo, hi)
+        for level, (out_lo, out_hi, (need_lo, need_hi)) in enumerate(reversed(spans)):
+            start = out_lo - L1 - lo
+            inputs = values[start : start + out_hi - out_lo + n]
+            values = _correlate(inputs, K)
+            if check is not None:
+                i, j = need_lo - out_lo, need_hi - out_lo + 1
+                check(level, need_lo, inputs[i : j + n - 1], values[i:j])
+            lo = out_lo
+        self._grid = grid = (lo, lo + len(values) - 1, values)
+        return grid
 
 
-def _cheb_coeffs(values: np.ndarray) -> np.ndarray:
-    """Chebyshev coefficients of the values at the n + 1 points cos(k pi/n),
-    k = 0..n, by one FFT of their mirror image (a DCT-I)."""
-    n = len(values) - 1
-    c = np.fft.fft(np.concatenate([values, values[-2:0:-1]]))[: n + 1] / n
-    c[0] /= 2.0
-    c[n] /= 2.0
-    return c
+# ---------------------------------------------------------------------------
+# Classical ladder levels on the log grid
+
+# A classical level L(f)(x) = int f(x e^v) e^v exp(-e^v) dv, by the trapezoid
+# rule with step h, is a correlation on the nodes x_t = e^{ht} with the kernel
+# K_k = h y e^-y, y = e^{hk}, the q -> 1 limit of the continuous q-Laplace
+# kernel.  hk runs over [_V_LO, _V_HI], both multiples of 2h: above, y e^-y <
+# 1e-27 leaves room for growth; below, where f(x y) and e^-y are constant to
+# O(y), the first tap carries the terms sum_(k' < k) h y' of the whole tail.
+# The error falls like exp(-2 pi a/h), a the half-width of the strip about
+# the real v-axis in which the integrand is analytic and decays (Trefethen &
+# Weideman, SIAM Review 56, 2014): a point takes the largest h = 2^-k/4 with
+# 2 pi a/h >= 37.
+_V_LO, _V_HI = -38.0, 4.25
+_H0 = 0.25
+_STRIP_EFOLDS = 37.0
+_REF_RTOL = 1e-9         # first level against the reference rule, at 3 nodes
+_TWO_H_RTOL = 1e-9       # every level against its sum with step 2h
+# The final window's step-2h sum has e^(pi a/h) >= e^18.5 times the error of
+# its step-h sum, so agreeing to 1e-5 bounds that error by 1e-13.
+_WINDOW_2H_RTOL = 1e-5
+_GRID_SLACK = 5.0        # e-folds a build reaches beyond the window it serves
 
 
-class LaplaceStageHandle(_OdeRayHandle):
-    """f = L(prev) along the shared ray.
+def _ray_nodes(h: float, lo: int, hi: int) -> np.ndarray:
+    """e^{ht} for t = lo..hi as e^{256 h q} e^{h r}, t = 256 q + r, two
+    correctly rounded exponentials, so that a node does not depend on the
+    range it was computed in."""
+    q, r = np.divmod(np.arange(lo, hi + 1), 256)
+    coarse = np.array([math.exp(256 * h * j) for j in range(int(q[0]), int(q[-1]) + 1)])
+    return coarse[q - q[0]] * np.array([math.exp(h * j) for j in range(256)])[r]
 
-    Three regimes: the truncated (Gevrey-)asymptotic expansion at tiny x, a
-    Chebyshev-in-log interpolant of batched quadratures below the ODE
-    anchor, and the stage ODE (moment-initialized, no finite differences)
-    beyond.  The table reaches into the asymptotic range when the seeds give
-    one; without one, a read below the table raises DomainError.
-    """
 
-    def __init__(self, prev: RayHandle, direction: float, op: LinearOperator,
-                 asym_seeds: Optional[np.ndarray] = None, rtol: float = 1e-12):
-        self.prev = prev
-        self.direction = direction
-        self.op = op
-        self._quad_epsrel = max(1e-11, rtol)
-        self._m = op.order
-        J, L = prev.fit
-        x_dom = 1.0 / L if L > 0 else 1e8
-        self._x_dom = x_dom
-        # the anchor's moment quadratures sample the previous stage out to
-        # e-folds / x0; budget the fitted J and stay within the previous
-        # stage's own Laplace-domain reach
-        budget = 50.0 + max(0.0, math.log(J))
-        self._x0 = min(0.15 * x_dom, 0.9 * prev._x_dom / budget, 1.0)
-        self._reach = 0.98 * x_dom
-        self._lead_roots = op.coefficients[-1].nonzero_roots().tolist()
-        self._check_ray_clear()
-        # asymptotic regime from the formal coefficients c_i, leading zeros
-        # included: with m the first nonzero index, keep the terms below the
-        # first nonzero c_n with n >= max(5, m + 4); the cutoff is where that
-        # dropped (Gevrey-divergent) term falls below 1e-14 of the function
-        # scale sum_{i <= max(m, 1)} |c_i| x^i (c0 + c1 x unless the seeds
-        # start with zeros), not of the coefficient scale.  Seeds with no such
-        # c_n give no regime, and the table then starts at 1e-8 x0
-        self._asym: Optional[PowerSeries] = None
-        self._x_asym = 0.0
-        c = np.abs(asym_seeds) if asym_seeds is not None else np.zeros(0)
-        nz = np.flatnonzero(c)
-        dropped = nz[nz >= max(5, nz[0] + 4)] if len(nz) else nz
-        if len(dropped):
-            n_use, lead = int(dropped[0]), c[:max(int(nz[0]), 1) + 1].tolist()
-            lo, hi = 1e-280, 0.5 * self._x0
-            for _ in range(200):
-                mid = math.sqrt(lo * hi)
-                scale = sum(ci * mid**i for i, ci in enumerate(lead))
-                if 3.0 * c[n_use] * mid**n_use <= 1e-14 * scale:
-                    lo = mid
-                else:
-                    hi = mid
-            self._asym = PowerSeries(asym_seeds[:n_use])
-            self._x_asym = lo
-        w0 = SectorPoint.from_polar(self._x0, direction)
-        self._V0 = _delta_derivatives_from_moments(prev, direction, w0, self._m)
+def _laplace_kernel(h: float) -> tuple[np.ndarray, int]:
+    """(K, L1): the level kernel h y e^-y, y = e^{hk}, hk in [_V_LO, _V_HI],
+    with K[j] at k = j - L1, its first tap raised by the tail below it."""
+    k = np.arange(round(_V_LO / h), round(_V_HI / h) + 1)
+    y = np.exp(h * k)
+    K = h * y * np.exp(-y)
+    K[0] += h * y[0] / math.expm1(h)
+    return K, -int(k[0])
 
-    def _check_ray_clear(self):
-        d = self.direction
-        for rho in self._lead_roots:
-            ang = _angdiff(cmath.phase(rho), d)
-            if abs(ang) < 1e-9:
-                raise SingularDirectionError(
-                    f"stage ray arg={d} hits a singularity at {rho}"
-                )
 
-    def _direct(self, xs: np.ndarray) -> np.ndarray:
-        """L(prev) at the on-ray points xs by the reference rule."""
-        return _reference_laplace(self.prev, self.direction,
-                                  [SectorPoint.from_polar(x, self.direction) for x in xs])
+def _correlate_any(a: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    """_correlate over an input of any length: the last block is filled up
+    with copies of the last input, and its extra outputs are dropped."""
+    n_out = len(a) - len(kernel) + 1
+    fill = -n_out % _block_size(len(kernel))
+    return _correlate(np.concatenate([a, np.repeat(a[-1:], fill)]), kernel)[:n_out]
 
-    @cached_property
-    def _interp(self) -> _ChebLogInterpolant:
-        """The sub-anchor table, built on the first read that needs it over
-        its full span and checked against the reference rule.  Threads that
-        build it at once build the same table."""
-        hi = self._x0
-        lo = 0.8 * self._x_asym if self._asym is not None else 1e-8 * hi
-        # nested Chebyshev grids: each doubling tabulates only the new
-        # odd-index nodes; stop at the first grid whose series chops
-        n = _CHEB_MIN_N
-        values = _batched_ray_laplace(self.prev, self.direction,
-                                      np.exp(_ChebLogInterpolant.log_nodes(lo, hi, n)))
-        while True:
-            coeffs = np.abs(_cheb_coeffs(values))
-            tail = float(np.max(coeffs[-max(4, n // 8):])) / float(np.max(coeffs))
-            if tail <= _CHEB_CHOP:
-                break
-            if n == _CHEB_MAX_N:
-                raise ValidationError(
-                    f"stage tabulation (direction = {self.direction}) does not "
-                    f"chop at n = {n}: its last {n // 8} Chebyshev coefficients "
-                    f"reach {tail:.2e} of the largest > {_CHEB_CHOP:.0e}"
-                )
-            odd = np.exp(_ChebLogInterpolant.log_nodes(lo, hi, 2 * n)[1::2])
-            merged = np.empty(2 * n + 1, dtype=complex)
-            merged[0::2] = values
-            merged[1::2] = _batched_ray_laplace(self.prev, self.direction, odd)
-            values, n = merged, 2 * n
-        interp = _ChebLogInterpolant(lo, hi, values)
-        # check the batched tabulation against the reference rule; a
-        # non-finite reference fails the check
-        xs = lo * (hi / lo) ** np.array([0.23, 0.52, 0.81])
-        for x, got, ref in zip(xs, interp.eval_many(xs), self._direct(xs)):
-            rel = abs(got - ref) / max(abs(ref), 1e-300)
-            if not rel <= 1e-8:
-                raise ValidationError(
-                    f"stage tabulation (direction = {self.direction}) disagrees "
-                    f"with its reference quadrature at x = {x:.6g}: relative error "
-                    f"{rel:.2e} > 1e-8"
-                )
-        return interp
 
-    def _table(self, x_min: float) -> _ChebLogInterpolant:
-        """The table, for reads at x_min and above; a read below it (only a
-        stage with no asymptotic range has one) raises DomainError."""
-        interp = self._interp
-        if x_min < interp.a:
-            raise DomainError(
-                f"stage along arg={self.direction} read at x = {x_min:.4g}, "
-                f"below its table [{interp.a:.4g}, {interp.b:.4g}]; its seeds "
-                f"give it no asymptotic range"
-            )
-        return interp
+class _LaplaceGrid(_LogGrid):
+    """The last classical level of a section at one step h on the ray d_w,
+    from g_1 (its ContinuationHandle) sampled once per node; a build reaches
+    _GRID_SLACK e-folds beyond the window it serves, for the points near it.
+    Each level is checked as it is built: a value that is not finite raises
+    ValidationError; one whose last kernel term exceeds 1e-12 of it raises
+    RangeError (as _window_sum does for the final window: the only guard on
+    growth); every other value must agree to _TWO_H_RTOL with its sum with
+    step 2h; and the first build checks its first level against the
+    reference rule to _REF_RTOL at x = |w| e^-1, |w|, |w| e, w the point it
+    serves.  A disagreement raises ValidationError."""
 
-    def eval_ray(self, x: float) -> complex:
-        if x >= self._x0:
-            return self._stepped_value(x)
-        if self._asym is not None and x <= self._x_asym:
-            return self._asym.eval(x * cmath.exp(1j * self.direction))
-        return self._table(x)(x)
+    def __init__(self, cont: ContinuationHandle, h: float, levels: int):
+        self.cont, self.h, self.levels = cont, h, levels
+        self._kernel = _laplace_kernel(h)
 
-    def eval_ray_many(self, xs) -> np.ndarray:
-        xs = np.asarray(xs, dtype=float)
-        out = np.empty(len(xs), dtype=complex)
-        top = xs >= self._x0
-        asym = ~top & (xs <= self._x_asym) if self._asym is not None else np.zeros_like(top)
-        table = ~(top | asym)
-        if np.any(top):
-            out[top] = self._segment_values(xs[top])
-        if np.any(asym):
-            out[asym] = self._asym.eval_many(xs[asym] * cmath.exp(1j * self.direction))
-        if np.any(table):
-            out[table] = self._table(float(xs[table].min())).eval_many(xs[table])
-        return out
+    def _ensure_grid_locked(self, lo: int, hi: int) -> tuple[int, int, np.ndarray]:
+        refs = None
+        if self._grid is None:    # x = |w| is -_V_LO/h nodes above the window's low end
+            refs = lo - round(_V_LO / self.h) + round(1.0 / self.h) * np.array([-1, 0, 1])
+        slack = round(_GRID_SLACK / self.h)
+        return self._grow(lo - slack, hi + slack, self._samples, self._kernel, self.levels,
+                          lambda *level: self._check(*level, refs))
 
-    def growth(self) -> tuple[float, float]:
-        return _fit_growth(self.eval_ray, self._x0, min(12.0 * self._x0, 0.9 * self._x_dom))
+    def _samples(self, lo: int, hi: int) -> np.ndarray:
+        return self.cont.eval_ray_many(_ray_nodes(self.h, lo, hi))
+
+    def _check(self, level: int, lo: int, inputs: np.ndarray, values: np.ndarray,
+               refs: Optional[np.ndarray]):
+        (K, L1), h, d = self._kernel, self.h, self.cont.direction
+        name = f"classical level {level + 2} along arg = {d:.6g} (h = 2^{math.log2(h):.0f})"
+
+        def at(i) -> str:
+            return f"x = {math.exp(h * (lo + int(i))):.6g}"
+
+        finite = np.isfinite(values)
+        if not finite.all():
+            raise ValidationError(f"{name} is not finite at {at(np.argmin(finite))}")
+        bad = ~(np.abs(K[-1] * inputs[len(K) - 1:]) <= 1e-12 * np.abs(values))
+        if bad.any():
+            raise RangeError(f"{name}: kernel window too narrow at {at(np.argmax(bad))} "
+                             f"(edge term not negligible)")
+        # values[0::2] with step 2h: the inputs m + j with k = j - L1 even
+        fine = values[::2]
+        coarse = _correlate_any(inputs[L1 % 2::2], _laplace_kernel(2.0 * h)[0])
+        diff = np.abs(fine - coarse[:len(fine)])
+        bad = ~(diff <= _TWO_H_RTOL * np.abs(fine))
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise ValidationError(f"{name} disagrees with its step-2h sum at {at(2 * i)}: relative "
+                                  f"difference {diff[i] / abs(fine[i]):.2e} > {_TWO_H_RTOL:.0e}")
+        if level == 0 and refs is not None:
+            xs = [float(_ray_nodes(h, t, t)[0]) for t in refs]
+            ref = _reference_laplace(self.cont, d, [SectorPoint.from_polar(x, d) for x in xs])
+            for x, got, want in zip(xs, values[refs - lo], ref):
+                rel = abs(got - want) / max(abs(want), 1e-300)
+                if not rel <= _REF_RTOL:
+                    raise ValidationError(
+                        f"{name} disagrees with its reference quadrature at x = {x:.6g}: "
+                        f"relative error {rel:.2e} > {_REF_RTOL:.0e}")
+
+
+class _LaplaceSection:
+    """The classical levels of one section along the ray d_w, which evaluate
+    S^d(h^(l)) at w = z^beta: one _LaplaceGrid per step h, and the final
+    level as the window sum of h g(x_t) x_t A e^{-x_t A}, A = e^{i d_w}/w,
+    over |x_t A| in [e^_V_LO, e^_V_HI/cos(arg A)], checked like a level
+    against its step-2h sum.  The step comes from the smaller of the strip
+    half-widths pi/2 - |arg A| and half the angle from d_w to the nearest
+    singular direction of the stage operators (half, so that the levels'
+    step-2h sums keep the bound), capped at pi/16: the first grid serves the
+    inner 7/8 of the sector, and only points nearer its edge pay for a finer
+    one."""
+
+    def __init__(self, sec: "SectionPipeline", d_w: float, rtol: float):
+        self.l = sec.l
+        self.d_w = d_w
+        self.cont = ContinuationHandle(sec.g1, sec.stage_ops[0], d_w, rtol=rtol)
+        self.levels = len(sec.orders_w) - 1
+        self._a_w = 0.5 * min((abs(_angdiff(cmath.phase(rho), d_w)) for op in sec.stage_ops
+                               for rho in op.coefficients[-1].nonzero_roots()), default=math.pi)
+        self._grids: dict[float, _LaplaceGrid] = {}
+
+    def window(self, w: SectorPoint) -> tuple[float, int, int, complex]:
+        """The step h of the point w, its window [lo, hi] of nodes and A."""
+        A = cmath.exp(1j * self.d_w - w.complex_log())
+        if A.real <= 0:
+            raise DomainError(f"evaluation point arg={w.argument} outside the Laplace "
+                              f"sector around d={self.d_w}")
+        a, h = min(self._a_w, math.pi / 2 - abs(cmath.phase(A)), math.pi / 16), _H0
+        while TWO_PI * a / h < _STRIP_EFOLDS:
+            h /= 2
+        lo = math.floor((_V_LO + w.log_modulus) / h)
+        hi = math.ceil((_V_HI - math.log(A.real / abs(A)) + w.log_modulus) / h)
+        if hi - lo + self.levels * (_V_HI - _V_LO) / h > _GRID_CAP:
+            raise RangeError(f"the Laplace node grid of arg w = {w.argument:.6g} (step "
+                             f"{h:.3g}) would exceed the size cap")
+        return h, lo, hi, A
+
+    def value(self, w: SectorPoint) -> complex:
+        # SummedFunction.domain_check keeps w inside the final level's sector
+        h, lo, hi, A = self.window(w)
+        grid = self._grids.get(h) or self._grids.setdefault(
+            h, _LaplaceGrid(self.cont, h, self.levels))
+        xA = _ray_nodes(h, lo, hi) * A
+        terms = grid._nodes(lo, hi) * (h * xA * np.exp(-xA))
+        total, coarse = _window_sum(terms, 1.0), 2.0 * complex(np.sum(terms[::2]))
+        if not abs(total - coarse) <= _WINDOW_2H_RTOL * abs(total):
+            raise ValidationError(
+                f"final window of arg w = {w.argument:.6g} along arg = {self.d_w:.6g} (h = "
+                f"2^{math.log2(h):.0f}) disagrees with its step-2h sum: relative difference "
+                f"{abs(total - coarse) / abs(total):.2e} > {_WINDOW_2H_RTOL:.0e}")
+        return total
 
 
 # ---------------------------------------------------------------------------
@@ -1037,45 +898,14 @@ class LaplaceStageHandle(_OdeRayHandle):
 @dataclass
 class SectionPipeline:
     """One beta-section of the ladder, free of any direction: its chain of
-    stage operators (stage_ops[j-1] annihilates g_j), their seeds and g_1,
-    shared by every classical or q sum built from it."""
+    stage operators (stage_ops[j-1] annihilates g_j, and their leading
+    coefficients give the singular directions) and g_1, shared by every
+    classical or q sum built from it."""
 
     l: int
     orders_w: tuple[Fraction, ...]       # lambda_j = kappa~_j / beta, each 1/integer
     stage_ops: list
     g1: PowerSeries
-    stage_seeds: list
-
-
-class _LaplaceSection:
-    """The classical stage handles of one section along the ray d_w, which
-    evaluate S^d(h^(l)) at w = z^beta."""
-
-    def __init__(self, sec: SectionPipeline, d_w: float, rtol: float):
-        self.l = sec.l
-        self.d_w = d_w
-        handles: list[RayHandle] = [ContinuationHandle(sec.g1, sec.stage_ops[0], d_w, rtol=rtol)]
-        for j in range(1, len(sec.orders_w)):
-            handles.append(LaplaceStageHandle(handles[-1], d_w, sec.stage_ops[j],
-                                              asym_seeds=sec.stage_seeds[j], rtol=rtol))
-        self.handles = handles
-
-    def value(self, w: SectorPoint) -> complex:
-        # SummedFunction.domain_check keeps w inside the final level's sector
-        return complex(_moment_values(self.handles[-1], self.d_w, w, 1)[0])
-
-
-def _stage_seeds(phases: np.ndarray, logmags: np.ndarray,
-                 log_weight: Callable[[int], float]) -> np.ndarray:
-    """First coefficients s_n / W(n) of a partial Borel chain of a section,
-    in ordinary floats, from s_n = phases[n] * exp(logmags[n]) and
-    log W(n) = log_weight(n)."""
-    out = np.zeros(len(phases), dtype=complex)
-    for n in range(len(phases)):
-        if logmags[n] == -np.inf:
-            continue
-        out[n] = phases[n] * math.exp(logmags[n] - log_weight(n))
-    return out
 
 
 def _ln_qfact(n: int, Q: float) -> float:
@@ -1133,13 +963,13 @@ def _build_sections(
     orders_w = ladder.w_orders()
     m_list = [int(1 / lam) for lam in orders_w]
     if weight == "gamma":
-        def log_weight(n: int, j: int) -> float:
-            return sum(math.lgamma(1.0 + n * m) for m in m_list[j:])
+        def log_weight(n: int) -> float:
+            return sum(math.lgamma(1.0 + n * m) for m in m_list)
     else:
         bases = [op.q ** float(kt) for kt in ladder.kappa_tilde]
 
-        def log_weight(n: int, j: int) -> float:
-            return sum(_ln_qfact(n * m, Q) for m, Q in zip(m_list[j:], bases[j:]))
+        def log_weight(n: int) -> float:
+            return sum(_ln_qfact(n * m, Q) for m, Q in zip(m_list, bases))
     rec = Recurrence.from_operator(op)
     if rec.span != 1:
         raise UnsupportedError(
@@ -1156,8 +986,9 @@ def _build_sections(
     sections = []
     for l, (sec_rec, n_seed) in enumerate(zip(sec_recs, n_seeds)):
         # chain of stage recurrences: stage j annihilates
-        # g_j = B_{lam_j} ... B_{lam_s} (section); build from the top down,
-        # then restore the inhomogeneous rows each stage's solution satisfies
+        # g_j = B_{lam_j} ... B_{lam_s} (section), built from the top down;
+        # g_1 solves the bottom one from its seeds, with the inhomogeneous
+        # rows they satisfy restored
         recs = [None] * len(orders_w)
         cur = sec_rec
         for j in range(len(orders_w) - 1, -1, -1):
@@ -1165,17 +996,15 @@ def _build_sections(
             cur.rhs = {}
             recs[j] = cur
         stop = l + beta * (n_seed - 1) + 1
-        all_seeds = []
-        for j, rec_j in enumerate(recs):
-            seeds_j = _stage_seeds(phases[l:stop:beta], logmags[l:stop:beta],
-                                   lambda n: log_weight(n, j))
-            _attach_stage_rhs(rec_j, seeds_j)
-            all_seeds.append(seeds_j)
+        # g_1's seeds s_n / W(n), from s_n = a_(l + n beta) in log form
+        seeds = np.array([0j if mag == -np.inf else ph * math.exp(mag - log_weight(n))
+                          for n, (ph, mag) in enumerate(zip(phases[l:stop:beta],
+                                                            logmags[l:stop:beta]))])
+        _attach_stage_rhs(recs[0], seeds)
         with np.errstate(over="ignore", invalid="ignore"):
-            coeffs, _meta = recs[0].solve(order, seed=all_seeds[0])
+            coeffs, _meta = recs[0].solve(order, seed=seeds)
         g1 = PowerSeries(_truncate_overflow(coeffs, n_seed), 1)
-        ops_chain = [r.to_operator() for r in recs]
-        sections.append(SectionPipeline(l, orders_w, ops_chain, g1, all_seeds))
+        sections.append(SectionPipeline(l, orders_w, [r.to_operator() for r in recs], g1))
     return sections
 
 
@@ -1272,10 +1101,11 @@ class _LeadingRay:
 class SummedFunction:
     """Evaluable handle for a sum S^d(h) of either pipeline: the ladder (None
     for a convergent series and for the theta-kernel sum), the direction, one
-    evaluator per section (its l and its value at w = z^beta), the excluded
-    loci (leading-root rays of the classical sum, pole spirals of the q sum)
-    and the half-opening of the sector about d.  Evaluation outside the
-    domain raises, never extrapolates."""
+    log-grid section per beta-section (its l and its value at w = z^beta:
+    a _LaplaceSection or a _QSection), the excluded loci (leading-root rays
+    of the classical sum, pole spirals of the q sum) and the half-opening of
+    the sector about d.  Evaluation outside the domain raises, never
+    extrapolates."""
 
     ladder: Optional[SummationLadder]
     direction: float
@@ -1374,7 +1204,8 @@ class SummationChain:
     of them and sums series, a checked supplied series, else its own).
     sum(d) and lateral_pair(d) check a supplied series, refuse or bracket
     the singular directions and add only the evaluators of their directions
-    from _at: stage handles here, q-Laplace sections in a QSummationChain.
+    from _at: Laplace sections here, q-Laplace sections in a QSummationChain,
+    both on log grids.
     A q-family passes the chain of its limit operator as ``limit``."""
 
     op: LinearOperator
@@ -1427,7 +1258,8 @@ class SummationChain:
 
     def _at(self, d: float, rtol: float) -> SummedFunction:
         """The sum along d, which is not singular: one _LaplaceSection per
-        section, the leading-root rays excluded."""
+        section, each with its g_1 continued along the ray beta d and its
+        levels summed on log grids, the leading-root rays excluded."""
         ladder = self.ladder
         _refuse_sub_unit(ladder)
         rays = tuple(_LeadingRay(a) for a in self.op.coefficients[-1].nonzero_roots().tolist())

@@ -256,7 +256,7 @@ def cmd_sum(args) -> ResultTable:
     zs = _samples(args)
     table = ResultTable(
         ["z_re", "z_im", "z_arg", "value_re", "value_im", "residual",
-         "growth_J", "growth_L", "status"],
+         "grid_h", "grid_nodes", "status"],
         metadata={"command": "sum", "op": args.op, "direction": args.direction,
                   "order": args.order, "residual_tolerance": 1e-5},
     )
@@ -265,10 +265,13 @@ def cmd_sum(args) -> ResultTable:
         zc = z.to_complex()
         try:
             val = S(z)
-            fits = [sec.handles[-1].fit for sec in S.sections]
-            J, L = (max(col) for col in zip(*fits)) if fits else ("", "")
+            # the finest step of the point's log grids and the nodes of its
+            # final windows, over all sections
+            windows = [sec.window(z.power(S.ladder.beta)) for sec in S.sections]
+            h = min(win[0] for win in windows) if windows else ""
+            nodes = sum(win[2] - win[1] + 1 for win in windows) if windows else ""
             table.add(zc.real, zc.imag, z.argument, val.real, val.imag,
-                      S.residual(op, z), J, L, "ok")
+                      S.residual(op, z), h, nodes, "ok")
         except QBorelError as exc:
             table.add(zc.real, zc.imag, z.argument, "", "", "", "", "",
                       f"{exc.code}-error")

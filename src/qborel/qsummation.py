@@ -26,6 +26,7 @@ from .classical import (
     SummationChain,
     SummationLadder,
     SummedFunction,
+    _LogGrid,
     _angdiff,
     _build_sections,
     _cauchy_hadamard,
@@ -34,6 +35,7 @@ from .classical import (
     _refuse_sub_unit,
     _summation_ladder,
     _truncate_overflow,
+    _window_sum,
 )
 from .errors import (
     ArgumentError,
@@ -163,102 +165,6 @@ def _jackson_kernel(Q: float, M: int = 1, max_len: int = 120000) -> tuple[np.nda
         )
     y = np.exp(np.arange(a, b + 1) * (math.log(Q) / M)).astype(complex)
     return _eq_kernel(y, Q, M), -a
-
-
-# Kernels shorter than this are correlated by direct dots only: below it an
-# FFT block costs more than the dots it replaces.
-_FFT_MIN_KERNEL = 2048
-# An FFT output is kept when its round-off estimate is below this share of its
-# modulus; the others are recomputed by the direct dot.
-_FFT_RTOL = 1e-13
-
-
-def _block_size(n_kernel: int) -> int:
-    """Outputs per FFT block of a level correlation with an n_kernel-node
-    kernel, about n_kernel/4 (the FFT length B + n_kernel - 1 is a fast
-    length); 1 for a kernel correlated by direct dots.  Short blocks follow a
-    changing climb more closely and waste fewer nodes in the round-out."""
-    if n_kernel < _FFT_MIN_KERNEL:
-        return 1
-    from scipy import fft as sp_fft
-    return sp_fft.next_fast_len(n_kernel + n_kernel // 4) - n_kernel + 1
-
-
-def _direct_dots(a: np.ndarray, kernel: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """b_i = sum_k kernel_k a_(i+k) for the sorted output rows i, one dot per
-    row, taken by np.correlate over each run of consecutive rows (the same
-    dot product as np.dot(kernel, a[i:i + len(kernel)]), bit for bit)."""
-    n = len(kernel)
-    conj = np.conj(kernel)          # np.correlate conjugates its second argument
-    cuts = np.flatnonzero(np.diff(rows) != 1) + 1
-    out = np.empty(len(rows), dtype=complex)
-    for start, stop in zip(np.concatenate(([0], cuts)), np.concatenate((cuts, [len(rows)]))):
-        i0, i1 = rows[start], rows[stop - 1] + 1
-        out[start:stop] = np.correlate(a[i0 : i1 + n - 1], conj, "valid")
-    return out
-
-
-def _correlate(a: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    """The level correlation b_i = sum_k kernel_k a_(i+k) over the 'valid'
-    range, whose length must be a whole number of _block_size blocks.
-
-    Each block of B outputs is one FFT of its own N = B + len(kernel) - 1
-    inputs, so an output depends only on the block it lies in, never on how
-    far the arrays reach.  The block is tilted first, a(s) e^(-g s) and
-    K(k) e^(g k), with g the least-squares slope of log|a| over the block
-    (quantized so that g s is exact; powers of 2 scale both to unit size),
-    which flattens a geometric climb.  The FFT round-off of the block's
-    outputs is estimated as 40 sqrt(log2 N) eps |a'|_2 |K'|_2 / sqrt(N), a'
-    and K' the tilted block and kernel (about 4 times their rms error);
-    every output whose estimate exceeds _FFT_RTOL of its modulus, or that is
-    not finite, is recomputed by the direct dot, and so is every output of a
-    block holding a non-finite input.  Kernels shorter than _FFT_MIN_KERNEL
-    take the direct dot for every output."""
-    n = len(kernel)
-    n_out = len(a) - n + 1
-    B = _block_size(n)
-    if B == 1:
-        return _direct_dots(a, kernel, np.arange(n_out))
-    from scipy import fft as sp_fft
-    N = B + n - 1
-    s = np.arange(N)
-    s_mid = 0.5 * (N - 1)
-    g_cap = 300.0 / N               # keeps e^(+-g s) within e^300 over a block
-    rms4 = 40.0 * math.sqrt(math.log2(N)) * np.finfo(float).eps / math.sqrt(N)
-    out = np.empty(n_out, dtype=complex)
-    for j in range(0, n_out, B):
-        seg = a[j : j + N]
-        mag = np.log(np.maximum(np.abs(seg), 1e-300))
-        mean = float(np.mean(mag))
-        bad = np.arange(B)
-        if math.isfinite(mean):
-            g = float(np.dot(s - s_mid, mag)) / (N * (N * N - 1.0) / 12.0)
-            g = round(max(-g_cap, min(g_cap, g)) * 65536.0) / 65536.0
-            e_a = round((mean - g * s_mid) / math.log(2.0))
-            a_t = seg * np.ldexp(np.exp(-g * s), -e_a)
-            k_t = kernel * np.exp(g * s[:n])
-            e_k = round(math.log2(float(np.max(np.abs(k_t)))))
-            k_t *= 2.0 ** -e_k
-            c = sp_fft.ifft(sp_fft.fft(a_t) * sp_fft.fft(k_t[::-1], N))[n - 1 :]
-            err = rms4 * float(np.linalg.norm(a_t)) * float(np.linalg.norm(k_t))
-            out[j : j + B] = c * np.ldexp(np.exp(g * s[:B]), e_a + e_k)
-            bad = np.flatnonzero(~(err <= _FFT_RTOL * np.abs(c)) | ~np.isfinite(out[j : j + B]))
-        if len(bad):
-            out[j + bad] = _direct_dots(a, kernel, j + bad)
-    return out
-
-
-def _window_sum(values: np.ndarray, kernel: np.ndarray) -> complex:
-    """sum values * kernel over a kernel window; an edge term above 1e-12 of
-    the total means the window is too narrow for the values' growth."""
-    terms = values * kernel
-    total = complex(np.sum(terms))
-    edge = max(abs(terms[0]), abs(terms[-1]))
-    if not edge <= 1e-12 * max(abs(total), 1e-300):
-        raise RangeError(
-            "q-Laplace node window too narrow (edge terms not negligible)"
-        )
-    return total
 
 
 # ---------------------------------------------------------------------------
@@ -542,22 +448,16 @@ def theta_q_laplace(f, d: float, q: float, z) -> complex:
 # q-multisummation pipeline
 
 
-class _QSection:
-    """Per-section stage data on the shared log-uniform node grid.
+class _QSection(_LogGrid):
+    """Per-section stage data on the shared log-uniform node grid (_LogGrid).
 
     The grid is x_t = exp(h t) e^{i d_w} with h = log(Q_w)/M; every q-Laplace
-    level but the last is a correlation with its node kernel, taken by
-    _correlate, and the last is the kernel-window sum of value().  M = 1
-    gives the Jackson (discrete) summation exactly; M >= 8 gives the
-    continuous summation to spectral accuracy (trapezoid rule in log
-    coordinates, with the integrand analytic in a strip).  A theta section
-    (mode 'theta', one level, M = 1) has the grid (q-1) q^t e^{id} and sums
-    it with the theta kernel.
-
-    Only the top level's values are kept.  Each level's range is rounded out
-    to whole blocks of its correlation, aligned to the absolute index t, so a
-    value never depends on the range the grid was grown to: a grid regrown
-    for a wider request equals a fresh build over that range, bit for bit.
+    level but the last is a correlation with its node kernel, and the last
+    is the kernel-window sum of value().  M = 1 gives the Jackson (discrete)
+    summation exactly; M >= 8 gives the continuous summation to spectral
+    accuracy (trapezoid rule in log coordinates, with the integrand analytic
+    in a strip).  A theta section (mode 'theta', one level, M = 1) has the
+    grid (q-1) q^t e^{id} and sums it with the theta kernel.
     """
 
     def __init__(self, sec: SectionPipeline, Qw: float, d_w: float, mode: str):
@@ -569,49 +469,13 @@ class _QSection:
         self.M = 8 if mode == "continuous" else 1
         self.base = (Qw - 1.0 if mode == "theta" else 1.0) * cmath.exp(1j * d_w)
         self.cont = QContinuation(sec.g1, sec.stage_ops[0], d_w)
-        self._grid: Optional[tuple[int, int, np.ndarray]] = None
-
-    def _ensure_grid(self, lo: int, hi: int) -> tuple[int, int, np.ndarray]:
-        """The published grid (lo, hi, values) if it covers [lo, hi], else a
-        rebuilt one."""
-        grid = self._grid
-        if grid is not None and grid[0] <= lo and grid[1] >= hi:
-            return grid
-        return self._ensure_grid_locked(lo, hi)
 
     def _ensure_grid_locked(self, lo: int, hi: int) -> tuple[int, int, np.ndarray]:
-        """Build the top-level grid over [lo, hi] joined with the published
-        one, publish it and return it.  No lock is held: a grid's values do
-        not depend on its range, so threads that rebuild at once publish
-        agreeing grids, and each reader slices the grid it was returned."""
-        grid = self._grid
-        if grid is not None:
-            lo, hi = min(lo, grid[0]), max(hi, grid[1])
-        # every level is order 1 in w (sub-unit ladders are refused), so
-        # one kernel serves them all
+        """_LogGrid._grow from the walk; every level is order 1 in w (sub-unit
+        ladders are refused), so one kernel serves them all."""
         levels = len(self.orders_w) - 1
-        kernels = [_jackson_kernel(self.Qw, self.M)] * levels if levels else []
-        # node_{j+1}(t) = sum_dlt K(dlt) node_j(t + dlt): each level's t-range
-        # is whole blocks of its correlation, counted from t = 0, top level first
-        spans = []
-        for K, L1 in reversed(kernels):
-            B = _block_size(len(K))
-            lo, hi = lo - lo % B, hi - hi % B + B - 1
-            spans.append((lo, hi))
-            lo, hi = lo - L1, hi + len(K) - 1 - L1
-        if hi - lo > 400000:
-            raise RangeError("q-Laplace node grid exceeded the size cap")
-        values = self.cont.grid_values(self.base, lo, hi, self.M)
-        for (K, L1), (out_lo, out_hi) in zip(kernels, reversed(spans)):
-            start = out_lo - L1 - lo
-            values = _correlate(values[start : start + out_hi - out_lo + len(K)], K)
-            lo = out_lo
-        self._grid = grid = (lo, lo + len(values) - 1, values)
-        return grid
-
-    def _nodes(self, lo: int, hi: int) -> np.ndarray:
-        glo, _, values = self._ensure_grid(lo, hi)
-        return values[lo - glo : hi - glo + 1]
+        return self._grow(lo, hi, lambda a, b: self.cont.grid_values(self.base, a, b, self.M),
+                          _jackson_kernel(self.Qw, self.M) if levels else None, levels)
 
     def value(self, w: SectorPoint) -> complex:
         if self.mode == "theta":
@@ -679,7 +543,7 @@ def q_summation_chain(op: LinearOperator, mode: str = "discrete",
                 s = solve_series(op, order)
             s = PowerSeries(_truncate_overflow(s.coefficients, 0), 1)
         sections = (SectionPipeline(0, (Fraction(1),), [rz_borel_operator(op)],
-                                    rz_borel(s, sop.q), []),)
+                                    rz_borel(s, sop.q)),)
     else:
         _refuse_sub_unit(ladder)
         sections = tuple(_build_sections(sop, ladder, order, "qfact"))

@@ -1,7 +1,6 @@
 import cmath
 import math
 from fractions import Fraction
-from functools import cached_property
 
 import numpy as np
 import pytest
@@ -12,6 +11,7 @@ from qborel import classical as cl
 from qborel.errors import (
     ArgumentError,
     DomainError,
+    RangeError,
     ResonanceError,
     SingularDirectionError,
     UnsupportedError,
@@ -175,26 +175,17 @@ def test_laplace_domain_errors():
     one = cl.FunctionHandle(lambda z: 1.0 + 0j, 0.0)
     with pytest.raises(DomainError):
         cl.laplace_along_ray(one, 1, 0.0, SectorPoint.from_polar(0.3, 2.5))
-    grower = cl.FunctionHandle(lambda z: cmath.exp(3.0 * z), 0.0, growth=(1.0, 3.0))
-    with pytest.raises(DomainError):
+    grower = cl.FunctionHandle(lambda z: cmath.exp(3.0 * z), 0.0)
+    with pytest.raises(DomainError, match="integrand does not decay"):
         cl.laplace_along_ray(grower, 1, 0.0, SectorPoint.from_complex(0.5))
 
 
 def test_laplace_refuses_an_integrand_that_grows_along_the_ray():
-    # stated growth L = 0 while |f| = e^(20 x): at z = 0.1 the integrand
-    # e^(20 s) e^(-10 s) grows at each of the truncation's three extensions
+    # |f| = e^(20 x): at z = 0.1 the integrand e^(20 s) e^(-10 s) grows at
+    # each of the truncation's three extensions
     understated = cl.FunctionHandle(lambda zeta: cmath.exp(20.0 * zeta), 0.0)
     with pytest.raises(DomainError, match="integrand does not decay along the ray"):
         cl.laplace_along_ray(understated, 1, 0.0, SectorPoint.from_complex(0.1))
-
-
-def test_laplace_refuses_a_tail_beyond_the_handle_reach():
-    # a reach of 0.5 cuts e^(-10 s) at s = 0.48, where it is still 8e-3 of
-    # its peak: the next extension would leave the handle's domain
-    short = cl.FunctionHandle(lambda zeta: 1.0 + 0j, 0.0)
-    short._x_dom = 0.5
-    with pytest.raises(DomainError, match="tail beyond the previous stage's reach"):
-        cl.laplace_along_ray(short, 1, 0.0, SectorPoint.from_complex(0.1))
 
 
 def test_laplace_along_ray_takes_order_one_only():
@@ -234,7 +225,7 @@ def test_laplace_along_ray_samples_each_node_once(euler_op):
     assert len(rounds) > 1 and all(len(r) % 15 == 0 for r in rounds)
     nodes = np.concatenate(rounds)
     assert len(np.unique(nodes)) == len(nodes)
-    A, S, fn, _ = cl._laplace_truncation(h, 0.3, z, 0)
+    A, S, fn, _ = cl._laplace_truncation(h, 0.3, z)
     del h.eval_ray_many
     ref, _ = quad(fn, 0.0, S, epsabs=0.0, epsrel=1e-13, limit=200, complex_func=True)
     assert abs(got - A * ref) <= 1e-12 * abs(A * ref)
@@ -251,7 +242,8 @@ def test_laplace_along_ray_raises_on_a_non_finite_sample():
 
 def test_laplace_along_ray_panel_budget_raises(monkeypatch):
     # 1/(1 + zeta) on the ray pi + 0.02 passes 0.02 from its pole: the rule
-    # bisects its 8 starting panels, and with no room to do so it raises
+    # bisects some of its 17 starting panels, and with no room to do so it
+    # raises
     d = math.pi + 0.02
     near_pole = cl.FunctionHandle(lambda zeta: 1.0 / (1.0 + zeta), d)
     z = SectorPoint.from_polar(0.5, d)
@@ -452,9 +444,10 @@ def test_multisum_fractional_slope_unsupported():
 
 @pytest.mark.parametrize("weight", ["gamma", "qfact"])
 def test_stage_seeds_match_weighted_section_coefficients(euler_op, weight):
-    # seeds of stage j on section l: a_{l + n beta} / prod_{i >= j} W_i(n),
-    # W_i(n) = Gamma(1 + n m_i) for Euler and [n m_i]_{q^kt_i}! for q-Euler
-    # at q = 1.05; a_n from the linear recurrence solve
+    # g_1 of section l, seeds and solved terms alike: a_{l + n beta} /
+    # prod_i W_i(n), W_i(n) = Gamma(1 + n m_i) for Euler and
+    # [n m_i]_{q^kt_i}! for q-Euler at q = 1.05; a_n from the linear
+    # recurrence solve
     q = 1.05
     op = euler_op if weight == "gamma" else make_q_euler(q)
     ladder = cl.build_ladder(newton_polygon(euler_op), [0, 1, 1])
@@ -463,17 +456,16 @@ def test_stage_seeds_match_weighted_section_coefficients(euler_op, weight):
     sections = cl._build_sections(op, ladder, order=60, weight=weight)
     assert [sec.l for sec in sections] == [0, 1, 2]
     for sec in sections:
-        assert len(sec.stage_seeds) == 3
-        a = solve_series(op, 3 * len(sec.stage_seeds[0]) + 3).coefficients
-        for j, seeds in enumerate(sec.stage_seeds):
-            for n, got in enumerate(seeds):
-                if weight == "gamma":
-                    w = math.prod(math.gamma(1.0 + n * mi) for mi in m[j:])
-                else:
-                    w = math.prod(q_factorial(n * mi, q ** float(kt))
-                                  for mi, kt in zip(m[j:], ladder.kappa_tilde[j:]))
-                want = a[sec.l + n * ladder.beta] / w
-                assert abs(got - want) <= 1e-12 * abs(want), (sec.l, j, n)
+        assert len(sec.stage_ops) == 3
+        a = solve_series(op, 3 * 12 + 3).coefficients
+        for n, got in enumerate(sec.g1.coefficients[:12]):
+            if weight == "gamma":
+                w = math.prod(math.gamma(1.0 + n * mi) for mi in m)
+            else:
+                w = math.prod(q_factorial(n * mi, q ** float(kt))
+                              for mi, kt in zip(m, ladder.kappa_tilde))
+            want = a[sec.l + n * ladder.beta] / w
+            assert abs(got - want) <= 1e-12 * abs(want), (sec.l, n)
 
 
 @pytest.mark.parametrize("weight", ["gamma", "qfact"])
@@ -532,193 +524,89 @@ def test_truncate_overflow_drops_non_finite_entries_below_the_floor(bad):
 
 
 # ---------------------------------------------------------------------------
-# stage tabulation (adaptive batched Gauss-Kronrod, validated, no fallback)
+# classical levels on the log grid (trapezoid sums, checked, no fallback)
 
 
-def _replace_table(mp, build):
-    """Make build(handle) the cached sub-anchor table of LaplaceStageHandle
-    under the MonkeyPatch mp; return the builder it replaces."""
-    table = cached_property(build)
-    table.__set_name__(cl.LaplaceStageHandle, "_interp")
-    original = cl.LaplaceStageHandle._interp.func
-    mp.setattr(cl.LaplaceStageHandle, "_interp", table)
-    return original
+EULER = LinearOperator("differential", "delta", (Polynomial([1.0]), Polynomial([0.0, 1.0])),
+                       None, PowerSeries([0.0, 1.0]))
 
 
-def _check_points(handle):
-    """The three points at which a stage validates its tabulation."""
-    lo, hi = handle._interp.a, handle._interp.b
-    return np.array([lo * (hi / lo) ** f for f in (0.23, 0.52, 0.81)])
+def _first_level(sec, h, ts):
+    """The first level of a classical section at the nodes ts of step h, one
+    dot each of the kernel with g_1 at the nodes it weighs."""
+    K, L1 = cl._laplace_kernel(h)
+    nodes = [cl._ray_nodes(h, t - L1, t + len(K) - 1 - L1) for t in ts]
+    return np.array([np.dot(K, sec.cont.eval_ray_many(x)) for x in nodes])
 
 
 @pytest.fixture(scope="module")
 def stokes_pair():
-    """Euler sums on the rays pi +/- pi/24 (rtol 1e-10), built while counting
-    each stage handle's tabulations and the points of its reference checks."""
-    euler = LinearOperator("differential", "delta",
-                           (Polynomial([1.0]), Polynomial([0.0, 1.0])),
-                           None, PowerSeries([0.0, 1.0]))
-    tabulated, direct = {}, {}
-    direct_fn = cl.LaplaceStageHandle._direct
+    """Euler sums on the rays pi +/- pi/24 (rtol 1e-10) after their value at
+    z = 0.2 e^(i pi), built while counting each grid's builds and the points
+    of its reference checks (keyed by the g_1 handle the check reads)."""
+    built, checked = {}, {}
+    grow, reference = cl._LaplaceGrid._ensure_grid_locked, cl._reference_laplace
 
-    def counting_table(self):
-        tabulated[id(self)] = tabulated.get(id(self), 0) + 1
-        return table_fn(self)
+    def counting_grow(self, lo, hi):
+        built[self] = built.get(self, 0) + 1
+        return grow(self, lo, hi)
 
-    def counting_direct(self, xs):
-        direct.setdefault(id(self), []).append(len(xs))
-        return direct_fn(self, xs)
+    def counting_reference(handle, d, ws):
+        checked.setdefault(handle, []).append(len(ws))
+        return reference(handle, d, ws)
 
     offset = math.pi / 24.0
     with pytest.MonkeyPatch.context() as mp:
-        table_fn = _replace_table(mp, counting_table)
-        mp.setattr(cl.LaplaceStageHandle, "_direct", counting_direct)
-        plus = cl.multisum(None, euler, math.pi + offset, rtol=1e-10)
-        minus = cl.multisum(None, euler, math.pi - offset, rtol=1e-10)
-    return plus, minus, tabulated, direct
+        mp.setattr(cl._LaplaceGrid, "_ensure_grid_locked", counting_grow)
+        mp.setattr(cl, "_reference_laplace", counting_reference)
+        plus = cl.multisum(None, EULER, math.pi + offset, rtol=1e-10)
+        minus = cl.multisum(None, EULER, math.pi - offset, rtol=1e-10)
+        for S in (plus, minus):
+            S(SectorPoint.from_polar(0.2, math.pi))
+    return plus, minus, built, checked
 
 
 def test_batched_laplace_matches_adaptive_quadrature_near_stokes_ray(stokes_pair):
+    # the first level of each section of the sum on pi + pi/24, a trapezoid
+    # sum at step 1/32, against the adaptive reference rule
     plus = stokes_pair[0]
+    h = 1.0 / 32.0
+    ts = np.round(np.log([1e-3, 1e-2, 0.1]) / h).astype(int)
     for sec in plus.sections:
-        for h in sec.handles[1:]:
-            xs = _check_points(h)
-            got = cl._batched_ray_laplace(h.prev, h.direction, xs)
-            for x, g in zip(xs, got):
-                ref = cl.laplace_along_ray(h.prev, 1, h.direction,
-                                           SectorPoint.from_polar(x, h.direction))
-                assert abs(g - ref) < 1e-11 * abs(ref)
+        for t, got in zip(ts, _first_level(sec, h, ts)):
+            x = float(cl._ray_nodes(h, t, t)[0])
+            ref = cl.laplace_along_ray(sec.cont, 1, sec.d_w, SectorPoint.from_polar(x, sec.d_w))
+            assert abs(got - ref) < 1e-11 * abs(ref)
 
 
 def test_tabulation_makes_only_its_three_check_quadratures(stokes_pair):
-    # one reference check per table, covering its three points at once
-    _, _, tabulated, direct = stokes_pair
-    assert len(tabulated) == 6
-    assert set(direct) == set(tabulated)
-    for key, n_tab in tabulated.items():
-        assert n_tab == 1
-        assert direct[key] == [3]
+    # one grid per section (step 1/32 at z = -0.2), built once, and one
+    # reference check per grid, covering its three nodes at once
+    plus, minus, built, checked = stokes_pair
+    grids = [g for S in (plus, minus) for sec in S.sections for g in sec._grids.values()]
+    assert len(grids) == 6 and all(g.h == 1.0 / 32.0 for g in grids)
+    assert built == {g: 1 for g in grids}
+    assert checked == {g.cont: [3] for g in grids}
 
 
 @pytest.fixture(scope="module")
-def euler_tables(stokes_pair):
-    """Every stage handle of the Euler sums at d = 0 (rtol 1e-11) and at
-    pi +/- pi/24 (rtol 1e-10); each builds its table on first use."""
-    euler = LinearOperator("differential", "delta",
-                           (Polynomial([1.0]), Polynomial([0.0, 1.0])),
-                           None, PowerSeries([0.0, 1.0]))
-    handles = []
-    for S in (cl.multisum(None, euler, 0.0), *stokes_pair[:2]):
-        for sec in S.sections:
-            handles.extend(sec.handles[1:])
-    return handles
+def euler_sections(stokes_pair):
+    """Every section of the Euler sums at d = 0 (rtol 1e-11) and at
+    pi +/- pi/24 (rtol 1e-10)."""
+    return [sec for S in (cl.multisum(None, EULER, 0.0), *stokes_pair[:2]) for sec in S.sections]
 
 
-def test_euler_stage_tables_chop_at_128_nodes_or_fewer(euler_tables):
-    assert len(euler_tables) == 18
-    for h in euler_tables:
-        n = len(h._interp.vals) - 1
-        assert n in (32, 64, 128)
-        coeffs = np.abs(cl._cheb_coeffs(h._interp.vals))
-        assert np.max(coeffs[-max(4, n // 8):]) <= 1e-13 * np.max(coeffs)
-
-
-def test_stage_tables_match_direct_quadrature_across_their_span(euler_tables):
-    # the built-in check covers 3 points; here 12 log-spaced ones
-    for h in euler_tables:
-        a, b = h._interp.a, h._interp.b
-        for x in a * (b / a) ** ((np.arange(12) + 0.5) / 12):
-            ref = cl.laplace_along_ray(h.prev, 1, h.direction,
-                                       SectorPoint.from_polar(x, h.direction))
-            assert abs(h._interp(x) - ref) <= 1e-10 * abs(ref)
-
-
-def test_rough_stage_table_raises_at_the_chop_cap(euler_op):
-    # a previous stage with pseudo-random relative noise 3e-11, below what
-    # the Gauss-Kronrod error estimate resolves, leaves a coefficient floor
-    # near 5e-13 of the largest: no grid up to 512 chops
-    sec = cl.summation_chain(euler_op).sections[0]
-
-    class Rough(cl.FunctionHandle):
-        noise = 0.0
-
-        def eval_ray_many(self, xs):
-            xs = np.asarray(xs, dtype=float)
-            return (1.0 + self.noise * np.sin(1e12 * xs)) / (1.0 + xs)
-
-    prev = Rough(lambda zeta: 1.0 / (1.0 + zeta), 0.0)
-    h = cl.LaplaceStageHandle(prev, 0.0, sec.stage_ops[1])
-    prev.noise = 3e-11
-    with pytest.raises(ValidationError, match=r"\(direction = 0\.0\) does not chop "
-                                              r"at n = 512"):
-        h.eval_ray(0.5 * h._x0)
-
-
-def test_stage_without_asymptotic_seeds_refuses_a_read_below_its_table(euler_op):
-    # the table spans [1e-8 x0, x0]; below it, with no asymptotic range,
-    # a read raises where it once ran one scalar quadrature per point
-    sec = cl.summation_chain(euler_op).sections[0]
-    prev = cl.ContinuationHandle(sec.g1, sec.stage_ops[0], 0.0)
-    h = cl.LaplaceStageHandle(prev, 0.0, sec.stage_ops[1])
-    x = 1e-10 * h._x0
-    with pytest.raises(DomainError, match=r"arg=0\.0 read at x = .* below its table"):
-        h.eval_ray(x)
-    with pytest.raises(DomainError, match="below its table"):
-        h.eval_ray_many(np.array([0.5 * h._x0, x]))
-    # the table itself reads as before
-    assert h._interp.a == pytest.approx(1e-8 * h._x0)
-    assert h.eval_ray(1e-3 * h._x0) == h._interp(1e-3 * h._x0)
-
-
-_EPS = 1e-5
-
-
-@pytest.mark.parametrize("prev_fn, coefficients, rhs, seeds", [
-    # f(s) = s^2 e^-s, L f = 2x^2/(1 + x)^3: seeds 0, 0, 2, -6, 12, ...
-    # start with two zeros, so c0 + c1 x alone gives no cutoff
-    (lambda s: s * s * cmath.exp(-s), ([-2.0, 1.0], [1.0, 1.0]), None,
-     [0.0, 0.0] + [(-1) ** n * (n + 1) * (n + 2) for n in range(6)]),
-    # f(s) = 1/(1 + s/eps), L f = sum (-1)^n n! (x/eps)^n: the cutoff falls
-    # below 1e-8 x0, where the table once started
-    (lambda s: 1.0 / (1.0 + s / _EPS), ([1.0, 1.0 / _EPS], [0.0, 1.0 / _EPS]), [1.0],
-     [(-1) ** n * math.factorial(n) / _EPS**n for n in range(8)]),
-])
-def test_stage_reads_below_its_table_from_its_asymptotic_range(prev_fn, coefficients,
-                                                               rhs, seeds):
-    # the anchor moments and batched rules of a next stage read down to
-    # about 1e-12 of their span: the asymptotic range and the table must
-    # leave no gap between them
-    op = LinearOperator("differential", "delta",
-                        tuple(Polynomial(c) for c in coefficients), None,
-                        PowerSeries(rhs) if rhs else None)
-    prev = cl.FunctionHandle(prev_fn, 0.0)
-    h = cl.LaplaceStageHandle(prev, 0.0, op, asym_seeds=np.array(seeds, dtype=complex))
-    assert h._asym is not None
-    assert h._interp.a == 0.8 * h._x_asym
-    xs = h._x0 * np.geomspace(1e-13, 0.99, 40)
-    many = h.eval_ray_many(xs)
-    for x, v in zip(xs, many):
-        ref = cl.laplace_along_ray(prev, 1, 0.0, SectorPoint.from_complex(x))
-        assert abs(h.eval_ray(x) - ref) < 1e-10 * abs(ref)
-        assert abs(v - ref) < 1e-10 * abs(ref)
-
-
-def test_growth_is_fitted_once_per_handle(euler_op, monkeypatch):
-    # fit caches growth(): over many values and the stage tables, anchors and
-    # final levels that read it, each handle fits once
-    fits = {}
-    for cls in (cl.ContinuationHandle, cl.LaplaceStageHandle):
-        def counting(self, growth=cls.growth):
-            fits[self] = fits.get(self, 0) + 1
-            return growth(self)
-        monkeypatch.setattr(cls, "growth", counting)
-    S = cl.multisum(None, euler_op, 0.0)
-    for z in (0.1, 0.05, 0.3, 0.2 + 0.05j, 0.15 - 0.05j, 0.02):
-        S(SectorPoint.from_complex(z))
-    handles = [h for sec in S.sections for h in sec.handles]
-    assert len(handles) == 9
-    assert fits == {h: 1 for h in handles}
-    assert all(h.fit is h.fit for h in handles)
+def test_stage_tables_match_direct_quadrature_across_their_span(euler_sections):
+    # the first level at 12 nodes spread over x in [1e-4, 1], against the
+    # reference rule
+    assert len(euler_sections) == 9
+    h = 1.0 / 32.0
+    ts = np.round(np.linspace(math.log(1e-4), 0.0, 12) / h).astype(int)
+    for sec in euler_sections:
+        for t, got in zip(ts, _first_level(sec, h, ts)):
+            x = float(cl._ray_nodes(h, t, t)[0])
+            ref = cl.laplace_along_ray(sec.cont, 1, sec.d_w, SectorPoint.from_polar(x, sec.d_w))
+            assert abs(got - ref) <= 1e-10 * abs(ref)
 
 
 def test_classical_stokes_constant_near_pi(stokes_pair):
@@ -731,30 +619,17 @@ def test_classical_stokes_constant_near_pi(stokes_pair):
 @pytest.fixture(scope="module")
 def euler_ode_sum():
     """The Euler sum on the ray pi + pi/24 (rtol 1e-10) after one value,
-    built while keeping the ray points at which the stage tables sample
-    each handle."""
-    euler = LinearOperator("differential", "delta",
-                           (Polynomial([1.0]), Polynomial([0.0, 1.0])),
-                           None, PowerSeries([0.0, 1.0]))
+    built while keeping the ray points at which its grids sample each g_1."""
     samples = {}
-    batched = cl._batched_ray_laplace
+    sample = cl._LaplaceGrid._samples
 
-    def recording_batched(handle, d, xs):
-        many = handle.eval_ray_many
-
-        def recording(pts):
-            samples.setdefault(handle, []).append(np.array(pts))
-            return many(pts)
-
-        handle.eval_ray_many = recording
-        try:
-            return batched(handle, d, xs)
-        finally:
-            del handle.eval_ray_many
+    def recording(self, lo, hi):
+        samples.setdefault(self.cont, []).append(cl._ray_nodes(self.h, lo, hi))
+        return sample(self, lo, hi)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cl, "_batched_ray_laplace", recording_batched)
-        S = cl.multisum(None, euler, math.pi + math.pi / 24.0, rtol=1e-10)
+        mp.setattr(cl._LaplaceGrid, "_samples", recording)
+        S = cl.multisum(None, EULER, math.pi + math.pi / 24.0, rtol=1e-10)
         S(SectorPoint.from_polar(0.2, math.pi))
     return S, samples
 
@@ -766,10 +641,10 @@ def _bits(values: np.ndarray) -> np.ndarray:
 def test_scalar_and_array_step_values_agree_to_2_ulp_of_the_largest_term(euler_ode_sum):
     # eval_ray's plain-Python Horner and eval_ray_many's array Horner on the
     # same Taylor step: real and imaginary parts within 2 ulp of the largest
-    # term, at every table sample point in the continued range and at every
-    # step's centre and the two ends of the range it serves
+    # term, at every grid node in the continued range and at every step's
+    # centre and the two ends of the range it serves
     _, samples = euler_ode_sum
-    assert len(samples) == 6
+    assert len(samples) == 3
     for h, pts in samples.items():
         steps = h._steps
         los, cs, hs = steps.grid
@@ -793,13 +668,10 @@ def test_series_samples_of_a_stage_table_keep_the_terms_above_2_to_the_minus_60(
         euler_ode_sum):
     # inside 0.8 of the radius eval_ray_many sums the Borel series by the
     # octave rule of PowerSeries.eval_many: real and imaginary parts within
-    # 2 ulp of the largest term of the full polyval at every point a stage
-    # table samples there
+    # 2 ulp of the largest term of the full polyval at every grid node there
     _, samples = euler_ode_sum
-    handles = [h for h in samples if isinstance(h, cl.ContinuationHandle)]
-    assert handles
-    for h in handles:
-        xs = np.concatenate(samples[h])
+    for h, pts in samples.items():
+        xs = np.concatenate(pts)
         xs = xs[xs <= h._series_limit]
         assert len(xs) > 100
         t = xs * cmath.exp(1j * h.direction)
@@ -862,221 +734,230 @@ def test_taylor_step_refuses_a_tail_it_cannot_bound(euler_op, monkeypatch):
 
 
 def test_ode_rungs_do_not_depend_on_the_requests_that_built_them(euler_op):
-    # a continuation and a stage handle, each built twice and extended once
-    # to 40 or by the requests 1.2, 5, 40: the same Taylor steps and the
-    # same values, bit for bit
+    # a continuation, built twice and extended once to 40 or by the requests
+    # 1.2, 5, 40: the same Taylor steps and the same values, bit for bit
     sec = cl.summation_chain(euler_op).sections[0]
-
-    def continuation():
-        return cl.ContinuationHandle(sec.g1, sec.stage_ops[0], 0.0)
-
-    prev = continuation()
-
-    def stage():
-        return cl.LaplaceStageHandle(prev, 0.0, sec.stage_ops[1],
-                                     asym_seeds=sec.stage_seeds[1])
-
-    for make in (continuation, stage):
-        once, stepwise = make(), make()
-        steps = once.ensure(40.0)
-        for x in (1.2, 5.0, 40.0):
-            stepwise.ensure(x)
-        assert stepwise._steps.cs == steps.cs
-        xs = np.geomspace(steps.cs[0], steps.cs[-1] + 0.5 * steps.hs[-1], 500)
-        assert np.array_equal(_bits(stepwise._segment_values(xs)),
-                              _bits(once._segment_values(xs)))
-
-
-def _count_tabulations(monkeypatch):
-    """Per stage table built by LaplaceStageHandle._interp: its nodes and
-    the previous-stage points its batched Laplace calls sample, keyed by the
-    previous stage (each stage has its own)."""
-    tables = {}
-    batched = cl._batched_ray_laplace
-
-    def counting_table(self):
-        tables.setdefault(self.prev, {"nodes": 0, "points": 0})
-        return table_fn(self)
-
-    def counting_batched(handle, d, xs):
-        table = tables[handle]
-        many = handle.eval_ray_many
-
-        def counted(pts):
-            table["points"] += len(pts)
-            return many(pts)
-
-        handle.eval_ray_many = counted
-        try:
-            return batched(handle, d, xs)
-        finally:
-            del handle.eval_ray_many
-            table["nodes"] += len(xs)
-
-    table_fn = _replace_table(monkeypatch, counting_table)
-    monkeypatch.setattr(cl, "_batched_ray_laplace", counting_batched)
-    return tables
+    once, stepwise = (cl.ContinuationHandle(sec.g1, sec.stage_ops[0], 0.0) for _ in range(2))
+    steps = once.ensure(40.0)
+    for x in (1.2, 5.0, 40.0):
+        stepwise.ensure(x)
+    assert stepwise._steps.cs == steps.cs
+    xs = np.geomspace(steps.cs[0], steps.cs[-1] + 0.5 * steps.hs[-1], 500)
+    assert np.array_equal(_bits(stepwise._segment_values(xs)), _bits(once._segment_values(xs)))
 
 
 def test_batched_laplace_points_per_node_on_positive_axis(euler_op, monkeypatch):
-    # the d = 0 Euler tabulations must stay as cheap as the fixed 14-panel,
-    # 24-point rule they replace: 14 * 24 + 1 integrand points per node of
-    # each table, over all its nested grids
-    tables = _count_tabulations(monkeypatch)
+    # the d = 0 Euler grids sample g_1 once per node: one eval_ray_many call
+    # per build, on as many points as nodes, the window of the last level
+    # and the reach of the two kernels below it
+    samples, points = [], []
+    sample, many = cl._LaplaceGrid._samples, cl.ContinuationHandle.eval_ray_many
+
+    def counting_sample(self, lo, hi):
+        before = len(points)
+        values = sample(self, lo, hi)
+        samples.append((self, hi - lo + 1, points[before:]))
+        return values
+
+    monkeypatch.setattr(cl._LaplaceGrid, "_samples", counting_sample)
+    monkeypatch.setattr(cl.ContinuationHandle, "eval_ray_many",
+                        lambda self, xs: points.append(len(xs)) or many(self, xs))
     S = cl.multisum(None, euler_op, 0.0)
     S(SectorPoint.from_complex(0.1))
-    assert len(tables) == 6
-    assert max(t["points"] / t["nodes"] for t in tables.values()) <= 14 * 24 + 1
+    assert len(samples) == 3
+    for grid, nodes, calls in samples:
+        lo, hi, _ = grid._grid
+        assert calls == [nodes]
+        assert nodes == hi - lo + 1 + 2 * (len(grid._kernel[0]) - 1)
 
 
 def test_stage_ode_anchor_matches_direct_for_order_two():
-    # the 2F0 operator of acceptance criterion 7: each stage ODE starts from
-    # moments t = 0, 1 of the previous stage, so both need their own tolerance
+    # the 2F0 operator of acceptance criterion 7: the g_1 of each section
+    # steps its order-2 ODE from the vector (f, delta f) that the series
+    # gives at the anchor x0; just past x0, and at 0.75 of the radius, where
+    # the series still converges, the stepped values match the series
     a1, a2 = 0.3, 0.9
     op = LinearOperator("differential", "delta",
                         (Polynomial([0, a1 * a2]), Polynomial([1.0, a1 + a2]),
                          Polynomial([0, 1.0])))
     S = cl.multisum(None, op, 0.0)
     for sec in S.sections:
-        for h in sec.handles[1:]:
-            x = h._x0 * (1.0 + 5e-5)
-            (ref,) = h._direct([x])
-            assert abs(h.eval_ray(x) - ref) < 1e-10 * abs(ref)
+        h = sec.cont
+        assert len(h._V0) == h._m > 1
+        for x in (h._x0 * (1.0 + 5e-5), 0.75 * h.radius):
+            direct = h.series.eval(x * cmath.exp(1j * h.direction))
+            assert abs(h._stepped_value(x) - direct) < 1e-10 * abs(direct)
 
 
 def test_tabulation_check_failure_raises(euler_op, monkeypatch):
-    batched = cl._batched_ray_laplace
-    monkeypatch.setattr(cl, "_batched_ray_laplace",
-                        lambda *args: batched(*args) * (1.0 + 1e-6))
-    with pytest.raises(ValidationError, match="relative error"):
-        cl.multisum(None, euler_op, 0.0)
+    # g_1 samples scaled by 1 + 1e-6 pass the level checks (the step-2h sums
+    # scale with them) but not the reference rule, which reads g_1 itself
+    sample = cl._LaplaceGrid._samples
+    monkeypatch.setattr(cl._LaplaceGrid, "_samples",
+                        lambda self, lo, hi: sample(self, lo, hi) * (1.0 + 1e-6))
+    with pytest.raises(ValidationError, match="reference quadrature .*: relative error"):
+        cl.multisum(None, euler_op, 0.0)(SectorPoint.from_complex(0.1))
 
 
 def test_tabulation_check_fails_on_a_non_finite_reference(euler_op, monkeypatch):
     # a NaN reference makes the relative error NaN, which fails the check
-    monkeypatch.setattr(cl.LaplaceStageHandle, "_direct",
-                        lambda self, xs: np.full(np.shape(xs), complex(np.nan)))
+    monkeypatch.setattr(cl, "_reference_laplace",
+                        lambda handle, d, ws: np.full(len(ws), complex(np.nan)))
     with pytest.raises(ValidationError, match="relative error nan"):
-        cl.multisum(None, euler_op, 0.0)
+        cl.multisum(None, euler_op, 0.0)(SectorPoint.from_complex(0.1))
 
 
-def _mutate_batched(change):
-    """The tabulation's batched values pass through change(values, xs)."""
+# the node of x = |w| = 1e-3, where the d = 0 sum at z = 0.1 peaks (odd, so
+# the step-2h sums do not read it)
+_T_PEAK = round(math.log(1e-3) * 32)
+
+
+def _mutate_samples(change):
+    """The grids' samples of g_1 pass through change(values, t), t the nodes'
+    indices."""
     def mutate(mp):
-        batched = cl._batched_ray_laplace
-        mp.setattr(cl, "_batched_ray_laplace",
-                   lambda handle, d, xs: change(batched(handle, d, xs), np.asarray(xs)))
+        sample = cl._LaplaceGrid._samples
+        mp.setattr(cl._LaplaceGrid, "_samples",
+                   lambda self, lo, hi: change(sample(self, lo, hi), np.arange(lo, hi + 1)))
     return mutate
 
 
+def _at_peak(factor):
+    def change(values, t):
+        values[t == _T_PEAK] *= factor
+        return values
+    return _mutate_samples(change)
+
+
 def _shifted_nodes(mp):
-    """Each table value is tabulated at x (1 + 1e-6) and stored for x."""
-    batched = cl._batched_ray_laplace
-    mp.setattr(cl, "_batched_ray_laplace",
-               lambda handle, d, xs: batched(handle, d, np.asarray(xs) * (1.0 + 1e-6)))
+    """g_1 is sampled at x (1 + 1e-6) for the node x."""
+    mp.setattr(cl._LaplaceGrid, "_samples", lambda self, lo, hi: self.cont.eval_ray_many(
+        cl._ray_nodes(self.h, lo, hi) * (1.0 + 1e-6)))
 
 
-def _stretched_interpolant(mp):
-    """The interpolant reads its values as if they sat on the nodes of
-    [a, b (1 + 1e-6)]."""
-    init = cl._ChebLogInterpolant.__init__
-    mp.setattr(cl._ChebLogInterpolant, "__init__",
-               lambda self, a, b, values: init(self, a, b * (1.0 + 1e-6), values))
+def _scaled_kernel_weight(mp):
+    """The largest weight of the level kernel is scaled by 1 + 1e-6."""
+    kernel = cl._laplace_kernel
+
+    def scaled(h):
+        K, L1 = kernel(h)
+        K[np.argmax(K)] *= 1.0 + 1e-6
+        return K, L1
+
+    mp.setattr(cl, "_laplace_kernel", scaled)
+
+
+def _short_upper_cut(mp):
+    """The level kernel stops at y = e^2.5 = 12, not at e^4.25."""
+    kernel = cl._laplace_kernel
+
+    def short(h):
+        K, L1 = kernel(h)
+        return K[:L1 + round(2.5 / h) + 1], L1
+
+    mp.setattr(cl, "_laplace_kernel", short)
 
 
 def _noisy_previous_stage(mp):
-    """The batched rule reads the previous stage with relative noise 1e-6."""
-    batched = cl._batched_ray_laplace
+    """The reference rule reads g_1 with relative noise 1e-6."""
+    reference = cl._reference_laplace
 
-    def noisy(handle, d, xs):
+    def noisy(handle, d, ws):
         many = handle.eval_ray_many
         handle.eval_ray_many = lambda pts: many(pts) * (1.0 + 1e-6 * np.sin(1e9 * pts))
         try:
-            return batched(handle, d, xs)
+            return reference(handle, d, ws)
         finally:
             del handle.eval_ray_many
 
-    mp.setattr(cl, "_batched_ray_laplace", noisy)
+    mp.setattr(cl, "_reference_laplace", noisy)
 
 
-_CHECK = r"disagrees with .* quadrature at x = .*: relative error"
-_CHOP = r"does not chop at n = 512"
-_BUDGET = r"batched Laplace tabulation .* within 448 panels"
+_REF = r"disagrees with its reference quadrature at x = .*: relative error"
+_TWO_H = r"disagrees with its step-2h sum at x = .*: relative difference"
+_EDGE = r"kernel window too narrow at x = .* \(edge term not negligible\)"
+_FINITE = r"classical level 2 along arg = 0 .* is not finite at x = "
+_BUDGET = r"reference Laplace quadrature .* within 256 panels"
 
 
 @pytest.mark.parametrize("mutate, d, guard", [
-    (_shifted_nodes, 0.0, _CHECK),
-    (_stretched_interpolant, 0.0, _CHECK),
-    (_mutate_batched(lambda v, xs: v.conj()), math.pi + math.pi / 24, _CHECK),
-    (_mutate_batched(lambda v, xs: v * (1.0 + 1e-10 * np.sin(1e12 * xs))), 0.0, _CHOP),
+    (_shifted_nodes, 0.0, _REF),
+    (_mutate_samples(lambda v, t: v.conj()), math.pi + math.pi / 24, _REF),
+    (_mutate_samples(lambda v, t: v * (1.0 + 1e-6 * np.sin(1e12 * np.exp(t / 32)))), 0.0, _TWO_H),
     (_noisy_previous_stage, 0.0, _BUDGET),
-], ids=["shifted-nodes", "stretched-interpolant", "conjugated-values", "noisy-values",
-        "noisy-previous-stage"])
+    (_scaled_kernel_weight, 0.0, _TWO_H),
+    (_short_upper_cut, 0.0, _EDGE),
+    (_at_peak(1.0 + 1e-6), 0.0, _TWO_H),
+    (_at_peak(np.nan), 0.0, _FINITE),
+], ids=["shifted-nodes", "conjugated-values", "noisy-values", "noisy-previous-stage",
+        "scaled-kernel-weight", "short-upper-cut", "perturbed-sample", "nan-node"])
 def test_tabulation_mutations_raise_at_their_guard(euler_op, monkeypatch, mutate, d, guard):
-    # a table is built by the batched rule (panel budget), chopped, then
-    # checked at three points, so a row caught by the check (the first
-    # three: each leaves a smooth, chopping table) passed the other guards
+    # a grid checks each level as it is built, in this order: finite values,
+    # the edge terms of every kernel window, the step-2h sum, then (first
+    # level only) the reference rule, so a row caught by a later guard
+    # passed the earlier ones
     mutate(monkeypatch)
-    with pytest.raises(ValidationError, match=guard):
-        cl.multisum(None, euler_op, d)
+    with pytest.raises((ValidationError, RangeError), match=guard):
+        cl.multisum(None, euler_op, d)(SectorPoint.from_polar(0.1, d - (d > 1) * math.pi / 24))
 
 
 def test_tabulation_panel_budget_raises(euler_op, monkeypatch):
-    # the d = 0 Euler tabulation bisects one of its 14 starting panels
-    monkeypatch.setattr(cl, "_GK_MAX_PANELS", 14)
-    with pytest.raises(ValidationError, match="14 panels"):
-        cl.multisum(None, euler_op, 0.0)
+    # the first-level check of the d = 0 Euler sum bisects some of the
+    # reference rule's 17 starting panels
+    monkeypatch.setattr(cl, "_REF_MAX_PANELS", 17)
+    with pytest.raises(ValidationError, match="within 17 panels"):
+        cl.multisum(None, euler_op, 0.0)(SectorPoint.from_complex(0.1))
 
 
 def test_moment_panel_budget_raises(monkeypatch):
-    # near the sector edge the kernel e^(-sA) oscillates: the moments bisect
-    # past 14 panels and raise instead of falling back to scalar quadrature
-    monkeypatch.setattr(cl, "_GK_MAX_PANELS", 14)
+    # near the sector edge the kernel e^(-sA) oscillates: the reference rule
+    # bisects past its 17 starting panels and raises instead of falling back
+    # to another rule
+    monkeypatch.setattr(cl, "_REF_MAX_PANELS", 17)
     one = cl.FunctionHandle(lambda zeta: 1.0 + 0j, 0.0)
-    with pytest.raises(ValidationError, match="Laplace moments .* 14 panels"):
-        cl._moment_values(one, 0.0, SectorPoint.from_polar(1.0, 1.5), 1)
+    with pytest.raises(ValidationError, match="reference Laplace quadrature .* 17 panels"):
+        cl.laplace_along_ray(one, 1, 0.0, SectorPoint.from_polar(1.0, 1.5))
 
 
 def test_reference_quadrature_only_checks_the_tabulations(euler_op, monkeypatch):
-    # anchor moments and final-level values run the batched rule; the
-    # reference rule runs once per stage tabulation, on its three check
-    # points, and from nowhere but the check
+    # final values are window sums on the grids; the reference rule runs
+    # once per grid, on the three check nodes of its first build, and from
+    # nowhere but the check
     calls, depth = [], [0]
-    reference_fn, direct_fn = cl._reference_laplace, cl.LaplaceStageHandle._direct
+    reference, check = cl._reference_laplace, cl._LaplaceGrid._check
 
     def counting_reference(handle, d, ws):
-        calls.append((len(ws), depth[0]))      # points, open _direct calls
-        return reference_fn(handle, d, ws)
+        calls.append((len(ws), depth[0]))      # points, open checks
+        return reference(handle, d, ws)
 
-    def direct(self, xs):
+    def counting_check(self, *args):
         depth[0] += 1
         try:
-            return direct_fn(self, xs)
+            return check(self, *args)
         finally:
             depth[0] -= 1
 
-    tables = _count_tabulations(monkeypatch)
     monkeypatch.setattr(cl, "_reference_laplace", counting_reference)
-    monkeypatch.setattr(cl.LaplaceStageHandle, "_direct", direct)
+    monkeypatch.setattr(cl._LaplaceGrid, "_check", counting_check)
     S = cl.multisum(None, euler_op, 0.0)
     for z in (0.1, 0.05, 0.3, 0.2 + 0.05j, 0.15 - 0.05j):
         S(SectorPoint.from_complex(z))
-    assert len(tables) == 6
-    assert calls == [(3, 1)] * len(tables)
+    grids = [g for sec in S.sections for g in sec._grids.values()]
+    assert len(grids) == 3
+    assert calls == [(3, 1)] * len(grids)
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.floats(math.log(0.1), math.log(10.0)),
        st.floats(-math.pi / 2 + 0.02, math.pi / 2 - 0.02))
 def test_batched_moments_of_one(log_modulus, arg):
-    # I_t = int_0^inf s^t e^(-s A) ds = t!/A^(t+1), and N_t = A I_t at d = 0.
-    # Sampling on the real s-axis cancels int |s^t e^(-s A)| ds / |I_t| =
-    # (|A|/Re A)^(t+1) = kappa_t, so double precision cannot beat eps kappa_t
-    # (kappa_4 = 3e8 at |arg A| = pi/2 - 0.02); measured worst 7e-15 kappa_t
+    # the final window of a section whose g_1 is 1 gives N_0 = A I_0 = 1,
+    # I_0 = int_0^inf e^(-s A) ds, at d = 0 and w = 1/A.  Sampling on the
+    # real s-axis cancels int |e^(-s A)| ds / |I_0| = |A|/Re A = kappa_0, so
+    # double precision cannot beat eps kappa_0 (kappa_0 = 50 at |arg A| =
+    # pi/2 - 0.02)
     A = cmath.rect(math.exp(log_modulus), arg)
-    one = cl.FunctionHandle(lambda zeta: 1.0 + 0j, 0.0)
-    N = cl._moment_values(one, 0.0, SectorPoint.from_complex(1.0 / A), 5)
-    for t in range(5):
-        ref = math.factorial(t) / A**t
-        kappa = (abs(A) / A.real) ** (t + 1)
-        assert abs(N[t] - ref) <= 1e-13 * kappa * abs(ref)
+    delta = LinearOperator("differential", "delta", (Polynomial([0.0]), Polynomial([1.0])))
+    one = cl.SectionPipeline(0, (Fraction(1),), [delta], PowerSeries([1.0]))
+    value = cl._LaplaceSection(one, 0.0, 1e-11).value(SectorPoint.from_complex(1.0 / A))
+    assert abs(value - 1.0) <= 1e-13 * abs(A) / A.real

@@ -1,7 +1,7 @@
 """Values that do not depend on call history: a freshly built sum gives the
 same values bit for bit whatever order its points are asked in, and when it
-is shared by 4 threads at once (series.py: everything can be shared), lazy
-stage tabulations, ODE rungs and q-grids included."""
+is shared by 4 threads at once (series.py: everything can be shared), its
+lazily grown log grids (classical and q) and ODE rungs included."""
 
 import functools
 import math
@@ -87,8 +87,8 @@ def in_order(case):
 @given(order=st.permutations(range(8)))
 @example(order=[7, 0, 1, 2, 3, 4, 5, 6])   # the classical sum at z = 2 first
 def test_any_evaluation_order_gives_the_same_values(case, order):
-    # ODE rungs, growth fits, stage tables and q-grids are functions of fixed
-    # ranges, never of the points asked before
+    # ODE rungs and log-grid values are functions of their node alone, never
+    # of the points asked before
     build, points = ORDERED[case]
     S = build()
     got = {i: S(points[i]) for i in order}

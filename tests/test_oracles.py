@@ -90,7 +90,7 @@ def test_euler_sum_at_the_sector_edge(euler_op, arg):
 
 def _dop853_continuation(h, x_end: float):
     """f along the ray of an ODE handle from its anchor vector to x_end, by
-    scipy's DOP853 at rtol 1e-13 on the companion system of h.op: delta
+    scipy's DOP853 at rtol 1e-13 (atol 1e-30) on the companion system of h.op: delta
     V_i = V_(i+1), b_m delta V_(m-1) = F - sum_(j<m) b_j V_j, delta = x d/dx
     on the ray.  Only the coefficient arrays of the operator are read."""
     op, m, phase = h.op, h.op.order, np.exp(1j * h.direction)
@@ -106,8 +106,10 @@ def _dop853_continuation(h, x_end: float):
         return np.concatenate([dV.real, dV.imag])
 
     V0 = np.asarray(h._V0)
+    # atol far below every component: g_1 of the last 2F0 section falls to
+    # 1e-7 of its anchor value over the range its grids read
     sol = solve_ivp(rhs, (h._x0, x_end), np.concatenate([V0.real, V0.imag]), method="DOP853",
-                    rtol=1e-13, atol=1e-16 * np.max(np.abs(V0)), dense_output=True)
+                    rtol=1e-13, atol=1e-30, dense_output=True)
     assert sol.success
     return lambda xs: sol.sol(xs)[0] + 1j * sol.sol(xs)[m]
 
@@ -119,14 +121,14 @@ def _dop853_continuation(h, x_end: float):
     (TWO_F_ZERO, 0.0, [2.0, 3 - 1j], 1e-11),
 ], ids=["euler-0", "euler-pi+", "euler-pi-", "2F0"])
 def test_every_continued_handle_matches_a_dop853_reference(op, d, zs, rtol):
-    # each Taylor-stepped handle of the sum, after the sum's values at zs,
-    # against DOP853 at rtol 1e-13 from the same anchor vector, at 200
+    # the Taylor-stepped g_1 handle of each section, after the sum's values
+    # at zs, against DOP853 at rtol 1e-13 from the same anchor vector, at 200
     # log-spaced points from its anchor to the end of its continued range
     S = cl.summation_chain(op).sum(d, rtol=rtol)
     for z in zs:     # each z at its argument nearest to d
         S(SectorPoint.from_polar(abs(z), d + np.angle(z * np.exp(-1j * d))))
-    handles = [h for sec in S.sections for h in sec.handles]
-    assert len(handles) == 9
+    handles = [sec.cont for sec in S.sections]
+    assert len(handles) == 3
     for h in handles:
         steps = h._steps
         x_end = steps.cs[-1] + 0.5 * steps.hs[-1]
@@ -161,39 +163,63 @@ def test_laplace_along_ray_near_a_pole_matches_mpmath_and_quadpack(d):
         assert abs(got - a * val) <= 1e-12 * abs(got)
 
 
-@pytest.mark.parametrize("op, d, rtol", [
-    (EULER, 0.0, 1e-11),
-    (EULER, math.pi + math.pi / 24, 1e-10),
-    (EULER, math.pi - math.pi / 24, 1e-10),
-    (EULER, math.pi + 0.02, 1e-10),
-    (TWO_F_ZERO, 0.0, 1e-11),
-    (TWO_F_ZERO, 0.4, 1e-11),
+@pytest.mark.parametrize("op, d, rtol, r", [
+    (EULER, 0.0, 1e-11, 0.2),
+    (EULER, math.pi + math.pi / 24, 1e-10, 0.2),
+    (EULER, math.pi - math.pi / 24, 1e-10, 0.2),
+    (EULER, math.pi + 0.02, 1e-10, 0.2),
+    (TWO_F_ZERO, 0.0, 1e-11, 2.0),
+    (TWO_F_ZERO, 0.4, 1e-11, 2.0),
 ], ids=["euler-0", "euler-pi+", "euler-pi-", "euler-pi+0.02", "2F0-0", "2F0-0.4"])
-def test_stage_table_checks_match_mpmath_and_quadpack(op, d, rtol):
-    # the reference values of each stage's table check, L(prev)(x) =
-    # (1/x) int_0^S prev(s) e^(-s/x) ds on the ray, against mpmath's
-    # tanh-sinh at 30 digits and QUADPACK over the same [0, S].  On the
-    # Euler ray pi + 0.02 the ray of a first stage passes 7e-4 from the
-    # singular point -1/27 of its Borel operator, so tanh-sinh splits
-    # [0, S] where the ray comes nearest to each such point
-    S = cl.summation_chain(op).sum(d, rtol=rtol)
-    handles = [h for sec in S.sections for h in sec.handles[1:]]
-    assert len(handles) == 6
-    for h in handles:
-        lo, hi = h._interp.a, h._interp.b
-        xs = lo * (hi / lo) ** np.array([0.23, 0.52, 0.81])
-        nearest = [(rho * cmath.exp(-1j * d)).real for rho in h.prev._lead_roots]
-        for x, got in zip(xs, h._direct(xs)):
-            _, upper, fn, _ = cl._laplace_truncation(h.prev, d, SectorPoint.from_polar(x, d), 0)
+def test_stage_table_checks_match_mpmath_and_quadpack(op, d, rtol, r, monkeypatch):
+    # the reference values of each grid's first-level check, made when the
+    # sum is first asked at z = r e^(id): L(g_1)(x) = (1/x) int_0^S g_1(s)
+    # e^(-s/x) ds on the ray, against mpmath's tanh-sinh at 30 digits and
+    # QUADPACK over the same [0, S].  On the Euler ray pi + 0.02 the ray of
+    # g_1 passes 7e-4 from the singular point -1/27 of its Borel operator,
+    # so tanh-sinh splits [0, S] where the ray comes nearest to each such
+    # point
+    checks, reference = [], cl._reference_laplace
+
+    def recording(handle, dd, ws):
+        got = reference(handle, dd, ws)
+        checks.append((handle, dd, ws, got))
+        return got
+
+    monkeypatch.setattr(cl, "_reference_laplace", recording)
+    cl.summation_chain(op).sum(d, rtol=rtol)(SectorPoint.from_polar(r, d))
+    assert len(checks) == 3
+    for h, dd, ws, got_all in checks:
+        nearest = [(rho * cmath.exp(-1j * dd)).real for rho in h._lead_roots]
+        for w, got in zip(ws, got_all):
+            x = w.modulus
+            _, upper, fn, _ = cl._laplace_truncation(h, dd, w)
             cuts = sorted(p for p in (*nearest, 0.5, 1.0, 1.5) if 0.0 < p < upper)
             with mp.workdps(30):
-                ref, err = mp.quad(lambda s: complex(h.prev.eval_ray(float(s))) * mp.exp(-s / x),
+                ref, err = mp.quad(lambda s: complex(h.eval_ray(float(s))) * mp.exp(-s / x),
                                    [0, *cuts, upper], maxdegree=8, error=True)
             assert err <= 1e-14 * abs(ref)
             assert _rel(got, ref / x) <= 1e-12
             val, _ = quad(fn, 0.0, upper, points=cuts or None, epsabs=0.0, epsrel=1e-12,
                           limit=200, complex_func=True)
             assert abs(got - val / x) <= 1e-12 * abs(got)
+
+
+@pytest.mark.parametrize("z", [0.1, 0.2 * cmath.exp(0.3j)], ids=["0.1", "0.2e^0.3i"])
+@pytest.mark.parametrize("g, p", [(0.5, 1), (1.0, 1), (2.0, 1), (3.0, 1), (1.0, 2)])
+def test_euler_family_sum_matches_variation_of_constants(g, p, z):
+    # g z delta y + y = z^p is solved, for |arg z| < pi/2, by
+    # y(z) = int_0^z exp(1/(g z) - 1/(g t)) t^(p-2)/g dt (variation of
+    # constants), the Borel sum in direction 0: mpmath quad at 30 digits,
+    # with the path split at z/4 and z/2
+    op = LinearOperator("differential", "delta", (Polynomial([1.0]), Polynomial([0.0, g])),
+                        None, PowerSeries([0.0] * p + [1.0]))
+    with mp.workdps(30):
+        zm = mp.mpc(z.real, z.imag)
+        ref = mp.quad(lambda t: mp.exp(1 / (g * zm) - 1 / (g * t)) * t ** (p - 2) / g,
+                      [0, zm / 4, zm / 2, zm])
+    S = cl.summation_chain(op).sum(0.0)
+    assert _rel(S(SectorPoint.from_complex(complex(z))), ref) <= 1e-10
 
 
 def _jackson_q_laplace(g, q: float, z: float) -> float:
@@ -257,7 +283,7 @@ def phi_sum():
     cache = {}
 
     def get(q, mode):
-        key = (q, mode, qs._FFT_MIN_KERNEL)
+        key = (q, mode, cl._FFT_MIN_KERNEL)
         if key not in cache:
             par = hg.PhiParams((3.0, 5.0), (), 1.0 / q)
             cache[key] = par, qs.q_multisum(None, hg.rphi_operator(par), 0.0, mode=mode)
@@ -279,7 +305,7 @@ def test_two_phi_zero_q_sum_over_a_wide_dynamic_range(phi_sum, q, mode, z, fft_m
     from qborel import hypergeom as hg
 
     if fft_min_kernel is not None:
-        monkeypatch.setattr(qs, "_FFT_MIN_KERNEL", fft_min_kernel)
+        monkeypatch.setattr(cl, "_FFT_MIN_KERNEL", fft_min_kernel)
     par, S = phi_sum(q, mode)
     zp = SectorPoint.from_complex(complex(z))
     assert _rel(S(zp), hg.qsum_closed_form(par, 0.0, zp)) <= 2e-10

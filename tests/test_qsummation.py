@@ -724,8 +724,8 @@ def test_grown_q_grid_equals_a_fresh_build(q, mode):
                     for _ in range(2))
     assert len(grown.orders_w) == 3
     narrow = grown._nodes(-40, 40).copy()
-    grown._ensure_grid(-900, 700)
-    fresh._ensure_grid(-900, 700)
+    grown._nodes(-900, 700)
+    fresh._nodes(-900, 700)
     assert grown._grid[:2] == fresh._grid[:2]
     assert np.array_equal(grown._grid[2], fresh._grid[2])
     assert np.array_equal(grown._nodes(-40, 40), narrow)
@@ -737,12 +737,12 @@ def test_fft_level_correlation_matches_the_direct_dots():
     # the direct dot's to 2e-13 (kept FFT outputs are checked to 1e-13, the
     # rest are that dot), and the direct path is np.dot bit for bit
     K, _ = qs._jackson_kernel(1.02 ** 3, 8)
-    n, B = len(K), qs._block_size(len(K))
+    n, B = len(K), cl._block_size(len(K))
     assert B > 1
     t = np.arange(5 * B + n - 1)
     a = np.exp(np.minimum(t, 1.5 * n) * (60 * math.log(10) / (1.5 * n)) + 0.01j * t)
     dots = np.array([np.dot(K, a[i : i + n]) for i in range(5 * B)])
-    got = qs._correlate(a, K)
+    got = cl._correlate(a, K)
     assert np.max(np.abs(got - dots) / np.abs(dots)) <= 2e-13
     rows = np.array([0, 1, 2, 7, 9, 10, 5 * B - 1])
-    assert np.array_equal(qs._direct_dots(a, K, rows), dots[rows])
+    assert np.array_equal(cl._direct_dots(a, K, rows), dots[rows])
