@@ -678,50 +678,55 @@ class _LogGrid:
     (_correlate) with one kernel (K, L1), K[j] weighing node t + j - L1 in
     level value t.  Each level's range is rounded out to whole blocks of its
     correlation, aligned to the absolute index t, so a value never depends
-    on the range the grid was grown to.  The grid (lo, hi, values) is
+    on the range the grid was grown to.  The grid (lo, hi, values, notes) is
     published whole and no lock is held: threads that grow it at once
     publish agreeing grids.  A subclass grows it in _ensure_grid_locked, by
-    _grow with its node source, kernel and number of levels."""
+    _grow with its node source, kernel, number of levels and, optionally, a
+    check whose notes on each level are kept with the grid."""
 
-    _grid: Optional[tuple[int, int, np.ndarray]] = None
+    _grid: Optional[tuple[int, int, np.ndarray, list]] = None
 
-    def _nodes(self, lo: int, hi: int) -> np.ndarray:
+    def _covering(self, lo: int, hi: int) -> tuple[int, int, np.ndarray, list]:
         grid = self._grid
         if grid is None or grid[0] > lo or grid[1] < hi:
             grid = self._ensure_grid_locked(lo, hi)
+        return grid
+
+    def _nodes(self, lo: int, hi: int) -> np.ndarray:
+        grid = self._covering(lo, hi)
         return grid[2][lo - grid[0] : hi - grid[0] + 1]
 
     def _grow(self, lo: int, hi: int, samples: Callable[[int, int], np.ndarray],
               kernel: Optional[tuple[np.ndarray, int]], levels: int,
-              check: Optional[Callable] = None) -> tuple[int, int, np.ndarray]:
+              check: Optional[Callable] = None) -> tuple[int, int, np.ndarray, list]:
         """Build the grid over [lo, hi] and the published range from the node
-        values samples(lo, hi), publish it and return it.  check(level, lo,
-        inputs, outputs) sees the outputs of each level that this request
-        reads, from t = lo on, with their inputs."""
-        need = (lo, hi)
-        if self._grid is not None:
-            lo, hi = min(lo, self._grid[0]), max(hi, self._grid[1])
-        spans = []       # (lo, hi, needed range) of each level, top level first
+        values samples(lo, hi), publish it and return it.  Its notes are
+        check(level, t0, inputs, outputs, old) for each level, whose outputs
+        start at t = t0, old being that level's note in the grid this build
+        replaces (None on the first build)."""
+        old = self._grid
+        if old is not None:
+            lo, hi = min(lo, old[0]), max(hi, old[1])
+        spans = []       # (lo, hi) of each level, top level first
         if levels:
             K, L1 = kernel
             n, B = len(K), _block_size(len(K))
             for _ in range(levels):
                 lo, hi = lo - lo % B, hi - hi % B + B - 1
-                spans.append((lo, hi, need))
+                spans.append((lo, hi))
                 lo, hi = lo - L1, hi + n - 1 - L1
-                need = (need[0] - L1, need[1] + n - 1 - L1)
         if hi - lo > _GRID_CAP:
             raise RangeError("Laplace node grid exceeded the size cap")
         values = samples(lo, hi)
-        for level, (out_lo, out_hi, (need_lo, need_hi)) in enumerate(reversed(spans)):
+        notes = []
+        for level, (out_lo, out_hi) in enumerate(reversed(spans)):
             start = out_lo - L1 - lo
             inputs = values[start : start + out_hi - out_lo + n]
             values = _correlate(inputs, K)
             if check is not None:
-                i, j = need_lo - out_lo, need_hi - out_lo + 1
-                check(level, need_lo, inputs[i : j + n - 1], values[i:j])
+                notes.append(check(level, out_lo, inputs, values, old and old[3][level]))
             lo = out_lo
-        self._grid = grid = (lo, lo + len(values) - 1, values)
+        self._grid = grid = (lo, lo + len(values) - 1, values, notes)
         return grid
 
 
@@ -737,11 +742,14 @@ class _LogGrid:
 # The error falls like exp(-2 pi a/h), a the half-width of the strip about
 # the real v-axis in which the integrand is analytic and decays (Trefethen &
 # Weideman, SIAM Review 56, 2014): a point takes the largest h = 2^-k/4 with
-# 2 pi a/h >= 37.
+# 2 pi a/h >= 37, and halves it, up to _REFINEMENTS times, while a sum it
+# reads disagrees with its step-2h sum (a growing g_r narrows the strip).
 _V_LO, _V_HI = -38.0, 4.25
 _H0 = 0.25
 _STRIP_EFOLDS = 37.0
+_REFINEMENTS = 2
 _REF_RTOL = 1e-9         # first level against the reference rule, at 3 nodes
+_REF_EFOLDS = 4          # the reference nodes are x = e^(4j)
 _TWO_H_RTOL = 1e-9       # every level against its sum with step 2h
 # The final window's step-2h sum has e^(pi a/h) >= e^18.5 times the error of
 # its step-h sum, so agreeing to 1e-5 bounds that error by 1e-13.
@@ -776,66 +784,124 @@ def _correlate_any(a: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     return _correlate(np.concatenate([a, np.repeat(a[-1:], fill)]), kernel)[:n_out]
 
 
+def _level_faults(h: float, K: np.ndarray, t0: int, inputs: np.ndarray,
+                  values: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The nodes t >= t0 at which classical level values (inputs correlated
+    with K) fail a check, by kind: not finite; last kernel term above 1e-12
+    of the value; off the step-2h sum, taken at the even t from the inputs
+    t + k with k even (L1 is even), by more than _TWO_H_RTOL, with those
+    relative differences."""
+    t = t0 + np.arange(len(values))
+    edge = ~(np.abs(K[-1] * inputs[len(K) - 1:]) <= 1e-12 * np.abs(values))
+    i0 = t0 % 2
+    fine = values[i0::2]
+    coarse = _correlate_any(inputs[i0::2], _laplace_kernel(2.0 * h)[0]) if len(fine) else fine
+    diff = np.abs(fine - coarse)
+    step = ~(diff <= _TWO_H_RTOL * np.abs(fine))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return t[~np.isfinite(values)], t[edge], t[i0::2][step], diff[step] / np.abs(fine[step])
+
+
+class _LevelNote(NamedTuple):
+    """What the checks of one classical level found over its outputs at
+    t = lo..hi: the faults of _level_faults, and, on the first level, its
+    values at the reference nodes x = e^(4j) from j = lattice[0] on."""
+    lo: int
+    hi: int
+    faults: tuple[np.ndarray, ...]
+    lattice: Optional[tuple[int, np.ndarray]]
+
+
 class _LaplaceGrid(_LogGrid):
     """The last classical level of a section at one step h on the ray d_w,
     from g_1 (its ContinuationHandle) sampled once per node; a build reaches
     _GRID_SLACK e-folds beyond the window it serves, for the points near it.
-    Each level is checked as it is built: a value that is not finite raises
-    ValidationError; one whose last kernel term exceeds 1e-12 of it raises
-    RangeError (as _window_sum does for the final window: the only guard on
-    growth); every other value must agree to _TWO_H_RTOL with its sum with
-    step 2h; and the first build checks its first level against the
-    reference rule to _REF_RTOL at x = |w| e^-1, |w|, |w| e, w the point it
-    serves.  A disagreement raises ValidationError."""
+    Each build checks every level value it adds (_level_faults) and keeps
+    the faults with the grid; a point's read raises at those among the
+    values its window depends on, and checks the first level against the
+    reference rule at three nodes x = e^(4j), the highest at most e^2 |w|
+    (near the peak of the window's integrand), each once per grid.
+    Whether a point passes thus depends on the point alone, not on the
+    points asked before it or on the grid's range."""
 
     def __init__(self, cont: ContinuationHandle, h: float, levels: int):
         self.cont, self.h, self.levels = cont, h, levels
         self._kernel = _laplace_kernel(h)
+        self._refs: dict[int, Optional[str]] = {}   # node e^(4j) -> reference failure
 
-    def _ensure_grid_locked(self, lo: int, hi: int) -> tuple[int, int, np.ndarray]:
-        refs = None
-        if self._grid is None:    # x = |w| is -_V_LO/h nodes above the window's low end
-            refs = lo - round(_V_LO / self.h) + round(1.0 / self.h) * np.array([-1, 0, 1])
+    def _ensure_grid_locked(self, lo: int, hi: int) -> tuple[int, int, np.ndarray, list]:
         slack = round(_GRID_SLACK / self.h)
         return self._grow(lo - slack, hi + slack, self._samples, self._kernel, self.levels,
-                          lambda *level: self._check(*level, refs))
+                          self._check)
 
     def _samples(self, lo: int, hi: int) -> np.ndarray:
         return self.cont.eval_ray_many(_ray_nodes(self.h, lo, hi))
 
-    def _check(self, level: int, lo: int, inputs: np.ndarray, values: np.ndarray,
-               refs: Optional[np.ndarray]):
+    def _check(self, level: int, t0: int, inputs: np.ndarray, values: np.ndarray,
+               old: Optional[_LevelNote]) -> _LevelNote:
+        """The level's note: the faults of the old note, and of the values
+        outside its range (a grown level's range contains the old one)."""
+        n, hi = len(self._kernel[0]), t0 + len(values) - 1
+        found = [] if old is None else [old.faults]
+        for a, b in [(t0, hi)] if old is None else [(t0, old.lo - 1), (old.hi + 1, hi)]:
+            if a <= b:
+                i, j = a - t0, b - t0 + 1
+                found.append(_level_faults(self.h, self._kernel[0], a, inputs[i : j + n - 1],
+                                           values[i:j]))
+        lattice = None
+        if level == 0:
+            P = round(_REF_EFOLDS / self.h)
+            j0 = -(-t0 // P)
+            lattice = (j0, values[j0 * P - t0 :: P].copy())
+        return _LevelNote(t0, hi, tuple(map(np.concatenate, zip(*found))), lattice)
+
+    def read(self, lo: int, hi: int,
+             w: SectorPoint) -> tuple[Optional[np.ndarray], Optional[str]]:
+        """The last level at the window lo..hi of the point w, and the first
+        step-2h disagreement among the level values the window depends on
+        (None if there is none), lowest level and smallest t first.  Such a
+        value that is not finite raises ValidationError, and one whose
+        kernel window is too narrow RangeError; so does, with
+        ValidationError, a reference check that fails."""
+        g_lo, _, values, notes = self._covering(lo, hi)
         (K, L1), h, d = self._kernel, self.h, self.cont.direction
-        name = f"classical level {level + 2} along arg = {d:.6g} (h = 2^{math.log2(h):.0f})"
+        needs = [(lo, hi)]          # the values the window depends on, top level first
+        for _ in range(1, self.levels):
+            needs.append((needs[-1][0] - L1, needs[-1][1] + len(K) - 1 - L1))
+        for level, (note, (a, b)) in enumerate(zip(notes, reversed(needs))):
+            *kinds, rel = note.faults
+            for kind, ts in enumerate(kinds):
+                hits = np.flatnonzero((ts >= a) & (ts <= b)) if len(ts) else ()
+                if not len(hits):
+                    continue
+                i = hits[np.argmin(ts[hits])]
+                name = f"classical level {level + 2} along arg = {d:.6g} (h = 2^{math.log2(h):.0f})"
+                at = f"x = {math.exp(h * int(ts[i])):.6g}"
+                if kind == 0:
+                    raise ValidationError(f"{name} is not finite at {at}")
+                if kind == 1:
+                    raise RangeError(f"{name}: kernel window too narrow at {at} "
+                                     f"(edge term not negligible)")
+                return None, (f"{name} disagrees with its step-2h sum at {at}: "
+                              f"relative difference {rel[i]:.2e} > {_TWO_H_RTOL:.0e}")
+        top = math.floor((w.log_modulus + 2.0) / _REF_EFOLDS)
+        for j in (top - 2, top - 1, top) if self.levels else ():
+            if j not in self._refs:
+                self._refs[j] = self._reference(j, notes[0].lattice)
+            if self._refs[j] is not None:
+                raise ValidationError(self._refs[j])
+        return values[lo - g_lo : hi - g_lo + 1], None
 
-        def at(i) -> str:
-            return f"x = {math.exp(h * (lo + int(i))):.6g}"
-
-        finite = np.isfinite(values)
-        if not finite.all():
-            raise ValidationError(f"{name} is not finite at {at(np.argmin(finite))}")
-        bad = ~(np.abs(K[-1] * inputs[len(K) - 1:]) <= 1e-12 * np.abs(values))
-        if bad.any():
-            raise RangeError(f"{name}: kernel window too narrow at {at(np.argmax(bad))} "
-                             f"(edge term not negligible)")
-        # values[0::2] with step 2h: the inputs m + j with k = j - L1 even
-        fine = values[::2]
-        coarse = _correlate_any(inputs[L1 % 2::2], _laplace_kernel(2.0 * h)[0])
-        diff = np.abs(fine - coarse[:len(fine)])
-        bad = ~(diff <= _TWO_H_RTOL * np.abs(fine))
-        if bad.any():
-            i = int(np.argmax(bad))
-            raise ValidationError(f"{name} disagrees with its step-2h sum at {at(2 * i)}: relative "
-                                  f"difference {diff[i] / abs(fine[i]):.2e} > {_TWO_H_RTOL:.0e}")
-        if level == 0 and refs is not None:
-            xs = [float(_ray_nodes(h, t, t)[0]) for t in refs]
-            ref = _reference_laplace(self.cont, d, [SectorPoint.from_polar(x, d) for x in xs])
-            for x, got, want in zip(xs, values[refs - lo], ref):
-                rel = abs(got - want) / max(abs(want), 1e-300)
-                if not rel <= _REF_RTOL:
-                    raise ValidationError(
-                        f"{name} disagrees with its reference quadrature at x = {x:.6g}: "
-                        f"relative error {rel:.2e} > {_REF_RTOL:.0e}")
+    def _reference(self, j: int, lattice: tuple[int, np.ndarray]) -> Optional[str]:
+        """What is wrong with the first level at x = e^(4j), if it is off
+        the reference rule by more than _REF_RTOL; None if it is not."""
+        h, d, t = self.h, self.cont.direction, j * round(_REF_EFOLDS / self.h)
+        x = float(_ray_nodes(h, t, t)[0])
+        want = _reference_laplace(self.cont, d, [SectorPoint.from_polar(x, d)])[0]
+        rel = abs(lattice[1][j - lattice[0]] - want) / max(abs(want), 1e-300)
+        return None if rel <= _REF_RTOL else (
+            f"classical level 2 along arg = {d:.6g} (h = 2^{math.log2(h):.0f}) disagrees with "
+            f"its reference quadrature at x = {x:.6g}: relative error {rel:.2e} > {_REF_RTOL:.0e}")
 
 
 class _LaplaceSection:
@@ -848,7 +914,8 @@ class _LaplaceSection:
     singular direction of the stage operators (half, so that the levels'
     step-2h sums keep the bound), capped at pi/16: the first grid serves the
     inner 7/8 of the sector, and only points nearer its edge pay for a finer
-    one."""
+    one.  A step-2h disagreement of the window or of a level it reads halves
+    the step, up to _REFINEMENTS times, and raises ValidationError after."""
 
     def __init__(self, sec: "SectionPipeline", d_w: float, rtol: float):
         self.l = sec.l
@@ -859,8 +926,8 @@ class _LaplaceSection:
                                for rho in op.coefficients[-1].nonzero_roots()), default=math.pi)
         self._grids: dict[float, _LaplaceGrid] = {}
 
-    def window(self, w: SectorPoint) -> tuple[float, int, int, complex]:
-        """The step h of the point w, its window [lo, hi] of nodes and A."""
+    def value(self, w: SectorPoint) -> complex:
+        # SummedFunction.domain_check keeps w inside the final level's sector
         A = cmath.exp(1j * self.d_w - w.complex_log())
         if A.real <= 0:
             raise DomainError(f"evaluation point arg={w.argument} outside the Laplace "
@@ -868,27 +935,30 @@ class _LaplaceSection:
         a, h = min(self._a_w, math.pi / 2 - abs(cmath.phase(A)), math.pi / 16), _H0
         while TWO_PI * a / h < _STRIP_EFOLDS:
             h /= 2
-        lo = math.floor((_V_LO + w.log_modulus) / h)
-        hi = math.ceil((_V_HI - math.log(A.real / abs(A)) + w.log_modulus) / h)
-        if hi - lo + self.levels * (_V_HI - _V_LO) / h > _GRID_CAP:
-            raise RangeError(f"the Laplace node grid of arg w = {w.argument:.6g} (step "
-                             f"{h:.3g}) would exceed the size cap")
-        return h, lo, hi, A
-
-    def value(self, w: SectorPoint) -> complex:
-        # SummedFunction.domain_check keeps w inside the final level's sector
-        h, lo, hi, A = self.window(w)
-        grid = self._grids.get(h) or self._grids.setdefault(
-            h, _LaplaceGrid(self.cont, h, self.levels))
-        xA = _ray_nodes(h, lo, hi) * A
-        terms = grid._nodes(lo, hi) * (h * xA * np.exp(-xA))
-        total, coarse = _window_sum(terms, 1.0), 2.0 * complex(np.sum(terms[::2]))
-        if not abs(total - coarse) <= _WINDOW_2H_RTOL * abs(total):
-            raise ValidationError(
-                f"final window of arg w = {w.argument:.6g} along arg = {self.d_w:.6g} (h = "
-                f"2^{math.log2(h):.0f}) disagrees with its step-2h sum: relative difference "
-                f"{abs(total - coarse) / abs(total):.2e} > {_WINDOW_2H_RTOL:.0e}")
-        return total
+        fault = None
+        for _ in range(_REFINEMENTS + 1):
+            lo = math.floor((_V_LO + w.log_modulus) / h)
+            hi = math.ceil((_V_HI - math.log(A.real / abs(A)) + w.log_modulus) / h)
+            if hi - lo + self.levels * (_V_HI - _V_LO) / h > _GRID_CAP:
+                if fault:
+                    break
+                raise RangeError(f"the Laplace node grid of arg w = {w.argument:.6g} (step "
+                                 f"{h:.3g}) would exceed the size cap")
+            grid = self._grids.get(h) or self._grids.setdefault(
+                h, _LaplaceGrid(self.cont, h, self.levels))
+            nodes, fault = grid.read(lo, hi, w)
+            if fault is None:
+                xA = _ray_nodes(h, lo, hi) * A
+                terms = nodes * (h * xA * np.exp(-xA))
+                total, coarse = _window_sum(terms, 1.0), 2.0 * complex(np.sum(terms[::2]))
+                if abs(total - coarse) <= _WINDOW_2H_RTOL * abs(total):
+                    return total
+                fault = (f"final window of arg w = {w.argument:.6g} along arg = {self.d_w:.6g} "
+                         f"(h = 2^{math.log2(h):.0f}) disagrees with its step-2h sum: relative "
+                         f"difference {abs(total - coarse) / abs(total):.2e} > "
+                         f"{_WINDOW_2H_RTOL:.0e}")
+            h /= 2
+        raise ValidationError(fault)
 
 
 # ---------------------------------------------------------------------------

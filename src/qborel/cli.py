@@ -255,8 +255,7 @@ def cmd_sum(args) -> ResultTable:
         raise ConfigError("sum applies to differential operators (use qsum)")
     zs = _samples(args)
     table = ResultTable(
-        ["z_re", "z_im", "z_arg", "value_re", "value_im", "residual",
-         "grid_h", "grid_nodes", "status"],
+        ["z_re", "z_im", "z_arg", "value_re", "value_im", "residual", "status"],
         metadata={"command": "sum", "op": args.op, "direction": args.direction,
                   "order": args.order, "residual_tolerance": 1e-5},
     )
@@ -265,16 +264,10 @@ def cmd_sum(args) -> ResultTable:
         zc = z.to_complex()
         try:
             val = S(z)
-            # the finest step of the point's log grids and the nodes of its
-            # final windows, over all sections
-            windows = [sec.window(z.power(S.ladder.beta)) for sec in S.sections]
-            h = min(win[0] for win in windows) if windows else ""
-            nodes = sum(win[2] - win[1] + 1 for win in windows) if windows else ""
             table.add(zc.real, zc.imag, z.argument, val.real, val.imag,
-                      S.residual(op, z), h, nodes, "ok")
+                      S.residual(op, z), "ok")
         except QBorelError as exc:
-            table.add(zc.real, zc.imag, z.argument, "", "", "", "", "",
-                      f"{exc.code}-error")
+            table.add(zc.real, zc.imag, z.argument, "", "", "", f"{exc.code}-error")
     return table
 
 

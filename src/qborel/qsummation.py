@@ -470,7 +470,7 @@ class _QSection(_LogGrid):
         self.base = (Qw - 1.0 if mode == "theta" else 1.0) * cmath.exp(1j * d_w)
         self.cont = QContinuation(sec.g1, sec.stage_ops[0], d_w)
 
-    def _ensure_grid_locked(self, lo: int, hi: int) -> tuple[int, int, np.ndarray]:
+    def _ensure_grid_locked(self, lo: int, hi: int) -> tuple[int, int, np.ndarray, list]:
         """_LogGrid._grow from the walk; every level is order 1 in w (sub-unit
         ladders are refused), so one kernel serves them all."""
         levels = len(self.orders_w) - 1

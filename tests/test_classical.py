@@ -1,5 +1,6 @@
 import cmath
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -532,11 +533,12 @@ EULER = LinearOperator("differential", "delta", (Polynomial([1.0]), Polynomial([
 
 
 def _first_level(sec, h, ts):
-    """The first level of a classical section at the nodes ts of step h, one
-    dot each of the kernel with g_1 at the nodes it weighs."""
-    K, L1 = cl._laplace_kernel(h)
-    nodes = [cl._ray_nodes(h, t - L1, t + len(K) - 1 - L1) for t in ts]
-    return np.array([np.dot(K, sec.cont.eval_ray_many(x)) for x in nodes])
+    """The first level of a classical section at the nodes ts of step h, as
+    a one-level grid built over them holds it (_LogGrid._grow, correlated
+    in blocks aligned to t, checked as it is built)."""
+    grid = cl._LaplaceGrid(sec.cont, h, 1)
+    lo = int(min(ts))
+    return grid, grid._nodes(lo, int(max(ts)))[np.asarray(ts) - lo]
 
 
 @pytest.fixture(scope="module")
@@ -568,25 +570,34 @@ def stokes_pair():
 
 def test_batched_laplace_matches_adaptive_quadrature_near_stokes_ray(stokes_pair):
     # the first level of each section of the sum on pi + pi/24, a trapezoid
-    # sum at step 1/32, against the adaptive reference rule
+    # sum at step 1/32 as a grid builds it, against the adaptive reference
+    # rule; at the nodes x = e^(4j), where the sum's own three-level grids
+    # keep their first level for its checks, it is the same, bit for bit
     plus = stokes_pair[0]
     h = 1.0 / 32.0
     ts = np.round(np.log([1e-3, 1e-2, 0.1]) / h).astype(int)
     for sec in plus.sections:
-        for t, got in zip(ts, _first_level(sec, h, ts)):
+        grid, values = _first_level(sec, h, ts)
+        for t, got in zip(ts, values):
             x = float(cl._ray_nodes(h, t, t)[0])
             ref = cl.laplace_along_ray(sec.cont, 1, sec.d_w, SectorPoint.from_polar(x, sec.d_w))
             assert abs(got - ref) < 1e-11 * abs(ref)
+        j0, built = sec._grids[h]._grid[3][0].lattice      # at x = e^(4j), t = 128 j
+        t = 128 * np.arange(j0, j0 + len(built))
+        assert len(t) > 10
+        assert np.array_equal(grid._nodes(t[0], t[-1])[t - t[0]], built)
 
 
 def test_tabulation_makes_only_its_three_check_quadratures(stokes_pair):
-    # one grid per section (step 1/32 at z = -0.2), built once, and one
-    # reference check per grid, covering its three nodes at once
+    # one grid per section (step 1/32 at z = -0.2), built once, and three
+    # reference checks per grid, one for each of the nodes e^-12, e^-8 and
+    # e^-4 (x = e^(4j), the highest at most e^2 |w|, |w| = 0.008)
     plus, minus, built, checked = stokes_pair
     grids = [g for S in (plus, minus) for sec in S.sections for g in sec._grids.values()]
     assert len(grids) == 6 and all(g.h == 1.0 / 32.0 for g in grids)
     assert built == {g: 1 for g in grids}
-    assert checked == {g.cont: [3] for g in grids}
+    assert checked == {g.cont: [1, 1, 1] for g in grids}
+    assert all(sorted(g._refs) == [-3, -2, -1] for g in grids)
 
 
 @pytest.fixture(scope="module")
@@ -597,13 +608,13 @@ def euler_sections(stokes_pair):
 
 
 def test_stage_tables_match_direct_quadrature_across_their_span(euler_sections):
-    # the first level at 12 nodes spread over x in [1e-4, 1], against the
-    # reference rule
+    # the first level, as a grid builds it, at 12 nodes spread over x in
+    # [1e-4, 1], against the reference rule
     assert len(euler_sections) == 9
     h = 1.0 / 32.0
     ts = np.round(np.linspace(math.log(1e-4), 0.0, 12) / h).astype(int)
     for sec in euler_sections:
-        for t, got in zip(ts, _first_level(sec, h, ts)):
+        for t, got in zip(ts, _first_level(sec, h, ts)[1]):
             x = float(cl._ray_nodes(h, t, t)[0])
             ref = cl.laplace_along_ray(sec.cont, 1, sec.d_w, SectorPoint.from_polar(x, sec.d_w))
             assert abs(got - ref) <= 1e-10 * abs(ref)
@@ -766,7 +777,7 @@ def test_batched_laplace_points_per_node_on_positive_axis(euler_op, monkeypatch)
     S(SectorPoint.from_complex(0.1))
     assert len(samples) == 3
     for grid, nodes, calls in samples:
-        lo, hi, _ = grid._grid
+        lo, hi = grid._grid[:2]
         assert calls == [nodes]
         assert nodes == hi - lo + 1 + 2 * (len(grid._kernel[0]) - 1)
 
@@ -892,13 +903,85 @@ _BUDGET = r"reference Laplace quadrature .* within 256 panels"
 ], ids=["shifted-nodes", "conjugated-values", "noisy-values", "noisy-previous-stage",
         "scaled-kernel-weight", "short-upper-cut", "perturbed-sample", "nan-node"])
 def test_tabulation_mutations_raise_at_their_guard(euler_op, monkeypatch, mutate, d, guard):
-    # a grid checks each level as it is built, in this order: finite values,
-    # the edge terms of every kernel window, the step-2h sum, then (first
-    # level only) the reference rule, so a row caught by a later guard
-    # passed the earlier ones
+    # a point's read raises at the first fault among the level values its
+    # window depends on, in this order: not finite, an edge term of a
+    # kernel window, the step-2h sum (after the step is halved twice), then
+    # the first level against the reference rule, so a row caught by a
+    # later guard passed the earlier ones
     mutate(monkeypatch)
     with pytest.raises((ValidationError, RangeError), match=guard):
         cl.multisum(None, euler_op, d)(SectorPoint.from_polar(0.1, d - (d > 1) * math.pi / 24))
+
+
+def _outcomes(S, zs):
+    """The value at each point z of zs, asked in that order, or the text of
+    the error it raises."""
+    out = {}
+    for z in zs:
+        try:
+            out[z] = S(SectorPoint.from_complex(z))
+        except (ValidationError, RangeError) as exc:
+            out[z] = f"{type(exc).__name__}: {exc}"
+    return out
+
+
+def test_a_points_reference_check_does_not_depend_on_the_points_before_it():
+    # 5 z delta y + y = z at d = 0 (ROADMAP item 3): z = 0.1 and 0.03 read
+    # the same grids (step 1/32; the build for 0.03 covers the window of
+    # 0.1), but the first level is off the reference rule by 2.5e-9 at
+    # x = e^-8, a reference node of z = 0.1 (e^-16, e^-12, e^-8), and within
+    # 1e-9 at those of z = 0.03 (e^-20, e^-16, e^-12): each point keeps its
+    # outcome in either order
+    op = LinearOperator("differential", "delta", (Polynomial([1.0]), Polynomial([0.0, 5.0])),
+                        None, PowerSeries([0.0, 1.0]))
+    zs = [0.1, 0.03]
+    first, second = (_outcomes(cl.summation_chain(op).sum(0.0), order)
+                     for order in (zs, zs[::-1]))
+    assert first == second
+    assert re.fullmatch(r"ValidationError: .*reference quadrature at x = 0\.000335463: "
+                        r"relative error 2\.\d\de-09 > 1e-09", first[zs[0]])
+    assert isinstance(first[zs[1]], complex)
+
+
+def test_a_fault_outside_a_points_window_does_not_refuse_it(euler_op, monkeypatch):
+    # a NaN sample of g_1 at x = e^8 lies in the build of the d = 0 grids
+    # for z = 0.1 (5 e-folds beyond its window), but not among the values
+    # its window depends on; the window of z = 0.3 reads level values it
+    # makes non-finite.  In either order z = 0.1 gets its value, the same
+    # as without the NaN, and z = 0.3 raises
+    clean = cl.multisum(None, euler_op, 0.0)(SectorPoint.from_complex(0.1))
+    _mutate_samples(lambda v, t: np.where(t == 8 * 32, np.nan, v))(monkeypatch)
+    zs = [0.1, 0.3]
+    first, second = (_outcomes(cl.multisum(None, euler_op, 0.0), order)
+                     for order in (zs, zs[::-1]))
+    assert first == second
+    assert first[0.1] == clean
+    assert re.fullmatch(r"ValidationError: classical level 2 along arg = 0 \(h = 2\^-5\) is "
+                        r"not finite at x = .*", first[0.3])
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4])
+def test_window_of_a_growing_g1_refines_its_step(p, monkeypatch):
+    # g_1 = s^p on one level along d = 0: the window sum at w = 1/A is
+    # p!/A^p.  Near the sector edge the growth narrows the strip that sets
+    # the step, and the window's step-2h check fails at the rule's step (at
+    # 4, 15, 27 and 39 of these 200 points, p = 1..4, when it did not
+    # refine); the halved step sums every point to 1e-13 kappa, kappa =
+    # (|A|/Re A)^(p+1) the condition of the integral
+    reads, read = [], cl._LaplaceGrid.read
+    monkeypatch.setattr(cl._LaplaceGrid, "read", lambda self, *a: reads.append(self.h)
+                        or read(self, *a))
+    op = LinearOperator("differential", "delta", (Polynomial([-float(p)]), Polynomial([1.0])))
+    sec = cl._LaplaceSection(cl.SectionPipeline(0, (Fraction(1),), [op],
+                                                PowerSeries([0.0] * p + [1.0])), 0.0, 1e-11)
+    rng = np.random.default_rng(1)
+    mods = np.exp(rng.uniform(math.log(0.1), math.log(10.0), 200))
+    args = rng.uniform(-math.pi / 2 + 0.02, math.pi / 2 - 0.02, 200)
+    for A in mods * np.exp(1j * args):
+        kappa = (abs(A) / A.real) ** (p + 1)
+        exact = math.factorial(p) / A**p
+        assert abs(sec.value(SectorPoint.from_complex(1.0 / A)) - exact) <= 1e-13 * kappa * abs(exact)
+    assert len(reads) > 200
 
 
 def test_tabulation_panel_budget_raises(euler_op, monkeypatch):
@@ -921,13 +1004,14 @@ def test_moment_panel_budget_raises(monkeypatch):
 
 def test_reference_quadrature_only_checks_the_tabulations(euler_op, monkeypatch):
     # final values are window sums on the grids; the reference rule runs
-    # once per grid, on the three check nodes of its first build, and from
-    # nowhere but the check
+    # from nowhere but the first-level check, once for each node x = e^(4j)
+    # among the three of some point, the highest at most e^2 |w| (log |w| =
+    # 3 log |z| from -8.99 to -3.61 here: j = -4..-1), one node a call
     calls, depth = [], [0]
-    reference, check = cl._reference_laplace, cl._LaplaceGrid._check
+    reference, check = cl._reference_laplace, cl._LaplaceGrid._reference
 
     def counting_reference(handle, d, ws):
-        calls.append((len(ws), depth[0]))      # points, open checks
+        calls.append((handle, round(math.log(ws[0].modulus) / 4), len(ws), depth[0]))
         return reference(handle, d, ws)
 
     def counting_check(self, *args):
@@ -938,13 +1022,15 @@ def test_reference_quadrature_only_checks_the_tabulations(euler_op, monkeypatch)
             depth[0] -= 1
 
     monkeypatch.setattr(cl, "_reference_laplace", counting_reference)
-    monkeypatch.setattr(cl._LaplaceGrid, "_check", counting_check)
+    monkeypatch.setattr(cl._LaplaceGrid, "_reference", counting_check)
     S = cl.multisum(None, euler_op, 0.0)
     for z in (0.1, 0.05, 0.3, 0.2 + 0.05j, 0.15 - 0.05j):
         S(SectorPoint.from_complex(z))
     grids = [g for sec in S.sections for g in sec._grids.values()]
     assert len(grids) == 3
-    assert calls == [(3, 1)] * len(grids)
+    assert sorted(calls, key=lambda c: (id(c[0]), c[1])) == sorted(
+        ((g.cont, j, 1, 1) for g in grids for j in range(-4, 0)),
+        key=lambda c: (id(c[0]), c[1]))
 
 
 @settings(max_examples=40, deadline=None)

@@ -1,7 +1,7 @@
 """Paired end-to-end benchmark of two source trees.
 
     python tools/bench_pairs.py PARENT_ROOT HEAD_ROOT --out BENCH_<PR>.json \
-        [--claim WORKLOAD:METRIC] [--pairs 10] [--seconds 30]
+        [--claim WORKLOAD:METRIC]
 
 PARENT_ROOT and HEAD_ROOT are the roots of two checkouts, each with its own
 perfbench/ and src/.  For every workload of HEAD_ROOT/BENCHMARK.json the
@@ -32,6 +32,9 @@ import platform
 import statistics
 import subprocess
 import sys
+
+PAIRS = 10
+SECONDS = 30.0
 
 
 def perfbench(root: str, workload: str, seed: int, seconds: float, trace: int) -> dict:
@@ -89,8 +92,6 @@ def main(argv=None) -> int:
     parser.add_argument("head_root")
     parser.add_argument("--out", required=True)
     parser.add_argument("--claim", help="WORKLOAD:METRIC whose gain the change claims")
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=30.0)
     args = parser.parse_args(argv)
     roots = {"parent": args.parent_root, "change": args.head_root}
     with open(os.path.join(args.head_root, "BENCHMARK.json")) as fh:
@@ -99,10 +100,10 @@ def main(argv=None) -> int:
 
     runs = []
     for workload in workloads:
-        for pair in range(1, args.pairs + 1):
+        for pair in range(1, PAIRS + 1):
             order = ("parent", "change") if pair % 2 else ("change", "parent")
             for side in order:
-                result = perfbench(roots[side], workload, 500 + pair, args.seconds, 0)
+                result = perfbench(roots[side], workload, 500 + pair, SECONDS, 0)
                 runs.append({"pair": pair, "workload": workload, "side": side,
                              "seed": 500 + pair, "correct": result["correct"],
                              "attempted": result["attempted"], "failed": result["failed"],
@@ -127,7 +128,7 @@ def main(argv=None) -> int:
                        "run by tools/bench_pairs.py with the unchanged perfbench/ harness",
         "parent": revision(args.parent_root),
         "command": f"python3 perfbench/run.py --workload <workload> --seed <500 + pair> "
-                   f"--seconds {args.seconds:g} --trace 0",
+                   f"--seconds {SECONDS:g} --trace 0",
         "machine": f"{os.cpu_count()}-core {platform.processor() or platform.machine()}, "
                    f"Python {platform.python_version()}, one benchmark process at a time",
         "pairing": "each pair runs parent and change back to back on one seed and workload; "
@@ -144,7 +145,7 @@ def main(argv=None) -> int:
                     "interquartile range",
             "parent_median": s["parent_median"], "change_median": s["change_median"],
             "change_better_in": s["change_better_in"], "parent_iqr": iqr,
-            "met": s["change_better_in"] >= 9 * args.pairs / 10 and gap > iqr,
+            "met": s["change_better_in"] >= 9 and gap > iqr,
         }
     report["series"] = [{"name": "final", "code": "this change as committed",
                          "summary": summary, "runs": runs}]
