@@ -964,10 +964,9 @@ def test_a_fault_outside_a_points_window_does_not_refuse_it(euler_op, monkeypatc
 def test_window_of_a_growing_g1_refines_its_step(p, monkeypatch):
     # g_1 = s^p on one level along d = 0: the window sum at w = 1/A is
     # p!/A^p.  Near the sector edge the growth narrows the strip that sets
-    # the step, and the window's step-2h check fails at the rule's step (at
-    # 4, 15, 27 and 39 of these 200 points, p = 1..4, when it did not
-    # refine); the halved step sums every point to 1e-13 kappa, kappa =
-    # (|A|/Re A)^(p+1) the condition of the integral
+    # the step, and the window's step-2h check fails at the rule's step at
+    # some of these 200 points; the halved step sums every point to
+    # 1e-13 kappa, kappa = (|A|/Re A)^(p+1) the condition of the integral
     reads, read = [], cl._LaplaceGrid.read
     monkeypatch.setattr(cl._LaplaceGrid, "read", lambda self, *a: reads.append(self.h)
                         or read(self, *a))
