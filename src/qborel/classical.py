@@ -175,26 +175,22 @@ def formal_borel(s: PowerSeries, k) -> PowerSeries:
 
 
 class RayHandle:
-    """Protocol: values of an analytic function along the ray arg = d, one
-    at a time (eval_ray(x)) or at an array of ray coordinates
-    (eval_ray_many(xs))."""
+    """Protocol: values of an analytic function along the ray arg = d at an
+    array of ray coordinates x >= 0, eval_ray_many(xs)."""
 
     direction: float
-    _quad_epsrel = 1e-11     # relative target of a quadrature of the handle
-
-    def eval_ray_many(self, xs) -> np.ndarray:
-        return np.array([self.eval_ray(float(x)) for x in xs], dtype=complex)
 
 
 class FunctionHandle(RayHandle):
-    """Wrap an explicit function of the ray coordinate (tests, polynomials)."""
+    """Wrap a scalar function fn(zeta) of the ray point, called once per coordinate."""
 
     def __init__(self, fn: Callable[[complex], complex], direction: float):
         self.fn = fn
         self.direction = direction
 
-    def eval_ray(self, x: float) -> complex:
-        return self.fn(x * cmath.exp(1j * self.direction))
+    def eval_ray_many(self, xs) -> np.ndarray:
+        phase = cmath.exp(1j * self.direction)
+        return np.array([self.fn(float(x) * phase) for x in xs], dtype=complex)
 
 
 # A Taylor step keeps the terms of each component of V until the last two
@@ -248,14 +244,12 @@ class ContinuationHandle(RayHandle):
 
     _steps = _NO_STEPS
 
-    def __init__(self, series: PowerSeries, op: LinearOperator, direction: float,
-                 rtol: float = 1e-12):
+    def __init__(self, series: PowerSeries, op: LinearOperator, direction: float):
         if series.ram_index != 1:
             raise ArgumentError("continuation works on unramified series")
         self.series = series
         self.op = op
         self.direction = direction
-        self._quad_epsrel = max(1e-11, rtol)
         self.radius = _cauchy_hadamard(series.coefficients)
         self._lead_roots = op.coefficients[-1].nonzero_roots().tolist()
         self._check_ray_clear()
@@ -364,22 +358,9 @@ class ContinuationHandle(RayHandle):
         self._steps = steps
         return steps
 
-    def _stepped_value(self, x: float) -> complex:
-        """f at the ray point x >= x0 by a Horner on the step that serves it."""
-        import bisect
-        steps = self.ensure(x)
-        i = bisect.bisect_right(steps.los, x) - 1
-        if i < 0:
-            raise ArgumentError(f"point {x} outside the continued range")
-        t = (x - steps.cs[i]) / steps.hs[i]
-        acc = 0j
-        for coef in steps.rows[i]:
-            acc = acc * t + coef
-        return acc
-
     def _segment_values(self, pts: np.ndarray) -> np.ndarray:
-        """f at the ray points pts >= x0, all at once: _stepped_value's
-        Horner as array operations, bit for bit."""
+        """f at the ray points pts >= x0, each by a Horner in t on the row of
+        the step that serves it, all steps at once."""
         steps = self.ensure(float(np.max(pts)))
         los, cs, hs = steps.grid
         i = np.searchsorted(los, pts, side="right") - 1
@@ -391,16 +372,8 @@ class ContinuationHandle(RayHandle):
             y += row[i]
         return y
 
-    def eval_ray(self, x: float) -> complex:
-        if x <= self._series_limit:
-            zeta = x * cmath.exp(1j * self.direction)
-            return self.series.eval(zeta)
-        return self._stepped_value(x)
-
     def eval_ray_many(self, xs) -> np.ndarray:
         xs = np.asarray(xs, dtype=float)
-        if xs.size == 0:
-            return np.zeros(0, dtype=complex)
         out = np.empty(len(xs), dtype=complex)
         inner = xs <= self._series_limit
         if np.any(inner):
@@ -427,49 +400,37 @@ def _angdiff(a: float, b: float) -> float:
 # Laplace transform along a ray
 
 
-def _laplace_truncation(handle: RayHandle, d: float,
-                        w: SectorPoint) -> tuple[complex, float, Callable[[float], complex], float]:
-    """A = e^{id}/w on the surface of the logarithm and the truncation point
-    S of int_0^S f(s e^{id}) exp(-s A) ds, with the integrand and its coarse
-    peak modulus on (0, S]."""
+def _laplace_truncation(handle: RayHandle, d: float, w: SectorPoint) -> tuple:
+    """A = e^{id}/w on the surface of the logarithm, the truncation point S
+    of int_0^S f(s e^{id}) exp(-s A) ds and the integrand's coarse peak
+    modulus on (0, S]: a 12-node scan of (0, 42/Re A], then one probe at
+    each 1.5x extension."""
     A = cmath.exp(1j * d - w.complex_log())
     if A.real <= 0:
-        raise DomainError(
-            f"evaluation point arg={w.argument} outside the Laplace sector "
-            f"around d={d}"
-        )
-    S = 42.0 / A.real
-
-    def fn0(s):
-        if s <= 0.0:
-            return 0.0j
-        return handle.eval_ray(s) * cmath.exp(-s * A)
-
+        raise DomainError(f"evaluation point arg={w.argument} outside the Laplace sector "
+                          f"around d={d}")
+    peaks = np.linspace(0.0, 42.0 / A.real, 13)[1:]
+    scan = np.abs(handle.eval_ray_many(peaks) * np.exp(-peaks * A))
+    S, at_S, peak = float(peaks[-1]), float(scan[-1]), max(float(np.max(scan)), 1e-300)
     # extend until the integrand has fallen below 1e-16 of its peak.  The
     # loop ends by itself: past s Re A ~ 745, e^(-s A) underflows to 0, and
-    # fn0 is 0 or nan
-    peaks = np.linspace(0.0, S, 13)[1:]
-    scale0 = max(float(np.max(np.abs(handle.eval_ray_many(peaks) * np.exp(-peaks * A)))),
-                 1e-300)
-    grow_checks = 0
-    while abs(fn0(S)) * S > 1e-16 * scale0:
-        nxt = 1.5 * S
-        if abs(fn0(nxt)) > abs(fn0(S)):
-            grow_checks += 1
-            if grow_checks >= 3:
-                raise DomainError(
-                    f"Laplace integrand does not decay along the ray "
-                    f"(Re A = {A.real:.3e})"
-                )
-        S = nxt
-    return A, S, fn0, scale0
+    # the integrand is 0 or nan
+    grows = 0
+    while at_S * S > 1e-16 * peak and grows < 3:
+        S *= 1.5
+        at_next = abs(complex(handle.eval_ray_many([S])[0]) * cmath.exp(-S * A))
+        grows += at_next > at_S
+        at_S = at_next
+    if grows >= 3:
+        raise DomainError(f"Laplace integrand does not decay along the ray (Re A = {A.real:.3e})")
+    return A, S, peak
 
 
 def laplace_along_ray(handle: RayHandle, k, d: float, z) -> complex:
     """Laplace transform of the continued function at z, arg z within pi/2
     of d, by the reference rule that checks the first level of every
-    classical sum (_reference_laplace, adaptive G7/K15 panels in linear s,
-    sharing no rule with the log grids' trapezoid sums).  It raises
+    classical sum (_reference_laplace, adaptive G7/K15 panels in linear s to
+    _REF_EPSREL, sharing no rule with the log grids' trapezoid sums).  It raises
     ValidationError past 256 panels or at a non-finite sample, and
     DomainError on an integrand that does not decay.  Every ladder level is
     order 1 in its section variable, so k = 1 is the only order taken."""
@@ -520,21 +481,21 @@ def _reference_laplace(handle: RayHandle, d: float, ws: Sequence[SectorPoint]) -
     points share, from _REF_EDGES, with the G7/K15 pair: each round samples
     every new node of every point by one eval_ray_many, and bisects every
     panel on which some point's |K - G| exceeds its share (1/panels) of that
-    point's target max(1e-14 peak_i S_i, _quad_epsrel |I_i|), peak_i being
-    the truncation's peak modulus.  Past _REF_MAX_PANELS panels, or at a
-    non-finite integrand value or sum, it raises ValidationError.
+    point's target max(1e-14 peak_i S_i |A_i|, _REF_EPSREL |I_i|), peak_i
+    being the truncation's peak modulus (A_i S_i scales every panel, so no
+    integral underflows at a tiny |w_i|).  Past _REF_MAX_PANELS panels, or at
+    a non-finite integrand value or sum, it raises ValidationError.
     """
-    A, S, _, peak = zip(*(_laplace_truncation(handle, d, w) for w in ws))
+    A, S, peak = zip(*(_laplace_truncation(handle, d, w) for w in ws))
     A, S = np.array(A)[:, None, None], np.array(S)
-    floor = 1e-14 * np.array(peak) * S
-    epsrel = handle._quad_epsrel
+    floor = 1e-14 * np.array(peak) * S * np.abs(A[:, 0, 0])
 
     def panels(lo: np.ndarray, hi: np.ndarray):
         """Kronrod sums and Kronrod-Gauss differences (points x panels)."""
         half = 0.5 * (hi - lo)
         s = S[:, None, None] * ((0.5 * (lo + hi))[:, None] + half[:, None] * _REF_X)
         fv = handle.eval_ray_many(s.ravel()).reshape(s.shape) * np.exp(-s * A)
-        fv *= S[:, None, None] * half[:, None]
+        fv *= A * S[:, None, None] * half[:, None]
         K = fv @ _REF_WK
         return K, np.abs(K - fv @ _REF_WG)
 
@@ -547,10 +508,10 @@ def _reference_laplace(handle: RayHandle, d: float, ws: Sequence[SectorPoint]) -
                 f"reference Laplace quadrature (direction = {d}) sampled a "
                 f"non-finite integrand value or sum"
             )
-        tol = (np.maximum(floor, epsrel * np.abs(I)) / len(lo))[:, None]
+        tol = (np.maximum(floor, _REF_EPSREL * np.abs(I)) / len(lo))[:, None]
         bad = np.any(err > tol, axis=0)
         if not np.any(bad):
-            return A[:, 0, 0] * I
+            return I
         if len(lo) + int(np.count_nonzero(bad)) > _REF_MAX_PANELS:
             raise ValidationError(
                 f"reference Laplace quadrature (direction = {d}) did not reach "
@@ -609,7 +570,8 @@ def _direct_dots(a: np.ndarray, kernel: np.ndarray, rows: np.ndarray) -> np.ndar
 
 def _correlate(a: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     """The level correlation b_i = sum_k kernel_k a_(i+k) over the 'valid'
-    range, whose length must be a whole number of _block_size blocks.
+    range, in blocks of _block_size outputs (copies of the last input fill
+    up the last block, whose extra outputs are dropped).
 
     Each block of B outputs is one FFT of its own N = B + len(kernel) - 1
     inputs, so an output depends only on the block it lies in, never on how
@@ -629,12 +591,14 @@ def _correlate(a: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     if B == 1:
         return _direct_dots(a, kernel, np.arange(n_out))
     from scipy import fft as sp_fft
+    if n_out % B:
+        a = np.concatenate([a, np.repeat(a[-1:], -n_out % B)])
     N = B + n - 1
     s = np.arange(N)
     s_mid = 0.5 * (N - 1)
     g_cap = 300.0 / N               # keeps e^(+-g s) within e^300 over a block
     rms4 = 40.0 * math.sqrt(math.log2(N)) * np.finfo(float).eps / math.sqrt(N)
-    out = np.empty(n_out, dtype=complex)
+    out = np.empty(len(a) - n + 1, dtype=complex)
     for j in range(0, n_out, B):
         seg = a[j : j + N]
         mag = np.log(np.maximum(np.abs(seg), 1e-300))
@@ -654,7 +618,7 @@ def _correlate(a: np.ndarray, kernel: np.ndarray) -> np.ndarray:
             bad = np.flatnonzero(~(err <= _FFT_RTOL * np.abs(c)) | ~np.isfinite(out[j : j + B]))
         if len(bad):
             out[j + bad] = _direct_dots(a, kernel, j + bad)
-    return out
+    return out[:n_out]
 
 
 def _window_sum(values: np.ndarray, kernel: np.ndarray) -> complex:
@@ -749,12 +713,16 @@ _H0 = 0.25
 _STRIP_EFOLDS = 37.0
 _REFINEMENTS = 2
 _REF_RTOL = 1e-9         # first level against the reference rule, at 3 nodes
+_REF_EPSREL = 1e-11      # the reference rule's own relative target
 _REF_EFOLDS = 4          # the reference nodes are x = e^(4j)
 _TWO_H_RTOL = 1e-9       # every level against its sum with step 2h
 # The final window's step-2h sum has e^(pi a/h) >= e^18.5 times the error of
 # its step-h sum, so agreeing to 1e-5 bounds that error by 1e-13.
 _WINDOW_2H_RTOL = 1e-5
 _GRID_SLACK = 5.0        # e-folds a build reaches beyond the window it serves
+# A final window spans about e^-45 |w| to e^12 |w| in both pipelines: sums
+# refuse |w| beyond e^(+-650), where it would leave the normal floats.
+_LOG_REACH = 650.0
 
 
 def _ray_nodes(h: float, lo: int, hi: int) -> np.ndarray:
@@ -776,14 +744,6 @@ def _laplace_kernel(h: float) -> tuple[np.ndarray, int]:
     return K, -int(k[0])
 
 
-def _correlate_any(a: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    """_correlate over an input of any length: the last block is filled up
-    with copies of the last input, and its extra outputs are dropped."""
-    n_out = len(a) - len(kernel) + 1
-    fill = -n_out % _block_size(len(kernel))
-    return _correlate(np.concatenate([a, np.repeat(a[-1:], fill)]), kernel)[:n_out]
-
-
 def _level_faults(h: float, K: np.ndarray, t0: int, inputs: np.ndarray,
                   values: np.ndarray) -> tuple[np.ndarray, ...]:
     """The nodes t >= t0 at which classical level values (inputs correlated
@@ -795,7 +755,7 @@ def _level_faults(h: float, K: np.ndarray, t0: int, inputs: np.ndarray,
     edge = ~(np.abs(K[-1] * inputs[len(K) - 1:]) <= 1e-12 * np.abs(values))
     i0 = t0 % 2
     fine = values[i0::2]
-    coarse = _correlate_any(inputs[i0::2], _laplace_kernel(2.0 * h)[0]) if len(fine) else fine
+    coarse = _correlate(inputs[i0::2], _laplace_kernel(2.0 * h)[0]) if len(fine) else fine
     diff = np.abs(fine - coarse)
     step = ~(diff <= _TWO_H_RTOL * np.abs(fine))
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -917,10 +877,10 @@ class _LaplaceSection:
     one.  A step-2h disagreement of the window or of a level it reads halves
     the step, up to _REFINEMENTS times, and raises ValidationError after."""
 
-    def __init__(self, sec: "SectionPipeline", d_w: float, rtol: float):
+    def __init__(self, sec: "SectionPipeline", d_w: float):
         self.l = sec.l
         self.d_w = d_w
-        self.cont = ContinuationHandle(sec.g1, sec.stage_ops[0], d_w, rtol=rtol)
+        self.cont = ContinuationHandle(sec.g1, sec.stage_ops[0], d_w)
         self.levels = len(sec.orders_w) - 1
         self._a_w = 0.5 * min((abs(_angdiff(cmath.phase(rho), d_w)) for op in sec.stage_ops
                                for rho in op.coefficients[-1].nonzero_roots()), default=math.pi)
@@ -1207,6 +1167,8 @@ class SummedFunction:
         if self.convergent_series is not None:
             return self.convergent_series.eval(z)
         w = z.power(1 if self.ladder is None else self.ladder.beta)
+        if not abs(w.log_modulus) < _LOG_REACH:
+            raise RangeError(f"|z^beta| = e^{w.log_modulus:.6g} is beyond e^(+-{_LOG_REACH:g})")
         total = 0.0 + 0.0j
         for sec in self.sections:
             total += cmath.exp(sec.l * z.complex_log()) * sec.value(w)
@@ -1285,11 +1247,10 @@ class SummationChain:
     order: int
     series: Optional[PowerSeries] = None
 
-    def sum(self, d: float, s: Optional[PowerSeries] = None,
-            rtol: float = 1e-11) -> SummedFunction:
-        """S^d(h); a singular d raises SingularDirectionError, a supplied
-        series s that does not satisfy the operator ArgumentError."""
-        self._check(s)
+    def sum(self, d: float, s: Optional[PowerSeries] = None) -> SummedFunction:
+        """S^d(h); a singular d raises SingularDirectionError, a non-finite d
+        or a series s that does not satisfy the operator ArgumentError."""
+        self._check(d, s)
         if not self.sections:
             # a convergent series is its own sum, on 0.999 of its estimated disk
             series = s or self.series or solve_series(self.op, self.order)
@@ -1300,40 +1261,42 @@ class SummationChain:
                 f"direction d = {d} is singular (singular set mod 2pi: "
                 f"{[round(x, 6) for x in self.directions.singular_directions]})"
             )
-        return self._at(d, rtol)
+        return self._at(d)
 
-    def lateral_pair(self, d: float, s: Optional[PowerSeries] = None,
-                     rtol: float = 1e-10) -> Optional[tuple[SummedFunction, SummedFunction]]:
+    def lateral_pair(self, d: float, s: Optional[PowerSeries] = None
+                     ) -> Optional[tuple[SummedFunction, SummedFunction]]:
         """(S^{d+o}, S^{d-o}) about a singular direction d, o from
         _bracket_offset; None off the singular set, where they agree.  A
         divergent q chain built without limit raises ArgumentError."""
-        self._check(s)
+        self._check(d, s)
         if self.sections and not self.directions.singular_directions:
             raise ArgumentError("lateral sums bracket a singular direction and this "
                                 "chain has none: a q chain takes them from its limit")
         offset = _bracket_offset(self.directions, d, self.ladder)
         if offset is None:
             return None
-        return self._at(d + offset, rtol), self._at(d - offset, rtol)
+        return self._at(d + offset), self._at(d - offset)
 
-    def _check(self, s: Optional[PowerSeries]):
-        """Refuse a supplied series s that does not satisfy the operator,
-        and sections that hold the zero series: for a homogeneous operator
-        they mean that valuation 0 is not an admissible leading index, and
-        solve_series raises its ArgumentError."""
+    def _check(self, d: float, s: Optional[PowerSeries]):
+        """Refuse a non-finite d, a series s that does not satisfy the
+        operator, and sections that hold the zero series: for a homogeneous
+        operator they mean that valuation 0 is not an admissible leading
+        index, and solve_series raises its ArgumentError."""
+        if not math.isfinite(d):
+            raise ArgumentError(f"direction d = {d} is not finite")
         _check_series(self.op, s)
         if (self.sections and self.op.rhs is None
                 and not any(sec.g1.coefficients.any() for sec in self.sections)):
             solve_series(self.op, 1)
 
-    def _at(self, d: float, rtol: float) -> SummedFunction:
+    def _at(self, d: float) -> SummedFunction:
         """The sum along d, which is not singular: one _LaplaceSection per
         section, each with its g_1 continued along the ray beta d and its
         levels summed on log grids, the leading-root rays excluded."""
         ladder = self.ladder
         _refuse_sub_unit(ladder)
         rays = tuple(_LeadingRay(a) for a in self.op.coefficients[-1].nonzero_roots().tolist())
-        return SummedFunction(ladder, d, [_LaplaceSection(sec, ladder.beta * d, rtol)
+        return SummedFunction(ladder, d, [_LaplaceSection(sec, ladder.beta * d)
                                           for sec in self.sections],
                               rays, math.pi / (2.0 * ladder.top_level))
 
@@ -1359,8 +1322,7 @@ def _jumps(pair: Optional[tuple], zs) -> list[complex]:
 
 
 def multisum(s: Optional[PowerSeries], op: LinearOperator, d: float,
-             k_r_choice: Optional[int] = None, order: int = 240,
-             rtol: float = 1e-11) -> SummedFunction:
+             k_r_choice: Optional[int] = None, order: int = 240) -> SummedFunction:
     """Multisummation S^d of the formal solution of op along direction d.
 
     The series argument is optional (it is pinned by the operator and its
@@ -1368,12 +1330,12 @@ def multisum(s: Optional[PowerSeries], op: LinearOperator, d: float,
     the operator, and one that does not satisfy it raises.  Sums of one
     operator in several directions should share one summation_chain(op).
     """
-    return summation_chain(op, k_r_choice, order).sum(d, s, rtol)
+    return summation_chain(op, k_r_choice, order).sum(d, s)
 
 
 def stokes_jump(s: Optional[PowerSeries], op: LinearOperator, d_singular: float,
-                zs: Sequence, order: int = 240, rtol: float = 1e-10) -> list[complex]:
+                zs: Sequence, order: int = 240) -> list[complex]:
     """Lateral-sum jumps S^{d+}(h)(z) - S^{d-}(h)(z) across a singular
     direction d, one per point z of zs (0 off the singular set); each is a
     solution of the homogeneous equation.  One lateral pair serves all."""
-    return _jumps(summation_chain(op, order=order).lateral_pair(d_singular, s, rtol), zs)
+    return _jumps(summation_chain(op, order=order).lateral_pair(d_singular, s), zs)

@@ -107,13 +107,28 @@ def _samples(args) -> list[SectorPoint]:
     return zs
 
 
+def _parse_list(text: Optional[str], option: str, kind=float) -> list:
+    """The finite numbers (of type kind) of the comma list text of --option."""
+    try:
+        values = [kind(v) for v in (text or "").split(",") if v.strip()]
+    except ValueError as exc:
+        raise ConfigError(f"bad --{option} {text!r}") from exc
+    if not all(map(cmath.isfinite, values)):
+        raise ConfigError(f"--{option} entries must be finite, got {text!r}")
+    return values
+
+
+def _finite(text: str) -> float:
+    """argparse type of a float option that must be finite."""
+    if not math.isfinite(value := float(text)):
+        raise argparse.ArgumentTypeError(f"invalid finite float value: {text!r}")
+    return value
+
+
 def _parse_grid(text: Optional[str]) -> list[float]:
     if text is None:
         raise ConfigError("this command requires --q-grid")
-    try:
-        grid = [float(v) for v in text.split(",") if v.strip()]
-    except ValueError as exc:
-        raise ConfigError(f"bad --q-grid {text!r}") from exc
+    grid = _parse_list(text, "q-grid")
     if not grid:
         raise ConfigError("empty q-grid")
     if any(g <= 1.001 for g in grid):
@@ -254,21 +269,9 @@ def cmd_sum(args) -> ResultTable:
     if op.kind != "differential":
         raise ConfigError("sum applies to differential operators (use qsum)")
     zs = _samples(args)
-    table = ResultTable(
-        ["z_re", "z_im", "z_arg", "value_re", "value_im", "residual", "status"],
-        metadata={"command": "sum", "op": args.op, "direction": args.direction,
-                  "order": args.order, "residual_tolerance": 1e-5},
-    )
     S = cl.multisum(None, op, args.direction, order=args.order)
-    for z in zs:
-        zc = z.to_complex()
-        try:
-            val = S(z)
-            table.add(zc.real, zc.imag, z.argument, val.real, val.imag,
-                      S.residual(op, z), "ok")
-        except QBorelError as exc:
-            table.add(zc.real, zc.imag, z.argument, "", "", "", f"{exc.code}-error")
-    return table
+    return _sum_table(S, op, zs, {"command": "sum", "op": args.op, "direction": args.direction,
+                                  "order": args.order, "residual_tolerance": 1e-5})
 
 
 def cmd_qsum(args) -> ResultTable:
@@ -278,13 +281,19 @@ def cmd_qsum(args) -> ResultTable:
     zs = _samples(args)
     limit = (cl.summation_chain(_load_operator(args.limit_op), order=args.order)
              if args.limit_op else None)
-    table = ResultTable(
-        ["z_re", "z_im", "z_arg", "value_re", "value_im", "residual", "status"],
-        metadata={"command": "qsum", "op": args.op, "direction": args.direction,
-                  "mode": args.mode, "order": args.order},
-    )
     S = qs.q_multisum(None, op, args.direction, mode=args.mode,
                       limit=limit, order=args.order)
+    return _sum_table(S, op, zs, {"command": "qsum", "op": args.op, "direction": args.direction,
+                                  "mode": args.mode, "order": args.order})
+
+
+def _sum_table(S, op: LinearOperator, zs: list[SectorPoint], metadata: dict) -> ResultTable:
+    """A row per point z of zs: the sum S at z, the residual of op there and
+    "ok", or the code of the error that S raised."""
+    table = ResultTable(
+        ["z_re", "z_im", "z_arg", "value_re", "value_im", "residual", "status"],
+        metadata=metadata,
+    )
     for z in zs:
         zc = z.to_complex()
         try:
@@ -420,8 +429,8 @@ def cmd_hypergeom(args) -> ResultTable:
         ["check", "lhs_re", "lhs_im", "rhs_re", "rhs_im", "abs_diff", "status"],
         metadata={"command": "hypergeom", "direction": args.direction},
     )
-    upper = [complex(v) for v in args.upper.split(",")] if args.upper else []
-    lower = [complex(v) for v in args.lower.split(",")] if args.lower else []
+    upper = _parse_list(args.upper, "upper", complex)
+    lower = _parse_list(args.lower, "lower", complex)
     d = args.direction
     zs = [_parse_z(z) for z in args.z] or [SectorPoint.from_complex(0.15)]
     # first --z feeds the phi-side checks, last --z the F-side limit grid
@@ -447,14 +456,14 @@ def cmd_hypergeom(args) -> ResultTable:
                 table.add("closed-form-vs-pipeline", cfv.real, cfv.imag, "", "", "",
                           f"{exc.code}-error")
     if args.alphas:
-        alphas = [complex(v) for v in args.alphas.split(",")]
-        betas = [complex(v) for v in args.betas.split(",")] if args.betas else []
+        alphas = _parse_list(args.alphas, "alphas", complex)
+        betas = _parse_list(args.betas, "betas", complex)
         fparams = hg.FParams(tuple(alphas), tuple(betas))
         target = hg.classical_limit_rhs(fparams, d, zF)
         table.add("classical-limit-rhs", target.real, target.imag, "", "", "", "ok")
         if args.p_grid:
             prev = None
-            for pb in [float(v) for v in args.p_grid.split(",")]:
+            for pb in _parse_list(args.p_grid, "p-grid"):
                 par = hg.PhiParams(
                     tuple(pb**a for a in alphas),
                     tuple(pb**b for b in betas),
@@ -501,7 +510,7 @@ def cmd_validate(args) -> ResultTable:
 # cmd_* function reads
 _OPTIONS = {
     "op": dict(required=True, help="operator/family document path"),
-    "direction": dict(type=float, default=0.0, help="summation direction d in radians"),
+    "direction": dict(type=_finite, default=0.0, help="summation direction d in radians"),
     "z": dict(action="append", default=[], help="sample point re,im[,arg]; repeatable"),
     "q-grid": dict(default=None, help="comma list of q values, strictly decreasing toward 1"),
     "mode": dict(choices=["discrete", "theta", "continuous"], default="discrete"),
@@ -512,7 +521,7 @@ _OPTIONS = {
     "limit-op": dict(default=None, help="limit operator document path"),
     "upper": dict(default=None, help="comma list of upper parameters"),
     "lower": dict(default="", help="comma list of lower parameters"),
-    "p": dict(type=float, default=None, help="phi base in (0,1)"),
+    "p": dict(type=_finite, default=None, help="phi base in (0,1)"),
     "alphas": dict(default=None, help="comma list of F upper parameters"),
     "betas": dict(default="", help="comma list of F lower parameters"),
     "p-grid": dict(default=None, help="comma list of p values increasing toward 1"),

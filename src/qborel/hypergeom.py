@@ -20,6 +20,7 @@ from .errors import (
     DegenerateParameterError,
     DirectionError,
     DomainError,
+    RangeError,
 )
 from .operators import LinearOperator
 from .series import Polynomial, PowerSeries, as_sector_point, gamma
@@ -116,27 +117,24 @@ class FParams:
 # Series
 
 
+def _phi_ratio(upper: Sequence[complex], lower: Sequence[complex], p: float, n: int) -> tuple:
+    """(num, den, twist): term n + 1 of r phi_s is term n times num/den * twist * z."""
+    num = np.prod([1.0 - a * p**n for a in upper]) if upper else 1.0
+    den = (1.0 - p ** (n + 1)) * (np.prod([1.0 - b * p**n for b in lower]) if lower else 1.0)
+    if den == 0:
+        raise DegenerateParameterError(f"vanishing denominator factor at index n={n + 1}")
+    return num, den, ((-1.0) * p**n) ** (1 + len(lower) - len(upper))
+
+
 def rphi_coefficients(params: PhiParams, N: int) -> np.ndarray:
     """First N coefficients of
     sum (a_1;p)_n...(a_r;p)_n / ((p;p)_n (b_1;p)_n...(b_s;p)_n)
         * ((-1)^n p^(n(n-1)/2))^(1+s-r) z^n."""
-    from .errors import RangeError
-
-    p = params.p
-    r, s = params.r, params.s
     out = np.empty(N, dtype=complex)
     u = 1.0 + 0.0j
     out[0] = u
     for n in range(N - 1):
-        num = np.prod([1.0 - a * p**n for a in params.upper]) if r else 1.0
-        den = (1.0 - p ** (n + 1)) * (
-            np.prod([1.0 - b * p**n for b in params.lower]) if s else 1.0
-        )
-        if den == 0:
-            raise DegenerateParameterError(
-                f"vanishing denominator factor at index n={n + 1}"
-            )
-        twist = ((-1.0) * p**n) ** (1 + s - r)
+        num, den, twist = _phi_ratio(params.upper, params.lower, params.p, n)
         u = u * num / den * twist
         if not (abs(u) < 1e300):
             raise RangeError(
@@ -157,15 +155,21 @@ def rphi(params: PhiParams, z: Optional[complex] = None, N: int = 64):
     return series.eval(complex(z))
 
 
+def _F_ratio(params: FParams, n: int) -> tuple[complex, complex]:
+    """(num, den): term n + 1 of r F_s is term n times num/den * z."""
+    num = np.prod([a + n for a in params.upper]) if params.r else 1.0
+    den = (n + 1.0) * (np.prod([b + n for b in params.lower]) if params.s else 1.0)
+    if den == 0:
+        raise DegenerateParameterError(f"vanishing factor (beta_i = -{n})")
+    return num, den
+
+
 def rF_coefficients(params: FParams, N: int) -> np.ndarray:
     out = np.empty(N, dtype=complex)
     u = 1.0 + 0.0j
     out[0] = u
     for n in range(N - 1):
-        num = np.prod([a + n for a in params.upper]) if params.r else 1.0
-        den = (n + 1.0) * (np.prod([b + n for b in params.lower]) if params.s else 1.0)
-        if den == 0:
-            raise DegenerateParameterError(f"vanishing factor (beta_i = -{n})")
+        num, den = _F_ratio(params, n)
         u = u * num / den
         out[n + 1] = u
     return out
@@ -179,8 +183,7 @@ def rF(params: FParams, z: Optional[complex] = None, N: int = 64):
     u = 1.0 + 0.0j
     total = u
     for n in range(4000):
-        num = np.prod([a + n for a in params.upper]) if params.r else 1.0
-        den = (n + 1.0) * (np.prod([b + n for b in params.lower]) if params.s else 1.0)
+        num, den = _F_ratio(params, n)
         u = u * num / den * z
         total += u
         if abs(u) < 1e-17 * max(abs(total), 1.0) and n > 4:
@@ -330,18 +333,10 @@ def _phi_value(upper: Sequence[complex], lower: Sequence[complex], p: float,
                z: complex, N: int) -> complex:
     """{}_r phi_s value with possible zero upper entries (no distinctness
     checks; used by the connection/closed-form right-hand sides)."""
-    r, s = len(upper), len(lower)
     u = 1.0 + 0.0j
     total = u
-    prev = abs(u)
     for n in range(N):
-        num = np.prod([1.0 - a * p**n for a in upper]) if r else 1.0
-        den = (1.0 - p ** (n + 1)) * (
-            np.prod([1.0 - b * p**n for b in lower]) if s else 1.0
-        )
-        if den == 0:
-            raise DegenerateParameterError(f"vanishing factor at n={n + 1}")
-        twist = ((-1.0) * p**n) ** (1 + s - r)
+        num, den, twist = _phi_ratio(upper, lower, p, n)
         u = u * num / den * twist * z
         total += u
         if abs(u) < 1e-17 * max(abs(total), 1.0) and n > 4:

@@ -147,24 +147,9 @@ def _eq_kernel(y: np.ndarray, Q: float, M: int) -> np.ndarray:
     return (Q - 1.0) / M * y / eq
 
 
-def _jackson_kernel(Q: float, M: int = 1, max_len: int = 120000) -> tuple[np.ndarray, int]:
-    """Node weights of the level kernel on the grid with M sub-steps per
-    Q-step: K(dlt) = (Q-1)/M * y / e_Q(Q y) at y = Q^(dlt/M), dlt in [-L1, L2]
-    (the _eq_window of real y), built by _eq_kernel from the step ratio.
-
-    M = 1 is exactly the Jackson sum; M >= 8 is the trapezoid discretization
-    of the continuous q-Laplace in log coordinates, whose error is spectrally
-    small (the integrand is analytic in a strip of width ~pi).  Past its peak
-    near y = 1 the kernel first decays like e^(-y), up to y ~ 1/(Q-1), and
-    only then like a Gaussian in log y.
-    """
-    a, b = _eq_window(Q, M, 0.0)
-    if b - a > max_len:
-        raise RangeError(
-            f"kernel support {b - a} exceeds the node cap {max_len}"
-        )
-    y = np.exp(np.arange(a, b + 1) * (math.log(Q) / M)).astype(complex)
-    return _eq_kernel(y, Q, M), -a
+# No level kernel of a q section spans more nodes than this: in continuous
+# mode a Q_w below about 1.0032 reaches it.
+_KERNEL_CAP = 120000
 
 
 # ---------------------------------------------------------------------------
@@ -472,10 +457,14 @@ class _QSection(_LogGrid):
 
     def _ensure_grid_locked(self, lo: int, hi: int) -> tuple[int, int, np.ndarray, list]:
         """_LogGrid._grow from the walk; every level is order 1 in w (sub-unit
-        ladders are refused), so one kernel serves them all."""
+        ladders are refused), so one kernel serves them all: _level's at w = 1
+        along the real axis, whose tap j weighs node t + j - L1, L1 = -lo."""
         levels = len(self.orders_w) - 1
+        k_lo, k_hi, K = _level(1, 0.0, self.Qw, 1.0, self.M) if levels else (0, 0, None)
+        if k_hi - k_lo > _KERNEL_CAP:
+            raise RangeError(f"kernel support {k_hi - k_lo} exceeds the node cap {_KERNEL_CAP}")
         return self._grow(lo, hi, lambda a, b: self.cont.grid_values(self.base, a, b, self.M),
-                          _jackson_kernel(self.Qw, self.M) if levels else None, levels)
+                          (K, -k_lo) if levels else None, levels)
 
     def value(self, w: SectorPoint) -> complex:
         if self.mode == "theta":
@@ -502,7 +491,7 @@ class QSummationChain(SummationChain):
 
     mode: str = "discrete"
 
-    def _at(self, d: float, rtol: float) -> SummedFunction:
+    def _at(self, d: float) -> SummedFunction:
         q, ladder = self.op.q, self.ladder
         if self.mode == "theta":
             spiral = PoleSpiral((q - 1.0) * cmath.exp(1j * (d + math.pi)), q)

@@ -95,6 +95,8 @@ class SectorPoint:
     @classmethod
     def from_complex(cls, w: ComplexLike, argument: float | None = None) -> "SectorPoint":
         w = complex(w)
+        if not (cmath.isfinite(w) and math.isfinite(0.0 if argument is None else argument)):
+            raise DomainError(f"SectorPoint requires finite input, got {w} (argument {argument})")
         if w == 0:
             raise DomainError("SectorPoint requires a nonzero complex number")
         principal = cmath.phase(w)
@@ -111,8 +113,9 @@ class SectorPoint:
 
     @classmethod
     def from_polar(cls, modulus: float, argument: float) -> "SectorPoint":
-        if modulus <= 0:
-            raise DomainError("SectorPoint modulus must be positive")
+        if not (0 < modulus < math.inf and math.isfinite(argument)):
+            raise DomainError(f"SectorPoint needs a finite modulus > 0 and a finite argument, "
+                              f"got {modulus}, {argument}")
         return cls(math.log(modulus), argument)
 
     def to_complex(self) -> complex:

@@ -279,6 +279,29 @@ def test_option_the_command_does_not_read_exits_2(opfiles, capsys, argv):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["hypergeom", "--upper", "abc", "--p", "0.5"],
+    ["hypergeom", "--alphas", "0.5,1.7", "--p-grid", "0.5,x"],
+    ["hypergeom", "--alphas", "0.5,1.7", "--betas", "q"],
+    ["hypergeom", "--upper", "3,5", "--p", "nan"],
+    ["sum", "--op", "euler", "--z", "nan,0"],
+    ["sum", "--op", "euler", "--z", "inf,0"],
+    ["sum", "--op", "euler", "--direction", "nan", "--z", "0.1,0"],
+    ["confluence", "--op", "qeuler", "--z", "0.1,0", "--q-grid", "nan,1.2"],
+])
+def test_a_malformed_number_exits_2(opfiles, capsys, argv):
+    # a number that does not parse, or is not finite, is a configuration
+    # error (exit 2, from the command or from argparse), never a traceback
+    argv = [opfiles.get(a, a) if i and argv[i - 1] == "--op" else a for i, a in enumerate(argv)]
+    try:
+        rc = main(argv)
+    except SystemExit as exc:
+        rc = exc.code
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "error" in err and "Traceback" not in err
+
+
 def test_confluence_bad_grid_order(opfiles, capsys):
     rc = main(["confluence", "--op", opfiles["qeuler"], "--z", "0.1,0",
                "--q-grid", "1.1,1.2"])

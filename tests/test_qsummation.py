@@ -1,6 +1,7 @@
 import cmath
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from qborel.errors import (
     BracketingError,
     GrowthError,
     PoleError,
+    QBorelError,
     RangeError,
     SingularDirectionError,
     SpiralCollisionError,
@@ -735,8 +737,10 @@ def test_fft_level_correlation_matches_the_direct_dots():
     # a level array that climbs 60 decades, turns and then stays flat, against
     # a continuous-mode kernel long enough for FFT blocks: every output is
     # the direct dot's to 2e-13 (kept FFT outputs are checked to 1e-13, the
-    # rest are that dot), and the direct path is np.dot bit for bit
-    K, _ = qs._jackson_kernel(1.02 ** 3, 8)
+    # rest are that dot), and the direct path is np.dot bit for bit.  Over
+    # 4.5 blocks of outputs the first 4 are those of the whole range, bit
+    # for bit, and the filled-up last block keeps that accuracy
+    K = qs._level(1, 0.0, 1.02 ** 3, 1.0, 8)[2]
     n, B = len(K), cl._block_size(len(K))
     assert B > 1
     t = np.arange(5 * B + n - 1)
@@ -744,5 +748,46 @@ def test_fft_level_correlation_matches_the_direct_dots():
     dots = np.array([np.dot(K, a[i : i + n]) for i in range(5 * B)])
     got = cl._correlate(a, K)
     assert np.max(np.abs(got - dots) / np.abs(dots)) <= 2e-13
+    part = cl._correlate(a[: 4 * B + B // 2 + n - 1], K)
+    assert len(part) == 4 * B + B // 2
+    assert np.array_equal(part[: 4 * B], got[: 4 * B])
+    assert np.max(np.abs(part - dots[: len(part)]) / np.abs(dots[: len(part)])) <= 2e-13
     rows = np.array([0, 1, 2, 7, 9, 10, 5 * B - 1])
     assert np.array_equal(cl._direct_dots(a, K, rows), dots[rows])
+
+
+@pytest.fixture(scope="module")
+def euler_sums():
+    """The classical Euler sum and the discrete, continuous and theta q-Euler
+    sums (q = 1.05) at d = 0."""
+    euler = LinearOperator("differential", "delta", (Polynomial([1.0]), Polynomial([0.0, 1.0])),
+                           None, PowerSeries([0.0, 1.0]))
+    sums = {"classical": cl.multisum(None, euler, 0.0)}
+    for mode in ("discrete", "continuous", "theta"):
+        sums[mode] = qs.q_multisum(None, make_q_euler(1.05), 0.0, mode=mode)
+    return sums
+
+
+@pytest.mark.parametrize("z", [1e-200, 1e-320, 1e300, math.nan, math.inf])
+@pytest.mark.parametrize("kind", ["classical", "discrete", "continuous", "theta"])
+def test_sums_at_the_ends_of_the_float_range_raise_typed_errors(euler_sums, kind, z):
+    # a value is finite, and a refusal is a QBorelError: no OverflowError or
+    # ValueError from a log, a floor or an exponential, and no RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            value = euler_sums[kind](z)
+        except QBorelError:
+            return
+    assert cmath.isfinite(value)
+
+
+def test_sums_refuse_a_non_finite_direction(euler_op):
+    chain = cl.summation_chain(euler_op)
+    q_chain = qs.q_summation_chain(make_q_euler(1.05), limit=chain)
+    for bad in (math.nan, math.inf):
+        for c in (chain, q_chain):
+            with pytest.raises(ArgumentError, match="not finite"):
+                c.sum(bad)
+            with pytest.raises(ArgumentError, match="not finite"):
+                c.lateral_pair(bad)

@@ -96,6 +96,18 @@ def commands(ops: dict[str, str]) -> list[tuple[str, list[str]]]:
                  "--z", "0.1,0"]))
     out.append(("sum-convergent", ["sum", "--op", ops["convergent"], "--direction", "0",
                                    "--z", "0.1,0", "--z", "0.3,0.1"]))
+    # malformed numbers: each exits 2 without a traceback
+    out += [
+        ("hypergeom-bad-upper", ["hypergeom", "--upper", "abc", "--p", "0.5"]),
+        ("hypergeom-bad-p-grid", ["hypergeom", "--alphas", "0.5,1.7", "--p-grid", "0.5,x"]),
+        ("hypergeom-bad-betas", ["hypergeom", "--alphas", "0.5,1.7", "--betas", "q"]),
+        ("sum-nan-z", ["sum", "--op", ops["euler"], "--z", "nan,0"]),
+        ("sum-inf-z", ["sum", "--op", ops["euler"], "--z", "inf,0"]),
+        ("sum-nan-direction", ["sum", "--op", ops["euler"], "--direction", "nan",
+                               "--z", "0.1,0"]),
+        ("confluence-nan-q-grid", ["confluence", "--op", ops["qeuler"], "--z", "0.1,0",
+                                   "--q-grid", "nan,1.2"]),
+    ]
     return out
 
 
