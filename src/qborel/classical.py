@@ -59,26 +59,6 @@ class SummationLadder:
     beta: int
     d0: int
 
-    def __post_init__(self):
-        k = list(self.positive_slopes) + [Fraction(self.top_level)]
-        if any(k[i] >= k[i + 1] for i in range(len(k) - 1)):
-            raise ArgumentError("ladder slopes must be strictly increasing")
-        expect_kappa = []
-        for i in range(len(k)):
-            inv = Fraction(1, 1) / k[i] - (Fraction(1, 1) / k[i + 1] if i + 1 < len(k) else 0)
-            expect_kappa.append(1 / inv)
-        if tuple(expect_kappa) != self.kappa:
-            raise ArgumentError("kappa levels inconsistent with slopes")
-        if sum(Fraction(1, 1) / kt for kt in self.kappa_tilde) != Fraction(1, 1) / k[0]:
-            raise ArgumentError("kappa~ reciprocals must sum to 1/k_1")
-        if self.kappa_tilde[-1] != self.top_level:
-            raise ArgumentError("last kappa~ must equal the top level")
-        if any(kt < self.d0 for kt in self.kappa_tilde):
-            raise ArgumentError("every kappa~ must be >= d0")
-        for kt in self.kappa_tilde:
-            if (Fraction(self.beta) / kt).denominator != 1:
-                raise ArgumentError("beta must clear every kappa~")
-
     @property
     def levels(self) -> int:
         return len(self.kappa_tilde)
@@ -383,11 +363,11 @@ class ContinuationHandle(RayHandle):
         return out
 
 
-def _cauchy_hadamard(coeffs: np.ndarray, tail: int = 20) -> float:
+def _cauchy_hadamard(coeffs: np.ndarray) -> float:
     nz = [(n, abs(c)) for n, c in enumerate(coeffs) if abs(c) > 0]
     if len(nz) < 3:
         return 1e6  # polynomial-like: effectively entire
-    pick = nz[-tail:]
+    pick = nz[-20:]
     est = max(math.log(a) / n for n, a in pick if n > 0)
     return math.exp(-est)
 
@@ -404,11 +384,8 @@ def _laplace_truncation(handle: RayHandle, d: float, w: SectorPoint) -> tuple:
     """A = e^{id}/w on the surface of the logarithm, the truncation point S
     of int_0^S f(s e^{id}) exp(-s A) ds and the integrand's coarse peak
     modulus on (0, S]: a 12-node scan of (0, 42/Re A], then one probe at
-    each 1.5x extension."""
+    each 1.5x extension.  Re A > 0: the callers keep arg w within pi/2 of d."""
     A = cmath.exp(1j * d - w.complex_log())
-    if A.real <= 0:
-        raise DomainError(f"evaluation point arg={w.argument} outside the Laplace sector "
-                          f"around d={d}")
     peaks = np.linspace(0.0, 42.0 / A.real, 13)[1:]
     scan = np.abs(handle.eval_ray_many(peaks) * np.exp(-peaks * A))
     S, at_S, peak = float(peaks[-1]), float(scan[-1]), max(float(np.max(scan)), 1e-300)
@@ -426,16 +403,14 @@ def _laplace_truncation(handle: RayHandle, d: float, w: SectorPoint) -> tuple:
     return A, S, peak
 
 
-def laplace_along_ray(handle: RayHandle, k, d: float, z) -> complex:
-    """Laplace transform of the continued function at z, arg z within pi/2
-    of d, by the reference rule that checks the first level of every
+def laplace_along_ray(handle: RayHandle, d: float, z) -> complex:
+    """Order-1 Laplace transform of the continued function at z, arg z
+    within pi/2 of d (every ladder level is order 1 in its section
+    variable), by the reference rule that checks the first level of every
     classical sum (_reference_laplace, adaptive G7/K15 panels in linear s to
     _REF_EPSREL, sharing no rule with the log grids' trapezoid sums).  It raises
-    ValidationError past 256 panels or at a non-finite sample, and
-    DomainError on an integrand that does not decay.  Every ladder level is
-    order 1 in its section variable, so k = 1 is the only order taken."""
-    if Fraction(k) != 1:
-        raise UnsupportedError(f"Laplace transforms along a ray are of order 1, not {k}")
+    DomainError for z outside that sector or an integrand that does not
+    decay, and ValidationError past 256 panels or at a non-finite sample."""
     w = as_sector_point(z)
     if abs(w.argument - d) >= math.pi / 2:
         raise DomainError(
@@ -820,9 +795,10 @@ class _LaplaceGrid(_LogGrid):
         """The last level at the window lo..hi of the point w, and the first
         step-2h disagreement among the level values the window depends on
         (None if there is none), lowest level and smallest t first.  Such a
-        value that is not finite raises ValidationError, and one whose
-        kernel window is too narrow RangeError; so does, with
-        ValidationError, a reference check that fails."""
+        value that is not finite raises ValidationError, one whose kernel
+        window is too narrow RangeError, and any fault at a node below the
+        smallest normal float RangeError; so does, with ValidationError, a
+        reference check that fails."""
         g_lo, _, values, notes = self._covering(lo, hi)
         (K, L1), h, d = self._kernel, self.h, self.cont.direction
         needs = [(lo, hi)]          # the values the window depends on, top level first
@@ -836,7 +812,11 @@ class _LaplaceGrid(_LogGrid):
                     continue
                 i = hits[np.argmin(ts[hits])]
                 name = f"classical level {level + 2} along arg = {d:.6g} (h = 2^{math.log2(h):.0f})"
-                at = f"x = {math.exp(h * int(ts[i])):.6g}"
+                x = math.exp(h * int(ts[i]))
+                at = f"x = {x:.6g}"
+                if x < np.finfo(float).tiny:   # no finer step helps a subnormal node
+                    raise RangeError(f"{name} fails its checks at {at}, where the node "
+                                     f"grid underflows to subnormal floats")
                 if kind == 0:
                     raise ValidationError(f"{name} is not finite at {at}")
                 if kind == 1:
@@ -871,7 +851,7 @@ class _LaplaceSection:
     over |x_t A| in [e^_V_LO, e^_V_HI/cos(arg A)], checked like a level
     against its step-2h sum.  The step comes from the smaller of the strip
     half-widths pi/2 - |arg A| and half the angle from d_w to the nearest
-    singular direction of the stage operators (half, so that the levels'
+    singular direction of the section operator (half, so that the levels'
     step-2h sums keep the bound), capped at pi/16: the first grid serves the
     inner 7/8 of the sector, and only points nearer its edge pay for a finer
     one.  A step-2h disagreement of the window or of a level it reads halves
@@ -880,18 +860,15 @@ class _LaplaceSection:
     def __init__(self, sec: "SectionPipeline", d_w: float):
         self.l = sec.l
         self.d_w = d_w
-        self.cont = ContinuationHandle(sec.g1, sec.stage_ops[0], d_w)
-        self.levels = len(sec.orders_w) - 1
-        self._a_w = 0.5 * min((abs(_angdiff(cmath.phase(rho), d_w)) for op in sec.stage_ops
-                               for rho in op.coefficients[-1].nonzero_roots()), default=math.pi)
+        self.cont = ContinuationHandle(sec.g1, sec.op, d_w)
+        self.levels = sec.levels - 1
+        self._a_w = 0.5 * min((abs(_angdiff(cmath.phase(rho), d_w))
+                               for rho in sec.op.coefficients[-1].nonzero_roots()), default=math.pi)
         self._grids: dict[float, _LaplaceGrid] = {}
 
     def value(self, w: SectorPoint) -> complex:
-        # SummedFunction.domain_check keeps w inside the final level's sector
+        # Re A > 0: SummedFunction.domain_check keeps arg w within pi/2 of d_w
         A = cmath.exp(1j * self.d_w - w.complex_log())
-        if A.real <= 0:
-            raise DomainError(f"evaluation point arg={w.argument} outside the Laplace "
-                              f"sector around d={self.d_w}")
         a, h = min(self._a_w, math.pi / 2 - abs(cmath.phase(A)), math.pi / 16), _H0
         while TWO_PI * a / h < _STRIP_EFOLDS:
             h /= 2
@@ -927,14 +904,14 @@ class _LaplaceSection:
 
 @dataclass
 class SectionPipeline:
-    """One beta-section of the ladder, free of any direction: its chain of
-    stage operators (stage_ops[j-1] annihilates g_j, and their leading
-    coefficients give the singular directions) and g_1, shared by every
-    classical or q sum built from it."""
+    """One beta-section of the ladder, free of any direction: the number of
+    its Borel levels, g_1 and the operator op that annihilates g_1 (the
+    roots of its leading coefficient give the section's singular
+    directions), shared by every classical or q sum built from it."""
 
     l: int
-    orders_w: tuple[Fraction, ...]       # lambda_j = kappa~_j / beta, each 1/integer
-    stage_ops: list
+    levels: int
+    op: LinearOperator
     g1: PowerSeries
 
 
@@ -1015,26 +992,23 @@ def _build_sections(
         max(l + beta * (n_seed - 1) + 1 for l, n_seed in enumerate(n_seeds)))
     sections = []
     for l, (sec_rec, n_seed) in enumerate(zip(sec_recs, n_seeds)):
-        # chain of stage recurrences: stage j annihilates
-        # g_j = B_{lam_j} ... B_{lam_s} (section), built from the top down;
-        # g_1 solves the bottom one from its seeds, with the inhomogeneous
-        # rows they satisfy restored
-        recs = [None] * len(orders_w)
-        cur = sec_rec
-        for j in range(len(orders_w) - 1, -1, -1):
-            cur = reweight_recurrence(cur, orders_w[j], weight)
-            cur.rhs = {}
-            recs[j] = cur
+        # g_1 = B_{lam_1} ... B_{lam_s} (section) solves this recurrence from
+        # its seeds, with the inhomogeneous rows they satisfy restored.  The
+        # stages above g_1 are not kept: their leading coefficients are c z^k
+        # (for span 1, only the last reweighting balances A_0 and A_1)
+        rec_g1 = sec_rec
+        for lam in reversed(orders_w):
+            rec_g1 = reweight_recurrence(rec_g1, lam, weight)
         stop = l + beta * (n_seed - 1) + 1
         # g_1's seeds s_n / W(n), from s_n = a_(l + n beta) in log form
         seeds = np.array([0j if mag == -np.inf else ph * math.exp(mag - log_weight(n))
                           for n, (ph, mag) in enumerate(zip(phases[l:stop:beta],
                                                             logmags[l:stop:beta]))])
-        _attach_stage_rhs(recs[0], seeds)
+        _attach_stage_rhs(rec_g1, seeds)
         with np.errstate(over="ignore", invalid="ignore"):
-            coeffs, _meta = recs[0].solve(order, seed=seeds)
+            coeffs = rec_g1.solve(order, seed=seeds)
         g1 = PowerSeries(_truncate_overflow(coeffs, n_seed), 1)
-        sections.append(SectionPipeline(l, orders_w, [r.to_operator() for r in recs], g1))
+        sections.append(SectionPipeline(l, len(orders_w), rec_g1.to_operator(), g1))
     return sections
 
 
@@ -1060,8 +1034,8 @@ class DirectionSet:
 
 def singular_directions(op: LinearOperator) -> DirectionSet:
     """Excluded directions: arguments (in the z-plane) of the leading-root
-    singularities of every successive Borel-plane operator, united with the
-    arguments of the nonzero roots of the operator's leading coefficient.
+    singularities of each section's g_1 operator (the stages above have
+    none), united with those of the roots of op's leading coefficient.
 
     May be a strict superset of the true singular support (beta-sections see
     the rotated copies of each Borel singularity); extra entries only shrink
@@ -1077,11 +1051,11 @@ def singular_directions(op: LinearOperator) -> DirectionSet:
 
 def _chain_directions(op: LinearOperator, beta: int,
                       sections: list[SectionPipeline]) -> DirectionSet:
-    """singular_directions read off a built section chain (its stage
+    """singular_directions read off a built section chain (its section
     operators do not depend on the truncation order)."""
     found: dict[float, tuple[float, str]] = {}
-    for stage_op in (o for sec in sections for o in sec.stage_ops):
-        for rho in stage_op.coefficients[-1].nonzero_roots():
+    for sec in sections:
+        for rho in sec.op.coefficients[-1].nonzero_roots():
             base = cmath.phase(rho)  # direction in the w-plane
             for t in range(beta):
                 d = ((base + TWO_PI * t) / beta) % TWO_PI
@@ -1111,31 +1085,16 @@ def _bracket_offset(dirs: DirectionSet, d: float, ladder: SummationLadder) -> Op
 # Multisummation
 
 
-@dataclass(frozen=True)
-class _LeadingRay:
-    """The ray through a root of the leading coefficient, from 0.99 of the
-    root outwards."""
-
-    root: complex
-
-    def _refuse(self, z: SectorPoint):
-        if (abs(_angdiff(z.argument, cmath.phase(self.root))) < 1e-9
-                and z.modulus >= 0.99 * abs(self.root)):
-            raise DomainError(
-                f"z lies on the excluded ray through the leading-coefficient "
-                f"root {self.root}"
-            )
-
-
 @dataclass
 class SummedFunction:
     """Evaluable handle for a sum S^d(h) of either pipeline: the ladder (None
     for a convergent series and for the theta-kernel sum), the direction, one
     log-grid section per beta-section (its l and its value at w = z^beta:
-    a _LaplaceSection or a _QSection), the excluded loci (leading-root rays
-    of the classical sum, pole spirals of the q sum) and the half-opening of
-    the sector about d.  Evaluation outside the domain raises, never
-    extrapolates."""
+    a _LaplaceSection or a _QSection), the excluded loci (pole spirals of a
+    q sum) and the half-opening of the sector about d.  Evaluation outside
+    the domain raises, never extrapolates: a convergent series with 3 or more
+    nonzero terms also refuses z where its last two terms exceed 1e-12 of
+    max(|value|, |c_0|), the anchor-disk rule of QContinuation."""
 
     ladder: Optional[SummationLadder]
     direction: float
@@ -1165,7 +1124,15 @@ class SummedFunction:
         z = as_sector_point(z)
         self.domain_check(z)
         if self.convergent_series is not None:
-            return self.convergent_series.eval(z)
+            series = self.convergent_series
+            value, c = series.eval(z), np.abs(series.coefficients)
+            with np.errstate(divide="ignore"):
+                tail = np.log(c[-2:]) + np.arange(len(c))[-2:] / series.ram_index * z.log_modulus
+            if np.count_nonzero(c) >= 3 and not np.max(tail) <= math.log(
+                    1e-12 * max(abs(value), c[0], 1e-300)):
+                raise DomainError(f"|z| = {z.modulus:.4g} is beyond the reach of the {len(c)}-term"
+                                  f" series: its last terms exceed 1e-12 of its value")
+            return value
         w = z.power(1 if self.ladder is None else self.ladder.beta)
         if not abs(w.log_modulus) < _LOG_REACH:
             raise RangeError(f"|z^beta| = e^{w.log_modulus:.6g} is beyond e^(+-{_LOG_REACH:g})")
@@ -1174,10 +1141,10 @@ class SummedFunction:
             total += cmath.exp(sec.l * z.complex_log()) * sec.value(w)
         return total
 
-    def residual(self, op: LinearOperator, z, step: float = 1e-4) -> float:
+    def residual(self, op: LinearOperator, z) -> float:
         """Relative residual of op at z: exact sigma_q shifts for a
         q-difference operator, Richardson-extrapolated central differences
-        in log z for delta."""
+        in log z, with spacings 1e-4 and 5e-5, for delta."""
         z = as_sector_point(z)
         zc = z.to_complex()
         terms = []
@@ -1204,8 +1171,8 @@ class SummedFunction:
 
             for j, b in enumerate(op.coefficients):
                 coef = b(zc)
-                d1 = delta_pow(j, step)
-                d2 = delta_pow(j, step / 2)
+                d1 = delta_pow(j, 1e-4)
+                d2 = delta_pow(j, 5e-5)
                 terms.append(coef * ((4.0 * d2 - d1) / 3.0))  # Richardson
         total = 0.0 + 0.0j
         scale = 0.0
@@ -1292,13 +1259,13 @@ class SummationChain:
     def _at(self, d: float) -> SummedFunction:
         """The sum along d, which is not singular: one _LaplaceSection per
         section, each with its g_1 continued along the ray beta d and its
-        levels summed on log grids, the leading-root rays excluded."""
+        levels summed on log grids.  No ray is excluded: with span 1 and a
+        positive slope, the operator's leading coefficient is c z."""
         ladder = self.ladder
         _refuse_sub_unit(ladder)
-        rays = tuple(_LeadingRay(a) for a in self.op.coefficients[-1].nonzero_roots().tolist())
         return SummedFunction(ladder, d, [_LaplaceSection(sec, ladder.beta * d)
                                           for sec in self.sections],
-                              rays, math.pi / (2.0 * ladder.top_level))
+                              half_opening=math.pi / (2.0 * ladder.top_level))
 
 
 def summation_chain(op: LinearOperator, k_r_choice: Optional[int] = None,

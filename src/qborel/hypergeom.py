@@ -228,10 +228,10 @@ def rphi_operator(params: PhiParams) -> LinearOperator:
 # Connection formula at infinity (r upper, r-1 lower, convergent)
 
 
-def connection_infinity(params: PhiParams, z: complex, N: int = 200) -> complex:
+def connection_infinity(params: PhiParams, z: complex) -> complex:
     """Evaluate the large-|z| side of the connection formula for the
     convergent {}_r phi_{r-1}: the sum over j = 1..r of Pochhammer-quotient
-    prefactors times argument-inverted {}_r phi_{r-1} factors.
+    prefactors times argument-inverted {}_r phi_{r-1} factors of 200 terms.
 
     Requires |p prod(b) / (z prod(a))| < 1 so the inverted series converge."""
     if params.s != params.r - 1:
@@ -266,7 +266,7 @@ def connection_infinity(params: PhiParams, z: complex, N: int = 200) -> complex:
             tuple(aj * p / ai for ai in others),
             p,
         )
-        total += num / den * rphi(far, arg_far, N)
+        total += num / den * rphi(far, arg_far, 200)
     return total
 
 
@@ -274,7 +274,7 @@ def connection_infinity(params: PhiParams, z: complex, N: int = 200) -> complex:
 # Closed-form q-sum (theta-weight Borel + theta-kernel Laplace)
 
 
-def qsum_closed_form(params: PhiParams, d: float, z, N: int = 200) -> complex:
+def qsum_closed_form(params: PhiParams, d: float, z) -> complex:
     """Closed form of the q-Borel-Laplace sum of the divergent {}_r phi_s:
 
         sum_j  a_j * [Pochhammer quotients] *
@@ -285,9 +285,10 @@ def qsum_closed_form(params: PhiParams, d: float, z, N: int = 200) -> complex:
                                   (-1)^(s-r) p^(r-s-1) a_j^(r-s-2)
                                       prod b / (z prod a))
 
-    with lam = (qb - 1) e^{id}; forbidden directions d = (r-s-1) pi mod 2 pi.
-    The a_j prefactor and the p^(r-s-1) power are pinned against the direct
-    Borel-Laplace pipeline (theta-weight Borel + theta-kernel Laplace).
+    with lam = (qb - 1) e^{id} and phi summed within 200 terms; forbidden
+    directions d = (r-s-1) pi mod 2 pi.  The a_j prefactor and the p^(r-s-1)
+    power are pinned against the direct Borel-Laplace pipeline
+    (theta-weight Borel + theta-kernel Laplace).
     """
     r, s = params.r, params.s
     if r <= s + 1:
@@ -325,17 +326,17 @@ def qsum_closed_form(params: PhiParams, d: float, z, N: int = 200) -> complex:
             sign * p ** (r - s - 1) * aj ** (r - s - 2) * prod_b
             / (zc * np.prod(a))
         )
-        total += pref * _phi_value(upper, lower, p, complex(arg), N)
+        total += pref * _phi_value(upper, lower, p, complex(arg))
     return total
 
 
 def _phi_value(upper: Sequence[complex], lower: Sequence[complex], p: float,
-               z: complex, N: int) -> complex:
+               z: complex) -> complex:
     """{}_r phi_s value with possible zero upper entries (no distinctness
-    checks; used by the connection/closed-form right-hand sides)."""
+    checks; used by the closed-form right-hand side), within 200 terms."""
     u = 1.0 + 0.0j
     total = u
-    for n in range(N):
+    for n in range(200):
         num, den, twist = _phi_ratio(upper, lower, p, n)
         u = u * num / den * twist * z
         total += u
@@ -343,7 +344,7 @@ def _phi_value(upper: Sequence[complex], lower: Sequence[complex], p: float,
             return total
     if abs(u) > 1e-12 * max(abs(total), 1.0):
         raise DomainError(
-            f"phi series not converged after {N} terms (|last| = {abs(u):.2e})"
+            f"phi series not converged after 200 terms (|last| = {abs(u):.2e})"
         )
     return total
 
@@ -352,7 +353,7 @@ def _phi_value(upper: Sequence[complex], lower: Sequence[complex], p: float,
 # Classical limit of the closed form
 
 
-def classical_limit_rhs(params: FParams, d: float, z, N: int = 400) -> complex:
+def classical_limit_rhs(params: FParams, d: float, z) -> complex:
     """Gamma-weighted sum of {}_{s+1}F_{r-1} values: the q -> 1 limit of the
     closed-form q-sum, equal to the Borel-Laplace sum of {}_r F_s.
 
@@ -388,5 +389,5 @@ def classical_limit_rhs(params: FParams, d: float, z, N: int = 400) -> complex:
             tuple([aj] + [aj - bi + 1.0 for bi in beta]),
             tuple(aj - ai + 1.0 for ai in others),
         )
-        total += num / den * power * rF(inner, sign / zc, N)
+        total += num / den * power * rF(inner, sign / zc)
     return total

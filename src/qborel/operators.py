@@ -193,10 +193,7 @@ def parse_operator(text: str | dict) -> LinearOperator:
         rhs = PowerSeries(
             [_parse_pair(pair, f"rhs[{i}]") for i, pair in enumerate(doc["rhs"])]
         )
-    try:
-        return LinearOperator(kind, basis, tuple(polys), q, rhs)
-    except ValidationError:
-        raise
+    return LinearOperator(kind, basis, tuple(polys), q, rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -508,16 +505,14 @@ class Recurrence:
         valuation: int = 0,
         leading: complex = 1.0,
         seed: Optional[Sequence[complex]] = None,
-    ) -> tuple[np.ndarray, dict]:
-        """Solve forward for coefficients a_0..a_{order-1}.
-
-        Returns (coefficients, meta); meta carries 'warnings' and
-        'nonunique'.  Resonances (vanishing leading factor with inconsistent
-        right side) raise :class:`ResonanceError`.
+    ) -> np.ndarray:
+        """Solve forward for coefficients a_0..a_{order-1}.  At a resonant
+        index with consistent data the free coefficient is `leading` at the
+        valuation and 0 elsewhere; an inconsistent right side raises
+        :class:`ResonanceError`.
         """
         I = self.span
         out = np.zeros(order, dtype=complex)
-        meta = {"warnings": [], "nonunique": False}
         start = 0
         if seed is not None:
             ns = min(len(seed), order)
@@ -540,11 +535,7 @@ class Recurrence:
                     default=0.0,
                 )
                 if abs(acc) <= 1e-10 * max(residual_scale, 1.0):
-                    if n == valuation:
-                        out[n] = leading
-                    else:
-                        out[n] = 0.0
-                        meta["nonunique"] = True
+                    out[n] = leading if n == valuation else 0.0
                 else:
                     raise ResonanceError(
                         f"recurrence leading factor vanishes at n={n} with "
@@ -552,10 +543,8 @@ class Recurrence:
                         n=n,
                     )
             else:
-                if abs(lead) < 1e-8 * scale:
-                    meta["warnings"].append(f"ill-conditioned leading factor at n={n}")
                 out[n] = acc / lead
-        return out, meta
+        return out
 
     def solve_logspace(
         self,
@@ -625,8 +614,7 @@ def solve_series(
     series on its own.
     """
     rec = Recurrence.from_operator(op)
-    coeffs, _meta = rec.solve(order, valuation=valuation, leading=leading)
-    out = PowerSeries(coeffs, 1)
+    out = PowerSeries(rec.solve(order, valuation=valuation, leading=leading), 1)
     if op.rhs is None and abs(out.coefficients[valuation] - leading) > 1e-9 * max(
         1.0, abs(leading)
     ):

@@ -51,22 +51,18 @@ def _as_q(q) -> float:
 # Theta
 
 
-def theta(z, q, mode: str = "series") -> complex:
+def theta(z, q) -> complex:
     """Jacobi-type theta sum_n q^{-n(n+1)/2} z^n (two-sided).
 
-    Vanishes exactly on the discrete q-spiral -q^Z; 'series' and 'product'
-    modes agree to ~1e-10 away from the zeros.
+    Vanishes exactly on the discrete q-spiral -q^Z; away from the zeros it
+    agrees to ~1e-10 with _theta_product, the tests' reference.
     """
     q = _as_q(q)
     z = complex(z)
     if z == 0:
         raise DomainError("theta is undefined at z = 0")
-    if mode == "series":
-        total, log_peak = _theta_sum(z, q)
-        return total * cmath.exp(complex(log_peak, 0.0))
-    if mode == "product":
-        return _theta_product(z, q)
-    raise ArgumentError(f"unknown theta mode {mode!r}")
+    total, log_peak = _theta_sum(z, q)
+    return total * cmath.exp(complex(log_peak, 0.0))
 
 
 def _theta_sum(z: complex, q: float, weighted: bool = False) -> tuple[complex, float]:
@@ -130,11 +126,11 @@ def _theta_product(z: complex, q: float) -> complex:
 # q-exponential
 
 
-def eq_exp(z, q, mode: str = "series") -> complex:
-    """e_q(z) = sum z^n/[n]_q! = prod (1 + (q-1) q^{-n-1} z) for q > 1.
+def eq_exp(z, q) -> complex:
+    """e_q(z) = sum z^n/[n]_q! = prod (1 + (q-1) q^{-n-1} z) for q > 1, by
+    the series (_eq_product, the product, is the tests' reference).
 
-    Bases in (0, 1) are accepted in series mode only, inside the convergence
-    disk |z| < 1/(1-q) (the product form diverges there).
+    Bases in (0, 1) are accepted inside the series' disk |z| < 1/(1-q).
     """
     z = complex(z)
     if isinstance(q, QParameter):
@@ -146,20 +142,11 @@ def eq_exp(z, q, mode: str = "series") -> complex:
         raise RangeError(
             f"base q = {q} too close to 1; use the exp limit instead"
         )
-    if q < 1.0:
-        if mode != "series":
-            raise UnsupportedError("product form of e_q requires q > 1")
-        radius = 1.0 / (1.0 - q)
-        if abs(z) >= radius:
-            raise DomainError(
-                f"e_q series with base {q} < 1 diverges for |z| >= {radius:.6g}"
-            )
-        return _eq_series(z, q)
-    if mode == "series":
-        return _eq_series(z, q)
-    if mode == "product":
-        return _eq_product(z, q)
-    raise ArgumentError(f"unknown e_q mode {mode!r}")
+    if q < 1.0 and abs(z) >= 1.0 / (1.0 - q):
+        raise DomainError(
+            f"e_q series with base {q} < 1 diverges for |z| >= {1.0 / (1.0 - q):.6g}"
+        )
+    return _eq_series(z, q)
 
 
 def _eq_series(z: complex, q: float) -> complex:

@@ -156,12 +156,13 @@ _KERNEL_CAP = 120000
 # Jackson integral (public op)
 
 
-def jackson_integral(f: Callable[[complex], complex], d: float, q: float,
-                     max_half: int = 400, tol: float = 1e-16) -> complex:
+def jackson_integral(f: Callable[[complex], complex], d: float, q: float) -> complex:
     """(q-1) sum_l f(q^l e^{id}) q^l e^{id}, truncated two-sided once the
-    tails fall below tol of the running sum; divergence raises RangeError."""
+    tails fall below 1e-16 of the running sum, over |l| <= max(400,
+    ceil(60/log q)) (nodes out to e^(+-60)); divergence raises RangeError."""
     if q <= 1.0:
         raise DomainError("Jackson integral requires q > 1")
+    max_half, tol = max(400, math.ceil(60.0 / math.log(q))), 1e-16
     phase = cmath.exp(1j * d)
     total = 0.0 + 0.0j
     # upward: integrands may legitimately rise toward an interior peak, so
@@ -447,24 +448,23 @@ class _QSection(_LogGrid):
 
     def __init__(self, sec: SectionPipeline, Qw: float, d_w: float, mode: str):
         self.l = sec.l
-        self.orders_w = sec.orders_w
+        self.levels = sec.levels - 1      # the correlated levels, below the last
         self.Qw = Qw
         self.d_w = d_w
         self.mode = mode
         self.M = 8 if mode == "continuous" else 1
         self.base = (Qw - 1.0 if mode == "theta" else 1.0) * cmath.exp(1j * d_w)
-        self.cont = QContinuation(sec.g1, sec.stage_ops[0], d_w)
+        self.cont = QContinuation(sec.g1, sec.op, d_w)
 
     def _ensure_grid_locked(self, lo: int, hi: int) -> tuple[int, int, np.ndarray, list]:
         """_LogGrid._grow from the walk; every level is order 1 in w (sub-unit
         ladders are refused), so one kernel serves them all: _level's at w = 1
         along the real axis, whose tap j weighs node t + j - L1, L1 = -lo."""
-        levels = len(self.orders_w) - 1
-        k_lo, k_hi, K = _level(1, 0.0, self.Qw, 1.0, self.M) if levels else (0, 0, None)
+        k_lo, k_hi, K = _level(1, 0.0, self.Qw, 1.0, self.M) if self.levels else (0, 0, None)
         if k_hi - k_lo > _KERNEL_CAP:
             raise RangeError(f"kernel support {k_hi - k_lo} exceeds the node cap {_KERNEL_CAP}")
         return self._grow(lo, hi, lambda a, b: self.cont.grid_values(self.base, a, b, self.M),
-                          (K, -k_lo) if levels else None, levels)
+                          (K, -k_lo) if self.levels else None, self.levels)
 
     def value(self, w: SectorPoint) -> complex:
         if self.mode == "theta":
@@ -531,8 +531,7 @@ def q_summation_chain(op: LinearOperator, mode: str = "discrete",
             with np.errstate(over="ignore", invalid="ignore"):
                 s = solve_series(op, order)
             s = PowerSeries(_truncate_overflow(s.coefficients, 0), 1)
-        sections = (SectionPipeline(0, (Fraction(1),), [rz_borel_operator(op)],
-                                    rz_borel(s, sop.q)),)
+        sections = (SectionPipeline(0, 1, rz_borel_operator(op), rz_borel(s, sop.q)),)
     else:
         _refuse_sub_unit(ladder)
         sections = tuple(_build_sections(sop, ladder, order, "qfact"))

@@ -396,9 +396,7 @@ def ramify(s: PowerSeries, c) -> PowerSeries:
     p, qden = c.numerator, c.denominator
     new_nu = s.ram_index * qden
     out = np.zeros((len(s.coefficients) - 1) * p + 1, dtype=complex)
-    out[::1] = 0
-    for n, coef in enumerate(s.coefficients):
-        out[n * p] = coef
+    out[::p] = s.coefficients
     return PowerSeries(out, new_nu).normalized()
 
 

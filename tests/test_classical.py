@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from scipy.integrate import quad
 
 from qborel import classical as cl
@@ -23,6 +23,8 @@ from qborel.operators import (
     Recurrence,
     borel_plane_operator,
     newton_polygon,
+    reweight_recurrence,
+    section_recurrence,
     solve_series,
 )
 from qborel.series import Polynomial, PowerSeries, SectorPoint, gamma, q_factorial
@@ -157,15 +159,15 @@ def test_polynomial_handle_is_exact():
 def test_laplace_of_constants_and_moments():
     one = cl.FunctionHandle(lambda z: 1.0 + 0j, 0.0)
     z = SectorPoint.from_complex(0.3)
-    assert cl.laplace_along_ray(one, 1, 0.0, z) == pytest.approx(1.0, rel=1e-12)
+    assert cl.laplace_along_ray(one, 0.0, z) == pytest.approx(1.0, rel=1e-12)
     ident = cl.FunctionHandle(lambda zeta: zeta, 0.0)
-    assert cl.laplace_along_ray(ident, 1, 0.0, z) == pytest.approx(0.3, rel=1e-11)
+    assert cl.laplace_along_ray(ident, 0.0, z) == pytest.approx(0.3, rel=1e-11)
 
 
 def test_laplace_euler_value(euler_op):
     h = _euler_borel_handle(euler_op, 0.0)
     z = SectorPoint.from_complex(0.1)
-    got = cl.laplace_along_ray(h, 1, 0.0, z)
+    got = cl.laplace_along_ray(h, 0.0, z)
     # independent oracle: integrating log(1+zeta) against the kernel by parts
     # gives int_0^inf e^(-t/z)/(1+t) dt
     oracle, _ = quad(lambda t: math.exp(-t / 0.1) / (1.0 + t), 0, 60,
@@ -177,10 +179,10 @@ def test_laplace_euler_value(euler_op):
 def test_laplace_domain_errors():
     one = cl.FunctionHandle(lambda z: 1.0 + 0j, 0.0)
     with pytest.raises(DomainError):
-        cl.laplace_along_ray(one, 1, 0.0, SectorPoint.from_polar(0.3, 2.5))
+        cl.laplace_along_ray(one, 0.0, SectorPoint.from_polar(0.3, 2.5))
     grower = cl.FunctionHandle(lambda z: cmath.exp(3.0 * z), 0.0)
     with pytest.raises(DomainError, match="integrand does not decay"):
-        cl.laplace_along_ray(grower, 1, 0.0, SectorPoint.from_complex(0.5))
+        cl.laplace_along_ray(grower, 0.0, SectorPoint.from_complex(0.5))
 
 
 def test_laplace_refuses_an_integrand_that_grows_along_the_ray():
@@ -188,23 +190,13 @@ def test_laplace_refuses_an_integrand_that_grows_along_the_ray():
     # each of the truncation's three extensions
     understated = cl.FunctionHandle(lambda zeta: cmath.exp(20.0 * zeta), 0.0)
     with pytest.raises(DomainError, match="integrand does not decay along the ray"):
-        cl.laplace_along_ray(understated, 1, 0.0, SectorPoint.from_complex(0.1))
-
-
-def test_laplace_along_ray_takes_order_one_only():
-    # every ladder level is order 1 in its section variable
-    one = cl.FunctionHandle(lambda zeta: 1.0 + 0j, 0.0)
-    z = SectorPoint.from_complex(0.3)
-    for k in (2, Fraction(1, 2), 1.5):
-        with pytest.raises(UnsupportedError, match="order 1"):
-            cl.laplace_along_ray(one, k, 0.0, z)
-    assert cl.laplace_along_ray(one, Fraction(1), 0.0, z) == pytest.approx(1.0, rel=1e-12)
+        cl.laplace_along_ray(understated, 0.0, SectorPoint.from_complex(0.1))
 
 
 def test_laplace_positivity():
     h = cl.FunctionHandle(lambda zeta: 1.0 / (1.0 + zeta), 0.0)
     z = SectorPoint.from_complex(0.25)
-    val = cl.laplace_along_ray(h, 1, 0.0, z)
+    val = cl.laplace_along_ray(h, 0.0, z)
     assert val.real > 0
     assert abs(val.imag) < 1e-12 * abs(val)
 
@@ -223,7 +215,7 @@ def test_laplace_along_ray_samples_each_node_once(euler_op):
 
     h.eval_ray_many = recording
     z = SectorPoint.from_polar(0.1, 0.4)
-    got = cl.laplace_along_ray(h, 1, 0.3, z)
+    got = cl.laplace_along_ray(h, 0.3, z)
     del h.eval_ray_many
     A, S, _ = cl._laplace_truncation(h, 0.3, z)
     scan, probes = calls[0], [c for c in calls[1:] if len(c) == 1]
@@ -248,7 +240,7 @@ def test_laplace_along_ray_raises_on_a_non_finite_sample():
     hole = cl.FunctionHandle(
         lambda zeta: complex(math.nan) if 0.41 < zeta.real < 0.47 else 1.0 + 0j, 0.0)
     with pytest.raises(ValidationError, match="non-finite integrand value"):
-        cl.laplace_along_ray(hole, 1, 0.0, SectorPoint.from_complex(0.1))
+        cl.laplace_along_ray(hole, 0.0, SectorPoint.from_complex(0.1))
 
 
 def test_laplace_along_ray_panel_budget_raises(monkeypatch):
@@ -258,10 +250,10 @@ def test_laplace_along_ray_panel_budget_raises(monkeypatch):
     d = math.pi + 0.02
     near_pole = cl.FunctionHandle(lambda zeta: 1.0 / (1.0 + zeta), d)
     z = SectorPoint.from_polar(0.5, d)
-    value = cl.laplace_along_ray(near_pole, 1, d, z)
+    value = cl.laplace_along_ray(near_pole, d, z)
     monkeypatch.setattr(cl, "_REF_MAX_PANELS", 8)
     with pytest.raises(ValidationError, match="reference Laplace quadrature .* within 8 panels"):
-        cl.laplace_along_ray(near_pole, 1, d, z)
+        cl.laplace_along_ray(near_pole, d, z)
     assert np.isfinite(value)
 
 
@@ -319,8 +311,8 @@ def test_laplace_delta_commutation():
     g = _poly_handle(c)
     dg = _poly_handle(_delta_series(c))
     z = SectorPoint.from_complex(0.17)
-    lhs = cl.laplace_along_ray(dg, 1, 0.0, z)
-    rhs = _fd_delta(lambda w: cl.laplace_along_ray(g, 1, 0.0, w), z)
+    lhs = cl.laplace_along_ray(dg, 0.0, z)
+    rhs = _fd_delta(lambda w: cl.laplace_along_ray(g, 0.0, w), z)
     assert abs(lhs - rhs) < 1e-8 * max(abs(lhs), 1.0)
 
 
@@ -331,8 +323,8 @@ def test_laplace_multiplication_identity():
     zg = _poly_handle(np.concatenate([[0.0], c]))
     z = SectorPoint.from_complex(0.21)
     zc = z.to_complex()
-    lhs = zc * cl.laplace_along_ray(dg, 1, 0.0, z)
-    rhs = cl.laplace_along_ray(zg, 1, 0.0, z) - zc * cl.laplace_along_ray(g, 1, 0.0, z)
+    lhs = zc * cl.laplace_along_ray(dg, 0.0, z)
+    rhs = cl.laplace_along_ray(zg, 0.0, z) - zc * cl.laplace_along_ray(g, 0.0, z)
     assert abs(lhs - rhs) < 1e-8 * max(abs(rhs), 1.0)
 
 
@@ -358,6 +350,22 @@ def test_multisum_convergent_passthrough():
     S = cl.multisum(None, op, 0.0)
     val = S(SectorPoint.from_complex(0.3))
     assert val == pytest.approx(1.0 / 0.7, rel=1e-12)
+
+
+def test_convergent_sum_refuses_a_point_its_series_does_not_reach():
+    # (1 - z) delta y + y = z: a_n = 1/(n (n + 1)), radius 1, but its 240
+    # terms give the radius estimate 1.046.  From z = 0.99 on, the last
+    # terms are not below 1e-12 of the value (at z = 1.02 the partial sum
+    # 1.256 leaves a residual of 0.38), and the point raises
+    op = LinearOperator("differential", "delta", (Polynomial([1.0]), Polynomial([1.0, -1.0])),
+                        None, PowerSeries([0.0, 1.0]))
+    S = cl.multisum(None, op, 0.0)
+    for x in (0.5, 0.9):
+        assert S(SectorPoint.from_complex(x)) == pytest.approx(
+            1.0 + (1.0 - x) * math.log1p(-x) / x, rel=1e-13)
+    for x in (0.99, 1.02, 1.04):
+        with pytest.raises(DomainError, match="beyond the reach of the 240-term series"):
+            S(SectorPoint.from_complex(x))
 
 
 def test_multisum_singular_direction_rejected(euler_op):
@@ -435,8 +443,6 @@ def test_multisum_raises_at_a_resonant_recurrence_row():
 def test_multisum_fractional_slope_unsupported():
     # y - z (delta+1)^2 y = 1 has the single slope 1/2: the ladder's
     # section-variable orders drop below 1 and evaluation is declined
-    from qborel.errors import UnsupportedError
-
     op = LinearOperator("differential", "delta",
                         (Polynomial([1.0, -1.0]), Polynomial([0.0, -2.0]),
                          Polynomial([0.0, -1.0])),
@@ -467,7 +473,7 @@ def test_stage_seeds_match_weighted_section_coefficients(euler_op, weight):
     sections = cl._build_sections(op, ladder, order=60, weight=weight)
     assert [sec.l for sec in sections] == [0, 1, 2]
     for sec in sections:
-        assert len(sec.stage_ops) == 3
+        assert sec.levels == 3
         a = solve_series(op, 3 * 12 + 3).coefficients
         for n, got in enumerate(sec.g1.coefficients[:12]):
             if weight == "gamma":
@@ -495,6 +501,35 @@ def test_build_sections_solves_the_master_recurrence_once(euler_op, weight, monk
     assert ladder.beta == 3
     assert len(cl._build_sections(op, ladder, order=60, weight=weight)) == 3
     assert len(calls) == 1
+
+
+_coefficient = st.one_of(st.just(0.0), st.floats(-2.0, 2.0, allow_subnormal=False))
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(["differential", "q_difference"]), q=st.floats(1.05, 2.0),
+       lower=st.lists(st.tuples(_coefficient, _coefficient), min_size=1, max_size=3),
+       lead=st.floats(0.1, 2.0), lead_phase=st.floats(-math.pi, math.pi))
+def test_stages_above_g1_have_no_nonzero_leading_root(kind, q, lower, lead, lead_phase):
+    # a span-1 operator (coefficients of z-degree <= 1) is divergent only
+    # with leading coefficient c z.  Rebuilt from the top down, every stage
+    # recurrence of a section above g_1 then has a leading coefficient c z^k:
+    # only the last reweighting balances the degrees of A_0 and A_1.  So
+    # the stages add no singular direction, and a section keeps g_1's
+    # operator alone
+    coeffs = tuple(Polynomial([complex(*c)]) for c in lower)
+    coeffs += (Polynomial([0.0, cmath.rect(lead, lead_phase)]),)
+    if kind == "differential":
+        op, weight = LinearOperator(kind, "delta", coeffs), "gamma"
+    else:
+        op, weight = LinearOperator(kind, "delta_q", coeffs, q).to_sigma_basis(), "qfact"
+    assume(not newton_polygon(op).is_convergent_only())
+    ladder = cl._summation_ladder(op)
+    for l in range(ladder.beta):
+        rec = section_recurrence(Recurrence.from_operator(op), ladder.beta, l)
+        for lam in reversed(ladder.w_orders()[1:]):
+            rec = reweight_recurrence(rec, lam, weight)
+            assert len(rec.to_operator().coefficients[-1].nonzero_roots()) == 0
 
 
 def test_zero_series_operator_refuses_sum_and_lateral_pair(euler_homogenized):
@@ -590,7 +625,7 @@ def test_batched_laplace_matches_adaptive_quadrature_near_stokes_ray(stokes_pair
         grid, values = _first_level(sec, h, ts)
         for t, got in zip(ts, values):
             x = float(cl._ray_nodes(h, t, t)[0])
-            ref = cl.laplace_along_ray(sec.cont, 1, sec.d_w, SectorPoint.from_polar(x, sec.d_w))
+            ref = cl.laplace_along_ray(sec.cont, sec.d_w, SectorPoint.from_polar(x, sec.d_w))
             assert abs(got - ref) < 1e-11 * abs(ref)
         j0, built = sec._grids[h]._grid[3][0].lattice      # at x = e^(4j), t = 128 j
         t = 128 * np.arange(j0, j0 + len(built))
@@ -625,7 +660,7 @@ def test_stage_tables_match_direct_quadrature_across_their_span(euler_sections):
     for sec in euler_sections:
         for t, got in zip(ts, _first_level(sec, h, ts)[1]):
             x = float(cl._ray_nodes(h, t, t)[0])
-            ref = cl.laplace_along_ray(sec.cont, 1, sec.d_w, SectorPoint.from_polar(x, sec.d_w))
+            ref = cl.laplace_along_ray(sec.cont, sec.d_w, SectorPoint.from_polar(x, sec.d_w))
             assert abs(got - ref) <= 1e-10 * abs(ref)
 
 
@@ -746,7 +781,7 @@ def test_taylor_step_refuses_a_tail_it_cannot_bound(euler_op, monkeypatch):
     # term: it raises, naming the ray, the step's start and R, and the sum
     # passes the refusal on
     sec = cl.summation_chain(euler_op).sections[0]
-    h = cl.ContinuationHandle(sec.g1, sec.stage_ops[0], 0.0)
+    h = cl.ContinuationHandle(sec.g1, sec.op, 0.0)
     monkeypatch.setattr(cl, "_TAYLOR_TERMS", 12)
     # the Borel singularity lies on the opposite ray, so R is the distance to 0
     with pytest.raises(ValidationError, match=rf"arg=0\.0 at x={h._x0:.6g} "
@@ -760,7 +795,7 @@ def test_ode_rungs_do_not_depend_on_the_requests_that_built_them(euler_op):
     # a continuation, built twice and extended once to 40 or by the requests
     # 1.2, 5, 40: the same Taylor steps and the same values, bit for bit
     sec = cl.summation_chain(euler_op).sections[0]
-    once, stepwise = (cl.ContinuationHandle(sec.g1, sec.stage_ops[0], 0.0) for _ in range(2))
+    once, stepwise = (cl.ContinuationHandle(sec.g1, sec.op, 0.0) for _ in range(2))
     steps = once.ensure(40.0)
     for x in (1.2, 5.0, 40.0):
         stepwise.ensure(x)
@@ -983,8 +1018,7 @@ def test_window_of_a_growing_g1_refines_its_step(p, monkeypatch):
     monkeypatch.setattr(cl._LaplaceGrid, "read", lambda self, *a: reads.append(self.h)
                         or read(self, *a))
     op = LinearOperator("differential", "delta", (Polynomial([-float(p)]), Polynomial([1.0])))
-    sec = cl._LaplaceSection(cl.SectionPipeline(0, (Fraction(1),), [op],
-                                                PowerSeries([0.0] * p + [1.0])), 0.0)
+    sec = cl._LaplaceSection(cl.SectionPipeline(0, 1, op, PowerSeries([0.0] * p + [1.0])), 0.0)
     rng = np.random.default_rng(1)
     mods = np.exp(rng.uniform(math.log(0.1), math.log(10.0), 200))
     args = rng.uniform(-math.pi / 2 + 0.02, math.pi / 2 - 0.02, 200)
@@ -1010,7 +1044,7 @@ def test_moment_panel_budget_raises(monkeypatch):
     monkeypatch.setattr(cl, "_REF_MAX_PANELS", 17)
     one = cl.FunctionHandle(lambda zeta: 1.0 + 0j, 0.0)
     with pytest.raises(ValidationError, match="reference Laplace quadrature .* 17 panels"):
-        cl.laplace_along_ray(one, 1, 0.0, SectorPoint.from_polar(1.0, 1.5))
+        cl.laplace_along_ray(one, 0.0, SectorPoint.from_polar(1.0, 1.5))
 
 
 def test_reference_quadrature_only_checks_the_tabulations(euler_op, monkeypatch):
@@ -1055,6 +1089,6 @@ def test_batched_moments_of_one(log_modulus, arg):
     # pi/2 - 0.02)
     A = cmath.rect(math.exp(log_modulus), arg)
     delta = LinearOperator("differential", "delta", (Polynomial([0.0]), Polynomial([1.0])))
-    one = cl.SectionPipeline(0, (Fraction(1),), [delta], PowerSeries([1.0]))
+    one = cl.SectionPipeline(0, 1, delta, PowerSeries([1.0]))
     value = cl._LaplaceSection(one, 0.0).value(SectorPoint.from_complex(1.0 / A))
     assert abs(value - 1.0) <= 1e-13 * abs(A) / A.real

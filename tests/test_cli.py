@@ -41,6 +41,24 @@ CONVERGENT = {"kind": "differential", "basis": "delta",
               "coefficients": [[[1.0, 0.0]], [[1.0, 0.0], [-1.0, 0.0]]],
               "rhs": [[0.0, 0.0], [1.0, 0.0]]}
 
+# (1 - z) delta_q y + y = z: a q-family whose limit is CONVERGENT
+QCONVERGENT = {"kind": "q_difference", "basis": "delta_q", "q": 1.05,
+               "coefficients": [[[1.0, 0.0]], [[1.0, 0.0], [-1.0, 0.0]]],
+               "rhs": [[0.0, 0.0], [1.0, 0.0]]}
+
+# b0 = 1 + sqrt(q-1): entry [z^0] = [1 + 1*s], b1 = z; its (A3) constant
+# c1 grows like (q-1)^(-1/2), so the family fails (A3)
+FAILING_FAMILY = {
+    "kind": "q_difference_family",
+    "basis": "delta_q",
+    "coefficients": [
+        [[[1.0, 0.0], [1.0, 0.0]]],
+        [[[0.0, 0.0]], [[1.0, 0.0]]],
+    ],
+    "rhs": [[0.0, 0.0], [1.0, 0.0]],
+    "limit": EULER,
+}
+
 SIGMA_MINUS_TWO = {"kind": "q_difference", "basis": "sigma_q", "q": 2.0,
                    "coefficients": [[[-2.0, 0.0]], [[1.0, 0.0]]]}
 
@@ -51,7 +69,8 @@ def opfiles(tmp_path):
     for name, doc in (("euler", EULER), ("ex41", EXAMPLE41),
                       ("qeuler", QEULER), ("sigma2", SIGMA_MINUS_TWO),
                       ("zero", ZERO_SERIES), ("sigma_zero", SIGMA_ZERO_COEFFICIENT),
-                      ("convergent", CONVERGENT)):
+                      ("convergent", CONVERGENT), ("qconvergent", QCONVERGENT),
+                      ("failing_family", FAILING_FAMILY)):
         p = tmp_path / f"{name}.json"
         p.write_text(json.dumps(doc))
         paths[name] = str(p)
@@ -102,6 +121,13 @@ def test_ladder_example41(opfiles, tmp_path, capsys):
     assert "kappa_tilde,3,20/3" in text
     assert "kappa_tilde,5,5" in text
     assert "beta,,20" in text
+
+
+def test_ladder_of_a_convergent_operator_is_one_row(opfiles, capsys):
+    rc = main(["ladder", "--op", opfiles["convergent"]])
+    assert rc == 0
+    rows = [l for l in capsys.readouterr().out.splitlines() if not l.startswith("#")]
+    assert rows == ["field,index,value", "convergent,,true"]
 
 
 def test_polygon_outputs(opfiles, capsys):
@@ -308,22 +334,21 @@ def test_confluence_bad_grid_order(opfiles, capsys):
     assert rc == 2
 
 
-def test_validate_family_failure_exits_4(tmp_path, capsys):
-    family = {
-        "kind": "q_difference_family",
-        "basis": "delta_q",
-        # b0 = 1 + sqrt(q-1): entry [z^0] = [1 + 1*s], b1 = z
-        "coefficients": [
-            [[[1.0, 0.0], [1.0, 0.0]]],
-            [[[0.0, 0.0]], [[1.0, 0.0]]],
-        ],
-        "rhs": [[0.0, 0.0], [1.0, 0.0]],
-        "limit": EULER,
-    }
-    f = tmp_path / "family.json"
-    f.write_text(json.dumps(family))
-    rc = main(["validate", "--op", str(f), "--q-grid", "1.5,1.2,1.1,1.05,1.02"])
+def test_validate_family_failure_exits_4(opfiles, capsys):
+    rc = main(["validate", "--op", opfiles["failing_family"], "--q-grid",
+               "1.5,1.2,1.1,1.05,1.02"])
     assert rc == 4
+
+
+def test_confluence_on_a_failing_family_writes_its_table_and_exits_4(opfiles, capsys):
+    # on this grid the deviation sqrt(q - 1) of b0 falls by less than 5x
+    rc = main(["confluence", "--op", opfiles["failing_family"], "--z", "0.1,0",
+               "--q-grid", "1.5,1.3,1.2"])
+    assert rc == 4
+    captured = capsys.readouterr()
+    assert "# verdict: FAIL (A1=False A2=True A3=False)" in captured.out
+    assert captured.out.splitlines()[-1] == "q,Sq_re_0,Sq_im_0,abs_error_0"
+    assert captured.err.startswith("error[validation]: confluence assumptions")
 
 
 def test_validate_refuses_a_one_value_grid(opfiles, capsys):
@@ -424,6 +449,18 @@ def test_stokes_off_the_singular_set_writes_zero_q_jumps(opfiles, capsys):
     for row in rows:
         assert row[3:] == ["0.0", "0.0", "0.0", "0.0", "ok"]
     assert "verdict: no-stokes-phenomenon" in out
+
+
+def test_stokes_on_a_family_with_a_convergent_limit_has_no_jump(opfiles, capsys):
+    # the limit chain has no ladder: one classical row of zeros per point,
+    # and no q-grid is read
+    rc = main(["stokes", "--op", opfiles["qconvergent"], "--direction", "0",
+               "--z", "0.2,0.1", "--q-grid", "1.3,1.2"])
+    assert rc == 0
+    out = capsys.readouterr().out
+    rows = [l for l in out.splitlines() if not l.startswith("#")]
+    assert rows[1:] == ["classical,0.2,0.1,0.0,0.0,0.0,0.0,ok"]
+    assert "# verdict: no-stokes-phenomenon" in out
 
 
 def test_resonant_operator_exits_3(tmp_path, capsys):

@@ -216,13 +216,6 @@ def test_classical_limit_gamma_pole():
         hg.FParams((0.3, 1.3), ())  # alpha_1 - alpha_2 integral
 
 
-def test_classical_limit_truncation_stability():
-    fp = hg.FParams((0.3, 0.9), ())
-    a = hg.classical_limit_rhs(fp, 0.0, 2.0, N=400)
-    b = hg.classical_limit_rhs(fp, 0.0, 2.0, N=410)
-    assert abs(a - b) < 1e-13 * abs(a)
-
-
 def test_theorem_limit_grid():
     alphas = (0.3, 0.9)
     fp = hg.FParams(alphas, ())

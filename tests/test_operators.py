@@ -293,11 +293,11 @@ def test_solve_and_solve_logspace_share_one_resonance_rule(
             except ResonanceError as err:
                 outcomes.append(err.n)
         plain, logform = outcomes
-        assert type(plain) is type(logform)
+        assert isinstance(plain, int) is isinstance(logform, int)
         if isinstance(plain, int):
             assert plain == logform
             return
-        a = plain[0]
+        a = plain
         b = logform[0] * np.exp(logform[1])
     both = np.isfinite(a) & np.isfinite(b)
     assert np.all(np.abs(a - b)[both] <= 1e-12 * np.maximum(np.abs(a), np.abs(b))[both])

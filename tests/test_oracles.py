@@ -11,6 +11,7 @@ from scipy.integrate import quad, solve_ivp
 
 from qborel import classical as cl
 from qborel import qsummation as qs
+from qborel.errors import RangeError
 from qborel.operators import LinearOperator
 from qborel.series import Polynomial, PowerSeries, SectorPoint, gamma
 
@@ -89,14 +90,29 @@ def test_euler_sum_at_the_sector_edge(euler_op, arg):
     assert _rel(S(z), ref) < 1e-11
 
 
-@pytest.mark.parametrize("z", [1e-60, 1e-60 * cmath.exp(0.3j), 1e-80, 1e-90],
-                         ids=["1e-60", "1e-60e^0.3i", "1e-80", "1e-90"])
+@pytest.mark.parametrize("z", [1e-60, 1e-60 * cmath.exp(0.3j), 1e-80, 1e-90, 1e-93],
+                         ids=["1e-60", "1e-60e^0.3i", "1e-80", "1e-90", "1e-93"])
 def test_euler_sum_at_a_tiny_z_matches_its_asymptotic_series(z):
     # the sum is z - z^2 + 2 z^3 to within z^4: the reference rule of the
     # first-level check scales each panel by A S before it sums, so its
     # integrals (about |f| S, 1e-398 at z = 1e-60) do not underflow
     S = cl.summation_chain(EULER).sum(0.0)
     assert _rel(S(z), z - z * z + 2 * z**3) < 1e-14
+
+
+@pytest.mark.parametrize("log10_z", [-93.5, -93.8, -94.0])
+def test_euler_sum_refuses_a_z_whose_level_nodes_are_subnormal(log10_z, monkeypatch):
+    # from about z = 1e-93.5 on, level values the window reads sit at nodes
+    # below the smallest normal float, where no step passes the step-2h
+    # check: the sum raises RangeError at its first step, without refining
+    # (the range check of SummedFunction refuses z from 1e-94.15 on)
+    steps, read = [], cl._LaplaceGrid.read
+    monkeypatch.setattr(cl._LaplaceGrid, "read",
+                        lambda self, *a: steps.append(self.h) or read(self, *a))
+    S = cl.summation_chain(EULER).sum(0.0)
+    with pytest.raises(RangeError, match="subnormal"):
+        S(10.0 ** log10_z)
+    assert len(steps) == 1
 
 
 def _dop853_continuation(h, x_end: float):
@@ -160,7 +176,7 @@ def test_laplace_along_ray_near_a_pole_matches_mpmath_and_quadpack(d):
     h = cl.FunctionHandle(lambda zeta: 1.0 / (1.0 + zeta), d)
     e = cmath.exp(1j * d)
     for r, off in ((0.1, 0.0), (0.5, 0.6), (2.0, -1.2)):
-        got = cl.laplace_along_ray(h, 1, d, SectorPoint.from_polar(r, d + off))
+        got = cl.laplace_along_ray(h, d, SectorPoint.from_polar(r, d + off))
         with mp.workdps(30):
             A = mp.exp(mp.mpc(0, -off)) / r
             E = mp.exp(mp.mpc(0, d))

@@ -36,8 +36,8 @@ def test_theta_zero_on_spiral():
 def test_theta_series_vs_product():
     q = 1.5
     z = cmath.exp(1j * math.pi / 3)
-    a = qsp.theta(z, q, "series")
-    b = qsp.theta(z, q, "product")
+    a = qsp.theta(z, q)
+    b = qsp._theta_product(z, q)
     assert abs(a - b) < 1e-10 * abs(a)
 
 
@@ -106,8 +106,8 @@ def test_eq_square_base_inequality():
 
 def test_eq_series_vs_product():
     q, z = 1.7, 1.3 - 0.8j
-    a = qsp.eq_exp(z, q, "series")
-    b = qsp.eq_exp(z, q, "product")
+    a = qsp.eq_exp(z, q)
+    b = qsp._eq_product(z, q)
     assert abs(a - b) < 1e-10 * abs(a)
 
 

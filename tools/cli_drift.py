@@ -44,7 +44,18 @@ OPERATORS = {
     "convergent": {"kind": "differential", "basis": "delta",
                    "coefficients": [[[1.0, 0.0]], [[1.0, 0.0], [-1.0, 0.0]]],
                    "rhs": [[0.0, 0.0], [1.0, 0.0]]},
+    # (1 - z) delta_q y + y = z: a q-family whose limit is "convergent"
+    "qconvergent": {"kind": "q_difference", "basis": "delta_q", "q": 1.05,
+                    "coefficients": [[[1.0, 0.0]], [[1.0, 0.0], [-1.0, 0.0]]],
+                    "rhs": [[0.0, 0.0], [1.0, 0.0]]},
 }
+# b0 = 1 + sqrt(q - 1), b1 = z with limit Euler: fails (A1) and (A3) on the
+# q-grid 1.5, 1.3, 1.2
+OPERATORS["failing_family"] = {"kind": "q_difference_family", "basis": "delta_q",
+                               "coefficients": [[[[1.0, 0.0], [1.0, 0.0]]],
+                                                [[[0.0, 0.0]], [[1.0, 0.0]]]],
+                               "rhs": [[0.0, 0.0], [1.0, 0.0]],
+                               "limit": OPERATORS["euler"]}
 
 MODES = ("discrete", "continuous", "theta")
 Z0 = ["--z", "0.1,0", "--z", "0.2,0.05"]
@@ -96,6 +107,20 @@ def commands(ops: dict[str, str]) -> list[tuple[str, list[str]]]:
                  "--z", "0.1,0"]))
     out.append(("sum-convergent", ["sum", "--op", ops["convergent"], "--direction", "0",
                                    "--z", "0.1,0", "--z", "0.3,0.1"]))
+    # exit paths: the table of a failing family (exit 4), a family and an
+    # operator without a ladder, nodes that underflow and a point beyond the
+    # reach of a convergent series' terms
+    out.append(("confluence-failing-family",
+                ["confluence", "--op", ops["failing_family"], "--direction", "0",
+                 "--z", "0.1,0", "--q-grid", "1.5,1.3,1.2"]))
+    out.append(("stokes-convergent-limit",
+                ["stokes", "--op", ops["qconvergent"], "--direction", "0", "--z", "0.2,0.1",
+                 "--q-grid", "1.3,1.2"]))
+    out.append(("ladder-convergent", ["ladder", "--op", ops["convergent"]]))
+    out.append(("sum-subnormal-nodes", ["sum", "--op", ops["euler"], "--direction", "0",
+                                        "--z", f"{10.0 ** -93.5!r},0"]))
+    out.append(("sum-convergent-past-its-reach",
+                ["sum", "--op", ops["convergent"], "--direction", "0", "--z", "1.02,0"]))
     # malformed numbers: each exits 2 without a traceback
     out += [
         ("hypergeom-bad-upper", ["hypergeom", "--upper", "abc", "--p", "0.5"]),
