@@ -687,6 +687,7 @@ _V_LO, _V_HI = -38.0, 4.25
 _H0 = 0.25
 _STRIP_EFOLDS = 37.0
 _REFINEMENTS = 2
+_REFINE_GAIN = 10.0
 _REF_RTOL = 1e-9         # first level against the reference rule, at 3 nodes
 _REF_EPSREL = 1e-11      # the reference rule's own relative target
 _REF_EFOLDS = 4          # the reference nodes are x = e^(4j)
@@ -791,10 +792,11 @@ class _LaplaceGrid(_LogGrid):
         return _LevelNote(t0, hi, tuple(map(np.concatenate, zip(*found))), lattice)
 
     def read(self, lo: int, hi: int,
-             w: SectorPoint) -> tuple[Optional[np.ndarray], Optional[str]]:
+             w: SectorPoint) -> tuple[Optional[np.ndarray], Optional[tuple[int, float, str]]]:
         """The last level at the window lo..hi of the point w, and the first
         step-2h disagreement among the level values the window depends on
-        (None if there is none), lowest level and smallest t first.  Such a
+        (None if there is none), lowest level and smallest t first, as
+        (level, relative difference over _TWO_H_RTOL, message).  Such a
         value that is not finite raises ValidationError, one whose kernel
         window is too narrow RangeError, and any fault at a node below the
         smallest normal float RangeError; so does, with ValidationError, a
@@ -822,7 +824,8 @@ class _LaplaceGrid(_LogGrid):
                 if kind == 1:
                     raise RangeError(f"{name}: kernel window too narrow at {at} "
                                      f"(edge term not negligible)")
-                return None, (f"{name} disagrees with its step-2h sum at {at}: "
+                return None, (level + 2, rel[i] / _TWO_H_RTOL,
+                              f"{name} disagrees with its step-2h sum at {at}: "
                               f"relative difference {rel[i]:.2e} > {_TWO_H_RTOL:.0e}")
         top = math.floor((w.log_modulus + 2.0) / _REF_EFOLDS)
         for j in (top - 2, top - 1, top) if self.levels else ():
@@ -855,7 +858,8 @@ class _LaplaceSection:
     step-2h sums keep the bound), capped at pi/16: the first grid serves the
     inner 7/8 of the sector, and only points nearer its edge pay for a finer
     one.  A step-2h disagreement of the window or of a level it reads halves
-    the step, up to _REFINEMENTS times, and raises ValidationError after."""
+    the step, up to _REFINEMENTS times, and raises ValidationError after, or
+    once a halving cuts a level's disagreement less than _REFINE_GAIN-fold."""
 
     def __init__(self, sec: "SectionPipeline", d_w: float):
         self.l = sec.l
@@ -883,19 +887,22 @@ class _LaplaceSection:
                                  f"{h:.3g}) would exceed the size cap")
             grid = self._grids.get(h) or self._grids.setdefault(
                 h, _LaplaceGrid(self.cont, h, self.levels))
-            nodes, fault = grid.read(lo, hi, w)
-            if fault is None:
+            nodes, found = grid.read(lo, hi, w)
+            if found is None:
                 xA = _ray_nodes(h, lo, hi) * A
                 terms = nodes * (h * xA * np.exp(-xA))
                 total, coarse = _window_sum(terms, 1.0), 2.0 * complex(np.sum(terms[::2]))
                 if abs(total - coarse) <= _WINDOW_2H_RTOL * abs(total):
                     return total
-                fault = (f"final window of arg w = {w.argument:.6g} along arg = {self.d_w:.6g} "
+                rel = abs(total - coarse) / abs(total)
+                found = (self.levels + 2, rel / _WINDOW_2H_RTOL,
+                         f"final window of arg w = {w.argument:.6g} along arg = {self.d_w:.6g} "
                          f"(h = 2^{math.log2(h):.0f}) disagrees with its step-2h sum: relative "
-                         f"difference {abs(total - coarse) / abs(total):.2e} > "
-                         f"{_WINDOW_2H_RTOL:.0e}")
-            h /= 2
-        raise ValidationError(fault)
+                         f"difference {rel:.2e} > {_WINDOW_2H_RTOL:.0e}")
+            if fault and fault[0] == found[0] and found[1] * _REFINE_GAIN > fault[1]:
+                raise ValidationError(f"{found[2]}; halving cut it under {_REFINE_GAIN:g}-fold")
+            fault, h = found, h / 2
+        raise ValidationError(fault[2])
 
 
 # ---------------------------------------------------------------------------

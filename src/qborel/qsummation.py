@@ -3,9 +3,9 @@
 Level-k transforms are conjugates of the level-1 transforms in the variable
 xi = zeta^k, which carries the rescaled parameter q^k (rho_k intertwines
 sigma_q with sigma_{q^k}); the order-k q-Borel therefore divides coefficient
-n by [n/k]_{q^k}!.  On the shared node grid {Q^t e^{i d}} every discrete
-q-Laplace level is a convolution against the explicit kernel
-(Q^-1) Q^d / e_Q(Q^{d+1}), which is how the ladder stages are evaluated.
+n by [n/k]_{q^k}!.  On the shared node grid {Q^(t/M) e^{i d}} every q-Laplace
+level is a convolution against the kernel (Q-1)/M y / e_Q(Q y), which is how
+the ladder stages are evaluated (M = 1 for the Jackson sum).
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from .classical import (
     SummationChain,
     SummationLadder,
     SummedFunction,
+    _STRIP_EFOLDS,
     _LogGrid,
     _angdiff,
     _build_sections,
@@ -147,8 +148,8 @@ def _eq_kernel(y: np.ndarray, Q: float, M: int) -> np.ndarray:
     return (Q - 1.0) / M * y / eq
 
 
-# No level kernel of a q section spans more nodes than this: in continuous
-# mode a Q_w below about 1.0032 reaches it.
+# No level kernel of a q section spans more nodes than this: only Q_w <
+# 1.0004, at one node per step, reaches it.
 _KERNEL_CAP = 120000
 
 
@@ -349,13 +350,28 @@ def q_continuation(s: PowerSeries, q_op: LinearOperator, d: float) -> QContinuat
 # q-Laplace transforms (pointwise forms)
 
 
+_STRIP_FLOOR = math.pi / 8
+_HANDLE_NODES = 8          # nodes per step for a RayHandle, whose poles are unknown
+
+
+def _nodes_per_step(k, d: float, q: float, spirals: Sequence[PoleSpiral]) -> int:
+    """Nodes M per Q-step, Q = q^k, of an order-k continuous q-Laplace in
+    direction d: the classical step rule 2 pi a M / log Q >= _STRIP_EFOLDS,
+    a the half-width of the strip about the ray in log xi (k times the angle
+    from d to the nearest pole spiral), kept between _STRIP_FLOOR and pi/2:
+    more nodes do not resolve a nearer spiral."""
+    lam = float(k)
+    a = min([math.pi / 2] + [lam * abs(_angdiff(cmath.phase(sp.base), d)) for sp in spirals])
+    return max(1, math.ceil(_STRIP_EFOLDS * lam * math.log(q) / (TWO_PI * max(a, _STRIP_FLOOR))))
+
+
 def _level(k, d: float, q: float, z, M: int) -> tuple[int, int, np.ndarray]:
     """Node range [lo, hi] and kernel of an order-k q-Laplace in direction d
     at z, on the nodes q^(t/M) e^{id}: the kernel-window sum is
     (Q-1)/M sum_t xi_t F_t / (Z e_Q(Q xi_t / Z)) over xi_t = Q^(t/M) e^{i k d},
-    Q = q^k and Z = z^k.  M = 1 is the Jackson sum, M = 8 the log-trapezoid
-    rule of the continuous q-Laplace.  Z within 1e-6 of the pole spiral
-    (Q-1) Q^Z e^{i(kd+pi)} raises."""
+    Q = q^k and Z = z^k.  M = 1 is the Jackson sum, M = _nodes_per_step the
+    log-trapezoid rule of the continuous q-Laplace.  Z within 1e-6 of the
+    pole spiral (Q-1) Q^Z e^{i(kd+pi)} raises."""
     lam = float(Fraction(k))
     Q = q**lam
     Z = cmath.exp(lam * as_sector_point(z).complex_log())
@@ -417,10 +433,12 @@ def discrete_q_laplace(f, k, d: float, q: float, z) -> complex:
 def continuous_q_laplace(f, k, d: float, q: float, z) -> complex:
     """Continuous q-Laplace of order k:
     (q^k-1)/log(q^k) * int_0^{inf e^{ikd}} rho_{1/k}f(xi) / (Z e_{q^k}(q^k xi/Z)) dxi,
-    by the trapezoid rule in log xi with 8 nodes per q^k-step.
+    by the trapezoid rule in log xi with _nodes_per_step nodes per q^k-step.
     """
-    lo, hi, kernel = _level(k, d, q, z, 8)
-    return _window_sum(_ray_values(f, d, 1.0, q, lo, hi, 8), kernel)
+    M = (_nodes_per_step(k, d, q, f.pole_spirals) if isinstance(f, QContinuation)
+         else _HANDLE_NODES)
+    lo, hi, kernel = _level(k, d, q, z, M)
+    return _window_sum(_ray_values(f, d, 1.0, q, lo, hi, M), kernel)
 
 
 def theta_q_laplace(f, d: float, q: float, z) -> complex:
@@ -440,9 +458,9 @@ class _QSection(_LogGrid):
     The grid is x_t = exp(h t) e^{i d_w} with h = log(Q_w)/M; every q-Laplace
     level but the last is a correlation with its node kernel, and the last
     is the kernel-window sum of value().  M = 1 gives the Jackson (discrete)
-    summation exactly; M >= 8 gives the continuous summation to spectral
-    accuracy (trapezoid rule in log coordinates, with the integrand analytic
-    in a strip).  A theta section (mode 'theta', one level, M = 1) has the
+    summation exactly; M = _nodes_per_step the continuous one to rounding for
+    |arg w - d_w| <= pi/2 (trapezoid rule in log coordinates).  A theta
+    section (mode 'theta', one level, M = 1) has the
     grid (q-1) q^t e^{id} and sums it with the theta kernel.
     """
 
@@ -452,9 +470,9 @@ class _QSection(_LogGrid):
         self.Qw = Qw
         self.d_w = d_w
         self.mode = mode
-        self.M = 8 if mode == "continuous" else 1
         self.base = (Qw - 1.0 if mode == "theta" else 1.0) * cmath.exp(1j * d_w)
         self.cont = QContinuation(sec.g1, sec.op, d_w)
+        self.M = _nodes_per_step(1, d_w, Qw, self.cont.pole_spirals) if mode == "continuous" else 1
 
     def _ensure_grid_locked(self, lo: int, hi: int) -> tuple[int, int, np.ndarray, list]:
         """_LogGrid._grow from the walk; every level is order 1 in w (sub-unit

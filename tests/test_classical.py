@@ -952,7 +952,8 @@ _BUDGET = r"reference Laplace quadrature .* within 256 panels"
 def test_tabulation_mutations_raise_at_their_guard(euler_op, monkeypatch, mutate, d, guard):
     # a point's read raises at the first fault among the level values its
     # window depends on, in this order: not finite, an edge term of a
-    # kernel window, the step-2h sum (after the step is halved twice), then
+    # kernel window, the step-2h sum (after the step is halved at least
+    # once), then
     # the first level against the reference rule, so a row caught by a
     # later guard passed the earlier ones
     mutate(monkeypatch)
@@ -1027,6 +1028,40 @@ def test_window_of_a_growing_g1_refines_its_step(p, monkeypatch):
         exact = math.factorial(p) / A**p
         assert abs(sec.value(SectorPoint.from_complex(1.0 / A)) - exact) <= 1e-13 * kappa * abs(exact)
     assert len(reads) > 200
+
+
+@pytest.mark.parametrize("gamma, p, z", [(7, 1, 0.1), (1, 4, 0.2 * cmath.exp(0.3j))])
+def test_a_halving_that_does_not_help_ends_the_refinements(gamma, p, z):
+    # gamma z delta y + y = z^p at d = 0 (ROADMAP item 3): the first level
+    # is off its step-2h sum by about 1.1e-9 at both the rule's step and
+    # its half, where a step error would fall like e^(-2 pi a/h); the sum
+    # refuses after 2 grids, not 3, and names the second disagreement
+    op = LinearOperator("differential", "delta", (Polynomial([1.0]), Polynomial([0.0, gamma])),
+                        None, PowerSeries([0.0] * p + [1.0]))
+    S = cl.summation_chain(op).sum(0.0)
+    with pytest.raises(ValidationError) as info:
+        S(SectorPoint.from_complex(z))
+    sec = S.sections[0]
+    assert len(sec._grids) == 2
+    h = min(sec._grids)
+    assert re.fullmatch(rf"classical level 2 along arg = 0 \(h = 2\^{math.log2(h):.0f}\) {_TWO_H} "
+                        r"1\.\d\de-09 > 1e-09; halving cut it under 10-fold", str(info.value))
+
+
+def test_a_disagreement_that_moves_to_another_level_keeps_refining(euler_op, monkeypatch):
+    # the tenfold-gain test compares a level with itself: a first grid that
+    # reads a fault of level 2 and a second one that reads a barely smaller
+    # fault of level 3 still halve the step, and the third grid's clean read
+    # sums the point
+    z = SectorPoint.from_complex(0.3 * cmath.exp(0.2j))
+    want = cl.summation_chain(euler_op).sum(0.0)(z)
+    faults = [(2, 2.0, "level 2 fault"), (3, 1.9, "level 3 fault")]
+    read = cl._LaplaceGrid.read
+    monkeypatch.setattr(cl._LaplaceGrid, "read", lambda self, *a: (None, faults.pop(0))
+                        if faults else read(self, *a))
+    S = cl.summation_chain(euler_op).sum(0.0)
+    assert S(z) == pytest.approx(want, rel=1e-12)
+    assert len(S.sections[0]._grids) == 3
 
 
 def test_tabulation_panel_budget_raises(euler_op, monkeypatch):

@@ -112,6 +112,20 @@ def test_stokes_jump_leaves_scipy_integrate_unloaded():
     assert _run_fresh(code) == "True False"
 
 
+def test_continuous_confluence_leaves_scipy_fft_unloaded(opfiles):
+    # on the benchmark's q-grid every continuous level kernel has fewer than
+    # 2 048 taps (the rule's M is 1 from q = 1.05 down), so no level is
+    # correlated by FFT blocks, and neither is the classical row's
+    argv = ["confluence", "--op", opfiles["qeuler"], "--direction", "0", "--z", "0.1,0",
+            "--q-grid", "1.5,1.2,1.1,1.05,1.02,1.01", "--mode", "continuous"]
+    code = ("import contextlib, io, sys\n"
+            "from qborel.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    rc = main({argv!r})\n"
+            "print(rc, 'scipy.fft' in sys.modules)")
+    assert _run_fresh(code) == "0 False"
+
+
 def test_ladder_example41(opfiles, tmp_path, capsys):
     out = tmp_path / "ladder.csv"
     rc = main(["ladder", "--op", opfiles["ex41"], "--out", str(out)])

@@ -728,15 +728,18 @@ def test_q_multisum_confluence_hypergeometric_family():
     assert errs[-1] < 1e-2
 
 
-@pytest.mark.parametrize("q, mode", [(1.05, "continuous"), (1.1, "discrete")])
+@pytest.mark.parametrize("q, mode", [(1.005, "continuous"), (1.1, "discrete")])
 def test_grown_q_grid_equals_a_fresh_build(q, mode):
-    # continuous q = 1.05 correlates its levels by FFT blocks, discrete
-    # q = 1.1 by direct dots; in both a grid grown by a second, wider request
-    # equals a fresh build over the wider range, and the values of the first,
-    # narrow grid are those of the wide one, bit for bit
+    # continuous q = 1.005 correlates its levels by FFT blocks (its kernel
+    # has about 3 200 taps), discrete q = 1.1 by direct dots; in both a grid
+    # grown by a second, wider request equals a fresh build over the wider
+    # range, and the values of the first, narrow grid are those of the wide
+    # one, bit for bit
     grown, fresh = (qs.q_multisum(None, make_q_euler(q), 0.0, mode=mode).sections[0]
                     for _ in range(2))
     assert grown.levels == 2
+    K = qs._level(1, 0.0, grown.Qw, 1.0, grown.M)[2]
+    assert (cl._block_size(len(K)) > 1) == (mode == "continuous")
     narrow = grown._nodes(-40, 40).copy()
     grown._nodes(-900, 700)
     fresh._nodes(-900, 700)
@@ -745,9 +748,120 @@ def test_grown_q_grid_equals_a_fresh_build(q, mode):
     assert np.array_equal(grown._nodes(-40, 40), narrow)
 
 
+# the points of the convergence checks: |arg z| up to 0.51, |arg w| up to 1.53
+_RULE_POINTS = [0.1, 0.2 + 0.05j, 0.3 * cmath.exp(0.45j), 0.3 * cmath.exp(0.5j),
+                0.1 * cmath.exp(0.51j)]
+# |arg w| = 2.1: the final kernel's poles, on arg xi = arg w + pi, lie nearer
+# the ray than the rule's pi/2
+_OUTER_POINTS = [0.1 * cmath.exp(0.7j), 0.3 * cmath.exp(0.7j)]
+
+
+def _four_times_the_rule(monkeypatch):
+    rule = qs._nodes_per_step
+    monkeypatch.setattr(qs, "_nodes_per_step", lambda *args: 4 * rule(*args))
+
+
+@pytest.mark.parametrize("d, table", [
+    (0.0, {1.5: 5, 1.2: 3, 1.1: 2, 1.05: 1, 1.02: 1, 1.01: 1}),
+    (math.pi + math.pi / 24, {1.5: 19, 1.3: 12, 1.2: 9, 1.1: 5, 1.05: 3, 1.01: 1}),
+    (math.pi - math.pi / 24, {1.5: 19, 1.3: 12, 1.2: 9, 1.1: 5, 1.05: 3, 1.01: 1}),
+], ids=["d=0", "pi+pi/24", "pi-pi/24"])
+def test_nodes_per_step_of_the_continuous_q_euler_sections(d, table):
+    # M = ceil(37 log Q_w / (2 pi a)), Q_w = q^3: the pole spirals of g_1
+    # lie on arg w = pi, so a = pi/2 at d = 0, and pi/8 on the lateral rays
+    # pi +- pi/24 (3 pi +- pi/8 in w)
+    for q, M in table.items():
+        S = qs.q_multisum(None, make_q_euler(q), d, mode="continuous")
+        assert [sec.M for sec in S.sections] == [M] * 3, q
+
+
+@pytest.mark.parametrize("q", [1.5, 1.2, 1.05, 1.01])
+def test_continuous_sums_converge_at_the_rules_nodes_per_step(q, monkeypatch):
+    # the log-trapezoid error falls like e^(-2 pi a M / log Q_w): 4 times
+    # the rule's M moves no value by more than the walk's rounding; beyond
+    # |arg w| = pi/2 the final kernel's poles narrow the strip, and the
+    # values at |arg w| = 2.1 move by up to 6e-12 (at q = 1.01)
+    S = qs.q_multisum(None, make_q_euler(q), 0.0, mode="continuous")
+    values = [S(z) for z in _RULE_POINTS + _OUTER_POINTS]
+    _four_times_the_rule(monkeypatch)
+    finer = qs.q_multisum(None, make_q_euler(q), 0.0, mode="continuous")
+    assert finer.sections[0].M == 4 * S.sections[0].M
+    for z, value in zip(_RULE_POINTS + _OUTER_POINTS, values):
+        rtol = 1e-12 if z in _RULE_POINTS else 1e-11
+        assert abs(finer(z) - value) <= rtol * abs(value)
+
+
+@pytest.mark.parametrize("q", [1.3, 1.2])
+def test_continuous_lateral_jump_converges_at_the_rules_nodes_per_step(q, euler_op,
+                                                                      monkeypatch):
+    # the lateral rays pi +- pi/24 lie pi/8 from the pole spirals in w, where
+    # 8 nodes per step left the q = 1.3 jump 9e-12 off; the rule's M (12 at
+    # q = 1.3, 9 at 1.2) and 4 times as many agree to rounding
+    limit = cl.summation_chain(euler_op)
+    zs = [SectorPoint.from_polar(0.2, math.pi)]
+    (jump,) = qs.q_stokes_jump(None, make_q_euler(q), math.pi, zs, "continuous", limit)
+    _four_times_the_rule(monkeypatch)
+    (finer,) = qs.q_stokes_jump(None, make_q_euler(q), math.pi, zs, "continuous", limit)
+    assert abs(finer - jump) <= 1e-14 * abs(jump)
+
+
+@pytest.mark.parametrize("delta", [1e-6, 0.002])
+def test_a_ray_near_a_pole_spiral_takes_the_nodes_of_the_strip_floor(delta, monkeypatch):
+    # q = 1.5: g_1's pole spirals lie on arg w = pi.  A ray delta from them
+    # takes the M of the floor pi/8 (19), not 37 log Q_w / (2 pi delta)
+    # nodes per step (about 7e6 at delta = 1e-6); its grids stay under
+    # 1 000 nodes for a two-level and a one-level section.  No node count
+    # resolves a pole that near, and the sum is the one of 8 nodes per step
+    # to the 7e-12 that the spiral's residue leaves
+    q, d = 1.5, (math.pi - delta) / 3
+    z = SectorPoint.from_polar(0.2, d)
+    S = qs.q_multisum(None, make_q_euler(q), d, mode="continuous")
+    value = S(z)
+    assert [sec.M for sec in S.sections] == [19] * 3
+    pipe = qs.q_summation_chain(make_q_euler(q), "continuous").sections[0]
+    single = qs._QSection(cl.SectionPipeline(pipe.l, 1, pipe.op, pipe.g1), q**3, 3 * d,
+                          "continuous")
+    assert single.levels == 0 and single.M == 19
+    assert np.isfinite(single.value(SectorPoint.from_polar(0.008, 3 * d)))
+    for sec in S.sections + [single]:
+        assert len(sec._grid[2]) < 1000
+    monkeypatch.setattr(qs, "_nodes_per_step", lambda *args: 8)
+    fixed = qs.q_multisum(None, make_q_euler(q), d, mode="continuous")(z)
+    assert abs(value - fixed) <= 2e-11 * abs(fixed)
+
+
+def test_continuous_q_laplace_of_a_ray_handle_keeps_8_nodes_per_step(monkeypatch):
+    # a RayHandle's poles are unknown: 1/(xi - e^(0.1i)) has one 0.1 from
+    # the ray, which one node per step (the rule's M at q = 1.05 for a
+    # strip of pi/2) would leave 3e-6 off
+    f = cl.FunctionHandle(lambda x: 1.0 / (x - cmath.exp(0.1j)), 0.0)
+    value = qs.continuous_q_laplace(f, 1, 0.0, 1.05, 0.5)
+    assert qs._HANDLE_NODES == 8 and qs._nodes_per_step(1, 0.0, 1.05, []) == 1
+    monkeypatch.setattr(qs, "_HANDLE_NODES", 64)
+    finer = qs.continuous_q_laplace(f, 1, 0.0, 1.05, 0.5)
+    monkeypatch.setattr(qs, "_HANDLE_NODES", 1)
+    coarse = qs.continuous_q_laplace(f, 1, 0.0, 1.05, 0.5)
+    assert abs(value - finer) <= 1e-14 * abs(finer)
+    assert abs(coarse - finer) > 1e-6 * abs(finer)
+
+
+@pytest.mark.parametrize("q", [1.05, 1.001])
+def test_continuous_sections_at_one_node_per_step_are_the_discrete_ones(q):
+    # where the rule gives M = 1 the trapezoid sum is the Jackson sum, bit
+    # for bit; at q = 1.001 its kernel has about 16 000 taps, which 8 nodes
+    # per step took past the node cap
+    cont, disc = (qs.q_multisum(None, make_q_euler(q), 0.0, mode=mode)
+                  for mode in ("continuous", "discrete"))
+    assert [sec.M for sec in cont.sections] == [1, 1, 1]
+    for z in _RULE_POINTS if q == 1.05 else [0.1]:
+        assert cont(z) == disc(z)
+    for a, b in zip(cont.sections, disc.sections):
+        assert a._grid[:2] == b._grid[:2] and np.array_equal(a._grid[2], b._grid[2])
+
+
 def test_fft_level_correlation_matches_the_direct_dots():
     # a level array that climbs 60 decades, turns and then stays flat, against
-    # a continuous-mode kernel long enough for FFT blocks: every output is
+    # a kernel of 8 nodes per step, long enough for FFT blocks: every output is
     # the direct dot's to 2e-13 (kept FFT outputs are checked to 1e-13, the
     # rest are that dot), and the direct path is np.dot bit for bit.  Over
     # 4.5 blocks of outputs the first 4 are those of the whole range, bit

@@ -72,6 +72,10 @@ def commands(ops: dict[str, str]) -> list[tuple[str, list[str]]]:
                         + Z0 + (["--limit-op", ops["euler"]] if limit else [])))
     out.append(("qsum-discrete-at-pi",
                 ["qsum", "--op", ops["qeuler"], "--direction", PI, "--mode", "discrete"] + Z_PI))
+    # a lateral ray pi/8 from the pole spirals in w = z^3
+    out.append(("qsum-continuous-lateral",
+                ["qsum", "--op", ops["qeuler"], "--direction", repr(math.pi + math.pi / 24),
+                 "--mode", "continuous", f"--z=-0.2,0,{PI}"]))
     out.append(("qsum-theta-limit-at-pi",
                 ["qsum", "--op", ops["qeuler"], "--direction", PI, "--mode", "theta",
                  "--limit-op", ops["euler"]] + Z_PI))
@@ -79,6 +83,10 @@ def commands(ops: dict[str, str]) -> list[tuple[str, list[str]]]:
         out.append((f"confluence-{mode}",
                     ["confluence", "--op", ops["qeuler"], "--direction", "0", "--z", "0.1,0",
                      "--q-grid", "1.5,1.3,1.2", "--mode", mode]))
+    # the benchmark's q-grid, down to q = 1.01 (one node per q-step)
+    out.append(("confluence-continuous-benchmark-grid",
+                ["confluence", "--op", ops["qeuler"], "--direction", "0", "--z", "0.1,0",
+                 "--q-grid", "1.5,1.2,1.1,1.05,1.02,1.01", "--mode", "continuous"]))
     for mode in MODES:
         out.append((f"stokes-{mode}",
                     ["stokes", "--op", ops["qeuler"], "--direction", PI, "--q-grid", "1.3,1.2",
