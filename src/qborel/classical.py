@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, NamedTuple, Optional, Sequence
@@ -175,17 +176,44 @@ class FunctionHandle(RayHandle):
 
 # A Taylor step keeps the terms of each component of V until the last two
 # bound its tail below 2^-56 of its largest term; a step that needs more
-# than _TAYLOR_TERMS terms raises ValidationError.
+# than _TAYLOR_TERMS terms raises ValidationError.  The steps of an
+# extension run their recurrence together, first to _FIRST_TERMS terms.
 _TAYLOR_TERMS = 160
+_FIRST_TERMS = 48
 
 
-def _shifted(coeffs: list, w: complex, s: complex) -> list:
-    """Coefficients in t of the polynomial sum_k coeffs[k] u^k at u = w + s t."""
-    a = list(coeffs)
+def _shifted(coeffs: list, w: np.ndarray, s: np.ndarray) -> list:
+    """Coefficients in t of the polynomial sum_k coeffs[k] u^k at u = w + s t,
+    one array over the entries of w and s per power of t."""
+    a = [np.full(len(w), c, dtype=complex) for c in coeffs]
     for i in range(len(a) - 1):          # Ruffini-Horner shift by w
         for k in range(len(a) - 2, i - 1, -1):
             a[k] += w * a[k + 1]
     return [c * s**k for k, c in enumerate(a)]
+
+
+def _transfer_terms(b: list, F: list, ratio: np.ndarray, m: int, terms: int) -> np.ndarray:
+    """The Taylor coefficients T[n, column, i, step], n < terms, of V in t
+    in each step from each start column: column j < m from the unit vector
+    e_j, column m (there if F is) from 0 with the forcing.  b[j][k] and
+    F[k] are the coefficients of b_j and F in t, ratio = c/h.  In t,
+    delta = (c/h + t) d/dt, so for n >= 0
+    (c/h)(n + 1) V_{i,n+1} = V_{i+1,n} - n V_{i,n} for i < m - 1, with
+    U = delta V_{m-1} = (F - sum_{j<m} b_j V_j)/b_m in place of V_m."""
+    depth, lead = max(map(len, b)), b[m][0]
+    B = np.zeros((depth, 1, m + 1, len(ratio)), dtype=complex)   # -b_j[k]/b_m(0) at [-1 - k, 0, j]
+    for j, bj in enumerate(b[:m] + [[0.0] + b[m][1:]]):          # U_n enters through b_m(0) alone
+        for k, a in enumerate(bj):
+            B[-1 - k, 0, j] = -a / lead
+    # VU[depth - 1 + n] holds (V_0, ..., V_{m-1}, U) at term n, zero before
+    VU = np.zeros((depth + terms, m + bool(F), m + 1, len(ratio)), dtype=complex)
+    VU[depth - 1, range(m), range(m)] = 1.0
+    for r, n in enumerate(range(terms), depth - 1):
+        np.sum(B * VU[r + 1 - depth:r + 1], axis=(0, 2), out=VU[r, :, m])
+        if n < len(F):
+            VU[r, m, m] += F[n] / lead
+        np.divide(VU[r, :, 1:] - n * VU[r, :, :m], ratio * (n + 1), out=VU[r + 1, :, :m])
+    return VU[depth - 1:-1, :, :m]
 
 
 class _TaylorSteps(NamedTuple):
@@ -193,19 +221,21 @@ class _TaylorSteps(NamedTuple):
     length hs[i] and serves [los[i], cs[i] + hs[i]/2], the points nearer to
     its centre than to the others', in t = (x - cs[i])/hs[i].  rows[i] and
     column i of C (zero-padded above) hold its coefficients of f in t,
-    highest first; V is the vector at the end of the last step and grid
-    holds los, cs and hs as an array."""
+    highest first, and terms[i] the number of terms its recurrence ran to; V
+    is the vector at the end of the last step and grid holds los, cs and hs
+    as an array."""
 
     los: tuple
     cs: tuple
     hs: tuple
     rows: tuple
+    terms: tuple
     V: tuple
     grid: np.ndarray
     C: np.ndarray
 
 
-_NO_STEPS = _TaylorSteps((), (), (), (), (), np.zeros((3, 0)), np.zeros((0, 0), complex))
+_NO_STEPS = _TaylorSteps((), (), (), (), (), (), np.zeros((3, 0)), np.zeros((0, 0), complex))
 
 
 class ContinuationHandle(RayHandle):
@@ -217,10 +247,13 @@ class ContinuationHandle(RayHandle):
     of V in t = (x - c)/h (van der Hoeven, TCS 1999), h = R/3 for the
     distance R from c e^{id} to the nearest singular point (0 or a root of
     the leading coefficient), and each step's end vector seeds the next.
-    Each step depends only on its start, so a value never depends on the
-    order the points were asked in.  _steps holds all steps as one
-    _TaylorSteps, replaced whole, so threads that extend at once need no
-    lock; ensure() returns the steps that serve a request."""
+    The centres depend on c alone, so an extension runs the recurrence of
+    all its steps at once from unit start vectors (_transfer_terms) and
+    chains their start vectors step by step.  Each step depends only on its
+    start, so a value never depends on the order the points were asked in.
+    _steps holds all steps as one _TaylorSteps, replaced whole, so threads
+    that extend at once need no lock; ensure() returns the steps that serve
+    a request."""
 
     _steps = _NO_STEPS
 
@@ -257,49 +290,76 @@ class ContinuationHandle(RayHandle):
                     f"Borel-plane operator at {rho}"
                 )
 
-    def _taylor_step(self, c: float, V: tuple) -> tuple[float, list]:
-        """The step from c: its length h and the coefficients of V in
-        t = (x - c)/h, from the coefficients b_j and the forcing F of the
-        operator.  In t, delta = (c/h + t) d/dt, so for n >= 0
-        (c/h)(n + 1) V_{i,n+1} = V_{i+1,n} - n V_{i,n} for i < m - 1, with
-        U = delta V_{m-1} = (F - sum_{j<m} b_j V_j)/b_m in place of V_m."""
-        m = self._m
+    def _taylor_steps(self, c: float, V: tuple, back: float, x_max: float) -> tuple:
+        """The steps from c with start vector V until one serves x_max: their
+        los, cs, hs, rows and terms, and the end vector of the last.  back is
+        the first step's reach back to the middle of the step before it."""
         phase = cmath.exp(1j * self.direction)
-        w = c * phase
-        R = min([c] + [abs(w - rho) for rho in self._lead_roots])
-        h = R / 3.0
+        cs, hs = [], []
+        while not cs or cs[-1] + 0.5 * hs[-1] < x_max:
+            cs.append(c)
+            hs.append(min([c] + [abs(c * phase - rho) for rho in self._lead_roots]) / 3.0)
+            c += hs[-1]
+        h, w = np.array(hs), np.array(cs) * phase
         b = [_shifted(p.coeffs.tolist(), w, h * phase) for p in self.op.coefficients]
         F = [] if self.op.rhs is None else _shifted(self.op.rhs.coefficients.tolist(), w, h * phase)
-        v = [[x] + [0j] * (_TAYLOR_TERMS - 1) for x in V]
-        u = [0j] * _TAYLOR_TERMS
-        top = [abs(x) for x in V]
-        last = top[:]
-        # the nonzero terms of sum_{j<m} b_j V_j + (b_m - b_m(0)) U: (power, coefficient, series)
-        terms = [(k, a, vj) for bj, vj in zip(b, v) for k, a in enumerate(bj) if a]
-        terms += [(k, a, u) for k, a in enumerate(b[m]) if k and a]
-        for n in range(_TAYLOR_TERMS - 1):
-            acc = F[n] if n < len(F) else 0j
-            for k, a, series in terms:
-                if k <= n:
-                    acc -= a * series[n - k]
-            u[n] = acc / b[m][0]
-            den = c / h * (n + 1)
-            done = True
-            for i, vi in enumerate(v):
-                vi[n + 1] = x = ((v[i + 1][n] if i + 1 < m else u[n]) - n * vi[n]) / den
-                ax = abs(x)
-                if ax > top[i]:
-                    top[i] = ax
-                if ax + last[i] / 3.0 > 2.0**-56 * top[i]:
-                    done = False
-                last[i] = ax
-            if done:
-                return h, [vi[:n + 2] for vi in v]
-        raise ValidationError(
-            f"Taylor step along arg={self.direction} at x={c:.6g} (distance "
-            f"R = {R:.4g} to the nearest singular point) does not bound its "
-            f"tail by 2^-56 of its largest term within {_TAYLOR_TERMS} terms"
-        )
+        # A step's count depends on its start vector, so on the counts before
+        # it.  Each pass chains the start vectors on from the first step not
+        # yet final, through the transfer matrices at the guessed counts (all
+        # terms while a step has none), then reads every step's count from its
+        # coefficients at once: the steps up to the first guessed wrong are
+        # final, and the counts read are the next pass's guesses.
+        guess, Vs, ratio = np.zeros(len(cs), dtype=int), [V], np.divide(cs, h)
+        T = _transfer_terms(b, F, ratio, self._m, min(_FIRST_TERMS, _TAYLOR_TERMS))
+        with np.errstate(over="ignore", invalid="ignore"):
+            while len(Vs) <= len(cs):
+                i, n = len(Vs) - 1, np.arange(len(T) - 1, -1, -1)[:, None, None, None]
+                # each summed from its highest term down, as the Horner at t = 1
+                M = np.sum(T[::-1, ..., i:], axis=0, where=n < (guess + len(T) * (guess == 0))[i:])
+                ends = Vs[:]
+                for Mi in M.transpose(2, 1, 0).tolist():
+                    ends.append(tuple(sum(map(operator.mul, ends[-1] + (1.0,), row), 0j)
+                                      for row in Mi))
+                # the steps' coefficients A[n, i, step]: V_j times column j of T
+                A, term = np.zeros((2,) + T[:, 0].shape, dtype=complex)
+                for Sj, Tj in zip(np.array([v + (1.0,) for v in ends[:-1]]).T, T.swapaxes(0, 1)):
+                    A += np.multiply(Sj, Tj, out=term)
+                # the count of each step: up to the first n + 1 at which, for
+                # every i, |A_n| + |A_{n-1}|/3 is at most 2^-56 of the largest
+                # |A_k|, k <= n (0 if A has none)
+                mag = np.abs(A)
+                top = np.maximum.accumulate(mag)
+                tail = (mag[1:] + mag[:-1] / 3.0 > 2.0**-56 * top[1:]).any(axis=1)
+                first = tail.argmin(0)
+                read = np.where(tail[first, np.arange(len(cs))], 0, first + 2)
+                if not read[i]:
+                    if len(T) == _TAYLOR_TERMS:
+                        raise ValidationError(
+                            f"Taylor step along arg={self.direction} at x={cs[i]:.6g} (distance "
+                            f"R = {3.0 * hs[i]:.4g} to the nearest singular point) does not bound "
+                            f"its tail by 2^-56 of its largest term within {_TAYLOR_TERMS} terms")
+                    T = _transfer_terms(b, F, ratio, self._m, min(2 * len(T), _TAYLOR_TERMS))
+                    continue
+                finite = np.isfinite(A).all(axis=(0, 1))
+                while i < len(cs) and read[i] == guess[i] != 0:
+                    if not (finite[i] and all(map(cmath.isfinite, ends[i + 1]))):
+                        raise GrowthError(f"ODE continuation along arg={self.direction} "
+                                          f"overflows in the step from x={cs[i]:.6g}")
+                    Vs.append(ends[i + 1])
+                    i += 1
+                guess = read
+        # step i serves |t| <= r: forward to t = 1/2, back to the middle of the
+        # previous step (at most 3/4, as R shrinks by at most the previous
+        # step's length); keep the terms above 2^-58 of the largest there, so
+        # the cut ones sum to less than 2^-56 of it
+        backs = [back] + [0.5 * hi for hi in hs[:-1]]
+        f, n = A[:, 0].T, np.arange(len(T))
+        within = n < read[:, None]
+        mag = np.where(within, np.abs(f) * np.maximum(0.5, np.array(backs) / h)[:, None] ** n, 0.0)
+        kept = within & (mag >= 2.0**-58 * mag.max(axis=1, keepdims=True))
+        keep = len(T) - kept[:, ::-1].argmax(axis=1)
+        rows = [tuple(row[k - 1::-1].tolist()) for row, k in zip(f, keep)]
+        return [c - bk for c, bk in zip(cs, backs)], cs, hs, rows, read.tolist(), Vs[-1]
 
     def ensure(self, x_max: float) -> _TaylorSteps:
         """The published steps, first extended until they serve x_max."""
@@ -308,34 +368,14 @@ class ContinuationHandle(RayHandle):
             return steps   # the ODE runs forward from x0
         if self._m == 0:
             raise ArgumentError("an order-0 operator has no ODE to continue along")
-        los, cs, hs, rows = (list(part) for part in steps[:4])
-        c, V = (cs[-1] + hs[-1], steps.V) if cs else (self._x0, tuple(self._V0.tolist()))
-        while not cs or cs[-1] + 0.5 * hs[-1] < x_max:
-            h, v = self._taylor_step(c, V)
-            ends = [sum(reversed(vi), 0j) for vi in v]     # the Horners at t = 1
-            if not all(map(cmath.isfinite, ends)):
-                raise GrowthError(f"ODE continuation along arg={self.direction} "
-                                  f"overflows in the step from x={c:.6g}")
-            # the step serves |t| <= r: forward to t = 1/2, back to the middle
-            # of the previous step (at most 3/4, as R shrinks by at most the
-            # previous step's length); keep the terms above 2^-58 of the
-            # largest there, so the cut ones sum to less than 2^-56 of it
-            back = 0.5 * hs[-1] if cs else 0.0
-            r = max(0.5, back / h)
-            terms = [abs(coef) * r**n for n, coef in enumerate(v[0])]
-            cut = 2.0**-58 * max(terms)
-            keep = 1 + max(n for n, term in enumerate(terms) if term >= cut)
-            los.append(c - back)
-            cs.append(c)
-            hs.append(h)
-            rows.append(tuple(reversed(v[0][:keep])))
-            c, V = c + h, tuple(ends)
+        start = ((steps.cs[-1] + steps.hs[-1], steps.V, 0.5 * steps.hs[-1]) if steps.cs
+                 else (self._x0, tuple(self._V0.tolist()), 0.0))
+        *new, V = self._taylor_steps(*start, x_max)
+        los, cs, hs, rows, terms = (old + tuple(part) for old, part in zip(steps, new))
         C = np.zeros((max(map(len, rows)), len(rows)), dtype=complex)
         for i, row in enumerate(rows):
             C[len(C) - len(row):, i] = row
-        steps = _TaylorSteps(tuple(los), tuple(cs), tuple(hs), tuple(rows), V,
-                             np.array([los, cs, hs]), C)
-        self._steps = steps
+        steps = self._steps = _TaylorSteps(los, cs, hs, rows, terms, V, np.array([los, cs, hs]), C)
         return steps
 
     def _segment_values(self, pts: np.ndarray) -> np.ndarray:

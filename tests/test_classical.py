@@ -1,6 +1,8 @@
 import cmath
 import math
 import re
+import sys
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -12,6 +14,7 @@ from qborel import classical as cl
 from qborel.errors import (
     ArgumentError,
     DomainError,
+    GrowthError,
     RangeError,
     ResonanceError,
     SingularDirectionError,
@@ -745,10 +748,11 @@ def test_series_samples_of_a_stage_table_keep_the_terms_above_2_to_the_minus_60(
 def test_taylor_steps_reproduce_closed_forms(d):
     # (1 + zeta) delta f + zeta f = 0 is solved by 1/(1 + zeta) and
     # (1 + zeta) delta f = zeta by log(1 + zeta), the Euler Borel transform:
-    # one step's recurrence gives their Taylor coefficients in
-    # t = (x - c)/h, (-s)^n/(1 + w)^(n+1) and (-1)^(n+1) (s/(1 + w))^n/n for
-    # w = c e^{id}, s = h e^{id}, and its end vector their values at c + h;
-    # the steps from x0 = 0.5 out to 40 keep the values within 4e-15
+    # one step's recurrence from the exact start gives the coefficients of
+    # its row in t = (x - c)/h, (-s)^n/(1 + w)^(n+1) and
+    # (-1)^(n+1) (s/(1 + w))^n/n for w = c e^{id}, s = h e^{id}, and its end
+    # vector their values at c + h; the steps from x0 = 0.5 out to 40 keep
+    # the values within 4e-15
     zeta = Polynomial([0.0, 1.0])
     cases = [(LinearOperator("differential", "delta", (zeta, Polynomial([1.0, 1.0]))),
               PowerSeries((-1.0) ** np.arange(60)),
@@ -762,14 +766,15 @@ def test_taylor_steps_reproduce_closed_forms(d):
         h = cl.ContinuationHandle(series, op, d)
         for c in (0.4, 2.0, 30.0):
             w = c * cmath.exp(1j * d)
-            step, (v,) = h._taylor_step(c, (coeff(0, w, 0.0),))
+            _, _, (step,), (row,), _, (last,) = h._taylor_steps(c, (coeff(0, w, 0.0),), 0.0, c)
+            v = row[::-1]
             # R = min(c, |w + 1|): h = R/3 keeps the terms below 3^-n
             assert step == pytest.approx(min(c, abs(w + 1)) / 3, rel=1e-15)
             s = step * cmath.exp(1j * d)
             exact = np.array([coeff(n, w, s) for n in range(len(v))])
             assert np.all(np.abs(np.array(v) - exact) <= 1e-15 * abs(exact[0] or exact[1]))
             end = coeff(0, w + s, 0.0)
-            assert abs(sum(reversed(v)) - end) <= 1e-15 * abs(end)
+            assert abs(last - end) <= 1e-15 * abs(end)
         steps = h.ensure(40.0)
         xs = np.geomspace(h._x0, steps.cs[-1] + 0.5 * steps.hs[-1], 400)
         exact = np.array([coeff(0, x * cmath.exp(1j * d), 0.0) for x in xs])
@@ -791,17 +796,60 @@ def test_taylor_step_refuses_a_tail_it_cannot_bound(euler_op, monkeypatch):
         cl.multisum(None, euler_op, 0.0)(SectorPoint.from_complex(0.1))
 
 
-def test_ode_rungs_do_not_depend_on_the_requests_that_built_them(euler_op):
-    # a continuation, built twice and extended once to 40 or by the requests
-    # 1.2, 5, 40: the same Taylor steps and the same values, bit for bit
-    sec = cl.summation_chain(euler_op).sections[0]
-    once, stepwise = (cl.ContinuationHandle(sec.g1, sec.op, 0.0) for _ in range(2))
-    steps = once.ensure(40.0)
-    for x in (1.2, 5.0, 40.0):
-        stepwise.ensure(x)
-    assert stepwise._steps.cs == steps.cs
-    xs = np.geomspace(steps.cs[0], steps.cs[-1] + 0.5 * steps.hs[-1], 500)
-    assert np.array_equal(_bits(stepwise._segment_values(xs)), _bits(once._segment_values(xs)))
+def test_taylor_continuation_that_overflows_raises_a_located_growth_error():
+    # y = 1e305 e^zeta solves delta y = zeta y.  With no singular point
+    # besides 0 each step has h = c/3, and the first step whose end
+    # (4/3) c passes log(DBL_MAX/1e305) overflows: GrowthError names the ray
+    # and that step's start, and numpy warns of nothing
+    op = LinearOperator("differential", "delta", (Polynomial([0.0, -1.0]), Polynomial([1.0])))
+    series = PowerSeries([1e305 / math.factorial(n) for n in range(80)])
+    h = cl.ContinuationHandle(series, op, 0.0)
+    c = h._x0
+    while c + c / 3.0 <= math.log(sys.float_info.max / 1e305):
+        c += c / 3.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(GrowthError, match=rf"arg=0\.0 overflows in the step from x={c:.6g}$"):
+            h.eval_ray_many([3.0, 20.0])
+
+
+# the 2F0(0.3, 0.9) operator of tests/test_oracles.py
+TWO_F_ZERO = LinearOperator("differential", "delta",
+                            (Polynomial([0, 0.3 * 0.9]), Polynomial([1.0, 0.3 + 0.9]),
+                             Polynomial([0, 1.0])))
+
+
+def test_ode_rungs_do_not_depend_on_the_requests_that_built_them(monkeypatch):
+    # each section's continuation, built three times and extended once to
+    # x_max, by the requests 1.2, 5, 40, 6.7e5 (each capped at x_max), or
+    # once from a first recurrence run of 8 terms that must grow: the same
+    # Taylor steps, rows, term counts, end vector and values, bit for bit.
+    # Each request runs the recurrence of its new steps as one batch, so the
+    # batches differ
+    for op, d, x_max in [(EULER, 0.0, 40.0),
+                         (EULER, math.pi + math.pi / 24, 6.7e5),
+                         (EULER, math.pi - math.pi / 24, 6.7e5),
+                         (TWO_F_ZERO, 0.0, 6.7e5)]:
+        for sec in cl.summation_chain(op).sum(d).sections:
+            h = sec.cont
+            once, stepwise, grown = (cl.ContinuationHandle(h.series, h.op, h.direction)
+                                     for _ in range(3))
+            steps = once.ensure(x_max)
+            for x in (1.2, 5.0, 40.0, 6.7e5):
+                stepwise.ensure(min(x, x_max))
+            with monkeypatch.context() as mp:
+                mp.setattr(cl, "_FIRST_TERMS", 8)
+                grown.ensure(x_max)
+            assert len(steps.cs) > 20
+            xs = np.geomspace(steps.cs[0], steps.cs[-1] + 0.5 * steps.hs[-1], 500)
+            for other in (stepwise, grown):
+                got = other._steps
+                assert ((got.los, got.cs, got.hs, got.terms)
+                        == (steps.los, steps.cs, steps.hs, steps.terms))
+                assert all(np.array_equal(_bits(np.array(a)), _bits(np.array(b)))
+                           for a, b in zip(got.rows + (got.V,), steps.rows + (steps.V,)))
+                assert np.array_equal(_bits(other._segment_values(xs)),
+                                      _bits(once._segment_values(xs)))
 
 
 def test_batched_laplace_points_per_node_on_positive_axis(euler_op, monkeypatch):

@@ -21,6 +21,9 @@ the head wins (by the metric's "better" direction) and whether the head's
 median stays within the metric's bound.  For the claimed metric it also
 gives the verdict of the gain rule: the head better in at least 9 of 10
 pairs, and the medians further apart than the parent's interquartile range.
+The claim is not met either when the change fails more operations than the
+parent on the claimed workload or when any run of the change there reports
+an incorrect result; the report names the reason.
 """
 
 from __future__ import annotations
@@ -139,13 +142,22 @@ def main(argv=None) -> int:
         s = summary[workload][metric]
         gap = abs(s["change_median"] - s["parent_median"])
         iqr = s["parent_q3"] - s["parent_q1"]
+        failed = summary[workload]["failed_ops"]
+        wrong = sum(not r["correct"] for r in runs
+                    if r["workload"] == workload and r["side"] == "change")
+        reasons = [text for broken, text in [
+            (s["change_better_in"] < 9, f"better in {s['change_better_in']} of {s['pairs']} pairs"),
+            (gap <= iqr, f"median gap {gap:.4g} within the parent's IQR {iqr:.4g}"),
+            (failed["change"] > failed["parent"],
+             f"{failed['change']} failed operations against the parent's {failed['parent']}"),
+            (wrong > 0, f"{wrong} runs of the change report an incorrect result")] if broken]
         report["claim"] = {
             "metric": metric, "workload": workload,
             "rule": "change better in >= 9 of 10 pairs and median difference > parent "
                     "interquartile range",
             "parent_median": s["parent_median"], "change_median": s["change_median"],
             "change_better_in": s["change_better_in"], "parent_iqr": iqr,
-            "met": s["change_better_in"] >= 9 and gap > iqr,
+            "met": not reasons, "not_met_because": reasons,
         }
     report["series"] = [{"name": "final", "code": "this change as committed",
                          "summary": summary, "runs": runs}]
@@ -164,7 +176,8 @@ def main(argv=None) -> int:
                       f"{s['change_median']:.4g} ({100 * s['rel_change']:+.1f} %, better in "
                       f"{s['change_better_in']}/{s['pairs']}) {s['verdict']}")
     if "claim" in report:
-        print(f"claim {args.claim}: {'met' if report['claim']['met'] else 'not met'}")
+        print(f"claim {args.claim}: "
+              + ("met" if report["claim"]["met"] else "not met: " + "; ".join(reasons)))
     return 0
 
 
