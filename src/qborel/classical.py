@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, NamedTuple, Optional, Sequence
@@ -193,27 +192,31 @@ def _shifted(coeffs: list, w: np.ndarray, s: np.ndarray) -> list:
 
 
 def _transfer_terms(b: list, F: list, ratio: np.ndarray, m: int, terms: int) -> np.ndarray:
-    """The Taylor coefficients T[n, column, i, step], n < terms, of V in t
+    """The Taylor coefficients T[step, column, n, i], n < terms, of V in t
     in each step from each start column: column j < m from the unit vector
     e_j, column m (there if F is) from 0 with the forcing.  b[j][k] and
     F[k] are the coefficients of b_j and F in t, ratio = c/h.  In t,
     delta = (c/h + t) d/dt, so for n >= 0
     (c/h)(n + 1) V_{i,n+1} = V_{i+1,n} - n V_{i,n} for i < m - 1, with
-    U = delta V_{m-1} = (F - sum_{j<m} b_j V_j)/b_m in place of V_m."""
+    U = delta V_{m-1} = (F - sum_{j<m} b_j V_j)/b_m in place of V_m.
+    Every operation is elementwise over the steps, in a fixed order, so a
+    step's coefficients do not depend on the steps beside it."""
     depth, lead = max(map(len, b)), b[m][0]
-    B = np.zeros((depth, 1, m + 1, len(ratio)), dtype=complex)   # -b_j[k]/b_m(0) at [-1 - k, 0, j]
-    for j, bj in enumerate(b[:m] + [[0.0] + b[m][1:]]):          # U_n enters through b_m(0) alone
-        for k, a in enumerate(bj):
-            B[-1 - k, 0, j] = -a / lead
+    # U_n b_m(0) + F_n = -sum of b_j[k] times term n - k of V_j (U at j = m, k > 0),
+    # summed from the highest k and the highest j down
+    kj = [(k, j) for k in range(depth - 1, -1, -1) for j in range(m, -1, -1)
+          if k < len(b[j]) and (k or j < m)]
+    a, (k, j) = np.array([-b[j][k] / lead for k, j in kj])[:, None], np.reshape(kj, (-1, 2)).T
     # VU[depth - 1 + n] holds (V_0, ..., V_{m-1}, U) at term n, zero before
     VU = np.zeros((depth + terms, m + bool(F), m + 1, len(ratio)), dtype=complex)
     VU[depth - 1, range(m), range(m)] = 1.0
     for r, n in enumerate(range(terms), depth - 1):
-        np.sum(B * VU[r + 1 - depth:r + 1], axis=(0, 2), out=VU[r, :, m])
+        if kj:   # in the order of kj: add.accumulate never pairs terms
+            VU[r, :, m] = np.add.accumulate(a * VU[r - k, :, j], axis=0)[-1]
         if n < len(F):
             VU[r, m, m] += F[n] / lead
         np.divide(VU[r, :, 1:] - n * VU[r, :, :m], ratio * (n + 1), out=VU[r + 1, :, :m])
-    return VU[depth - 1:-1, :, :m]
+    return VU[depth - 1:-1, :, :m].transpose(3, 1, 0, 2)
 
 
 class _TaylorSteps(NamedTuple):
@@ -303,63 +306,44 @@ class ContinuationHandle(RayHandle):
         h, w = np.array(hs), np.array(cs) * phase
         b = [_shifted(p.coeffs.tolist(), w, h * phase) for p in self.op.coefficients]
         F = [] if self.op.rhs is None else _shifted(self.op.rhs.coefficients.tolist(), w, h * phase)
-        # A step's count depends on its start vector, so on the counts before
-        # it.  Each pass chains the start vectors on from the first step not
-        # yet final, through the transfer matrices at the guessed counts (all
-        # terms while a step has none), then reads every step's count from its
-        # coefficients at once: the steps up to the first guessed wrong are
-        # final, and the counts read are the next pass's guesses.
-        guess, Vs, ratio = np.zeros(len(cs), dtype=int), [V], np.divide(cs, h)
+        ratio, backs, rows, counts, i = np.divide(cs, h), [back], [], [], 0
+        backs += [0.5 * hi for hi in hs[:-1]]
         T = _transfer_terms(b, F, ratio, self._m, min(_FIRST_TERMS, _TAYLOR_TERMS))
         with np.errstate(over="ignore", invalid="ignore"):
-            while len(Vs) <= len(cs):
-                i, n = len(Vs) - 1, np.arange(len(T) - 1, -1, -1)[:, None, None, None]
-                # each summed from its highest term down, as the Horner at t = 1
-                M = np.sum(T[::-1, ..., i:], axis=0, where=n < (guess + len(T) * (guess == 0))[i:])
-                ends = Vs[:]
-                for Mi in M.transpose(2, 1, 0).tolist():
-                    ends.append(tuple(sum(map(operator.mul, ends[-1] + (1.0,), row), 0j)
-                                      for row in Mi))
-                # the steps' coefficients A[n, i, step]: V_j times column j of T
-                A, term = np.zeros((2,) + T[:, 0].shape, dtype=complex)
-                for Sj, Tj in zip(np.array([v + (1.0,) for v in ends[:-1]]).T, T.swapaxes(0, 1)):
-                    A += np.multiply(Sj, Tj, out=term)
-                # the count of each step: up to the first n + 1 at which, for
-                # every i, |A_n| + |A_{n-1}|/3 is at most 2^-56 of the largest
-                # |A_k|, k <= n (0 if A has none)
+            while i < len(cs):
+                # the step's coefficients A[n, j] of V_j: (V, 1) times its columns
+                S, Ti = V + (1.0,), T[i]
+                A = S[0] * Ti[0]
+                for Sj, Tj in zip(S[1:], Ti[1:]):
+                    A += Sj * Tj
+                # its count: up to the first n + 1 at which, for every j,
+                # |A_n| + |A_{n-1}|/3 is at most 2^-56 of the largest |A_k|, k <= n
                 mag = np.abs(A)
-                top = np.maximum.accumulate(mag)
-                tail = (mag[1:] + mag[:-1] / 3.0 > 2.0**-56 * top[1:]).any(axis=1)
-                first = tail.argmin(0)
-                read = np.where(tail[first, np.arange(len(cs))], 0, first + 2)
-                if not read[i]:
-                    if len(T) == _TAYLOR_TERMS:
+                tail = (mag[1:] + mag[:-1] / 3.0 > 2.0**-56 * np.maximum.accumulate(mag)[1:]).any(1)
+                first = int(tail.argmin())
+                if tail[first]:
+                    if T.shape[2] == _TAYLOR_TERMS:
                         raise ValidationError(
                             f"Taylor step along arg={self.direction} at x={cs[i]:.6g} (distance "
                             f"R = {3.0 * hs[i]:.4g} to the nearest singular point) does not bound "
                             f"its tail by 2^-56 of its largest term within {_TAYLOR_TERMS} terms")
-                    T = _transfer_terms(b, F, ratio, self._m, min(2 * len(T), _TAYLOR_TERMS))
+                    T = _transfer_terms(b, F, ratio, self._m, min(2 * T.shape[2], _TAYLOR_TERMS))
                     continue
-                finite = np.isfinite(A).all(axis=(0, 1))
-                while i < len(cs) and read[i] == guess[i] != 0:
-                    if not (finite[i] and all(map(cmath.isfinite, ends[i + 1]))):
-                        raise GrowthError(f"ODE continuation along arg={self.direction} "
-                                          f"overflows in the step from x={cs[i]:.6g}")
-                    Vs.append(ends[i + 1])
-                    i += 1
-                guess = read
-        # step i serves |t| <= r: forward to t = 1/2, back to the middle of the
-        # previous step (at most 3/4, as R shrinks by at most the previous
-        # step's length); keep the terms above 2^-58 of the largest there, so
-        # the cut ones sum to less than 2^-56 of it
-        backs = [back] + [0.5 * hi for hi in hs[:-1]]
-        f, n = A[:, 0].T, np.arange(len(T))
-        within = n < read[:, None]
-        mag = np.where(within, np.abs(f) * np.maximum(0.5, np.array(backs) / h)[:, None] ** n, 0.0)
-        kept = within & (mag >= 2.0**-58 * mag.max(axis=1, keepdims=True))
-        keep = len(T) - kept[:, ::-1].argmax(axis=1)
-        rows = [tuple(row[k - 1::-1].tolist()) for row, k in zip(f, keep)]
-        return [c - bk for c, bk in zip(cs, backs)], cs, hs, rows, read.tolist(), Vs[-1]
+                counts.append(first + 2)
+                # summed from the highest term down, as the Horner at t = 1
+                V = tuple(np.add.accumulate(A[first + 1::-1], axis=0)[-1].tolist())
+                if not all(map(cmath.isfinite, V)):
+                    raise GrowthError(f"ODE continuation along arg={self.direction} "
+                                      f"overflows in the step from x={cs[i]:.6g}")
+                # the step serves |t| <= r: forward to t = 1/2, back to the middle
+                # of the previous step (at most 3/4, as R shrinks by at most the
+                # previous step's length); keep the terms above 2^-58 of the
+                # largest there, so the cut ones sum to less than 2^-56 of it
+                mag = np.abs(A[:first + 2, 0]) * max(0.5, backs[i] / hs[i]) ** np.arange(first + 2)
+                keep = 1 + np.flatnonzero(mag >= 2.0**-58 * mag.max())[-1]
+                rows.append(tuple(A[keep - 1::-1, 0].tolist()))
+                i += 1
+        return [c - bk for c, bk in zip(cs, backs)], cs, hs, rows, counts, V
 
     def ensure(self, x_max: float) -> _TaylorSteps:
         """The published steps, first extended until they serve x_max."""

@@ -748,11 +748,12 @@ def test_series_samples_of_a_stage_table_keep_the_terms_above_2_to_the_minus_60(
 def test_taylor_steps_reproduce_closed_forms(d):
     # (1 + zeta) delta f + zeta f = 0 is solved by 1/(1 + zeta) and
     # (1 + zeta) delta f = zeta by log(1 + zeta), the Euler Borel transform:
-    # one step's recurrence from the exact start gives the coefficients of
-    # its row in t = (x - c)/h, (-s)^n/(1 + w)^(n+1) and
-    # (-1)^(n+1) (s/(1 + w))^n/n for w = c e^{id}, s = h e^{id}, and its end
-    # vector their values at c + h; the steps from x0 = 0.5 out to 40 keep
-    # the values within 4e-15
+    # one step's recurrence from the exact start gives their Taylor
+    # coefficients in t = (x - c)/h, every term up to the step's count,
+    # (-s)^n/(1 + w)^(n+1) and (-1)^(n+1) (s/(1 + w))^n/n for w = c e^{id},
+    # s = h e^{id}; its row keeps the first of them, and its end vector is
+    # their value at c + h; the steps from x0 = 0.5 out to 40 keep the
+    # values within 4e-15
     zeta = Polynomial([0.0, 1.0])
     cases = [(LinearOperator("differential", "delta", (zeta, Polynomial([1.0, 1.0]))),
               PowerSeries((-1.0) ** np.arange(60)),
@@ -766,13 +767,21 @@ def test_taylor_steps_reproduce_closed_forms(d):
         h = cl.ContinuationHandle(series, op, d)
         for c in (0.4, 2.0, 30.0):
             w = c * cmath.exp(1j * d)
-            _, _, (step,), (row,), _, (last,) = h._taylor_steps(c, (coeff(0, w, 0.0),), 0.0, c)
-            v = row[::-1]
+            V = coeff(0, w, 0.0)
+            _, _, (step,), (row,), (count,), (last,) = h._taylor_steps(c, (V,), 0.0, c)
             # R = min(c, |w + 1|): h = R/3 keeps the terms below 3^-n
             assert step == pytest.approx(min(c, abs(w + 1)) / 3, rel=1e-15)
             s = step * cmath.exp(1j * d)
-            exact = np.array([coeff(n, w, s) for n in range(len(v))])
-            assert np.all(np.abs(np.array(v) - exact) <= 1e-15 * abs(exact[0] or exact[1]))
+            # the step's terms: V times its start column, plus its forcing column
+            def shifted(coeffs):
+                return cl._shifted(coeffs.tolist(), np.array([w]), np.array([s]))
+            F = [] if op.rhs is None else shifted(op.rhs.coefficients)
+            T = cl._transfer_terms([shifted(p.coeffs) for p in op.coefficients], F,
+                                   np.array([c / step]), 1, count)
+            v = V * T[0, 0, :, 0] + (T[0, 1, :, 0] if F else 0.0)
+            assert np.array_equal(np.array(row[::-1]), v[:len(row)])
+            exact = np.array([coeff(n, w, s) for n in range(count)])
+            assert np.all(np.abs(v - exact) <= 1e-15 * abs(exact[0] or exact[1]))
             end = coeff(0, w + s, 0.0)
             assert abs(last - end) <= 1e-15 * abs(end)
         steps = h.ensure(40.0)
@@ -819,37 +828,51 @@ TWO_F_ZERO = LinearOperator("differential", "delta",
                              Polynomial([0, 1.0])))
 
 
-def test_ode_rungs_do_not_depend_on_the_requests_that_built_them(monkeypatch):
-    # each section's continuation, built three times and extended once to
-    # x_max, by the requests 1.2, 5, 40, 6.7e5 (each capped at x_max), or
-    # once from a first recurrence run of 8 terms that must grow: the same
-    # Taylor steps, rows, term counts, end vector and values, bit for bit.
-    # Each request runs the recurrence of its new steps as one batch, so the
-    # batches differ
+def _rung_cases():
     for op, d, x_max in [(EULER, 0.0, 40.0),
                          (EULER, math.pi + math.pi / 24, 6.7e5),
                          (EULER, math.pi - math.pi / 24, 6.7e5),
                          (TWO_F_ZERO, 0.0, 6.7e5)]:
         for sec in cl.summation_chain(op).sum(d).sections:
-            h = sec.cont
-            once, stepwise, grown = (cl.ContinuationHandle(h.series, h.op, h.direction)
-                                     for _ in range(3))
-            steps = once.ensure(x_max)
-            for x in (1.2, 5.0, 40.0, 6.7e5):
-                stepwise.ensure(min(x, x_max))
-            with monkeypatch.context() as mp:
-                mp.setattr(cl, "_FIRST_TERMS", 8)
-                grown.ensure(x_max)
-            assert len(steps.cs) > 20
-            xs = np.geomspace(steps.cs[0], steps.cs[-1] + 0.5 * steps.hs[-1], 500)
-            for other in (stepwise, grown):
-                got = other._steps
-                assert ((got.los, got.cs, got.hs, got.terms)
-                        == (steps.los, steps.cs, steps.hs, steps.terms))
-                assert all(np.array_equal(_bits(np.array(a)), _bits(np.array(b)))
-                           for a, b in zip(got.rows + (got.V,), steps.rows + (steps.V,)))
-                assert np.array_equal(_bits(other._segment_values(xs)),
-                                      _bits(once._segment_values(xs)))
+            yield sec.cont, x_max
+    # (1 + zeta) delta f + zeta f = 0, solved by 1/(1 + zeta): one start
+    # column of one component
+    op = LinearOperator("differential", "delta", (Polynomial([0.0, 1.0]), Polynomial([1.0, 1.0])))
+    yield cl.ContinuationHandle(PowerSeries((-1.0) ** np.arange(60)), op, 0.7), 6.7e5
+
+
+def test_ode_rungs_do_not_depend_on_the_requests_that_built_them(monkeypatch):
+    # each continuation, built four times and extended once to x_max, by
+    # the requests 1.2, 5, 40, 6.7e5 (each capped at x_max), one step at a
+    # time (each request just past the reach of the steps so far), or once
+    # from a first recurrence run of 8 terms that must grow: the same
+    # Taylor steps, rows, term counts, end vector and values, bit for bit.
+    # Each request runs the recurrence of its new steps as one batch, so the
+    # batches differ, down to batches of one step
+    for h, x_max in _rung_cases():
+        once, stepwise, single, grown = (cl.ContinuationHandle(h.series, h.op, h.direction)
+                                         for _ in range(4))
+        steps = once.ensure(x_max)
+        for x in (1.2, 5.0, 40.0, 6.7e5):
+            stepwise.ensure(min(x, x_max))
+        reach = single._x0
+        while len(single.ensure(reach).cs) < len(steps.cs):
+            got = single._steps
+            reach = np.nextafter(got.cs[-1] + 0.5 * got.hs[-1], math.inf)
+            assert len(single.ensure(reach).cs) == len(got.cs) + 1
+        with monkeypatch.context() as mp:
+            mp.setattr(cl, "_FIRST_TERMS", 8)
+            grown.ensure(x_max)
+        assert len(steps.cs) > 20
+        xs = np.geomspace(steps.cs[0], steps.cs[-1] + 0.5 * steps.hs[-1], 500)
+        for other in (stepwise, single, grown):
+            got = other._steps
+            assert ((got.los, got.cs, got.hs, got.terms)
+                    == (steps.los, steps.cs, steps.hs, steps.terms))
+            assert all(np.array_equal(_bits(np.array(a)), _bits(np.array(b)))
+                       for a, b in zip(got.rows + (got.V,), steps.rows + (steps.V,)))
+            assert np.array_equal(_bits(other._segment_values(xs)),
+                                  _bits(once._segment_values(xs)))
 
 
 def test_batched_laplace_points_per_node_on_positive_axis(euler_op, monkeypatch):
