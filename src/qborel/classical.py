@@ -641,15 +641,17 @@ class _LogGrid:
     (_correlate) with one kernel (K, L1), K[j] weighing node t + j - L1 in
     level value t.  Each level's range is rounded out to whole blocks of its
     correlation, aligned to the absolute index t, so a value never depends
-    on the range the grid was grown to.  The grid (lo, hi, values, notes) is
+    on the range the grid was grown to.  The grid (lo, hi, values, notes,
+    levels) keeps every level as (first index, values), level 0 the node
+    samples, and a growth computes only its new nodes and outputs.  It is
     published whole and no lock is held: threads that grow it at once
     publish agreeing grids.  A subclass grows it in _ensure_grid_locked, by
     _grow with its node source, kernel, number of levels and, optionally, a
     check whose notes on each level are kept with the grid."""
 
-    _grid: Optional[tuple[int, int, np.ndarray, list]] = None
+    _grid: Optional[tuple] = None
 
-    def _covering(self, lo: int, hi: int) -> tuple[int, int, np.ndarray, list]:
+    def _covering(self, lo: int, hi: int) -> tuple:
         grid = self._grid
         if grid is None or grid[0] > lo or grid[1] < hi:
             grid = self._ensure_grid_locked(lo, hi)
@@ -659,14 +661,17 @@ class _LogGrid:
         grid = self._covering(lo, hi)
         return grid[2][lo - grid[0] : hi - grid[0] + 1]
 
-    def _grow(self, lo: int, hi: int, samples: Callable[[int, int], np.ndarray],
+    def _grow(self, lo: int, hi: int, samples: Callable[[int, int, np.ndarray], np.ndarray],
               kernel: Optional[tuple[np.ndarray, int]], levels: int,
-              check: Optional[Callable] = None) -> tuple[int, int, np.ndarray, list]:
-        """Build the grid over [lo, hi] and the published range from the node
-        values samples(lo, hi), publish it and return it.  Its notes are
-        check(level, t0, inputs, outputs, old) for each level, whose outputs
-        start at t = t0, old being that level's note in the grid this build
-        replaces (None on the first build)."""
+              check: Optional[Callable] = None) -> tuple:
+        """Grow the grid to cover [lo, hi] and its old range, publish it and
+        return it.  Only the new stretches a..b of each level are computed:
+        the nodes as samples(a, b, below), below being the grid's node values
+        under a, and every level above as the correlation of its new outputs
+        alone, whole blocks that equal a fresh build's.  A level's note is
+        check(level, t0, inputs, outputs, note) for each new stretch of
+        outputs from t = t0, note being the level's note so far (None on the
+        first build)."""
         old = self._grid
         if old is not None:
             lo, hi = min(lo, old[0]), max(hi, old[1])
@@ -680,16 +685,25 @@ class _LogGrid:
                 lo, hi = lo - L1, hi + n - 1 - L1
         if hi - lo > _GRID_CAP:
             raise RangeError("Laplace node grid exceeded the size cap")
-        values = samples(lo, hi)
-        notes = []
-        for level, (out_lo, out_hi) in enumerate(reversed(spans)):
-            start = out_lo - L1 - lo
-            inputs = values[start : start + out_hi - out_lo + n]
-            values = _correlate(inputs, K)
-            if check is not None:
-                notes.append(check(level, out_lo, inputs, values, old and old[3][level]))
-            lo = out_lo
-        self._grid = grid = (lo, lo + len(values) - 1, values, notes)
+        spans.append((lo, hi))
+        stack, notes = [], list(old[3]) if old else [None] * levels
+        for level, (a, b) in enumerate(reversed(spans)):
+            o_lo, o = old[4][level] if old else (a, np.zeros(0, dtype=complex))
+            new = []
+            for c, d in ((a, o_lo - 1), (o_lo + len(o), b)):
+                if c > d:
+                    new.append(o[:0])
+                elif level == 0:
+                    new.append(samples(c, d, o[: max(c - o_lo, 0)]))
+                else:
+                    i = c - L1 - stack[-1][0]
+                    inputs = stack[-1][1][i : i + d - c + n]
+                    new.append(_correlate(inputs, K))
+                    if check is not None:
+                        notes[level - 1] = check(level - 1, c, inputs, new[-1], notes[level - 1])
+            stack.append((a, np.concatenate([new[0], o, new[1]])))
+        lo, values = stack[-1]
+        self._grid = grid = (lo, lo + len(values) - 1, values, notes, stack)
         return grid
 
 
@@ -774,10 +788,11 @@ class _LevelNote(NamedTuple):
 
 class _LaplaceGrid(_LogGrid):
     """The last classical level of a section at one step h on the ray d_w,
-    from g_1 (its ContinuationHandle) sampled once per node; a build reaches
-    _GRID_SLACK e-folds beyond the window it serves, for the points near it.
-    Each build checks every level value it adds (_level_faults) and keeps
-    the faults with the grid; a point's read raises at those among the
+    from g_1 (its ContinuationHandle) sampled once per node; a growth
+    reaches _GRID_SLACK e-folds beyond the window it serves, for the points
+    near it, and samples, correlates and checks (_level_faults) only its new
+    nodes and level values, keeping the faults and the first level's
+    reference lattice with the grid; a point's read raises at those among the
     values its window depends on, and checks the first level against the
     reference rule at three nodes x = e^(4j), the highest at most e^2 |w|
     (near the peak of the window's integrand), each once per grid.
@@ -789,31 +804,28 @@ class _LaplaceGrid(_LogGrid):
         self._kernel = _laplace_kernel(h)
         self._refs: dict[int, Optional[str]] = {}   # node e^(4j) -> reference failure
 
-    def _ensure_grid_locked(self, lo: int, hi: int) -> tuple[int, int, np.ndarray, list]:
+    def _ensure_grid_locked(self, lo: int, hi: int) -> tuple:
         slack = round(_GRID_SLACK / self.h)
-        return self._grow(lo - slack, hi + slack, self._samples, self._kernel, self.levels,
-                          self._check)
+        return self._grow(lo - slack, hi + slack, lambda a, b, below: self._samples(a, b),
+                          self._kernel, self.levels, self._check)
 
     def _samples(self, lo: int, hi: int) -> np.ndarray:
         return self.cont.eval_ray_many(_ray_nodes(self.h, lo, hi))
 
     def _check(self, level: int, t0: int, inputs: np.ndarray, values: np.ndarray,
-               old: Optional[_LevelNote]) -> _LevelNote:
-        """The level's note: the faults of the old note, and of the values
-        outside its range (a grown level's range contains the old one)."""
-        n, hi = len(self._kernel[0]), t0 + len(values) - 1
-        found = [] if old is None else [old.faults]
-        for a, b in [(t0, hi)] if old is None else [(t0, old.lo - 1), (old.hi + 1, hi)]:
-            if a <= b:
-                i, j = a - t0, b - t0 + 1
-                found.append(_level_faults(self.h, self._kernel[0], a, inputs[i : j + n - 1],
-                                           values[i:j]))
-        lattice = None
-        if level == 0:
-            P = round(_REF_EFOLDS / self.h)
-            j0 = -(-t0 // P)
-            lattice = (j0, values[j0 * P - t0 :: P].copy())
-        return _LevelNote(t0, hi, tuple(map(np.concatenate, zip(*found))), lattice)
+               note: Optional[_LevelNote]) -> _LevelNote:
+        """The level's note so far (None on the first build) joined with the
+        note of its new values from t = t0 on, which adjoin it below or above."""
+        P = round(_REF_EFOLDS / self.h)
+        j0 = -(-t0 // P)
+        new = _LevelNote(t0, t0 + len(values) - 1,
+                         _level_faults(self.h, self._kernel[0], t0, inputs, values),
+                         (j0, values[j0 * P - t0 :: P].copy()) if level == 0 else None)
+        if note is None:
+            return new
+        a, b = (new, note) if t0 < note.lo else (note, new)
+        return _LevelNote(a.lo, b.hi, tuple(map(np.concatenate, zip(a.faults, b.faults))),
+                          a.lattice and (a.lattice[0], np.concatenate([a.lattice[1], b.lattice[1]])))
 
     def read(self, lo: int, hi: int,
              w: SectorPoint) -> tuple[Optional[np.ndarray], Optional[tuple[int, float, str]]]:
@@ -825,7 +837,7 @@ class _LaplaceGrid(_LogGrid):
         window is too narrow RangeError, and any fault at a node below the
         smallest normal float RangeError; so does, with ValidationError, a
         reference check that fails."""
-        g_lo, _, values, notes = self._covering(lo, hi)
+        g_lo, _, values, notes, _ = self._covering(lo, hi)
         (K, L1), h, d = self._kernel, self.h, self.cont.direction
         needs = [(lo, hi)]          # the values the window depends on, top level first
         for _ in range(1, self.levels):

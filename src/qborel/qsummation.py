@@ -11,6 +11,7 @@ the ladder stages are evaluated (M = 1 for the Jackson sum).
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -286,29 +287,34 @@ class QContinuation:
         its own q-spiral (finitely many sigma_q steps)."""
         return complex(self.grid_values(complex(zeta), 0, 0)[0])
 
-    def grid_values(self, base: complex, t_lo: int, t_hi: int, M: int = 1) -> np.ndarray:
+    def grid_values(self, base: complex, t_lo: int, t_hi: int, M: int = 1,
+                    below: Optional[np.ndarray] = None) -> np.ndarray:
         """Values on the grid base * q^(t/M) for t in [t_lo, t_hi].  Each of
         the M residue classes of t is a q-grid; the classes are seeded in the
-        anchor disk and walked together."""
+        anchor disk and walked together.  below, the values at the nodes just
+        under t_lo, resumes the walk from its last M m values when t_lo lies
+        above the disk: only the new nodes are computed, as in a walk from
+        the disk, bit for bit."""
         q, m = self.q, self._m
-        h = math.log(q) / M
+        mM, h = m * M, math.log(q) / M
         t_in = math.floor(math.log(self._anchor_disk / abs(base)) / h)   # last in-disk node
-        start = min(t_lo, t_in - M * m + 1)
+        resume = below is not None and len(below) >= mM > 0 and t_lo > t_in
+        start = t_lo - mM if resume else min(t_lo, t_in - mM + 1)
         ts = np.arange(start, t_hi + 1)
         # node base q^(r/M) q^T for t = M T + r; scalar powers, as numpy's
         # array power can differ in the last bit
         steps = np.array([math.exp(h * r) for r in range(M)])
         powers = np.array([q ** float(T) for T in range(start // M, t_hi // M + 1)])
         x = base * steps[ts % M] * powers[ts // M - start // M]
-        n_in = min(t_in - start + 1, len(x))
+        n_in = mM if resume else min(t_in - start + 1, len(x))
         vals = np.empty(len(x), dtype=complex)
-        vals[:n_in] = self.series.eval_many(x[:n_in])
+        vals[:n_in] = below[-mM:] if resume else self.series.eval_many(x[:n_in])
         if n_in < len(x):
             if m == 0:
                 raise UnsupportedError("cannot continue with an order-0 operator")
             # x[i + M] = q x[i]: a sigma_q step from the last m in-disk nodes
-            s = n_in - M * m
-            vals[s:] = self._walk(x[s : len(x) - M * m], vals[s:n_in], M)
+            s = n_in - mM
+            vals[s:] = self._walk(x[s : len(x) - mM], vals[s:n_in], M)
         return vals[t_lo - start :]
 
     def _walk(self, bases: np.ndarray, seeds: np.ndarray, M: int) -> np.ndarray:
@@ -474,15 +480,23 @@ class _QSection(_LogGrid):
         self.cont = QContinuation(sec.g1, sec.op, d_w)
         self.M = _nodes_per_step(1, d_w, Qw, self.cont.pole_spirals) if mode == "continuous" else 1
 
-    def _ensure_grid_locked(self, lo: int, hi: int) -> tuple[int, int, np.ndarray, list]:
-        """_LogGrid._grow from the walk; every level is order 1 in w (sub-unit
-        ladders are refused), so one kernel serves them all: _level's at w = 1
-        along the real axis, whose tap j weighs node t + j - L1, L1 = -lo."""
-        k_lo, k_hi, K = _level(1, 0.0, self.Qw, 1.0, self.M) if self.levels else (0, 0, None)
+    @functools.cached_property
+    def _kernel(self) -> Optional[tuple[np.ndarray, int]]:
+        """(K, L1) of the levels, built once: every level is order 1 in w
+        (sub-unit ladders are refused), so one kernel serves them all:
+        _level's at w = 1 along the real axis, whose tap j weighs node
+        t + j - L1, L1 = -lo."""
+        if not self.levels:
+            return None
+        k_lo, k_hi, K = _level(1, 0.0, self.Qw, 1.0, self.M)
         if k_hi - k_lo > _KERNEL_CAP:
             raise RangeError(f"kernel support {k_hi - k_lo} exceeds the node cap {_KERNEL_CAP}")
-        return self._grow(lo, hi, lambda a, b: self.cont.grid_values(self.base, a, b, self.M),
-                          (K, -k_lo) if self.levels else None, self.levels)
+        return K, -k_lo
+
+    def _ensure_grid_locked(self, lo: int, hi: int) -> tuple:
+        """_LogGrid._grow from the walk."""
+        return self._grow(lo, hi, lambda a, b, below: self.cont.grid_values(
+                              self.base, a, b, self.M, below), self._kernel, self.levels)
 
     def value(self, w: SectorPoint) -> complex:
         if self.mode == "theta":

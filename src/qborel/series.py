@@ -325,12 +325,13 @@ class PowerSeries:
         """The series at the 1-D array t of points of its own variable
         z^(1/ram_index), in any order.  In the octave 2^(e-1) <= |t| < 2^e it
         sums the terms up to the last one whose bound |c_n| 2^(e n) reaches
-        2^-60 of the octave's largest bound, or up to a lower octave's last
-        term if that is higher (far inside the disk a few terms of a long
-        series suffice).  The points are visited by |t|: one Horner pass runs
-        step n on the suffix of points whose degree reaches n, the arithmetic
-        of one polyval per octave.  A value depends on the set of points, not
-        on their order."""
+        2^-60 of the octave's largest bound (far inside the disk a few terms
+        of a long series suffice).  That last term never falls as the octave
+        rises: if K < n is the largest bound one octave up, term n's bound
+        rises by n and the largest by K.  The points are visited by |t|: one
+        Horner pass runs step n on the suffix of points whose degree reaches
+        n, the arithmetic of one polyval per octave.  A value depends on its
+        point alone, not on the other points or their order."""
         t = np.asarray(t, dtype=complex)
         if t.size == 0:
             return np.zeros(0, dtype=complex)
@@ -343,16 +344,18 @@ class PowerSeries:
             bound = np.log2(np.abs(c)) + octaves[:, None] * np.arange(len(c))
         kept = bound >= bound.max(axis=1, keepdims=True) - 60.0
         top = len(c) - 1 - np.argmax(kept[:, ::-1], axis=1)
-        degree = np.maximum.accumulate(top[np.searchsorted(octaves, e)])
+        degree = top[np.searchsorted(octaves, e)]
         first = np.searchsorted(degree, np.arange(degree[-1] + 1)).tolist()
-        acc = np.zeros(len(x), dtype=complex)
+        acc, prod = np.zeros(len(x), dtype=complex), np.empty(len(x), dtype=complex)
         s = None
         for n in range(degree[-1], -1, -1):
             if first[n] != s:
                 s = first[n]
-                a, xs = acc[s:], x[s:]
-            a *= xs
-            a += c[n]
+                a, xs, p = acc[s:], x[s:], prod[s:]
+            # not in place: numpy rounds an in-place complex product of a
+            # single element differently from one of a longer array
+            np.multiply(a, xs, p)
+            np.add(p, c[n], a)
         x[order] = acc   # back to the input order, in the sorted copy's buffer
         return x
 

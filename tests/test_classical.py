@@ -900,6 +900,61 @@ def test_batched_laplace_points_per_node_on_positive_axis(euler_op, monkeypatch)
         assert nodes == hi - lo + 1 + 2 * (len(grid._kernel[0]) - 1)
 
 
+def test_a_grid_grown_down_and_up_samples_only_its_new_nodes(euler_op, monkeypatch):
+    # after z = 0.1, z = 0.1 e^(-+2) moves w = z^3 6 e-folds down, then up,
+    # past the 5 e-fold slack of each section's grid (h = 1/32): each growth
+    # samples g_1 at the new nodes below, then above, the old ones alone
+    S = cl.multisum(None, euler_op, 0.0)
+    S(SectorPoint.from_complex(0.1))
+    grids = [g for sec in S.sections for g in sec._grids.values()]
+    sampled = []
+    sample = cl._LaplaceGrid._samples
+    monkeypatch.setattr(cl._LaplaceGrid, "_samples",
+                        lambda self, lo, hi: sampled.append((self, lo, hi)) or sample(self, lo, hi))
+    for z in (0.1 * math.exp(-2.0), 0.1 * math.exp(2.0)):
+        before = {g: g._grid[4][0] for g in grids}
+        sampled.clear()
+        S(SectorPoint.from_complex(z))
+        assert [g for sec in S.sections for g in sec._grids.values()] == grids
+        for g, (lo, old) in before.items():
+            new_lo, new = g._grid[4][0]
+            stretch = (new_lo, lo - 1) if z < 0.1 else (lo + len(old), new_lo + len(new) - 1)
+            assert stretch[1] - stretch[0] > 5 * 32
+            assert len(new) == len(old) + stretch[1] - stretch[0] + 1
+            assert [s[1:] for s in sampled if s[0] is g] == [stretch]
+
+
+@pytest.mark.parametrize("h", [1 / 32, 1 / 64])
+def test_grown_classical_grid_equals_a_fresh_build(h, euler_op, monkeypatch):
+    # h = 1/64 correlates its levels by FFT blocks (2 705 taps), 1/32 by
+    # direct dots.  g_1 sampled 1e-6 high at even nodes and low at odd ones
+    # makes the first level's step-2h check fault at some thousand nodes.
+    # A grid grown down and then up equals a fresh build over its final
+    # range, bit for bit, at every level: values, the faults of every level
+    # note and the first level's reference lattice
+    sample = cl._LaplaceGrid._samples
+    monkeypatch.setattr(cl._LaplaceGrid, "_samples", lambda self, lo, hi: sample(self, lo, hi)
+                        * (1.0 + 1e-6 * (-1.0) ** np.arange(lo, hi + 1)))
+    sec = cl.multisum(None, euler_op, 0.0).sections[0]
+    grown, fresh = (cl._LaplaceGrid(sec.cont, h, sec.levels) for _ in range(2))
+    assert grown.levels == 2
+    assert (cl._block_size(len(grown._kernel[0])) > 1) == (h < 1 / 32)
+    e = round(1 / h)                     # nodes per e-fold
+    for lo, hi in [(-8 * e, -6 * e), (-20 * e, -6 * e), (-20 * e, 2 * e)]:
+        grown._nodes(lo, hi)
+    fresh._nodes(-20 * e, 2 * e)
+    a, b = grown._grid, fresh._grid
+    assert a[:2] == b[:2]
+    for (lo_a, values), (lo_b, built) in zip(a[4], b[4], strict=True):
+        assert lo_a == lo_b and np.array_equal(values, built)
+    for x, y in zip(a[3], b[3], strict=True):
+        assert x[:2] == y[:2]
+        assert all(np.array_equal(f, g) for f, g in zip(x.faults, y.faults, strict=True))
+    assert len(a[3][0].faults[2]) > 1000
+    (j_a, lattice), (j_b, built) = a[3][0].lattice, b[3][0].lattice
+    assert j_a == j_b and np.array_equal(lattice, built) and len(lattice) > 15
+
+
 def test_stage_ode_anchor_matches_direct_for_order_two():
     # the 2F0 operator of acceptance criterion 7: the g_1 of each section
     # steps its order-2 ODE from the vector (f, delta f) that the series

@@ -732,9 +732,10 @@ def test_q_multisum_confluence_hypergeometric_family():
 def test_grown_q_grid_equals_a_fresh_build(q, mode):
     # continuous q = 1.005 correlates its levels by FFT blocks (its kernel
     # has about 3 200 taps), discrete q = 1.1 by direct dots; in both a grid
-    # grown by a second, wider request equals a fresh build over the wider
-    # range, and the values of the first, narrow grid are those of the wide
-    # one, bit for bit
+    # grown by a second, wider request, which computes only the new nodes
+    # and outputs of each level, equals a fresh build over the wider range
+    # at every level, and the values of the first, narrow grid are those of
+    # the wide one, bit for bit
     grown, fresh = (qs.q_multisum(None, make_q_euler(q), 0.0, mode=mode).sections[0]
                     for _ in range(2))
     assert grown.levels == 2
@@ -745,7 +746,38 @@ def test_grown_q_grid_equals_a_fresh_build(q, mode):
     fresh._nodes(-900, 700)
     assert grown._grid[:2] == fresh._grid[:2]
     assert np.array_equal(grown._grid[2], fresh._grid[2])
+    for (a, values), (b, built) in zip(grown._grid[4], fresh._grid[4], strict=True):
+        assert a == b and np.array_equal(values, built)
     assert np.array_equal(grown._nodes(-40, 40), narrow)
+
+
+@pytest.mark.parametrize("q, mode", [(1.1, "discrete"), (1.5, "continuous"), (1.1, "theta")])
+def test_a_point_q_times_further_walks_only_the_new_nodes(q, mode, monkeypatch):
+    # z and then q z: w = z^3 moves one Q_w-step, M nodes of each section's
+    # grid (M = 5 in the continuous mode at q = 1.5), past the top of the
+    # grid, which lies above the anchor disk; each grid resumes the walk
+    # from its own top node values, so its node source is asked for its M
+    # new nodes alone and no series is summed, and the value is a fresh
+    # sum's, bit for bit
+    S = qs.q_multisum(None, make_q_euler(q), 0.0, mode=mode)
+    S(0.1)
+    before = {sec.cont: sec._grid[4][0] for sec in S.sections}
+    asked, summed = [], []
+    walk, eval_many = qs.QContinuation.grid_values, PowerSeries.eval_many
+    monkeypatch.setattr(qs.QContinuation, "grid_values", lambda self, base, a, b, M=1, below=None:
+                        asked.append((self, a, b)) or walk(self, base, a, b, M, below))
+    monkeypatch.setattr(PowerSeries, "eval_many",
+                        lambda self, t: summed.append(len(t)) or eval_many(self, t))
+    value = S(0.1 * q)
+    assert summed == []
+    assert {sec.M for sec in S.sections} == {5 if mode == "continuous" else 1}
+    for sec in S.sections:
+        (lo, old), (new_lo, new) = before[sec.cont], sec._grid[4][0]
+        assert new_lo == lo and len(new) == len(old) + sec.M
+        assert [ask[1:] for ask in asked if ask[0] is sec.cont] == [(lo + len(old),
+                                                                   lo + len(new) - 1)]
+    monkeypatch.undo()
+    assert value == qs.q_multisum(None, make_q_euler(q), 0.0, mode=mode)(0.1 * q)
 
 
 # the points of the convergence checks: |arg z| up to 0.51, |arg w| up to 1.53

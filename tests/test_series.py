@@ -211,6 +211,23 @@ def test_eval_many_values_do_not_depend_on_the_order_of_the_points(data):
     assert np.array_equal(_bits(_LONG.eval_many(t[perm])), _bits(_LONG.eval_many(t)[perm]))
 
 
+@given(st.data())
+def test_eval_many_values_depend_on_their_point_alone(data):
+    # an octave's last kept term never falls as the octave rises, so every
+    # point takes the degree of its own octave: any subset of the points
+    # evaluates bit for bit as in the whole set, for _LONG and for series
+    # whose coefficient moduli jump between 2^-60 and 2^60 or vanish
+    logs = data.draw(st.lists(st.floats(-60.0, 60.0) | st.just(-math.inf),
+                              min_size=1, max_size=80))
+    jumpy = PowerSeries(np.exp2(logs) * np.exp(1j * np.arange(len(logs))))
+    series = data.draw(st.sampled_from([_LONG, jumpy]))
+    polar = data.draw(st.lists(st.tuples(st.floats(-100.0, 0.0), st.floats(-math.pi, math.pi)),
+                               min_size=1, max_size=40))
+    t = np.array([2.0**e * cmath.exp(1j * a) for e, a in polar])
+    keep = np.array(data.draw(st.lists(st.booleans(), min_size=len(t), max_size=len(t))))
+    assert np.array_equal(_bits(series.eval_many(t[keep])), _bits(series.eval_many(t)[keep]))
+
+
 def test_eval_many_keeps_the_terms_above_2_to_the_minus_60_of_the_scalar_sum():
     # eval is a full Horner sum; eval_many cuts each octave of |t| below
     # 2^-60 of its largest term bound, which moves real and imaginary parts

@@ -4,8 +4,10 @@
         [--claim WORKLOAD:METRIC]
 
 PARENT_ROOT and HEAD_ROOT are the roots of two checkouts, each with its own
-perfbench/ and src/.  For every workload of HEAD_ROOT/BENCHMARK.json the
-script runs, one process at a time,
+perfbench/ and src/.  PARENT_ROOT must be the top of a git checkout, whose
+commit the report names: make it with ``git worktree add PARENT_ROOT
+<commit>``, as CI's drift step does.  For every workload of
+HEAD_ROOT/BENCHMARK.json the script runs, one process at a time,
 
     python3 perfbench/run.py --workload W --seed 500+n --seconds 30 --trace 0
 
@@ -53,8 +55,16 @@ def perfbench(root: str, workload: str, seed: int, seconds: float, trace: int) -
 
 
 def revision(root: str) -> str:
-    proc = subprocess.run(["git", "-C", root, "rev-parse", "HEAD"], capture_output=True, text=True)
-    return proc.stdout.strip() if proc.returncode == 0 else os.path.abspath(root)
+    """The commit checked out at root, which must be the top of a git
+    checkout: a local path or an enclosing repository's commit would stand
+    in for the parent's in the report."""
+    proc = subprocess.run(["git", "-C", root, "rev-parse", "--show-toplevel", "HEAD"],
+                          capture_output=True, text=True)
+    top, _, commit = proc.stdout.strip().partition("\n")
+    if proc.returncode != 0 or os.path.realpath(top) != os.path.realpath(root):
+        raise SystemExit(f"bench_pairs: {root} is not the top of a git checkout; make the "
+                         f"parent tree with git worktree add")
+    return commit
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -97,6 +107,7 @@ def main(argv=None) -> int:
     parser.add_argument("--claim", help="WORKLOAD:METRIC whose gain the change claims")
     args = parser.parse_args(argv)
     roots = {"parent": args.parent_root, "change": args.head_root}
+    parent = revision(args.parent_root)
     with open(os.path.join(args.head_root, "BENCHMARK.json")) as fh:
         spec = json.load(fh)
     workloads = [w["name"] for w in spec["workloads"]]
@@ -129,7 +140,7 @@ def main(argv=None) -> int:
     report = {
         "description": "perfbench result lines of the parent tree and of this change, "
                        "run by tools/bench_pairs.py with the unchanged perfbench/ harness",
-        "parent": revision(args.parent_root),
+        "parent": parent,
         "command": f"python3 perfbench/run.py --workload <workload> --seed <500 + pair> "
                    f"--seconds {SECONDS:g} --trace 0",
         "machine": f"{os.cpu_count()}-core {platform.processor() or platform.machine()}, "

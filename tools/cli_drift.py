@@ -107,6 +107,14 @@ def commands(ops: dict[str, str]) -> list[tuple[str, list[str]]]:
     out.append(("qsum-theta-regrow", ["qsum", "--op", ops["qeuler"], "--direction", "0",
                                       "--mode", "theta", "--z", "0.3,0", "--z", "0.05,0",
                                       "--z", "0.2,0.1"]))
+    # the later points grow the cached grids down and up: |w| = |z|^3 moves
+    # 16 e-folds below the first point's grid, then 5.4 above it, past its
+    # 5 e-fold slack
+    regrow = ["--direction", "0", "--z", "0.1,0", "--z", "5e-4,0", "--z", "0.6,0"]
+    out.append(("sum-regrow", ["sum", "--op", ops["euler"]] + regrow))
+    for mode in ("discrete", "continuous"):
+        out.append((f"qsum-{mode}-regrow",
+                    ["qsum", "--op", ops["qeuler"], "--mode", mode] + regrow))
     out.append(("validate", ["validate", "--op", ops["qeuler"], "--q-grid", "1.5,1.2,1.1"]))
     out.append(("sum-resonant", ["sum", "--op", ops["resonant"], "--direction", "0",
                                  "--z", "0.1,0"]))
